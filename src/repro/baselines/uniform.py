@@ -17,7 +17,11 @@ import numpy as np
 
 from repro.channel.model import ChannelModel
 from repro.core.config import SkyRANConfig
-from repro.core.placement import PlacementResult, max_min_placement
+from repro.core.placement import (
+    PlacementResult,
+    max_min_placement,
+    uncertainty_penalty_db,
+)
 from repro.faults.injector import FaultInjector, as_injector
 from repro.flight.sampler import collect_snr_samples
 from repro.flight.uav import UAV
@@ -85,22 +89,6 @@ class UniformController:
         self._rems: Dict[int, REM] = {}
         self._epoch = 0
 
-    def _uncertainty_discounted(self, snr_map: np.ndarray, rem: REM) -> np.ndarray:
-        """Distance-to-measurement discount (see SkyRANConfig docs)."""
-        rate = self.config.uncertainty_penalty_db_per_m
-        if rate <= 0:
-            return snr_map
-        mask = rem.measured_mask.ravel()
-        if not mask.any():
-            return snr_map
-        from scipy.spatial import cKDTree
-
-        centers = self.rem_grid.centers_flat()
-        tree = cKDTree(centers[mask])
-        d, _ = tree.query(centers)
-        penalty = np.minimum(rate * d, self.config.uncertainty_penalty_cap_db)
-        return snr_map - penalty.reshape(self.rem_grid.shape)
-
     def run_epoch(self, budget_m: Optional[float] = None) -> UniformEpochResult:
         """One sweep-and-place cycle.
 
@@ -144,10 +132,17 @@ class UniformController:
         }
         # Same uncertainty discount as SkyRAN's placement (fairness:
         # both schemes suffer the same argmax-selects-optimism bias).
-        placement_maps = [
-            self._uncertainty_discounted(maps[ue_id], self._rems[ue_id])
-            for ue_id in sorted(maps)
-        ]
+        placement_maps = []
+        for ue_id in sorted(maps):
+            penalty = uncertainty_penalty_db(
+                self.rem_grid,
+                self._rems[ue_id].measured_mask,
+                self.config.uncertainty_penalty_db_per_m,
+                self.config.uncertainty_penalty_cap_db,
+            )
+            placement_maps.append(
+                maps[ue_id] if penalty is None else maps[ue_id] - penalty
+            )
         placement = max_min_placement(self.rem_grid, placement_maps, self.altitude)
         move_log = self.uav.goto(placement.position.as_array(), self.rng, faults=self.faults)
         distance += move_log.distance_m

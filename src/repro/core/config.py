@@ -137,20 +137,14 @@ class SkyRANConfig:
         TTIs simulated per serving-time MAC batch (1000 = 1 s).
     pf_time_constant_tti:
         EWMA horizon of the proportional-fair average (TTIs).
-    stream_epoch_threshold:
-        Connected-UE count at which :meth:`~repro.core.controller.
-        SkyRANController.run_epoch` switches from the materialized
-        per-UE epoch (one REM + full map per UE) to the streamed,
-        REM-key-deduplicated pipeline.  The default keeps every paper
-        scenario (tens of UEs) on the byte-identical materialized
-        path; ``REPRO_STREAM_EPOCH=1``/``0`` overrides the threshold
-        either way.
     rem_key_pitch_m:
-        Quantization pitch of the streamed path's REM-key dedup: UE
-        estimates in the same pitch cell share one REM and one
-        interpolated map.  At the city generator's REM key pitch
-        (32 m) dedup is exact — city UEs sharing a key cell already
-        share position-keyed REMs.
+        Quantization pitch of the epoch's REM-key dedup: UE estimates
+        in the same pitch cell share one REM and one interpolated map,
+        so epoch work saturates at the number of occupied key cells.
+        None (the default) makes every UE its own group — the paper's
+        per-UE epoch.  At the city generator's REM key pitch (32 m)
+        dedup is exact — city UEs sharing a key cell already share
+        position-keyed REMs.
     """
 
     localization_flight_m: float = 30.0
@@ -187,8 +181,7 @@ class SkyRANConfig:
     learn_trigger_model_path: "str | None" = None
     tti_batch: int = 1000
     pf_time_constant_tti: int = 100
-    stream_epoch_threshold: int = 512
-    rem_key_pitch_m: float = 32.0
+    rem_key_pitch_m: "float | None" = None
 
     def __post_init__(self) -> None:
         if self.localization_flight_m <= 0:
@@ -247,7 +240,5 @@ class SkyRANConfig:
             raise ValueError("tti_batch must be >= 1")
         if self.pf_time_constant_tti < 1:
             raise ValueError("pf_time_constant_tti must be >= 1")
-        if self.stream_epoch_threshold < 1:
-            raise ValueError("stream_epoch_threshold must be >= 1")
-        if self.rem_key_pitch_m <= 0:
+        if self.rem_key_pitch_m is not None and self.rem_key_pitch_m <= 0:
             raise ValueError("rem_key_pitch_m must be positive")

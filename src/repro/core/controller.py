@@ -10,7 +10,6 @@ true UE positions are only used to report localization error.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -19,12 +18,11 @@ import numpy as np
 from repro.channel.model import ChannelModel
 from repro.core.config import SkyRANConfig
 from repro.core.epoch import EpochTrigger
-from repro.core.placement import (
-    PlacementResult,
-    find_optimal_altitude,
-    max_min_placement,
-    uncertainty_penalty_db,
-)
+from repro.core.placement import PlacementResult, find_optimal_altitude
+
+# Unused by the epoch itself; kept bound here because the span tracer
+# test (perfbench/tests/test_spans.py) wraps it through this module.
+from repro.core.placement import max_min_placement  # noqa: F401
 from repro.core.rem_store import REMStore
 from repro.faults.injector import FaultInjector, as_injector
 from repro.flight.energy import EnergyBudget
@@ -66,19 +64,16 @@ class EpochResult:
     placement:
         Chosen operating position and predicted worst-UE SNR.
     rem_maps:
-        Interpolated per-UE SNR maps after the measurement flight.  On
-        the streamed path, UEs sharing a REM-key dedup group share one
-        map *object* — the dict stays per-UE-keyed but holds only
-        ``n_rem_groups`` distinct arrays.
+        Interpolated per-UE SNR maps after the measurement flight.  UEs
+        sharing a REM-key dedup group share one map *object* — the dict
+        stays per-UE-keyed but holds only ``n_rem_groups`` distinct
+        arrays.
     flight_distance_m / flight_time_s:
         Total overhead (localization + altitude search + measurement
         + reposition) of the epoch.
-    streamed:
-        True when the epoch ran the streamed, REM-key-deduplicated
-        pipeline instead of the materialized per-UE one.
     n_rem_groups:
-        Distinct REM-key dedup groups this epoch (streamed path only;
-        None on the materialized path).
+        Distinct REM-key dedup groups this epoch (the number of UEs
+        served when ``config.rem_key_pitch_m`` is None).
     """
 
     epoch_index: int
@@ -90,8 +85,7 @@ class EpochResult:
     rem_maps: Dict[int, np.ndarray]
     flight_distance_m: float
     flight_time_s: float
-    streamed: bool = False
-    n_rem_groups: Optional[int] = None
+    n_rem_groups: int
 
 
 @dataclass
@@ -449,26 +443,6 @@ class SkyRANController:
         duration = self.uav.clock_s - start_clock_s
         return altitude, distance, duration
 
-    def _uncertainty_discounted(self, snr_map: np.ndarray, rem) -> np.ndarray:
-        """Discount a map by distance-to-nearest-measurement.
-
-        An argmax over estimated maps selects for optimistic
-        estimation errors; unmeasured cells carry the largest ones.
-        The discount (rate/cap in the config) makes placement prefer
-        cells whose SNR has actually been observed.  Delegates to the
-        shared :func:`repro.core.placement.uncertainty_penalty_db`
-        that the streamed placement fold applies band-by-band.
-        """
-        penalty = uncertainty_penalty_db(
-            self.rem_grid,
-            rem.measured_mask,
-            self.config.uncertainty_penalty_db_per_m,
-            self.config.uncertainty_penalty_cap_db,
-        )
-        if penalty is None:
-            return snr_map
-        return snr_map - penalty
-
     def _prior_for(self, ue_xyz: np.ndarray) -> np.ndarray:
         """FSPL-seed SNR map for a never-measured UE position.
 
@@ -480,22 +454,6 @@ class SkyRANController:
 
     # -- the epoch --------------------------------------------------------------------
 
-    def _stream_epoch(self, n_ues: int) -> bool:
-        """Pick the epoch pipeline for a population of ``n_ues``.
-
-        ``REPRO_STREAM_EPOCH=1`` forces the streamed path, ``=0`` the
-        materialized one; otherwise the streamed path engages at
-        ``config.stream_epoch_threshold`` connected UEs.  The default
-        threshold keeps every paper-scale scenario on the materialized
-        path, byte-identical to builds without the streamed pipeline.
-        """
-        env = os.environ.get("REPRO_STREAM_EPOCH")
-        if env == "1":
-            return True
-        if env == "0":
-            return False
-        return n_ues >= self.config.stream_epoch_threshold
-
     def _rem_groups(
         self, estimates: Dict[int, np.ndarray]
     ) -> Tuple[Dict[int, List[int]], Dict[int, int]]:
@@ -504,12 +462,16 @@ class SkyRANController:
         UEs whose estimates fall in the same ``config.rem_key_pitch_m``
         cell (anchored at the REM grid origin) share one REM and one
         interpolated map; the group representative is its smallest UE
-        id.  Returns ``(members by rep id, rep id by UE id)``; reps
-        ascend with ``sorted(members)``.  At the city generator's key
-        pitch this grouping is exact — same-cell UEs already share
+        id.  With no pitch (the default) every UE is its own group.
+        Returns ``(members by rep id, rep id by UE id)``; reps ascend
+        with ``sorted(members)``.  At the city generator's key pitch
+        this grouping is exact — same-cell UEs already share
         position-keyed REMs.
         """
         pitch = self.config.rem_key_pitch_m
+        if pitch is None:
+            ids = sorted(estimates)
+            return {u: [u] for u in ids}, {u: u for u in ids}
         x0, y0 = self.rem_grid.origin_x, self.rem_grid.origin_y
         by_cell: Dict[Tuple[int, int], List[int]] = {}
         for ue_id in sorted(estimates):
@@ -540,121 +502,27 @@ class SkyRANController:
         still reserving service time — the Section 2.5 trade made
         operational.
 
-        Population-size-aware: small scenarios run the materialized
-        per-UE pipeline (byte-identical to previous builds); above
-        ``config.stream_epoch_threshold`` connected UEs (or under
-        ``REPRO_STREAM_EPOCH=1``) the streamed, REM-key-deduplicated
-        pipeline runs the same eight steps with O(groups) REM state
-        and O(grid) map state instead of O(n_ue) of each.
+        Work is organized around REM-key dedup groups
+        (:meth:`_rem_groups`), so city-scale populations cost O(groups)
+        REM state and O(grid) map state instead of O(n_ue) of each:
+
+        * one REM is looked up / seeded / measured *per group*;
+        * planning consumes a running aggregate
+          (:func:`repro.rem.aggregate.aggregate_rem_running`) of the
+          per-UE map references (group maps repeated per member, in
+          sorted-UE order) instead of a per-UE map list;
+        * placement streams row-bands through
+          :func:`streamed_discounted_max_min_placement`
+          — the per-UE map stack is never materialized.
+
+        With the default ``config.rem_key_pitch_m=None`` every group is
+        a singleton and the epoch is the paper's per-UE pipeline.
         """
         if not self.enodeb.connected_ues():
             raise RuntimeError("no connected UEs to serve")
         budget = budget_m if budget_m is not None else self.config.measurement_budget_m
         if energy_budget is not None:
             budget = max(energy_budget.clamp(budget, self.uav.battery), 1.0)
-        if self._stream_epoch(len(self.enodeb.connected_ues())):
-            return self._run_epoch_streamed(budget)
-        return self._run_epoch_materialized(budget)
-
-    def _run_epoch_materialized(self, budget: float) -> EpochResult:
-        """The per-UE epoch: one REM and one full map per connected UE."""
-        total_distance = 0.0
-        t_start = self.uav.clock_s
-
-        # Steps 1-4: localization flight and multilateration.
-        estimates, errors, dist, _ = self._localization_flight()
-        total_distance += dist
-        self._merge_known_positions(estimates, errors)
-        if not estimates:
-            raise RuntimeError("no connected UEs to serve")
-        self._last_estimates = dict(estimates)
-        est_positions = [estimates[k] for k in sorted(estimates)]
-
-        # Step 5: optimal altitude (first epoch only, Section 3.3.1).
-        if self.altitude is None:
-            centroid = np.mean([p[:2] for p in est_positions], axis=0)
-            self.altitude, dist, _ = self._search_altitude(centroid)
-            total_distance += dist
-
-        # REM lookup / seeding (Section 3.5).
-        rems = {
-            ue_id: self.rem_store.get_or_create(
-                estimates[ue_id], self.altitude, self._prior_for
-            )
-            for ue_id in sorted(estimates)
-        }
-
-        # Step 6: plan the measurement trajectory.
-        current_maps = [
-            rems[k].interpolated(method=self.interpolator) for k in sorted(rems)
-        ]
-        plan = self.planner.plan(
-            self.rem_grid,
-            current_maps,
-            est_positions,
-            self.uav.position[:2],
-            self.altitude,
-            budget,
-            self.history,
-        )
-
-        # Step 7: fly it, measure, update each UE's REM.
-        log = self.uav.fly(plan.trajectory, self.rng, faults=self.faults)
-        total_distance += log.distance_m
-        for ue in self.enodeb.connected_ues():
-            if ue.ue_id not in rems:
-                continue
-            before = rems[ue.ue_id].n_measured_cells
-            xy, snr = collect_snr_samples(
-                log, ue, self.channel, self.rng, faults=self.faults
-            )
-            if len(snr):
-                rems[ue.ue_id].add_measurements(xy, snr)
-            if self._chaos and rems[ue.ue_id].n_measured_cells == before:
-                # The flight fed this map nothing (all samples dropped
-                # or unbinnable); serve from whatever it already holds
-                # — reused/prior cells — instead of failing the epoch.
-                perf.count("fallback.rem_starved")
-        for ue_id in sorted(rems):
-            self.history.record(estimates[ue_id], plan.trajectory)
-            self.rem_store.commit(rems[ue_id])
-
-        # Step 8: max-min placement and reposition.
-        final_maps = {
-            ue_id: rems[ue_id].interpolated(method=self.interpolator)
-            for ue_id in sorted(rems)
-        }
-        placement_maps = [
-            self._uncertainty_discounted(final_maps[ue_id], rems[ue_id])
-            for ue_id in sorted(rems)
-        ]
-        placement = max_min_placement(self.rem_grid, placement_maps, self.altitude)
-        return self._finish_epoch(
-            estimates, errors, plan, placement, final_maps, total_distance, t_start
-        )
-
-    def _run_epoch_streamed(self, budget: float) -> EpochResult:
-        """The streamed epoch: REM-key dedup + tile-resident placement.
-
-        Same eight steps, restructured for city-scale populations:
-
-        * UEs are grouped by REM-key quantization of their estimates
-          (:meth:`_rem_groups`); one REM is looked up / seeded /
-          measured *per group* — work and REM state saturate at the
-          key-grid size instead of growing with the population.
-        * Planning consumes a running aggregate
-          (:func:`repro.rem.aggregate.aggregate_rem_running`) of the
-          per-UE map references (group maps, repeated per member, in
-          sorted-UE order — bit-identical to the materialized stack
-          even under collapse) instead of a per-UE map list.
-        * Placement streams row-bands through
-          :func:`repro.rem.streaming.streamed_discounted_max_min_placement`
-          — the per-UE map stack is never materialized.
-
-        With every group a singleton (e.g. a tiny key pitch) the whole
-        epoch — RNG draw schedule included — is bit-identical to
-        :meth:`_run_epoch_materialized`.
-        """
         total_distance = 0.0
         t_start = self.uav.clock_s
 
@@ -684,31 +552,28 @@ class SkyRANController:
 
         # Step 6: plan over the running per-UE aggregate (group maps
         # broadcast to members) and the dedup waypoints.
-        with perf.span("epoch.stream.plan", track_memory=True):
-            group_maps = {
-                rep: rems[rep].interpolated(method=self.interpolator)
-                for rep in sorted(rems)
-            }
-            agg = aggregate_rem_running(
-                (group_maps[rep_of[ue_id]] for ue_id in sorted(estimates)),
-                self.rem_grid.shape,
-            )
-            del group_maps
-            rep_positions = [estimates[rep] for rep in sorted(groups)]
-            plan = self.planner.plan(
-                self.rem_grid,
-                [],
-                rep_positions,
-                self.uav.position[:2],
-                self.altitude,
-                budget,
-                self.history,
-                aggregate=agg,
-            )
+        group_maps = {
+            rep: rems[rep].interpolated(method=self.interpolator)
+            for rep in sorted(rems)
+        }
+        agg = aggregate_rem_running(
+            (group_maps[rep_of[ue_id]] for ue_id in sorted(estimates)),
+            self.rem_grid.shape,
+        )
+        del group_maps
+        plan = self.planner.plan(
+            self.rem_grid,
+            [],
+            [estimates[rep] for rep in sorted(groups)],
+            self.uav.position[:2],
+            self.altitude,
+            budget,
+            self.history,
+            aggregate=agg,
+        )
 
-        # Step 7: fly it, measure, update each *group's* REM (through
-        # its representative — same RNG schedule as the materialized
-        # path when every group is a singleton).
+        # Step 7: fly it, measure, update each *group's* REM through
+        # its representative.
         log = self.uav.fly(plan.trajectory, self.rng, faults=self.faults)
         total_distance += log.distance_m
         for ue in self.enodeb.connected_ues():
@@ -721,57 +586,32 @@ class SkyRANController:
             if len(snr):
                 rems[ue.ue_id].add_measurements(xy, snr)
             if self._chaos and rems[ue.ue_id].n_measured_cells == before:
+                # The flight fed this map nothing (all samples dropped
+                # or unbinnable); serve from whatever it already holds
+                # — reused/prior cells — instead of failing the epoch.
                 perf.count("fallback.rem_starved")
         for rep in sorted(rems):
             self.history.record(estimates[rep], plan.trajectory)
             self.rem_store.commit(rems[rep])
 
         # Step 8: streamed uncertainty-discounted max-min placement.
-        with perf.span("epoch.stream.place", track_memory=True):
-            placement, group_final = streamed_discounted_max_min_placement(
-                self.rem_grid,
-                [rems[rep] for rep in sorted(rems)],
-                self.interpolator,
-                self.altitude,
-                penalty_rate_db_per_m=self.config.uncertainty_penalty_db_per_m,
-                penalty_cap_db=self.config.uncertainty_penalty_cap_db,
-                collect_maps=True,
-            )
-        by_rep = dict(zip(sorted(rems), group_final))
-        final_maps = {
-            ue_id: by_rep[rep_of[ue_id]] for ue_id in sorted(estimates)
-        }
-        return self._finish_epoch(
-            estimates,
-            errors,
-            plan,
-            placement,
-            final_maps,
-            total_distance,
-            t_start,
-            streamed=True,
-            n_rem_groups=len(groups),
+        placement, group_final = streamed_discounted_max_min_placement(
+            self.rem_grid,
+            [rems[rep] for rep in sorted(rems)],
+            self.interpolator,
+            self.altitude,
+            penalty_rate_db_per_m=self.config.uncertainty_penalty_db_per_m,
+            penalty_cap_db=self.config.uncertainty_penalty_cap_db,
+            collect_maps=True,
         )
+        by_rep = dict(zip(sorted(rems), group_final))
+        final_maps = {ue_id: by_rep[rep_of[ue_id]] for ue_id in sorted(estimates)}
 
-    def _finish_epoch(
-        self,
-        estimates: Dict[int, np.ndarray],
-        errors: Dict[int, float],
-        plan: Optional[PlanResult],
-        placement: PlacementResult,
-        final_maps: Dict[int, np.ndarray],
-        total_distance: float,
-        t_start: float,
-        streamed: bool = False,
-        n_rem_groups: Optional[int] = None,
-    ) -> EpochResult:
-        """Shared epoch tail: reposition, arm the trigger, record.
-
-        Under a traffic-aware config a fresh MAC simulation is built
-        for this epoch's UE set (queue backlogs and generator streams
-        do not survive a re-plan; per-UE streams restart
-        deterministically from (seed, ue_id)).
-        """
+        # Reposition, arm the trigger, record.  Under a traffic-aware
+        # config a fresh MAC simulation is built for this epoch's UE
+        # set (queue backlogs and generator streams do not survive a
+        # re-plan; per-UE streams restart deterministically from
+        # (seed, ue_id)).
         move_log = self.uav.goto(placement.position.as_array(), self.rng, faults=self.faults)
         total_distance += move_log.distance_m
 
@@ -797,8 +637,7 @@ class SkyRANController:
             rem_maps=final_maps,
             flight_distance_m=total_distance,
             flight_time_s=self.uav.clock_s - t_start,
-            streamed=streamed,
-            n_rem_groups=n_rem_groups,
+            n_rem_groups=len(groups),
         )
         self.epoch_index += 1
         return result

@@ -41,12 +41,19 @@ def peak_rss_bytes() -> int:
     return int(rss) * 1024
 
 
+#: Peak traced allocation banked so far by each open ``track_memory``
+#: span, innermost last.  tracemalloc keeps one process-wide peak, so a
+#: nested tracked span's ``reset_peak`` would otherwise wipe what its
+#: enclosing spans have seen.
+_open_peaks: List[int] = []
+
+
 @dataclass
 class SpanStat:
     """Accumulated statistics for one named span.
 
     ``peak_alloc_bytes`` / ``max_rss_bytes`` stay 0 unless the span was
-    entered with ``track_memory=True``; they record the worst call
+    entered with ``track_memory`` set; they record the worst call
     (high-water marks, not accumulations).
     """
 
@@ -80,13 +87,15 @@ class PerfRegistry:
     def span(self, name: str, track_memory: bool = False) -> Iterator[None]:
         """Time a ``with`` block under ``name`` (accumulating).
 
-        With ``track_memory=True`` the span additionally records the
+        With ``track_memory`` set the span additionally records the
         peak tracemalloc allocation size reached inside the block and
         the process peak RSS at exit — the numbers the city-scale
         memory gates assert.  Tracing is started on demand (and stopped
         again if this span started it), so untracked spans pay nothing;
         tracked spans pay tracemalloc's allocation-hook overhead, so
-        reserve the flag for coarse, bench-level spans.
+        reserve the flag for coarse, bench-level spans.  A tracked span
+        nested in another reports its own peak, and the enclosing
+        span's peak still covers everything inside it.
         """
         if not self.enabled:
             yield
@@ -96,7 +105,12 @@ class PerfRegistry:
             if not tracemalloc.is_tracing():
                 tracemalloc.start()
                 started_tracing = True
+            elif _open_peaks:
+                _open_peaks[-1] = max(
+                    _open_peaks[-1], tracemalloc.get_traced_memory()[1]
+                )
             tracemalloc.reset_peak()
+            _open_peaks.append(0)
         t0 = time.perf_counter()
         try:
             yield
@@ -105,7 +119,11 @@ class PerfRegistry:
             peak_alloc = 0
             max_rss = 0
             if track_memory:
-                _, peak_alloc = tracemalloc.get_traced_memory()
+                peak_alloc = max(
+                    _open_peaks.pop(), tracemalloc.get_traced_memory()[1]
+                )
+                if _open_peaks:
+                    _open_peaks[-1] = max(_open_peaks[-1], peak_alloc)
                 if started_tracing:
                     tracemalloc.stop()
                 max_rss = peak_rss_bytes()

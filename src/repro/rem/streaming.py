@@ -216,8 +216,9 @@ def streamed_discounted_min_map(
     interpolation and penalty are independent per cell against each
     REM's global measured set, and a min-fold commutes with chunking
     (NaN poisons a cell in both paths).  A non-positive penalty rate
-    or a measurement-free REM skips the discount, exactly like the
-    materialized `_uncertainty_discounted`.
+    or a measurement-free REM skips the discount, exactly as
+    :func:`~repro.core.placement.uncertainty_penalty_db` returning None
+    leaves a materialized map undiscounted.
 
     ``rems`` are :class:`repro.rem.map.REM`-shaped objects
     (``measured_values()``, ``measured_mask``, ``prior``).
@@ -273,8 +274,8 @@ def streamed_discounted_max_min_placement(
     """Max–min placement over streamed, uncertainty-discounted REMs.
 
     Folds :func:`streamed_discounted_min_map` and takes its argmax —
-    the streamed counterpart of the controller's materialized
-    ``interpolate → discount → max_min_placement`` sequence, with the
+    the controller's step 8, equal to the materialized
+    ``interpolate → discount → max_min_placement`` sequence with the
     same first-max row-major tie-break.  Returns
     ``(placement, maps)``; ``maps`` is None unless ``collect_maps``.
     """

@@ -58,5 +58,8 @@ def load_records(path: "str | Path"):
     for row in payload["records"]:
         row = dict(row)
         row["moved_ues"] = tuple(row.get("moved_ues", ()))
+        # Retired field: traces written while the controller had two
+        # epoch pipelines record which one ran.
+        row.pop("streamed", None)
         records.append(EpochRecord(**row))
     return records, payload.get("metadata", {})

@@ -64,11 +64,10 @@ class EpochRecord:
     attaches / detaches / rach_collisions / barred:
         Event-layer control-plane counters accumulated since the
         previous epoch (None outside ``scheme="events"``).
-    streamed / rem_groups:
-        Whether the controller ran the streamed REM-key-deduplicated
-        epoch pipeline (False on its materialized path), and how many
-        dedup groups it used (None on materialized epochs).  Both None
-        for controllers without the streamed path and in old traces.
+    rem_groups:
+        REM-key dedup groups the controller's epoch used (the number of
+        UEs it served when dedup is off); None for controllers without
+        REM-key dedup and in old traces.
     """
 
     epoch: int
@@ -90,7 +89,6 @@ class EpochRecord:
     detaches: Optional[int] = None
     rach_collisions: Optional[int] = None
     barred: Optional[int] = None
-    streamed: Optional[bool] = None
     rem_groups: Optional[int] = None
 
 
@@ -174,6 +172,82 @@ def _evaluate_epoch(
     return rel, err, float(pos.z), min_tput
 
 
+def _relocate_ues(scenario: Scenario, move_fraction: float, rng) -> tuple:
+    """Teleport ``move_fraction`` of the UEs to fresh walkable positions.
+
+    The Section 5.2 dynamics model: walkable means terrain below 2 m,
+    and moved UEs keep their antenna 1.5 m above the local ground.
+    Returns the moved UE ids.
+    """
+    terrain = scenario.terrain
+
+    def walkable(x: float, y: float) -> bool:
+        return terrain.height_at(x, y) < 2.0
+
+    moved_ids = relocate_fraction(
+        scenario.ues, move_fraction, scenario.grid, rng, walkable
+    )
+    for ue in scenario.ues:
+        if ue.ue_id in moved_ids:
+            ue.move_to(
+                ue.position.x,
+                ue.position.y,
+                terrain.height_at(ue.position.x, ue.position.y) + 1.5,
+            )
+    return tuple(moved_ids)
+
+
+def _run_recorded_epoch(
+    scenario: Scenario,
+    controller,
+    budget_m: Optional[float],
+    records: List[EpochRecord],
+    on_epoch: Optional[Callable[[EpochRecord], None]],
+    moved_ues: tuple = (),
+    **event_fields,
+) -> None:
+    """Run one controller epoch and append its :class:`EpochRecord`.
+
+    The record's index and cumulative overhead continue ``records``;
+    ``event_fields`` fill the event layer's columns.
+    """
+    with perf.span("runner.epoch"):
+        if budget_m is not None:
+            result = controller.run_epoch(budget_m)
+        else:
+            result = controller.run_epoch()
+    with perf.span("runner.evaluate"):
+        rem_grid = getattr(controller, "rem_grid", scenario.eval_grid)
+        rel, err, alt, min_tput = _evaluate_epoch(
+            scenario, controller, result, rem_grid
+        )
+    previous = records[-1] if records else None
+    cum_d = previous.cumulative_distance_m if previous is not None else 0.0
+    cum_t = previous.cumulative_time_s if previous is not None else 0.0
+    mac = getattr(controller, "last_mac_summary", None) or {}
+    record = EpochRecord(
+        epoch=len(records),
+        flight_distance_m=result.flight_distance_m,
+        flight_time_s=result.flight_time_s,
+        cumulative_distance_m=cum_d + result.flight_distance_m,
+        cumulative_time_s=cum_t + result.flight_time_s,
+        relative_throughput=rel,
+        rem_error_db=err,
+        moved_ues=moved_ues,
+        altitude_m=alt,
+        min_throughput_mbps=min_tput,
+        offered_mbps=mac.get("offered_mbps"),
+        served_mbps=mac.get("served_mbps"),
+        backlog_bytes=mac.get("backlog_bytes"),
+        dropped_bytes=mac.get("dropped_bytes"),
+        rem_groups=getattr(result, "n_rem_groups", None),
+        **event_fields,
+    )
+    records.append(record)
+    if on_epoch is not None:
+        on_epoch(record)
+
+
 def run_epochs(
     scenario: Scenario,
     controller,
@@ -192,62 +266,13 @@ def run_epochs(
     """
     rng = np.random.default_rng(seed)
     records: List[EpochRecord] = []
-    cum_d = 0.0
-    cum_t = 0.0
-    terrain = scenario.terrain
-
-    def walkable(x: float, y: float) -> bool:
-        return terrain.height_at(x, y) < 2.0
-
-    rem_grid = getattr(controller, "rem_grid", scenario.eval_grid)
     for epoch in range(n_epochs):
         moved: tuple = ()
         if epoch > 0 and move_fraction > 0:
-            moved_ids = relocate_fraction(
-                scenario.ues, move_fraction, scenario.grid, rng, walkable
-            )
-            # Keep UE antenna heights on the local ground.
-            for ue in scenario.ues:
-                if ue.ue_id in moved_ids:
-                    ue.move_to(
-                        ue.position.x,
-                        ue.position.y,
-                        terrain.height_at(ue.position.x, ue.position.y) + 1.5,
-                    )
-            moved = tuple(moved_ids)
-        with perf.span("runner.epoch"):
-            if budget_per_epoch_m is not None:
-                result = controller.run_epoch(budget_per_epoch_m)
-            else:
-                result = controller.run_epoch()
-        with perf.span("runner.evaluate"):
-            rel, err, alt, min_tput = _evaluate_epoch(
-                scenario, controller, result, rem_grid
-            )
-        cum_d += result.flight_distance_m
-        cum_t += result.flight_time_s
-        mac = getattr(controller, "last_mac_summary", None)
-        record = EpochRecord(
-            epoch=epoch,
-            flight_distance_m=result.flight_distance_m,
-            flight_time_s=result.flight_time_s,
-            cumulative_distance_m=cum_d,
-            cumulative_time_s=cum_t,
-            relative_throughput=rel,
-            rem_error_db=err,
-            moved_ues=moved,
-            altitude_m=alt,
-            min_throughput_mbps=min_tput,
-            offered_mbps=None if mac is None else mac["offered_mbps"],
-            served_mbps=None if mac is None else mac["served_mbps"],
-            backlog_bytes=None if mac is None else mac["backlog_bytes"],
-            dropped_bytes=None if mac is None else mac["dropped_bytes"],
-            streamed=getattr(result, "streamed", None),
-            rem_groups=getattr(result, "n_rem_groups", None),
+            moved = _relocate_ues(scenario, move_fraction, rng)
+        _run_recorded_epoch(
+            scenario, controller, budget_per_epoch_m, records, on_epoch, moved
         )
-        records.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
     return records
 
 
@@ -271,25 +296,10 @@ def _run_fleet_epochs(
     records: List[FleetEpochRecord] = []
     cum_d = 0.0
     cum_t = 0.0
-    terrain = scenario.terrain
-
-    def walkable(x: float, y: float) -> bool:
-        return terrain.height_at(x, y) < 2.0
-
     for epoch in range(n_epochs):
         moved: tuple = ()
         if epoch > 0 and move_fraction > 0:
-            moved_ids = relocate_fraction(
-                scenario.ues, move_fraction, scenario.grid, rng, walkable
-            )
-            for ue in scenario.ues:
-                if ue.ue_id in moved_ids:
-                    ue.move_to(
-                        ue.position.x,
-                        ue.position.y,
-                        terrain.height_at(ue.position.x, ue.position.y) + 1.5,
-                    )
-            moved = tuple(moved_ids)
+            moved = _relocate_ues(scenario, move_fraction, rng)
         with perf.span("runner.epoch"):
             result = fleet.run_epoch(budget_per_uav_m)
         per_cell_agg = result.per_cell_aggregate_throughput_mbps
@@ -356,51 +366,28 @@ def _run_event_epochs(
         scenario.enodeb.deregister_ue(ue.ue_id)
 
     records: List[EpochRecord] = []
-    cum = {"d": 0.0, "t": 0.0}
-    rem_grid = getattr(controller, "rem_grid", scenario.eval_grid)
     counter_mark: Dict[str, int] = {}
 
     def run_one_epoch() -> None:
-        with perf.span("runner.epoch"):
-            if budget_per_epoch_m is not None:
-                result = controller.run_epoch(budget_per_epoch_m)
-            else:
-                result = controller.run_epoch()
-        with perf.span("runner.evaluate"):
-            rel, err, alt, min_tput = _evaluate_epoch(
-                scenario, controller, result, rem_grid
-            )
-        cum["d"] += result.flight_distance_m
-        cum["t"] += result.flight_time_s
-        mac = getattr(controller, "last_mac_summary", None)
+        # The controller never touches the event layer, so the counter
+        # deltas and the attached census are the same before and after
+        # its epoch.
         delta = {
             k: sim.counters[k] - counter_mark.get(k, 0) for k in sim.counters
         }
         counter_mark.update(sim.counters)
-        record = EpochRecord(
-            epoch=len(records),
-            flight_distance_m=result.flight_distance_m,
-            flight_time_s=result.flight_time_s,
-            cumulative_distance_m=cum["d"],
-            cumulative_time_s=cum["t"],
-            relative_throughput=rel,
-            rem_error_db=err,
-            moved_ues=(),
-            altitude_m=alt,
-            min_throughput_mbps=min_tput,
-            offered_mbps=None if mac is None else mac["offered_mbps"],
-            served_mbps=None if mac is None else mac["served_mbps"],
-            backlog_bytes=None if mac is None else mac["backlog_bytes"],
-            dropped_bytes=None if mac is None else mac["dropped_bytes"],
+        _run_recorded_epoch(
+            scenario,
+            controller,
+            budget_per_epoch_m,
+            records,
+            on_epoch,
             attached_ues=len(scenario.enodeb.connected_ues()),
             attaches=delta["attaches"],
             detaches=delta["detaches"],
             rach_collisions=delta["rach_collisions"],
             barred=delta["barred"],
         )
-        records.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
 
     def on_population_change(t_s: float) -> None:
         del t_s
@@ -544,6 +531,19 @@ class RunResult:
         return sum(r.handovers for r in self.fleet_records)
 
 
+def _counter_deltas(before: Dict[str, int]) -> Dict[str, Dict[str, int]]:
+    """:class:`RunResult`'s per-family perf-counter deltas since ``before``."""
+    deltas = perf.counters_since(before)
+    return {
+        name: {k: v for k, v in deltas.items() if k.startswith(prefix)}
+        for name, prefix in (
+            ("fault_counters", "faults."),
+            ("fallback_counters", "fallback."),
+            ("learn_counters", "learn."),
+        )
+    }
+
+
 def run_simulation(
     scenario: Scenario,
     config=None,
@@ -622,65 +622,21 @@ def run_simulation(
 
     cfg = config if config is not None else SkyRANConfig()
     injector = as_injector(faults)
-    if scheme == "skyran":
+    if scheme in ("skyran", "events"):
         controller = SkyRANController(
             scenario.channel, scenario.enodeb, cfg, seed=seed, faults=injector
         )
         if altitude is not None:
             controller.altitude = float(altitude)
-    elif scheme == "uniform":
-        controller = UniformController(
+    elif scheme in ("uniform", "centroid"):
+        baseline = UniformController if scheme == "uniform" else CentroidController
+        controller = baseline(
             scenario.channel,
             scenario.enodeb,
             cfg,
             altitude=float(altitude if altitude is not None else DEFAULT_FIXED_ALTITUDE_M),
             seed=seed,
             faults=injector,
-        )
-    elif scheme == "centroid":
-        controller = CentroidController(
-            scenario.channel,
-            scenario.enodeb,
-            cfg,
-            altitude=float(altitude if altitude is not None else DEFAULT_FIXED_ALTITUDE_M),
-            seed=seed,
-            faults=injector,
-        )
-    elif scheme == "events":
-        from repro.events.simulate import EventConfig
-
-        controller = SkyRANController(
-            scenario.channel, scenario.enodeb, cfg, seed=seed, faults=injector
-        )
-        if altitude is not None:
-            controller.altitude = float(altitude)
-        if mobility is not None:
-            scenario.enodeb.mobility = mobility
-        events_config = events if events is not None else EventConfig()
-        before = perf.counters()
-        records, sim = _run_event_epochs(
-            scenario,
-            controller,
-            events_config,
-            serve_time_s=serve_time_s,
-            n_epochs=n_epochs,
-            budget_per_epoch_m=budget_per_epoch_m,
-            arrival_params=arrival_params,
-            seed=seed,
-            on_epoch=on_epoch,
-            faults=injector,
-        )
-        deltas = perf.counters_since(before)
-        return RunResult(
-            scheme=scheme,
-            records=tuple(records),
-            fault_counters={k: v for k, v in deltas.items() if k.startswith("faults.")},
-            fallback_counters={
-                k: v for k, v in deltas.items() if k.startswith("fallback.")
-            },
-            learn_counters={k: v for k, v in deltas.items() if k.startswith("learn.")},
-            event_counters=dict(sim.counters),
-            population=sim.population(),
         )
     elif scheme == "fleet":
         from repro.core.fleet import FleetController
@@ -690,7 +646,7 @@ def run_simulation(
         # to per-cell eNodeBs.
         for ue in list(scenario.enodeb.ues):
             scenario.enodeb.deregister_ue(ue.ue_id)
-        fleet = FleetController(
+        controller = FleetController(
             channel=scenario.channel,
             ues=list(scenario.ues),
             n_uavs=n_uavs,
@@ -702,47 +658,56 @@ def run_simulation(
             faults=injector,
         )
         if altitude is not None:
-            for ctrl in fleet.controllers:
+            for ctrl in controller.controllers:
                 ctrl.altitude = float(altitude)
-        before = perf.counters()
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+
+    before = perf.counters()
+    records: List[EpochRecord] = []
+    extra: Dict = {}
+    if scheme == "events":
+        from repro.events.simulate import EventConfig
+
+        if mobility is not None:
+            scenario.enodeb.mobility = mobility
+        records, sim = _run_event_epochs(
+            scenario,
+            controller,
+            events if events is not None else EventConfig(),
+            serve_time_s=serve_time_s,
+            n_epochs=n_epochs,
+            budget_per_epoch_m=budget_per_epoch_m,
+            arrival_params=arrival_params,
+            seed=seed,
+            on_epoch=on_epoch,
+            faults=injector,
+        )
+        extra = {"event_counters": dict(sim.counters), "population": sim.population()}
+    elif scheme == "fleet":
         fleet_records = _run_fleet_epochs(
             scenario,
-            fleet,
+            controller,
             n_epochs,
             budget_per_uav_m=budget_per_epoch_m,
             move_fraction=move_fraction,
             seed=seed,
             on_epoch=on_epoch,
         )
-        deltas = perf.counters_since(before)
-        return RunResult(
-            scheme=scheme,
-            records=(),
-            fault_counters={k: v for k, v in deltas.items() if k.startswith("faults.")},
-            fallback_counters={
-                k: v for k, v in deltas.items() if k.startswith("fallback.")
-            },
-            learn_counters={k: v for k, v in deltas.items() if k.startswith("learn.")},
-            fleet_records=tuple(fleet_records),
-        )
+        extra = {"fleet_records": tuple(fleet_records)}
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    before = perf.counters()
-    records = run_epochs(
-        scenario,
-        controller,
-        n_epochs,
-        budget_per_epoch_m=budget_per_epoch_m,
-        move_fraction=move_fraction,
-        seed=seed,
-        on_epoch=on_epoch,
-    )
-    deltas = perf.counters_since(before)
+        records = run_epochs(
+            scenario,
+            controller,
+            n_epochs,
+            budget_per_epoch_m=budget_per_epoch_m,
+            move_fraction=move_fraction,
+            seed=seed,
+            on_epoch=on_epoch,
+        )
     return RunResult(
         scheme=scheme,
         records=tuple(records),
-        fault_counters={k: v for k, v in deltas.items() if k.startswith("faults.")},
-        fallback_counters={k: v for k, v in deltas.items() if k.startswith("fallback.")},
-        learn_counters={k: v for k, v in deltas.items() if k.startswith("learn.")},
+        **_counter_deltas(before),
+        **extra,
     )

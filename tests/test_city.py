@@ -326,7 +326,6 @@ def test_population_validation(terrain):
 
 def test_controller_epoch_streams_and_serves(city):
     out = city.run_controller_epoch(budget_m=120.0, n_tti=10, loc_sample=2)
-    assert out["streamed"] is True
     keys, _reps, _inv = city.population.unique_rem_cells()
     # One registered representative per occupied REM key cell; a
     # *localized* rep's estimate can stray into a neighbouring cell
@@ -348,13 +347,15 @@ def test_controller_epoch_known_positions_cover_non_sampled_reps(city):
 
 
 def test_controller_epoch_per_ue_reference_is_materialized():
+    """The per-UE reference materializes one REM group and map per UE."""
     small = CityScenario.create(
         terrain_name="campus", cell_size_m=8.0, n_ues=12, seed=1, eval_cell_m=32.0
     )
     out = small.run_controller_epoch(
         budget_m=80.0, n_tti=5, loc_sample=2, per_ue=True
     )
-    assert out["streamed"] is False
-    assert out["n_rem_groups"] is None
-    assert len(out["epoch"].rem_maps) == 12
+    assert out["n_rem_groups"] == 12
+    maps = out["epoch"].rem_maps
+    assert len(maps) == 12
+    assert len({id(m) for m in maps.values()}) == 12
     assert np.isfinite(out["min_snr_db"])

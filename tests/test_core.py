@@ -33,6 +33,8 @@ class TestConfig:
             SkyRANConfig(epoch_margin=0.0)
         with pytest.raises(ValueError):
             SkyRANConfig(reuse_radius_m=-1.0)
+        with pytest.raises(ValueError):
+            SkyRANConfig(rem_key_pitch_m=0.0)
 
 
 class TestPlacement:

@@ -92,3 +92,18 @@ def test_module_singleton_exists_and_works():
     before = perf.counter("test_perf.selfcheck")
     perf.count("test_perf.selfcheck")
     assert perf.counter("test_perf.selfcheck") == before + 1
+
+
+def test_nested_tracked_span_keeps_outer_peak():
+    """An inner tracked span must not wipe the enclosing span's peak."""
+    reg = PerfRegistry()
+    mb = 1 << 20
+    with reg.span("outer", track_memory=True):
+        transient = bytearray(50 * mb)
+        del transient
+        with reg.span("inner", track_memory=True):
+            small = bytearray(mb)
+            del small
+    spans = reg.spans()
+    assert spans["outer"].peak_alloc_bytes >= 50 * mb
+    assert mb <= spans["inner"].peak_alloc_bytes < 50 * mb

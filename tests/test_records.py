@@ -48,3 +48,17 @@ class TestRoundtrip:
         payload = json.loads(path.read_text())
         assert payload["version"] == TRACE_VERSION
         assert len(payload["records"]) == 1
+
+    def test_loads_v1_trace_with_retired_streamed_key(self, tmp_path):
+        """Traces written while records carried ``streamed`` still load."""
+        path = tmp_path / "trace.json"
+        save_records(path, [_rec(0), _rec(1)])
+        payload = json.loads(path.read_text())
+        for row, streamed in zip(payload["records"], (False, True)):
+            row["streamed"] = streamed
+            row["rem_groups"] = 3 if streamed else None
+        path.write_text(json.dumps(payload))
+        loaded, _ = load_records(path)
+        assert [r.rem_groups for r in loaded] == [None, 3]
+        assert loaded[0] == _rec(0)
+        assert not hasattr(loaded[0], "streamed")

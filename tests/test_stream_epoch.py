@@ -1,12 +1,14 @@
-"""Streamed controller epochs vs the materialized path.
+"""The controller epoch's REM-key dedup and streamed placement.
 
-The streamed pipeline's contract mirrors the repo-wide
-two-implementations discipline: with a key pitch fine enough that
-every REM-key dedup group is a singleton, a streamed epoch must be
-*bit*-identical to a materialized one — same RNG draw schedule, same
-plan, same placement, same maps.  Collapse (a coarse pitch) is the
-perf mode: work saturates at the number of occupied key cells and
-group members share one map object.
+With REM-key dedup off (the default) every UE is its own group and the
+epoch is the paper's per-UE pipeline; the streamed step 8 must then
+equal the materialized ``interpolate → discount → max_min_placement``
+sequence bit for bit, which the tests re-derive from public pieces.  A
+key pitch fine enough that every group is a singleton must reproduce
+the dedup-off epoch exactly — same RNG draw schedule, plan, placement
+and maps.  Collapse (a coarse pitch) is the perf mode: work saturates
+at the number of occupied key cells and group members share one map
+object.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 from repro.core.config import SkyRANConfig
 from repro.core.controller import SkyRANController
+from repro.core.placement import max_min_placement, uncertainty_penalty_db
 from repro.core.rem_store import REMStore
 from repro.geo.grid import GridSpec
 from repro.lte.throughput import throughput_mbps
@@ -23,7 +26,7 @@ from repro.rem.map import REM
 from repro.sim.scenario import Scenario
 
 
-def _controller(monkeypatch=None, *, pitch=0.25, seed=1, n_ues=4, known=None):
+def _controller(*, pitch=None, seed=1, n_ues=4, known=None):
     scenario = Scenario.create("campus", n_ues=n_ues, cell_size=4.0, seed=5)
     cfg = SkyRANConfig(rem_cell_size_m=8.0, rem_key_pitch_m=pitch)
     ctrl = SkyRANController(
@@ -36,103 +39,106 @@ def _controller(monkeypatch=None, *, pitch=0.25, seed=1, n_ues=4, known=None):
     return scenario, ctrl
 
 
-class TestPathSelection:
-    def test_env_forces_streamed(self, monkeypatch):
-        _, ctrl = _controller()
-        monkeypatch.setenv("REPRO_STREAM_EPOCH", "1")
-        assert ctrl._stream_epoch(1) is True
-
-    def test_env_forces_materialized(self, monkeypatch):
-        _, ctrl = _controller()
-        monkeypatch.setenv("REPRO_STREAM_EPOCH", "0")
-        assert ctrl._stream_epoch(10**6) is False
-
-    def test_threshold_selects(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAM_EPOCH", raising=False)
-        _, ctrl = _controller()
-        thresh = ctrl.config.stream_epoch_threshold
-        assert ctrl._stream_epoch(thresh - 1) is False
-        assert ctrl._stream_epoch(thresh) is True
-
-    def test_default_small_scenario_is_materialized(self, monkeypatch):
-        """Paper-scale populations stay on the legacy byte-identical path."""
-        monkeypatch.delenv("REPRO_STREAM_EPOCH", raising=False)
-        _, ctrl = _controller()
-        result = ctrl.run_epoch(budget_m=300.0)
-        assert result.streamed is False
-        assert result.n_rem_groups is None
-
-
 class TestStreamedBitIdentity:
-    """Singleton groups: the streamed epoch IS the materialized epoch."""
+    """Singleton groups: dedup off, or a pitch finer than any UE gap."""
 
     @pytest.fixture(scope="class")
     def pair(self):
-        import os
-
-        results = {}
-        for mode in ("0", "1"):
-            os.environ["REPRO_STREAM_EPOCH"] = mode
-            try:
-                # A 0.25 m key pitch makes every estimate its own group.
-                _, ctrl = _controller(pitch=0.25, seed=1)
-                results[mode] = (ctrl, ctrl.run_epoch(budget_m=300.0))
-            finally:
-                os.environ.pop("REPRO_STREAM_EPOCH", None)
-        return results["0"][1], results["1"][1]
+        results = []
+        # A 0.25 m key pitch makes every estimate its own group.
+        for pitch in (None, 0.25):
+            _, ctrl = _controller(pitch=pitch, seed=1)
+            results.append((ctrl, ctrl.run_epoch(budget_m=300.0)))
+        return results
 
     def test_modes_took_intended_paths(self, pair):
-        mat, streamed = pair
-        assert mat.streamed is False
-        assert streamed.streamed is True
-        assert streamed.n_rem_groups == len(streamed.ue_estimates)
+        for _ctrl, result in pair:
+            assert result.n_rem_groups == len(result.ue_estimates) == 4
 
     def test_estimates_identical(self, pair):
-        mat, streamed = pair
-        assert set(mat.ue_estimates) == set(streamed.ue_estimates)
-        for ue_id in mat.ue_estimates:
-            assert np.array_equal(
-                mat.ue_estimates[ue_id], streamed.ue_estimates[ue_id]
-            )
-        assert mat.localization_errors_m == streamed.localization_errors_m
+        (_, off), (_, fine) = pair
+        assert set(off.ue_estimates) == set(fine.ue_estimates)
+        for ue_id in off.ue_estimates:
+            assert np.array_equal(off.ue_estimates[ue_id], fine.ue_estimates[ue_id])
+        assert off.localization_errors_m == fine.localization_errors_m
 
     def test_altitude_and_flight_identical(self, pair):
-        mat, streamed = pair
-        assert mat.altitude_m == streamed.altitude_m
-        assert mat.flight_distance_m == streamed.flight_distance_m
-        assert mat.flight_time_s == streamed.flight_time_s
+        (_, off), (_, fine) = pair
+        assert off.altitude_m == fine.altitude_m
+        assert off.flight_distance_m == fine.flight_distance_m
+        assert off.flight_time_s == fine.flight_time_s
 
     def test_plan_identical(self, pair):
-        mat, streamed = pair
+        (_, off), (_, fine) = pair
         assert np.array_equal(
-            mat.plan.trajectory.waypoints, streamed.plan.trajectory.waypoints
+            off.plan.trajectory.waypoints, fine.plan.trajectory.waypoints
         )
 
     def test_placement_identical(self, pair):
-        mat, streamed = pair
-        assert mat.placement.cell == streamed.placement.cell
-        assert mat.placement.min_snr_db == streamed.placement.min_snr_db
+        (_, off), (_, fine) = pair
+        assert off.placement.cell == fine.placement.cell
+        assert off.placement.min_snr_db == fine.placement.min_snr_db
         assert np.array_equal(
-            mat.placement.position.as_array(),
-            streamed.placement.position.as_array(),
+            off.placement.position.as_array(), fine.placement.position.as_array()
         )
 
     def test_rem_maps_identical(self, pair):
-        mat, streamed = pair
-        assert set(mat.rem_maps) == set(streamed.rem_maps)
-        for ue_id in mat.rem_maps:
+        (_, off), (_, fine) = pair
+        assert set(off.rem_maps) == set(fine.rem_maps)
+        for ue_id in off.rem_maps:
             assert np.array_equal(
-                mat.rem_maps[ue_id], streamed.rem_maps[ue_id], equal_nan=True
+                off.rem_maps[ue_id], fine.rem_maps[ue_id], equal_nan=True
             )
+
+    @staticmethod
+    def _rems_by_ue(ctrl, result):
+        # Each UE's REM is stored under its own estimate, so the
+        # nearest stored REM is at distance zero.
+        return {
+            ue_id: ctrl.rem_store.lookup(est)
+            for ue_id, est in sorted(result.ue_estimates.items())
+        }
+
+    def test_rem_maps_are_interpolated_rems(self, pair):
+        ctrl, result = pair[0]
+        for ue_id, rem in self._rems_by_ue(ctrl, result).items():
+            assert np.array_equal(
+                result.rem_maps[ue_id],
+                rem.interpolated(method=ctrl.interpolator),
+                equal_nan=True,
+            )
+
+    def test_placement_matches_materialized_step8(self, pair):
+        """The streamed fold equals discount-then-max-min over full maps."""
+        ctrl, result = pair[0]
+        cfg = ctrl.config
+        maps, discounted = [], 0
+        for rem in self._rems_by_ue(ctrl, result).values():
+            penalty = uncertainty_penalty_db(
+                ctrl.rem_grid,
+                rem.measured_mask,
+                cfg.uncertainty_penalty_db_per_m,
+                cfg.uncertainty_penalty_cap_db,
+            )
+            snr_map = rem.interpolated(method=ctrl.interpolator)
+            if penalty is not None:
+                snr_map = snr_map - penalty
+                discounted += 1
+            maps.append(snr_map)
+        assert discounted, "the uncertainty discount must engage"
+        expected = max_min_placement(ctrl.rem_grid, maps, result.altitude_m)
+        assert result.placement.cell == expected.cell
+        assert result.placement.min_snr_db == expected.min_snr_db
+        assert np.array_equal(
+            result.placement.position.as_array(), expected.position.as_array()
+        )
 
 
 class TestCollapse:
-    def test_coarse_pitch_collapses_to_one_group(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_EPOCH", "1")
+    def test_coarse_pitch_collapses_to_one_group(self):
         # Pitch wider than the campus: every UE lands in one key cell.
         _, ctrl = _controller(pitch=10_000.0, seed=1)
         result = ctrl.run_epoch(budget_m=300.0)
-        assert result.streamed is True
         assert result.n_rem_groups == 1
         maps = list(result.rem_maps.values())
         assert len(maps) == len(result.ue_estimates)
@@ -140,8 +146,7 @@ class TestCollapse:
         assert all(m is maps[0] for m in maps)
         assert np.isfinite(result.placement.min_snr_db)
 
-    def test_group_count_tracks_pitch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_EPOCH", "1")
+    def test_group_count_tracks_pitch(self):
         _, fine = _controller(pitch=0.25, seed=1)
         fine_result = fine.run_epoch(budget_m=300.0)
         _, coarse = _controller(pitch=10_000.0, seed=1)
