@@ -16,7 +16,8 @@ Four checks, all hard failures:
    epoch was planned.
 4. **Default inertness** — a default-config ``scheme="skyran"`` run is
    record-identical with and without the events module imported, and
-   its records carry no event fields (``attached_ues`` etc. are None).
+   its records carry no event fields (``attached_ues`` etc. are None)
+   and no fleet fields (``n_uavs``, ``cells`` etc. are None).
 
 The measurements land in ``BENCH_events.json``.
 
@@ -188,14 +189,24 @@ def check_default_inert(seed: int) -> dict:
         for rec in records
         for k in ("attached_ues", "attaches", "detaches", "rach_collisions", "barred")
     )
+    no_fleet_fields = all(
+        rec[k] is None
+        for rec in records
+        for k in (
+            "n_uavs", "reuse_factor", "aggregate_throughput_mbps", "cells",
+            "per_cell_aggregate_mbps", "per_cell_min_mbps", "ue_counts", "handovers",
+        )
+    )
     again = [dataclasses.asdict(r) for r in default_run().records]
     out = {
         "default_has_no_event_fields": bool(no_event_fields),
+        "default_has_no_fleet_fields": bool(no_fleet_fields),
         "default_deterministic": records == again,
         "no_event_counters": not result.event_counters and not result.population,
     }
     print(
         f"[inert] event fields absent={out['default_has_no_event_fields']} "
+        f"fleet fields absent={out['default_has_no_fleet_fields']} "
         f"deterministic={out['default_deterministic']}"
     )
     return out

@@ -2,9 +2,10 @@
 
 :class:`~repro.sim.scenario.Scenario` bundles a terrain, a channel, a
 UE deployment and the ground-truth oracle (optimal position, relative
-throughput).  :mod:`repro.sim.runner` drives controllers through
-multi-epoch runs with UE dynamics and budget accounting — the engine
-behind the Section 5 scale-up benches.
+throughput).  :mod:`repro.sim.runner` drives controllers — single-cell or fleet —
+through multi-epoch runs with UE dynamics and budget accounting, one
+:class:`~repro.sim.runner.EpochRecord` per epoch whatever the scheme —
+the engine behind the Section 5 scale-up benches.
 """
 
 from repro.sim.scenario import PlacementEvaluation, Scenario

@@ -18,6 +18,15 @@ from repro.sim.runner import EpochRecord
 #: Format version written into every trace file.
 TRACE_VERSION = 1
 
+#: Tuple-typed record fields, which JSON brings back as lists.
+_TUPLE_FIELDS = (
+    "moved_ues",
+    "cells",
+    "per_cell_aggregate_mbps",
+    "per_cell_min_mbps",
+    "ue_counts",
+)
+
 
 def save_records(
     path: "str | Path",
@@ -57,7 +66,10 @@ def load_records(path: "str | Path"):
     records: List[EpochRecord] = []
     for row in payload["records"]:
         row = dict(row)
-        row["moved_ues"] = tuple(row.get("moved_ues", ()))
+        row.setdefault("moved_ues", ())
+        for key in _TUPLE_FIELDS:
+            if row.get(key) is not None:
+                row[key] = tuple(row[key])
         # Retired field: traces written while the controller had two
         # epoch pipelines record which one ran.
         row.pop("streamed", None)

@@ -1,9 +1,12 @@
 """Multi-epoch experiment runner.
 
-Drives a SkyRAN (or Uniform) controller through successive epochs with
-UE dynamics between them, accounting flight distance/time, relative
-throughput and REM accuracy per epoch — the engine behind the
-Section 5 scale-up figures (26-31).
+Drives a SkyRAN, Uniform, Centroid or fleet controller through
+successive epochs with UE dynamics between them, accounting flight
+distance/time and the scored KPIs per epoch — the engine behind the
+Section 5 scale-up figures (26-31).  Two clocks drive epochs — the
+fixed epoch count of :func:`run_epochs` and the event layer's trigger
+in :func:`_run_event_epochs` — and both record every epoch through
+:func:`_run_recorded_epoch` as one :class:`EpochRecord` type.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.fleet import FleetController, FleetEpochResult
 from repro.mobility.models import relocate_fraction
 from repro.perf import perf
 from repro.sim.metrics import median_rem_error
@@ -27,20 +31,28 @@ DEFAULT_FIXED_ALTITUDE_M = 60.0
 class EpochRecord:
     """Per-epoch outcome of a runner pass.
 
+    Every scheme writes this one record.  Single-cell schemes are scored
+    by the scenario's ground-truth oracle and leave the fleet columns
+    None; ``scheme="fleet"`` is scored from its own SINR KPIs, fills
+    the fleet columns and leaves the single-cell oracle columns
+    (``relative_throughput``, ``rem_error_db``, ``altitude_m``) and the
+    MAC columns None.
+
     Attributes
     ----------
     epoch:
         Epoch index.
     flight_distance_m / flight_time_s:
-        Overhead spent this epoch.
+        Overhead spent this epoch (summed over every cell for fleets).
     cumulative_distance_m / cumulative_time_s:
         Overhead spent so far, across epochs.
     relative_throughput:
         True mean-UE throughput at the chosen position over the
-        optimum at the same altitude.
+        optimum at the same altitude (None for fleets: a fleet has no
+        single-cell optimum).
     rem_error_db:
         Median REM error vs ground truth (NaN for schemes without
-        REMs).
+        REMs, None for fleets).
     moved_ues:
         UE ids relocated before this epoch.
     altitude_m:
@@ -49,7 +61,8 @@ class EpochRecord:
     min_throughput_mbps:
         True worst-UE throughput at the served position — the KPI the
         chaos smoke watches for graceful degradation (None in old
-        traces).
+        traces).  For fleets, the worst per-UE full-cell throughput
+        from the true-SINR evaluation of the final deployment.
     offered_mbps / served_mbps:
         Aggregate offered and served rates from the epoch's traffic
         MAC batch (None for legacy full-buffer/capacity configs and in
@@ -61,13 +74,32 @@ class EpochRecord:
         UEs attached when this epoch was planned (None outside
         ``scheme="events"`` — the epoch loop then serves a fixed
         population).
-    attaches / detaches / rach_collisions / barred:
+    attaches:
+        Attaches this epoch: RACH attaches since the previous epoch
+        under ``scheme="events"``, first-time cell attaches under
+        ``scheme="fleet"``; None otherwise.
+    detaches / rach_collisions / barred:
         Event-layer control-plane counters accumulated since the
         previous epoch (None outside ``scheme="events"``).
     rem_groups:
         REM-key dedup groups the controller's epoch used (the number of
         UEs it served when dedup is off); None for controllers without
         REM-key dedup and in old traces.
+    n_uavs / reuse_factor:
+        Fleet size and frequency plan (None outside ``scheme="fleet"``,
+        as are all the fleet columns below).
+    aggregate_throughput_mbps:
+        Mean per-UE full-cell throughput from the fleet's true-SINR
+        evaluation.
+    cells:
+        Cell indices that served UEs this epoch, ascending; the
+        ``per_cell_*`` and ``ue_counts`` tuples align with it.
+    per_cell_aggregate_mbps / per_cell_min_mbps:
+        Mean / worst per-UE throughput inside each cell.
+    ue_counts:
+        UEs served per cell.
+    handovers:
+        Sky-cell handovers this epoch.
     """
 
     epoch: int
@@ -75,8 +107,8 @@ class EpochRecord:
     flight_time_s: float
     cumulative_distance_m: float
     cumulative_time_s: float
-    relative_throughput: float
-    rem_error_db: float
+    relative_throughput: Optional[float]
+    rem_error_db: Optional[float]
     moved_ues: tuple
     altitude_m: Optional[float] = None
     min_throughput_mbps: Optional[float] = None
@@ -90,86 +122,14 @@ class EpochRecord:
     rach_collisions: Optional[int] = None
     barred: Optional[int] = None
     rem_groups: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class FleetEpochRecord:
-    """Per-epoch outcome of a fleet runner pass.
-
-    The fleet analogue of :class:`EpochRecord`: KPIs are SINR-based
-    (co-channel cells interfere under the run's frequency plan) and
-    reported per cell as well as fleet-wide.
-
-    Attributes
-    ----------
-    epoch:
-        Epoch index.
-    n_uavs / reuse_factor:
-        Fleet size and frequency plan of the run.
-    flight_distance_m / flight_time_s:
-        Overhead summed over every cell this epoch.
-    cumulative_distance_m / cumulative_time_s:
-        Overhead so far, across epochs.
-    aggregate_throughput_mbps / min_throughput_mbps:
-        Mean and worst per-UE full-cell throughput from the true-SINR
-        evaluation of the epoch's final deployment.
-    cells:
-        Cell indices that served UEs this epoch, ascending; the
-        ``per_cell_*`` and ``ue_counts`` tuples align with it.
-    per_cell_aggregate_mbps / per_cell_min_mbps:
-        Mean / worst per-UE throughput inside each cell.
-    ue_counts:
-        UEs served per cell.
-    handovers / attaches:
-        Sky-cell handovers and first-time attaches this epoch.
-    moved_ues:
-        UE ids relocated before this epoch.
-    """
-
-    epoch: int
-    n_uavs: int
-    reuse_factor: int
-    flight_distance_m: float
-    flight_time_s: float
-    cumulative_distance_m: float
-    cumulative_time_s: float
-    aggregate_throughput_mbps: float
-    min_throughput_mbps: float
-    cells: tuple
-    per_cell_aggregate_mbps: tuple
-    per_cell_min_mbps: tuple
-    ue_counts: tuple
-    handovers: int
-    attaches: int
-    moved_ues: tuple
-
-
-def _evaluate_epoch(
-    scenario: Scenario, controller, result, rem_grid
-) -> tuple:
-    """Relative/min throughput + REM error + altitude for one epoch result."""
-    position = getattr(result, "placement", None)
-    if position is not None:
-        pos = position.position
-    else:
-        pos = result.position  # Centroid-style results
-    rel = scenario.relative_throughput(pos)
-    min_tput = scenario.evaluate(pos).min_throughput_mbps
-    rem_maps = getattr(result, "rem_maps", None)
-    if rem_maps:
-        altitude = float(pos.z)
-        truth = scenario.truth_maps(altitude, rem_grid)
-        order = sorted(rem_maps)
-        # Rows of truth follow scenario.ues order (by construction ids
-        # are 1..n sorted), matching sorted map keys.  Under the events
-        # scheme only the attached subset has maps, so pick its rows.
-        all_ids = sorted(ue.ue_id for ue in scenario.ues)
-        if len(order) != len(all_ids):
-            truth = truth[[all_ids.index(k) for k in order]]
-        err = median_rem_error(rem_maps, truth, ue_order=order)
-    else:
-        err = float("nan")
-    return rel, err, float(pos.z), min_tput
+    n_uavs: Optional[int] = None
+    reuse_factor: Optional[int] = None
+    aggregate_throughput_mbps: Optional[float] = None
+    cells: Optional[tuple] = None
+    per_cell_aggregate_mbps: Optional[tuple] = None
+    per_cell_min_mbps: Optional[tuple] = None
+    ue_counts: Optional[tuple] = None
+    handovers: Optional[int] = None
 
 
 def _relocate_ues(scenario: Scenario, move_fraction: float, rng) -> tuple:
@@ -197,6 +157,71 @@ def _relocate_ues(scenario: Scenario, move_fraction: float, rng) -> tuple:
     return tuple(moved_ids)
 
 
+def _score_epoch(scenario: Scenario, controller, result) -> Dict:
+    """The :class:`EpochRecord` columns one epoch's result scores to.
+
+    The runner's only fleet-vs-single-cell branch.  A fleet epoch is
+    scored from its own true-SINR KPIs — a fleet has no single-cell
+    optimum, so the scenario oracle is never consulted.  Every other
+    result is scored by the scenario's ground-truth oracle at the
+    served position, plus the controller's MAC summary.
+    """
+    if isinstance(result, FleetEpochResult):
+        per_cell_agg = result.per_cell_aggregate_throughput_mbps
+        per_cell_min = result.per_cell_min_throughput_mbps
+        counts = result.ue_counts
+        cells = tuple(sorted(per_cell_agg))
+        return dict(
+            flight_distance_m=result.total_flight_distance_m,
+            flight_time_s=result.total_flight_time_s,
+            relative_throughput=None,
+            rem_error_db=None,
+            min_throughput_mbps=result.min_throughput_mbps,
+            attaches=result.attaches,
+            n_uavs=controller.n_uavs,
+            reuse_factor=result.reuse_factor,
+            aggregate_throughput_mbps=result.aggregate_throughput_mbps,
+            cells=cells,
+            per_cell_aggregate_mbps=tuple(per_cell_agg[c] for c in cells),
+            per_cell_min_mbps=tuple(per_cell_min[c] for c in cells),
+            ue_counts=tuple(counts[c] for c in cells),
+            handovers=result.handovers,
+        )
+    placement = getattr(result, "placement", None)
+    # Centroid-style results carry the position directly.
+    pos = placement.position if placement is not None else result.position
+    rel = scenario.relative_throughput(pos)
+    min_tput = scenario.evaluate(pos).min_throughput_mbps
+    rem_maps = getattr(result, "rem_maps", None)
+    if rem_maps:
+        rem_grid = getattr(controller, "rem_grid", scenario.eval_grid)
+        truth = scenario.truth_maps(float(pos.z), rem_grid)
+        order = sorted(rem_maps)
+        # Rows of truth follow scenario.ues order (by construction ids
+        # are 1..n sorted), matching sorted map keys.  Under the events
+        # scheme only the attached subset has maps, so pick its rows.
+        all_ids = sorted(ue.ue_id for ue in scenario.ues)
+        if len(order) != len(all_ids):
+            truth = truth[[all_ids.index(k) for k in order]]
+        err = median_rem_error(rem_maps, truth, ue_order=order)
+    else:
+        err = float("nan")
+    mac = getattr(controller, "last_mac_summary", None) or {}
+    return dict(
+        flight_distance_m=result.flight_distance_m,
+        flight_time_s=result.flight_time_s,
+        relative_throughput=rel,
+        rem_error_db=err,
+        altitude_m=float(pos.z),
+        min_throughput_mbps=min_tput,
+        offered_mbps=mac.get("offered_mbps"),
+        served_mbps=mac.get("served_mbps"),
+        backlog_bytes=mac.get("backlog_bytes"),
+        dropped_bytes=mac.get("dropped_bytes"),
+        rem_groups=getattr(result, "n_rem_groups", None),
+    )
+
+
 def _run_recorded_epoch(
     scenario: Scenario,
     controller,
@@ -209,7 +234,8 @@ def _run_recorded_epoch(
     """Run one controller epoch and append its :class:`EpochRecord`.
 
     The record's index and cumulative overhead continue ``records``;
-    ``event_fields`` fill the event layer's columns.
+    :func:`_score_epoch` fills the scored columns and ``event_fields``
+    the event layer's.
     """
     with perf.span("runner.epoch"):
         if budget_m is not None:
@@ -217,30 +243,16 @@ def _run_recorded_epoch(
         else:
             result = controller.run_epoch()
     with perf.span("runner.evaluate"):
-        rem_grid = getattr(controller, "rem_grid", scenario.eval_grid)
-        rel, err, alt, min_tput = _evaluate_epoch(
-            scenario, controller, result, rem_grid
-        )
+        scored = _score_epoch(scenario, controller, result)
     previous = records[-1] if records else None
     cum_d = previous.cumulative_distance_m if previous is not None else 0.0
     cum_t = previous.cumulative_time_s if previous is not None else 0.0
-    mac = getattr(controller, "last_mac_summary", None) or {}
     record = EpochRecord(
         epoch=len(records),
-        flight_distance_m=result.flight_distance_m,
-        flight_time_s=result.flight_time_s,
-        cumulative_distance_m=cum_d + result.flight_distance_m,
-        cumulative_time_s=cum_t + result.flight_time_s,
-        relative_throughput=rel,
-        rem_error_db=err,
+        cumulative_distance_m=cum_d + scored["flight_distance_m"],
+        cumulative_time_s=cum_t + scored["flight_time_s"],
         moved_ues=moved_ues,
-        altitude_m=alt,
-        min_throughput_mbps=min_tput,
-        offered_mbps=mac.get("offered_mbps"),
-        served_mbps=mac.get("served_mbps"),
-        backlog_bytes=mac.get("backlog_bytes"),
-        dropped_bytes=mac.get("dropped_bytes"),
-        rem_groups=getattr(result, "n_rem_groups", None),
+        **scored,
         **event_fields,
     )
     records.append(record)
@@ -261,8 +273,9 @@ def run_epochs(
 
     Before every epoch after the first, ``move_fraction`` of the UEs
     teleport to fresh walkable positions (the Section 5.2 dynamics
-    model).  Works with SkyRAN and Uniform controllers (both expose
-    ``run_epoch(budget_m)``).
+    model).  Works with any controller exposing ``run_epoch(budget)``:
+    SkyRAN, the Uniform/Centroid baselines and the fleet, whose budget
+    is per UAV.
     """
     rng = np.random.default_rng(seed)
     records: List[EpochRecord] = []
@@ -273,62 +286,6 @@ def run_epochs(
         _run_recorded_epoch(
             scenario, controller, budget_per_epoch_m, records, on_epoch, moved
         )
-    return records
-
-
-def _run_fleet_epochs(
-    scenario: Scenario,
-    fleet,
-    n_epochs: int,
-    budget_per_uav_m: Optional[float] = None,
-    move_fraction: float = 0.0,
-    seed: int = 0,
-    on_epoch: Optional[Callable[[FleetEpochRecord], None]] = None,
-) -> List[FleetEpochRecord]:
-    """Drive a :class:`~repro.core.fleet.FleetController` through epochs.
-
-    Mirrors :func:`run_epochs` exactly on the dynamics side — same
-    seeded mobility RNG, same walkability rule, same re-heighting — so
-    fleet and single-UAV runs see identical UE motion for a given
-    seed.
-    """
-    rng = np.random.default_rng(seed)
-    records: List[FleetEpochRecord] = []
-    cum_d = 0.0
-    cum_t = 0.0
-    for epoch in range(n_epochs):
-        moved: tuple = ()
-        if epoch > 0 and move_fraction > 0:
-            moved = _relocate_ues(scenario, move_fraction, rng)
-        with perf.span("runner.epoch"):
-            result = fleet.run_epoch(budget_per_uav_m)
-        per_cell_agg = result.per_cell_aggregate_throughput_mbps
-        per_cell_min = result.per_cell_min_throughput_mbps
-        counts = result.ue_counts
-        cells = tuple(sorted(per_cell_agg))
-        cum_d += result.total_flight_distance_m
-        cum_t += result.total_flight_time_s
-        record = FleetEpochRecord(
-            epoch=epoch,
-            n_uavs=fleet.n_uavs,
-            reuse_factor=result.reuse_factor,
-            flight_distance_m=result.total_flight_distance_m,
-            flight_time_s=result.total_flight_time_s,
-            cumulative_distance_m=cum_d,
-            cumulative_time_s=cum_t,
-            aggregate_throughput_mbps=result.aggregate_throughput_mbps,
-            min_throughput_mbps=result.min_throughput_mbps,
-            cells=cells,
-            per_cell_aggregate_mbps=tuple(per_cell_agg[c] for c in cells),
-            per_cell_min_mbps=tuple(per_cell_min[c] for c in cells),
-            ue_counts=tuple(counts[c] for c in cells),
-            handovers=result.handovers,
-            attaches=result.attaches,
-            moved_ues=moved,
-        )
-        records.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
     return records
 
 
@@ -460,11 +417,13 @@ class RunResult:
     Attributes
     ----------
     scheme:
-        Which controller ran
-        (``"skyran"``/``"uniform"``/``"centroid"``/``"fleet"``).
+        Which controller ran (``"skyran"``/``"uniform"``/
+        ``"centroid"``/``"fleet"``/``"events"``).
     records:
-        One :class:`EpochRecord` per epoch, in order (empty for fleet
-        runs, which fill ``fleet_records`` instead).
+        One :class:`EpochRecord` per epoch, in order, whatever the
+        scheme.  Single-cell schemes fill the oracle-scored columns,
+        ``scheme="events"`` the event-layer columns too, and
+        ``scheme="fleet"`` the fleet columns (see :class:`EpochRecord`).
     fault_counters / fallback_counters:
         ``faults.*`` / ``fallback.*`` perf-counter deltas accumulated
         over this run (empty for fault-free runs).
@@ -472,9 +431,6 @@ class RunResult:
         ``learn.*`` perf-counter deltas (predictive fires,
         ``learn.fallback.*`` refusals, residual applications) for runs
         using :mod:`repro.learn` components; empty otherwise.
-    fleet_records:
-        One :class:`FleetEpochRecord` per epoch for ``scheme="fleet"``
-        runs; empty otherwise.
     event_counters:
         The attach/churn layer's control-plane counters (arrivals,
         attaches, collisions, barring, storms) for ``scheme="events"``
@@ -490,7 +446,6 @@ class RunResult:
     fault_counters: Dict[str, int] = field(default_factory=dict)
     fallback_counters: Dict[str, int] = field(default_factory=dict)
     learn_counters: Dict[str, int] = field(default_factory=dict)
-    fleet_records: Tuple[FleetEpochRecord, ...] = ()
     event_counters: Dict[str, int] = field(default_factory=dict)
     population: Dict[str, int] = field(default_factory=dict)
 
@@ -521,9 +476,9 @@ class RunResult:
         return sum(self.fallback_counters.values())
 
     @property
-    def final_fleet(self) -> FleetEpochRecord:
-        """The last epoch's fleet record (fleet runs only)."""
-        return self.fleet_records[-1]
+    def fleet_records(self) -> Tuple[EpochRecord, ...]:
+        """``records`` for ``scheme="fleet"`` runs; empty otherwise."""
+        return self.records if self.scheme == "fleet" else ()
 
     @property
     def total_handovers(self) -> int:
@@ -596,11 +551,12 @@ def run_simulation(
         (:func:`repro.core.association.available_associations`),
         frequency reuse factor and handover hysteresis.  The fleet
         scheme takes over cell attachment — UEs are moved off the
-        scenario's eNodeB onto per-cell eNodeBs — and reports
-        SINR-based :class:`FleetEpochRecord` rows under
-        ``RunResult.fleet_records``.  ``n_uavs=1`` is the degenerate
-        fleet: the single cell flies exactly the standalone SkyRAN
-        controller's path.
+        scenario's eNodeB onto per-cell eNodeBs — runs through the
+        same epoch loop as the single-cell schemes, and scores its
+        records from SINR (the fleet columns of :class:`EpochRecord`;
+        ``budget_per_epoch_m`` is per UAV).  ``n_uavs=1`` is the
+        degenerate fleet: the single cell flies exactly the standalone
+        SkyRAN controller's path.
     events / arrival_params / serve_time_s / mobility:
         Event-layer knobs, used by ``scheme="events"`` only.
         ``events`` is an :class:`~repro.events.simulate.EventConfig`
@@ -639,8 +595,6 @@ def run_simulation(
             faults=injector,
         )
     elif scheme == "fleet":
-        from repro.core.fleet import FleetController
-
         # The fleet owns cell attachment: detach every UE from the
         # scenario's (single-cell) eNodeB so association can hand them
         # to per-cell eNodeBs.
@@ -664,7 +618,6 @@ def run_simulation(
         raise ValueError(f"unknown scheme {scheme!r}")
 
     before = perf.counters()
-    records: List[EpochRecord] = []
     extra: Dict = {}
     if scheme == "events":
         from repro.events.simulate import EventConfig
@@ -684,17 +637,6 @@ def run_simulation(
             faults=injector,
         )
         extra = {"event_counters": dict(sim.counters), "population": sim.population()}
-    elif scheme == "fleet":
-        fleet_records = _run_fleet_epochs(
-            scenario,
-            controller,
-            n_epochs,
-            budget_per_uav_m=budget_per_epoch_m,
-            move_fraction=move_fraction,
-            seed=seed,
-            on_epoch=on_epoch,
-        )
-        extra = {"fleet_records": tuple(fleet_records)}
     else:
         records = run_epochs(
             scenario,

@@ -25,6 +25,7 @@ from repro.core.association import (
 from repro.core.config import SkyRANConfig
 from repro.core.controller import SkyRANController
 from repro.core.fleet import FleetController
+from repro.sim.runner import EpochRecord, run_simulation
 from repro.sim.scenario import Scenario
 
 pytestmark = pytest.mark.fleet
@@ -277,3 +278,74 @@ class TestDegenerateFleet:
             assert cell.flight_distance_m == solo_res.flight_distance_m
             assert cell.flight_time_s == solo_res.flight_time_s
             assert cell.placement.position == solo_res.placement.position
+
+
+# -- the runner's fleet scheme -------------------------------------------------
+
+
+def _run(scheme, seed, **kwargs):
+    scenario = Scenario.create("campus", n_ues=6, cell_size=8.0, seed=seed)
+    return run_simulation(
+        scenario,
+        SkyRANConfig(rem_cell_size_m=16.0),
+        scheme=scheme,
+        n_epochs=2,
+        budget_per_epoch_m=250.0,
+        move_fraction=0.5,
+        seed=seed,
+        **kwargs,
+    )
+
+
+class TestFleetScheme:
+    @pytest.fixture(scope="class")
+    def fleet_run(self):
+        return _run("fleet", 0, n_uavs=3)
+
+    def test_records_are_epoch_records_with_aligned_cells(self, fleet_run):
+        assert len(fleet_run.records) == 2
+        for rec in fleet_run.records:
+            assert isinstance(rec, EpochRecord)
+            assert rec.n_uavs == 3
+            assert rec.reuse_factor == 1
+            assert rec.cells == tuple(sorted(rec.cells))
+            for column in (rec.per_cell_aggregate_mbps, rec.per_cell_min_mbps, rec.ue_counts):
+                assert len(column) == len(rec.cells)
+            assert sum(rec.ue_counts) == 6
+            # A fleet has no single-cell optimum to score against.
+            assert rec.relative_throughput is None
+            assert rec.rem_error_db is None
+
+    def test_cumulative_columns_and_handovers(self, fleet_run):
+        records = fleet_run.records
+        assert records[0].moved_ues == ()
+        assert len(records[1].moved_ues) == 3
+        cum_d = cum_t = 0.0
+        for rec in records:
+            cum_d += rec.flight_distance_m
+            cum_t += rec.flight_time_s
+            assert rec.cumulative_distance_m == cum_d
+            assert rec.cumulative_time_s == cum_t
+        assert fleet_run.total_handovers == sum(r.handovers for r in records)
+        assert fleet_run.fleet_records == records
+
+    def test_single_cell_runs_have_no_fleet_records(self):
+        result = _run("uniform", 0)
+        assert result.fleet_records == ()
+        assert result.total_handovers == 0
+        assert all(r.n_uavs is None and r.cells is None for r in result.records)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_single_uav_fleet_matches_standalone_records(self, seed):
+        fleet = _run("fleet", seed, n_uavs=1).records
+        solo = _run("skyran", seed).records
+        columns = (
+            "flight_distance_m",
+            "flight_time_s",
+            "cumulative_distance_m",
+            "moved_ues",
+            "min_throughput_mbps",
+        )
+        for fleet_rec, solo_rec in zip(fleet, solo, strict=True):
+            for column in columns:
+                assert getattr(fleet_rec, column) == getattr(solo_rec, column), column

@@ -3,10 +3,36 @@
 import numpy as np
 import pytest
 
+from repro.channel.interference import fleet_sinr_db_reference
 from repro.core.config import SkyRANConfig
 from repro.core.fleet import FleetController
 from repro.lte.throughput import throughput_mbps
 from repro.sim.scenario import Scenario
+
+
+def snr_db_reference(fleet):
+    """Scalar loop oracle for :meth:`FleetController.per_ue_snr_db`."""
+    out = {}
+    for ue in fleet.ues:
+        best = -np.inf
+        for ctrl in fleet.controllers:
+            best = max(best, float(fleet.channel.snr_db(ctrl.uav.position, ue.xyz)))
+        out[ue.ue_id] = best
+    return out
+
+
+def sinr_db_reference(fleet):
+    """Scalar loop oracle for :meth:`FleetController.per_ue_sinr_db`."""
+    serving = fleet.serving_dict()
+    ue_positions = {ue.ue_id: ue.xyz for ue in fleet.ues if ue.ue_id in serving}
+    return fleet_sinr_db_reference(
+        fleet.channel,
+        fleet.uav_positions(),
+        ue_positions,
+        serving,
+        fleet.activity,
+        fleet.carriers(),
+    )
 
 
 @pytest.fixture()
@@ -147,8 +173,8 @@ class TestBatchedKPIs:
             reuse_factor=2,
         )
         fleet.run_epoch(budget_per_uav_m=150.0)
-        assert fleet.per_ue_snr_db() == fleet.per_ue_snr_db_reference()
-        assert fleet.per_ue_sinr_db() == fleet.per_ue_sinr_db_reference()
+        assert fleet.per_ue_snr_db() == snr_db_reference(fleet)
+        assert fleet.per_ue_sinr_db() == sinr_db_reference(fleet)
 
     def test_sinr_leq_snr(self, world):
         fleet = FleetController(

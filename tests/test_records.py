@@ -21,6 +21,29 @@ def _rec(i):
     )
 
 
+def _fleet_rec(i):
+    return EpochRecord(
+        epoch=i,
+        flight_distance_m=300.0,
+        flight_time_s=30.0,
+        cumulative_distance_m=300.0 * (i + 1),
+        cumulative_time_s=30.0 * (i + 1),
+        relative_throughput=None,
+        rem_error_db=None,
+        moved_ues=(4,) if i else (),
+        min_throughput_mbps=2.5,
+        attaches=0 if i else 6,
+        n_uavs=3,
+        reuse_factor=1,
+        aggregate_throughput_mbps=7.25,
+        cells=(0, 2),
+        per_cell_aggregate_mbps=(8.0, 6.5),
+        per_cell_min_mbps=(2.5, 3.0),
+        ue_counts=(4, 2),
+        handovers=i,
+    )
+
+
 class TestRoundtrip:
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "trace.json"
@@ -35,6 +58,30 @@ class TestRoundtrip:
         save_records(path, [_rec(1)])
         loaded, _ = load_records(path)
         assert loaded[0].moved_ues == (1, 2)
+
+    def test_fleet_records_roundtrip_with_tuples(self, tmp_path):
+        path = tmp_path / "trace.json"
+        records = [_fleet_rec(0), _fleet_rec(1)]
+        save_records(path, records)
+        loaded, _ = load_records(path)
+        assert loaded == records
+        assert loaded[1].cells == (0, 2)
+        assert loaded[1].ue_counts == (4, 2)
+
+    def test_loads_v1_trace_without_fleet_keys(self, tmp_path):
+        """Traces saved before records carried the fleet columns still load."""
+        path = tmp_path / "trace.json"
+        save_records(path, [_rec(0), _rec(1)])
+        payload = json.loads(path.read_text())
+        for row in payload["records"]:
+            for key in ("n_uavs", "reuse_factor", "aggregate_throughput_mbps",
+                        "cells", "per_cell_aggregate_mbps", "per_cell_min_mbps",
+                        "ue_counts", "handovers"):
+                del row[key]
+        path.write_text(json.dumps(payload))
+        loaded, _ = load_records(path)
+        assert loaded == [_rec(0), _rec(1)]
+        assert loaded[1].cells is None
 
     def test_version_checked(self, tmp_path):
         path = tmp_path / "trace.json"
