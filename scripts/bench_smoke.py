@@ -298,14 +298,15 @@ def bench_localization(n_ues: int, repeats: int) -> dict:
 
 
 def bench_mac(n_ues: int, repeats: int) -> dict:
-    """Vectorized TTI-batch kernel vs the per-TTI Python reference.
+    """TTI-batch kernel vs the per-TTI Python reference.
 
-    Three workloads over 2000 TTIs: the full-buffer round-robin case
-    (the whole-batch *slab* fast path — the honest speedup gate, since
-    the per-PRB greedy schedulers cannot vectorize across TTIs), plus
-    loaded Poisson round-robin and proportional-fair cases reported
-    for visibility.  Each case first asserts the kernel is bit-
-    identical to the reference before any timing.
+    Four workloads over 2000 TTIs.  The full-buffer round-robin case
+    runs the whole-batch *slab* fast path and is the speedup gate.
+    Loaded Poisson round-robin, proportional-fair and max-min cases run
+    the per-TTI loop and are reported only: PF and max-min grant from a
+    heap (one ``heapreplace`` per PRB), round-robin with numpy over
+    UEs.  Each case first asserts the kernel is bit-identical to the
+    reference before any timing.
     """
     from repro.traffic import (  # noqa: E402
         QueueBank,
@@ -341,6 +342,7 @@ def bench_mac(n_ues: int, repeats: int) -> dict:
         ("full_buffer_round_robin", "round_robin", zeros, True),
         ("poisson_round_robin", "round_robin", offered, False),
         ("poisson_proportional_fair", "proportional_fair", offered, False),
+        ("poisson_max_min", "max_min", offered, False),
     ):
         res_k = run_case(sched, off, full_buffer, False)
         res_r = run_case(sched, off, full_buffer, True)

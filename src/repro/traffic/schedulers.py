@@ -19,14 +19,19 @@ usable link?  Three classic disciplines are provided:
     Per-PRB greedy argmin of bytes granted so far this TTI: equalizes
     granted capacity in bytes, so low-rate UEs get more PRBs.
 
-Every scheduler implements the vectorized path (numpy over UEs, used
-by the TTI-batch kernel) **and** a pure-Python reference path
-(``grants_reference``) performing the identical float operations in
-the identical order, so the two are bit-exact — the equivalence the
-traffic smoke gate asserts.  Ties in the greedy argmax/argmin resolve
-to the first UE in *rotated* schedulable order (rotation = ``tti mod
-n_active``), which is what aligns all three disciplines on the same
-grant under full symmetry.
+Round-robin's ``grants`` is numpy over UEs.  The two greedy
+disciplines run on a ``heapq``: granting a PRB changes only the
+winner's key, so each PRB is one ``heapreplace`` and a TTI costs
+O(n + n_prb log n) Python operations instead of ``n_prb`` numpy
+passes over every UE.  Every scheduler also has a pure-Python
+reference path (``grants_reference``) performing the identical float
+operations in the identical order, so the two are bit-exact — the
+equivalence the traffic smoke gate asserts.  Ties in the greedy
+argmax/argmin resolve to the first UE in *rotated* schedulable order
+(rotation = ``tti mod n_active``), which is what aligns all three
+disciplines on the same grant under full symmetry; the heaps keep it
+by keying on ``(key, rotated position)``, whose tuple order is
+exactly that first-in-order rule.
 
 Stateless disciplines additionally expose ``grants_slab`` — a whole
 (UEs x TTIs) grant matrix in one shot — which the kernel uses when the
@@ -35,6 +40,7 @@ schedulable set cannot change within a batch (full-buffer runs).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -42,7 +48,7 @@ import numpy as np
 
 #: Denominator floor for the PF metric when a UE's EWMA average is
 #: still zero (never served, zero-rate history).  Applied identically
-#: in the vectorized and reference paths so they stay bit-exact.
+#: in the heap and reference paths so they stay bit-exact.
 TINY_BYTES = 1e-12
 
 
@@ -147,6 +153,12 @@ class RoundRobinScheduler:
 class ProportionalFairScheduler:
     """Per-PRB greedy PF with an EWMA served-rate average.
 
+    ``grants`` keeps a heap of ``(-rate / (avg + pending), rotated
+    position)``; each PRB goes to the top, whose key alone is
+    recomputed and ``heapreplace``-d, so a TTI costs O(n + n_prb log
+    n).  Negating the metric is exact, so the heap's first-minimum is
+    the reference's first-maximum, ties included.
+
     Attributes
     ----------
     time_constant_tti:
@@ -182,22 +194,28 @@ class ProportionalFairScheduler:
     ) -> np.ndarray:
         rates = np.asarray(bytes_per_prb, dtype=float)
         self._ensure_avg(rates)
-        n = len(schedulable)
-        out = np.zeros(n, dtype=np.int64)
+        out = np.zeros(len(schedulable), dtype=np.int64)
         order = rotated_schedulable(schedulable, tti)
-        n_a = len(order)
-        if n_a == 0:
+        if len(order) == 0:
             return out
-        r = rates[order]
-        avg = self._avg_bytes[order]
-        pending = np.zeros(n_a, dtype=float)
-        counts = np.zeros(n_a, dtype=np.int64)
+        r = rates[order].tolist()
+        avg = self._avg_bytes[order].tolist()
+        pending = [0.0] * len(order)
+        counts = [0] * len(order)
+        heap = []
+        for k, (r_k, d) in enumerate(zip(r, avg)):
+            if not d > 0.0:
+                d = TINY_BYTES
+            heap.append((-(r_k / d), k))
+        heapq.heapify(heap)
         for _ in range(int(n_prb)):
-            denom = avg + pending
-            denom = np.where(denom > 0.0, denom, TINY_BYTES)
-            k = int(np.argmax(r / denom))
+            k = heap[0][1]
             pending[k] += r[k]
             counts[k] += 1
+            d = avg[k] + pending[k]
+            if not d > 0.0:
+                d = TINY_BYTES
+            heapq.heapreplace(heap, (-(r[k] / d), k))
         out[order] = counts
         return out
 
@@ -258,7 +276,13 @@ class ProportionalFairScheduler:
 
 @dataclass
 class MaxMinScheduler:
-    """Equalize granted bytes within each TTI (max-min in capacity)."""
+    """Equalize granted bytes within each TTI (max-min in capacity).
+
+    ``grants`` keeps a heap of ``(granted bytes, rotated position)``;
+    each PRB goes to the top and re-enters at ``granted + rate`` — the
+    reference's ``pending += rate`` — so a TTI costs O(n + n_prb log
+    n) with the reference's first-minimum tie-break.
+    """
 
     name: str = field(default="max_min", init=False)
 
@@ -273,19 +297,17 @@ class MaxMinScheduler:
         tti: int,
     ) -> np.ndarray:
         rates = np.asarray(bytes_per_prb, dtype=float)
-        n = len(schedulable)
-        out = np.zeros(n, dtype=np.int64)
+        out = np.zeros(len(schedulable), dtype=np.int64)
         order = rotated_schedulable(schedulable, tti)
-        n_a = len(order)
-        if n_a == 0:
+        if len(order) == 0:
             return out
-        r = rates[order]
-        pending = np.zeros(n_a, dtype=float)
-        counts = np.zeros(n_a, dtype=np.int64)
+        r = rates[order].tolist()
+        counts = [0] * len(order)
+        heap = [(0.0, k) for k in range(len(order))]
         for _ in range(int(n_prb)):
-            k = int(np.argmin(pending))
-            pending[k] += r[k]
+            p, k = heap[0]
             counts[k] += 1
+            heapq.heapreplace(heap, (p + r[k], k))
         out[order] = counts
         return out
 
@@ -328,17 +350,19 @@ class MaxMinScheduler:
         n_tti: int,
     ) -> Optional[np.ndarray]:
         """Stateless across TTIs: only ``tti mod n_active`` matters, so
-        a batch is ``n_active`` distinct per-TTI allocations, tiled."""
+        a batch is at most ``n_active`` distinct per-TTI allocations,
+        one per rotation the batch actually visits, tiled."""
         idx = np.flatnonzero(np.asarray(schedulable, dtype=bool))
         n_a = len(idx)
         n = len(schedulable)
-        if n_a == 0:
+        if n_a == 0 or n_tti == 0:
             return np.zeros((n, n_tti), dtype=np.int64)
+        rhos, col = np.unique((int(tti0) + np.arange(n_tti)) % n_a, return_inverse=True)
         patterns = np.stack(
-            [self.grants(schedulable, bytes_per_prb, n_prb, rho) for rho in range(n_a)],
+            [self.grants(schedulable, bytes_per_prb, n_prb, rho) for rho in rhos],
             axis=1,
         )
-        return patterns[:, (int(tti0) + np.arange(n_tti)) % n_a]
+        return patterns[:, col]
 
     def update(self, served_bytes: np.ndarray) -> None:
         pass

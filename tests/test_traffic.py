@@ -153,9 +153,18 @@ class TestQueueBank:
 # -- kernel vs reference --------------------------------------------------------
 
 
-def _batch(scheduler_name, *, limit=0.0, full_buffer=False, n_tti=300, reference=False):
-    ue_ids = (1, 2, 3, 4, 5)
-    rates = rate_per_prb_bytes(np.array([3.0, 8.0, 14.0, 20.0, -10.0]))
+def _batch(
+    scheduler_name,
+    *,
+    limit=0.0,
+    full_buffer=False,
+    n_tti=300,
+    tti0=0,
+    snr=(3.0, 8.0, 14.0, 20.0, -10.0),
+    reference=False,
+):
+    ue_ids = tuple(range(1, len(snr) + 1))
+    rates = rate_per_prb_bytes(np.array(snr))
     model = make_traffic_model("poisson", rate_mbps=5.0)
     if full_buffer:
         offered = np.zeros((len(ue_ids), n_tti))
@@ -169,6 +178,7 @@ def _batch(scheduler_name, *, limit=0.0, full_buffer=False, n_tti=300, reference
         offered_bytes=offered,
         scheduler=make_scheduler(scheduler_name),
         queues=queues,
+        tti0=tti0,
         reference=reference,
     )
     return result, queues
@@ -187,10 +197,19 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("name", ["round_robin", "max_min"])
     def test_full_buffer_slab_bit_identical(self, name):
-        kernel, _ = _batch(name, full_buffer=True)
-        reference, _ = _batch(name, full_buffer=True, reference=True)
-        for f in RESULT_FIELDS:
-            assert np.array_equal(getattr(kernel, f), getattr(reference, f)), f
+        cases = (
+            {},
+            # Fewer TTIs than active UEs, starting mid-rotation: the
+            # slab only builds the rotations the batch uses.  Tied
+            # rates make each rotation's grants differ.
+            {"snr": (8.0, 8.0, 8.0, 14.0, 14.0, 14.0), "n_tti": 4, "tti0": 4},
+            {"n_tti": 0},
+        )
+        for case in cases:
+            kernel, _ = _batch(name, full_buffer=True, **case)
+            reference, _ = _batch(name, full_buffer=True, reference=True, **case)
+            for f in RESULT_FIELDS:
+                assert np.array_equal(getattr(kernel, f), getattr(reference, f)), (case, f)
 
     def test_zero_rate_ue_never_granted_or_served(self):
         kernel, _ = _batch("round_robin")
@@ -253,6 +272,47 @@ class TestSchedulerProperties:
                 assert grants.sum() == 0
             assert np.all(grants[~schedulable] == 0)
             assert np.all(grants >= 0)
+
+    @pytest.mark.parametrize("name", ["proportional_fair", "max_min"])
+    @given(
+        st.lists(st.sampled_from((0.0, 12.5, 40.0, 300.0)), min_size=1, max_size=8),
+        st.sampled_from((1, 3, 50, 100)),
+        st.integers(min_value=0, max_value=100),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grants_match_reference_under_ties(self, name, rates, n_prb, tti0, data):
+        # Rates from a small set, so metric ties between UEs are the
+        # norm: the heap greedy must keep the reference's first-in-
+        # rotated-order tie-break at every rotation phase.
+        rates = np.array(rates)
+        n = len(rates)
+        masks = data.draw(
+            st.lists(
+                st.lists(st.booleans(), min_size=n, max_size=n),
+                min_size=30,
+                max_size=30,
+            )
+        )
+        fast = make_scheduler(name)
+        ref = make_scheduler(name)
+        if name == "proportional_fair":
+            # A zero and a NaN average exercise the TINY_BYTES floor.
+            avg = rates.copy()
+            avg[0] = 0.0
+            avg[-1] = np.nan
+            fast._avg_bytes = avg.copy()
+            ref._avg_bytes = avg.copy()
+        for t, mask in enumerate(masks, start=tti0):
+            schedulable = np.array(mask)
+            g = fast.grants(schedulable, rates, n_prb, t)
+            g_ref = ref.grants_reference(mask, rates.tolist(), n_prb, t)
+            assert g.tolist() == g_ref, (t, mask)
+            served = g * rates
+            fast.update(served)
+            ref.update_reference(served.tolist())
+            if name == "proportional_fair":
+                assert fast._avg_bytes.tobytes() == ref._avg_bytes.tobytes(), t
 
     @given(
         st.floats(min_value=-5.0, max_value=25.0, allow_nan=False),
