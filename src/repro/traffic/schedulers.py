@@ -350,19 +350,17 @@ class MaxMinScheduler:
         n_tti: int,
     ) -> Optional[np.ndarray]:
         """Stateless across TTIs: only ``tti mod n_active`` matters, so
-        a batch is at most ``n_active`` distinct per-TTI allocations,
-        one per rotation the batch actually visits, tiled."""
+        a batch is ``n_active`` distinct per-TTI allocations, tiled."""
         idx = np.flatnonzero(np.asarray(schedulable, dtype=bool))
         n_a = len(idx)
         n = len(schedulable)
-        if n_a == 0 or n_tti == 0:
+        if n_a == 0:
             return np.zeros((n, n_tti), dtype=np.int64)
-        rhos, col = np.unique((int(tti0) + np.arange(n_tti)) % n_a, return_inverse=True)
         patterns = np.stack(
-            [self.grants(schedulable, bytes_per_prb, n_prb, rho) for rho in rhos],
+            [self.grants(schedulable, bytes_per_prb, n_prb, rho) for rho in range(n_a)],
             axis=1,
         )
-        return patterns[:, col]
+        return patterns[:, (int(tti0) + np.arange(n_tti)) % n_a]
 
     def update(self, served_bytes: np.ndarray) -> None:
         pass

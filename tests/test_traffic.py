@@ -200,8 +200,8 @@ class TestKernelEquivalence:
         cases = (
             {},
             # Fewer TTIs than active UEs, starting mid-rotation: the
-            # slab only builds the rotations the batch uses.  Tied
-            # rates make each rotation's grants differ.
+            # slab must pick the rotation of each TTI.  Tied rates
+            # make each rotation's grants differ.
             {"snr": (8.0, 8.0, 8.0, 14.0, 14.0, 14.0), "n_tti": 4, "tti0": 4},
             {"n_tti": 0},
         )
