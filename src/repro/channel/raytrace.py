@@ -31,7 +31,6 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.perf import perf
 from repro.terrain.heightmap import Terrain
 
@@ -196,7 +195,7 @@ def _blocked_fractions(
             surface = terrain.heights_at_xy(xs, ys)
             zsel = zs[:, cols]
             perf.count("raytrace.samples_traced", zsel.size)
-            out[sel] = get_backend().count_below(zsel, surface) / n_steps
+            out[sel] = np.count_nonzero(zsel < surface, axis=1) / n_steps
     return out
 
 

@@ -7,7 +7,8 @@ Three subcommands covering the subsystem's lifecycle::
         --kind ridge --out runs/learn/rem_model.npz
     python -m repro.learn eval
 
-``export`` writes byte-deterministic training tables; ``train`` fits a
+``export`` writes the byte-deterministic training tables
+(``rem_residual`` and ``epoch_kpi``, or ``all``); ``train`` fits a
 model-zoo model on one and serializes it with provenance; ``eval``
 runs the ``learned-control`` experiment (train-on-train-seeds,
 measure-on-held-out-seed) and prints its rows.
@@ -28,7 +29,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         kwargs = {}
         if args.seeds is not None:
             kwargs["seeds"] = tuple(args.seeds)
-        if args.terrains is not None and table != "sched_state":
+        if args.terrains is not None:
             kwargs["terrains"] = tuple(args.terrains)
         dataset = BUILDERS[table](**kwargs)
         path = export_dataset(dataset, args.out)
@@ -76,7 +77,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_export.add_argument(
         "--table",
         default="all",
-        choices=["all", "rem_residual", "epoch_kpi", "sched_state"],
+        choices=["all", "rem_residual", "epoch_kpi"],
     )
     p_export.add_argument("--out", default="runs/learn")
     p_export.add_argument("--seeds", type=int, nargs="+", default=None)

@@ -24,9 +24,11 @@ FEATURE_SCHEMA_VERSION = 1
 #: SeedSequence spawn key under which ALL learn-side randomness lives
 #: (dataset synthesis streams, model weight init).  The RNG contract:
 #: streams are ``SeedSequence(seed, spawn_key=(LEARN_SPAWN_KEY, lane,
-#: ...))`` with lane 0 = REM-residual masks, lane 1 = scheduler-state
-#: traces, lane 2 = epoch-KPI mobility, lane 3 = model init; *zero*
-#: draws happen at inference time.
+#: ...))`` with lane 0 = REM-residual masks, lane 2 = epoch-KPI
+#: mobility, lane 3 = model init; *zero* draws happen at inference
+#: time.  Lane 1 is unused: it fed the deleted scheduler-state table,
+#: and renumbering lanes 2-3 would change every exported epoch-KPI
+#: table and every trained MLP.
 LEARN_SPAWN_KEY = 0x4C52  # "LR"
 
 #: Features of the REM-residual table (one row per unmeasured REM
@@ -95,26 +97,6 @@ TRIGGER_TARGET_NAME = "min_ratio_ahead"
 #: this, below zero, or non-finite falls back to the reactive rule.
 TRIGGER_TRUST_RATIO = 4.0
 
-#: Features of the scheduler-state table (one row per TTI batch of a
-#: MAC simulation), in column order — the seed data for a future
-#: learned TTI scheduler:
-#:
-#: ``offered_mbps``  aggregate offered rate this batch
-#: ``backlog_mb``    end-of-batch aggregate RLC backlog (MB, clipped finite)
-#: ``fairness``      Jain fairness of served rates
-#: ``n_ues``         population size
-#: ``mean_snr_db``   mean per-UE SNR this batch
-SCHED_FEATURE_NAMES = (
-    "offered_mbps",
-    "backlog_mb",
-    "fairness",
-    "n_ues",
-    "mean_snr_db",
-)
-
-#: Regression target of the scheduler-state table.
-SCHED_TARGET_NAME = "served_mbps"
-
 #: Model-zoo hyperparameter defaults; part of the fingerprint because
 #: a trained-with-different-defaults model is a different model.
 MODEL_DEFAULTS = {
@@ -144,6 +126,5 @@ def fingerprint_payload() -> dict:
         "trigger_window": TRIGGER_WINDOW,
         "trigger_horizon": TRIGGER_HORIZON,
         "trigger_trust_ratio": TRIGGER_TRUST_RATIO,
-        "sched_features": list(SCHED_FEATURE_NAMES),
         "model_defaults": MODEL_DEFAULTS,
     }

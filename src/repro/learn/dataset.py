@@ -1,6 +1,6 @@
 """The dataset factory: deterministic training tables from the simulator.
 
-Three tables, each a ``(X, y)`` regression problem whose features the
+Two tables, each a ``(X, y)`` regression problem whose features the
 inference adapters can recompute from controller-visible state:
 
 ``rem_residual``
@@ -17,9 +17,6 @@ inference adapters can recompute from controller-visible state:
     from :func:`repro.learn.features.trigger_features`, target the
     minimum ratio over the next ``TRIGGER_HORIZON`` samples.  This is
     what the ``learned`` epoch trigger trains on.
-``sched_state``
-    One row per TTI batch of a MAC simulation under varying load and
-    SNR — the seed data for a future learned TTI scheduler.
 
 Exports are versioned and deterministic: arrays go through the
 byte-stable writer of :mod:`repro.learn.io`, the JSON sidecar carries
@@ -31,8 +28,10 @@ cleanly, exactly like the experiment point cache.
 
 RNG contract: each table draws from its own lane of
 ``SeedSequence(seed, spawn_key=(LEARN_SPAWN_KEY, lane))`` (lane 0 =
-REM masks, lane 1 = scheduler traces, lane 2 = KPI mobility); nothing
-here touches global RNG state.
+REM masks, lane 2 = KPI mobility); nothing here touches global RNG
+state.  Lane 1 is unused: it fed a scheduler-state table that nothing
+consumed and that has been deleted, and the other lanes keep their
+numbers so every exported table stays byte-identical.
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ from repro.learn.constants import (
     LEARN_SPAWN_KEY,
     REM_FEATURE_NAMES,
     REM_TARGET_NAME,
-    SCHED_FEATURE_NAMES,
-    SCHED_TARGET_NAME,
     TRIGGER_FEATURE_NAMES,
     TRIGGER_TARGET_NAME,
 )
@@ -255,68 +252,9 @@ def build_epoch_kpi(
     )
 
 
-def build_sched_state(
-    seeds: Sequence[int] = QUICK_SEEDS,
-    n_ues: int = 8,
-    n_batches: int = 16,
-    tti_batch: int = 200,
-) -> Dataset:
-    """The scheduler-state table: MAC batch summaries under load sweeps."""
-    from repro.traffic.simulate import MACSimulation
-
-    rows_X, rows_y = [], []
-    for seed in seeds:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(LEARN_SPAWN_KEY, 1))
-        )
-        for scheduler in ("round_robin", "proportional_fair"):
-            sim = MACSimulation(
-                range(1, n_ues + 1),
-                traffic_model="poisson",
-                scheduler=scheduler,
-                seed=seed,
-                traffic_params={"rate_mbps": 2.0},
-            )
-            for _ in range(n_batches):
-                snrs = {
-                    u: float(rng.uniform(-2.0, 22.0)) for u in sim.ue_ids
-                }
-                batch = sim.run(snrs, tti_batch)
-                backlog = batch.total_backlog_bytes()
-                backlog_mb = (
-                    float(backlog) / 1e6 if np.isfinite(backlog) else 1e3
-                )
-                rows_X.append(
-                    [
-                        batch.aggregate_offered_mbps(),
-                        backlog_mb,
-                        batch.fairness(),
-                        float(n_ues),
-                        float(np.mean(list(snrs.values()))),
-                    ]
-                )
-                rows_y.append(batch.aggregate_served_mbps())
-    X = (
-        np.asarray(rows_X, dtype=float)
-        if rows_X
-        else np.zeros((0, len(SCHED_FEATURE_NAMES)))
-    )
-    y = np.asarray(rows_y, dtype=float)
-    spec = {
-        "seeds": [int(s) for s in seeds],
-        "n_ues": int(n_ues),
-        "n_batches": int(n_batches),
-        "tti_batch": int(tti_batch),
-    }
-    return Dataset(
-        "sched_state", X, y, SCHED_FEATURE_NAMES, SCHED_TARGET_NAME, spec
-    )
-
-
 BUILDERS = {
     "rem_residual": build_rem_residual,
     "epoch_kpi": build_epoch_kpi,
-    "sched_state": build_sched_state,
 }
 
 

@@ -60,9 +60,8 @@ def _stack_observations(observations: Sequence[GpsRange]):
 #: pre-analytic behavior, retained as the validation oracle) and
 #: "3-point" its higher-order variant (truncation error ~eps^(2/3)
 #: instead of ~sqrt(eps), the tighter oracle for validating the
-#: analytic mode); "sparse-2-point" finite-differences through the
-#: block sparsity pattern with the lsmr trust-region solver.
-JAC_MODES = ("analytic", "2-point", "3-point", "sparse-2-point")
+#: analytic mode).
+JAC_MODES = ("analytic", "2-point", "3-point")
 
 #: Residual-model implementations.  "vectorized" evaluates all UEs in
 #: one flat pass (and is the only model with an analytic Jacobian);
@@ -120,10 +119,8 @@ def solve_joint_multilateration(
         One of :data:`JAC_MODES`.  The default analytic Jacobian makes
         each trust-region step one vectorized evaluation instead of
         ``2U + 1`` finite-difference residual sweeps; "2-point"
-        reproduces the finite-difference solve (the validation oracle),
-        "sparse-2-point" differences through the block-sparsity
-        pattern (each observation row touches only its UE's two
-        coordinates plus the shared offset) with the lsmr solver.
+        reproduces the finite-difference solve (the validation oracle)
+        and "3-point" its higher-order variant.
     model:
         One of :data:`MODEL_MODES`.  "vectorized" (default) evaluates
         the residuals of all UEs in one flat pass; "reference" retains
@@ -168,7 +165,7 @@ def solve_joint_multilateration(
         return anchors, ranges, ue_idx
 
     def make_model(data):
-        """(residuals, jac, sparsity) closures over the current data."""
+        """(residuals, jac) closures over the current data."""
         anchors, ranges, ue_idx = flatten(data)
         ax, ay = anchors[:, 0], anchors[:, 1]
         dz2 = (anchors[:, 2] - ue_z) ** 2
@@ -199,12 +196,7 @@ def solve_joint_multilateration(
                 J[m, -1] = np.sqrt(prior_w)
             return J
 
-        sparsity = np.zeros((rows, n_params), dtype=bool)
-        obs_rows = np.arange(m)
-        sparsity[obs_rows, xi] = True
-        sparsity[obs_rows, yi] = True
-        sparsity[:, -1] = True
-        return residuals, jac_fn, sparsity
+        return residuals, jac_fn
 
     def make_model_reference(data):
         """The retained per-UE-loop residual closure (seed behavior)."""
@@ -221,17 +213,10 @@ def solve_joint_multilateration(
                 out.append(np.array([np.sqrt(prior_w) * (b - prior_b)]))
             return np.concatenate(out)
 
-        return residuals, None, None
-
-    def solver_kwargs(jac_fn, sparsity):
-        if jac == "analytic":
-            return {"jac": jac_fn}
-        if jac == "sparse-2-point":
-            return {"jac": "2-point", "jac_sparsity": sparsity, "tr_solver": "lsmr"}
-        return {"jac": jac}
+        return residuals, None
 
     build_model = make_model if model == "vectorized" else make_model_reference
-    residuals, jac_fn, sparsity = build_model(data)
+    residuals, jac_fn = build_model(data)
 
     rng = np.random.default_rng(seed)
     first_anchors, first_ranges = data[ue_ids[0]]
@@ -278,7 +263,7 @@ def solve_joint_multilateration(
                 ftol=tol,
                 gtol=tol,
                 bounds=solver_bounds,
-                **solver_kwargs(jac_fn, sparsity),
+                jac=jac_fn if jac == "analytic" else jac,
             )
             if best is None or sol.cost < best.cost:
                 best = sol
@@ -310,7 +295,7 @@ def solve_joint_multilateration(
                 )
                 for i, ue_id in enumerate(ue_ids)
             }
-            residuals, jac_fn, sparsity = build_model(data)
+            residuals, jac_fn = build_model(data)
             best = least_squares(
                 residuals,
                 x0=_clip_theta(best.x),
@@ -321,7 +306,7 @@ def solve_joint_multilateration(
                 ftol=tol,
                 gtol=tol,
                 bounds=solver_bounds,
-                **solver_kwargs(jac_fn, sparsity),
+                jac=jac_fn if jac == "analytic" else jac,
             )
 
     theta = best.x

@@ -19,7 +19,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.channel.fspl import SPEED_OF_LIGHT
 from repro.perf import perf
 
@@ -380,7 +379,8 @@ def apply_channel_batch(
         theta = (fa[:cols][None, :] * scaled_delays[:, None]) / n_fft
         out = np.empty((len(scaled_delays), w), dtype=complex)
         front = out[:, :cols]
-        get_backend().cis(theta, front)
+        front.real = np.cos(theta)
+        front.imag = np.sin(theta)
         if half is not None:
             out[:, half:] = np.conj(front[:, ::-1])
         return out

@@ -30,7 +30,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.lte.throughput import PRB_PER_10MHZ, throughput_mbps
 from repro.perf import perf
 from repro.traffic.generators import (
@@ -230,9 +229,16 @@ def _run_kernel(
             dropped = offered.copy()
         else:
             dropped = np.zeros_like(offered)
-        served, backlog = get_backend().mac_slab_serve(
-            grants, rates, queues.backlog_bytes, offered - dropped
-        )
+        # An infinite backlog never changes, so every TTI drains
+        # independently: served = min(backlog + accepted, grants * rate).
+        backlog0 = queues.backlog_bytes
+        cap = grants * rates[:, None]
+        avail = backlog0[:, None] + (offered - dropped)
+        served = np.minimum(avail, cap)
+        if n_tti:
+            backlog = (avail - served)[:, -1]
+        else:
+            backlog = backlog0.copy()
         perf.count("sched.slab_tti", int(n_tti))
         return grants, dropped, served, backlog
 

@@ -12,7 +12,9 @@ The contracts under test, in order of importance:
 4. the learned epoch trigger never fires later than the reactive rule,
    and every trust gate (fault injector, cold start, corrupt window,
    missing model) falls back with a counted ``learn.fallback.*``;
-5. model serialization round-trips exactly and refuses schema drift.
+5. model serialization round-trips exactly and refuses schema drift;
+6. ``python -m repro.learn export`` writes one file per table and
+   forwards ``--seeds``/``--terrains`` to every builder.
 """
 
 import numpy as np
@@ -267,6 +269,52 @@ class TestDeterministicArtifacts:
                 + mp.with_suffix(".json").read_bytes()
             )
         assert blobs[0] == blobs[1]
+
+
+class TestCLI:
+    def test_export_all_writes_one_file_per_table(self, tmp_path):
+        from repro.learn.cli import main
+
+        out = tmp_path / "learn"
+        assert main(["export", "--table", "all", "--seeds", "0", "--out", str(out)]) == 0
+        assert len(list(out.glob("rem_residual_*.npz"))) == 1
+        assert len(list(out.glob("epoch_kpi_*.npz"))) == 1
+        assert len(list(out.glob("*.npz"))) == 2
+
+    def test_terrains_reach_every_builder(self, tmp_path, monkeypatch):
+        from repro.learn import dataset
+        from repro.learn.cli import main
+
+        seen = {}
+
+        def spy(table):
+            def build(**kwargs):
+                seen[table] = kwargs
+                return dataset.Dataset(
+                    table, np.zeros((0, 1)), np.zeros(0), ("f",), "t", kwargs
+                )
+
+            return build
+
+        for table in list(dataset.BUILDERS):
+            monkeypatch.setitem(dataset.BUILDERS, table, spy(table))
+        argv = ["export", "--seeds", "0", "--terrains", "campus", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert set(seen) == {"rem_residual", "epoch_kpi"}
+        for kwargs in seen.values():
+            assert kwargs == {"seeds": (0,), "terrains": ("campus",)}
+
+    def test_only_the_two_tables_are_offered(self, tmp_path, capsys):
+        from repro.learn.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--table", "scheduler", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        offered = err.split("choose from")[1].split(")")[0]
+        names = [n.strip(" '") for n in offered.split(",")]
+        assert names == ["all", "rem_residual", "epoch_kpi"]
 
 
 # -- model zoo ----------------------------------------------------------------

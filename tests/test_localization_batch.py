@@ -326,12 +326,6 @@ class TestJointSolver:
             )
         assert res_vec.offset_m == res_ref.offset_m
 
-    def test_sparse_jacobian_well_conditioned(self, rng):
-        ue = np.array([10.0, -15.0, 1.5])
-        obs = {1: _circle_obs(ue, 100.0, 60, 50.0, 137.0, 0.0, rng)}
-        res = solve_joint_multilateration(obs, jac="sparse-2-point")
-        assert np.hypot(*(res.per_ue[1].position[:2] - ue[:2])) < 0.5
-
     def test_mode_validation(self):
         obs = {1: [GpsRange(np.zeros(3), 1.0, float(i)) for i in range(3)]}
         with pytest.raises(ValueError, match="jac"):
