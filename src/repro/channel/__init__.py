@@ -34,7 +34,7 @@ from repro.channel.shadowing import ShadowingField
 from repro.channel.fading import sample_fading_db
 from repro.channel.linkbudget import LinkBudget
 from repro.channel.model import ChannelModel
-from repro.channel.groundtruth import ground_truth_rem, ground_truth_stack
+from repro.channel.groundtruth import ground_truth_stack
 from repro.channel.interference import fleet_sinr_db, sinr_db
 
 __all__ = [
@@ -52,6 +52,5 @@ __all__ = [
     "sample_fading_db",
     "LinkBudget",
     "ChannelModel",
-    "ground_truth_rem",
     "ground_truth_stack",
 ]

@@ -8,10 +8,11 @@ infinitely long averaging flight would converge to.
 
 The stack builder rides the batched map oracle
 (:meth:`~repro.channel.model.ChannelModel.snr_maps`): all UEs are
-traced in chunked vectorized batches, per-UE maps are memoized across
-calls, and ``workers``/``REPRO_NUM_WORKERS`` can fan the work out over
-a process pool — the serial, batched and parallel paths all produce
-identical stacks.
+traced in chunked vectorized batches and per-UE maps are memoized
+across calls, so the stack is identical to calling
+:meth:`~repro.channel.model.ChannelModel.snr_map` once per UE.
+Streaming consumers read the same values tile by tile from
+:meth:`~repro.channel.model.ChannelModel.iter_snr_map_tiles`.
 """
 
 from __future__ import annotations
@@ -25,56 +26,14 @@ from repro.geo.grid import GridSpec
 from repro.perf import perf
 
 
-def ground_truth_rem(
-    model: ChannelModel,
-    ue_xyz: np.ndarray,
-    altitude: float,
-    grid: Optional[GridSpec] = None,
-) -> np.ndarray:
-    """Oracle SNR map for one UE at the given operating altitude.
-
-    Returns a ``(ny, nx)`` array of mean SNR in dB.
-    """
-    return model.snr_map(ue_xyz, altitude, grid)
-
-
 def ground_truth_stack(
     model: ChannelModel,
     ue_positions: Sequence,
     altitude: float,
     grid: Optional[GridSpec] = None,
     *,
-    workers: Optional[int] = None,
     use_cache: bool = True,
 ) -> np.ndarray:
     """Oracle SNR maps for all UEs, stacked ``(n_ue, ny, nx)``."""
-    if len(ue_positions) == 0:
-        g = grid or model.terrain.grid
-        # Pin the dtype: an empty np.empty would default to float64 by
-        # accident, not by contract with snr_maps' output.
-        return np.empty((0,) + g.shape, dtype=float)
     with perf.span("groundtruth.stack"):
-        return model.snr_maps(
-            ue_positions, altitude, grid, workers=workers, use_cache=use_cache
-        )
-
-
-def iter_ground_truth_tiles(
-    model: ChannelModel,
-    ue_positions: Sequence,
-    altitude: float,
-    grid: Optional[GridSpec] = None,
-    *,
-    tile_rows: int = 64,
-    ue_chunk: Optional[int] = None,
-):
-    """Stream the oracle stack as ``(ue_slice, row_slice, block)`` tiles.
-
-    The memory-bounded counterpart of :func:`ground_truth_stack`: cell
-    values are bit-identical, but no ``(n_ue, ny, nx)`` array is ever
-    materialized — consumers fold tiles as they arrive (see
-    :mod:`repro.rem.streaming`).
-    """
-    yield from model.iter_snr_map_tiles(
-        ue_positions, altitude, grid, tile_rows=tile_rows, ue_chunk=ue_chunk
-    )
+        return model.snr_maps(ue_positions, altitude, grid, use_cache=use_cache)

@@ -256,13 +256,21 @@ def interference_penalty_db(
     ``penalty = 10·log10((noise + interference) / noise)`` — the rise
     over thermal from the fixed interferers.  Equal to the exact SINR
     up to one floating-point subtraction (``(rx - noise) - penalty``
-    vs. ``rx - 10·log10(noise + interf)``), which is why the streamed
-    placement fold uses it but bit-exactness claims stay at the
-    channel layer.  Empty ``interferer_positions`` → exact zeros.
+    vs. ``rx - 10·log10(noise + interf)``).  Placement subtracts it
+    from SNR maps (``stack - penalty[:, None, None]``) or from SNR
+    tiles; being a per-UE constant over the candidate axis, the
+    subtraction commutes with any tiling.  Empty
+    ``interferer_positions`` → exact zeros.
     """
     ues = np.atleast_2d(np.asarray(ue_positions, dtype=float))
     if len(interferer_positions) == 0:
         return np.zeros(ues.shape[0], dtype=float)
+    act = _activity(len(interferer_positions), activity)
+    # Accumulate interferers in ascending index order, term for term
+    # like the scalar :func:`sinr_db` reference.
+    interf_mw = np.zeros(ues.shape[0], dtype=float)
+    for a, pos in zip(act, interferer_positions):
+        rx_dbm = channel.link.rx_power_dbm(channel.path_loss_to_many(pos, ues))
+        interf_mw += a * 10.0 ** (rx_dbm / 10.0)
     noise_mw = 10.0 ** (channel.link.noise_floor_dbm / 10.0)
-    interf_mw = channel.interference_mw(ues, interferer_positions, activity)
     return 10.0 * np.log10((noise_mw + interf_mw) / noise_mw)

@@ -18,20 +18,20 @@ so estimated REMs can in principle converge to the truth — exactly the
 premise of a measurement-driven system like SkyRAN.
 
 Because every figure funnels through this oracle, the map path is
-batch-first: :meth:`path_loss_maps` computes whole ``(n_ue, ny, nx)``
-stacks in chunked vectorized batches over the UE axis, memoizes per-UE
-maps in an LRU cache keyed on (altitude, grid, UE position) — so UE
-mobility only invalidates the maps of UEs that actually moved — and
-can optionally fan the per-UE work out over a process pool
-(``REPRO_NUM_WORKERS``; serial by default so results stay reproducible
-run-to-run on any machine).
+batch-first: one chunked kernel traces rays for whole groups of UEs at
+once, band by band over the grid rows.  :meth:`path_loss_maps` runs it
+with one band spanning every row and memoizes per-UE maps in an LRU
+cache keyed on (altitude, grid, UE position) — so UE mobility only
+invalidates the maps of UEs that actually moved — while
+:meth:`iter_snr_map_tiles` streams its bands to O(grid) folds.  The
+oracle runs in process; parallelism lives one level up, in the
+experiment runner's process pool.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,37 +45,9 @@ from repro.geo.grid import GridSpec
 from repro.perf import perf
 from repro.terrain.heightmap import Terrain
 
-#: Environment knob for the default process-pool width of the map
-#: oracle.  1 (or unset) keeps everything serial.
-NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
-
 #: Peak ray budget per UE-axis chunk of the batched map kernel (the
 #: ray tracer further chunks by sample count internally).
 _MAP_CHUNK_RAYS = 2_000_000
-
-
-def default_num_workers() -> int:
-    """Worker count from ``REPRO_NUM_WORKERS`` (serial when unset)."""
-    try:
-        return max(1, int(os.environ.get(NUM_WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-# -- process-pool plumbing (module level so it pickles) -------------------------
-
-_WORKER_MODEL: Optional["ChannelModel"] = None
-
-
-def _map_worker_init(model: "ChannelModel") -> None:
-    global _WORKER_MODEL
-    _WORKER_MODEL = model
-
-
-def _map_worker(args: tuple) -> np.ndarray:
-    ue, altitude, grid = args
-    assert _WORKER_MODEL is not None
-    return _WORKER_MODEL._compute_path_loss_maps([ue], altitude, grid)[0]
 
 
 @dataclass
@@ -271,7 +243,7 @@ class ChannelModel:
         """Mean SNR map over the grid at ``altitude`` for one UE."""
         return self.link.snr_db(self.path_loss_map(ue_xyz, altitude, grid))
 
-    # -- batched / cached / parallel map oracle -----------------------------------
+    # -- batched / cached / streamed map oracle -----------------------------------
 
     def _map_key(self, kind: str, ue: np.ndarray, altitude: float, g: GridSpec) -> tuple:
         return (
@@ -303,25 +275,19 @@ class ChannelModel:
         altitude: float,
         grid: Optional[GridSpec] = None,
         *,
-        workers: Optional[int] = None,
         use_cache: bool = True,
     ) -> np.ndarray:
         """Mean path loss maps for many UEs, stacked ``(n_ue, ny, nx)``.
 
-        The multi-UE kernel: rays for whole groups of UEs are traced in
-        chunked vectorized batches over the UE axis (one terrain gather
-        per chunk) instead of one Python-level map loop per UE, per-UE
-        results are memoized in the LRU oracle cache, and cache misses
-        can optionally be computed by a process pool (``workers`` /
-        ``REPRO_NUM_WORKERS``; the default 1 keeps everything in
-        process).  Serial, parallel and cached paths all produce
-        identical maps.
+        Per-UE maps are memoized in the LRU oracle cache; the cache
+        misses run through the chunked map kernel in one band spanning
+        every grid row, so whole groups of UEs share one ray-trace call
+        instead of one Python-level map loop per UE.  Cached and
+        computed maps are identical.
         """
         g = grid or self.terrain.grid
         ues = [np.asarray(u, dtype=float).reshape(3) for u in ue_positions]
         out = np.empty((len(ues),) + g.shape, dtype=float)
-        if not ues:
-            return out
         missing: List[int] = []
         for i, ue in enumerate(ues):
             cached = (
@@ -333,20 +299,17 @@ class ChannelModel:
                 out[i] = cached
             else:
                 missing.append(i)
-        if missing:
-            n_workers = default_num_workers() if workers is None else max(1, workers)
-            missing_ues = [ues[i] for i in missing]
-            with perf.span("oracle.path_loss_maps"):
-                if n_workers > 1 and len(missing_ues) > 1:
-                    maps = self._parallel_path_loss_maps(
-                        missing_ues, altitude, g, n_workers
-                    )
-                else:
-                    maps = self._compute_path_loss_maps(missing_ues, altitude, g)
-            for i, m in zip(missing, maps):
-                out[i] = m
-                if use_cache:
-                    self._map_cache_put(self._map_key("pl", ues[i], altitude, g), m)
+        if not missing:
+            return out
+        with perf.span("oracle.path_loss_maps"):
+            tiles = self._path_loss_tiles(
+                [ues[i] for i in missing], altitude, g, tile_rows=g.ny
+            )
+            for ue_sl, _rows, block in tiles:
+                for i, m in zip(missing[ue_sl], block):
+                    out[i] = m
+                    if use_cache:
+                        self._map_cache_put(self._map_key("pl", ues[i], altitude, g), m)
         return out
 
     def snr_maps(
@@ -355,19 +318,14 @@ class ChannelModel:
         altitude: float,
         grid: Optional[GridSpec] = None,
         *,
-        workers: Optional[int] = None,
         use_cache: bool = True,
     ) -> np.ndarray:
         """Mean SNR maps for many UEs, stacked ``(n_ue, ny, nx)``."""
         return self.link.snr_db(
-            self.path_loss_maps(
-                ue_positions, altitude, grid, workers=workers, use_cache=use_cache
-            )
+            self.path_loss_maps(ue_positions, altitude, grid, use_cache=use_cache)
         )
 
-    # -- tile-streamed map oracle --------------------------------------------------
-
-    def iter_path_loss_map_tiles(
+    def iter_snr_map_tiles(
         self,
         ue_positions: Sequence,
         altitude: float,
@@ -376,22 +334,21 @@ class ChannelModel:
         tile_rows: int = 64,
         ue_chunk: Optional[int] = None,
     ):
-        """Stream path-loss maps as ``(ue_slice, row_slice, block)`` tiles.
+        """Stream SNR maps as ``(ue_slice, row_slice, block)`` tiles.
 
         Yields blocks of shape ``(k, rows, nx)`` covering ``tile_rows``
         grid rows for ``k`` UEs at a time, so a consumer folding tiles
         as they arrive holds O(tile) memory instead of the full
         ``(n_ue, ny, nx)`` stack.  Every cell value is **bit-identical**
-        to the materialized :meth:`path_loss_maps` path: the ray
-        tracer's per-ray sampling does not depend on batch composition,
-        and the shadowing/FSPL terms are per-point lookups, so
-        restricting the computation to a band of rows changes nothing
-        per cell.
+        to :meth:`snr_maps`: the ray tracer's per-ray sampling does not
+        depend on batch composition, and the shadowing/FSPL terms are
+        per-point lookups, so restricting the computation to a band of
+        rows changes nothing per cell.
 
-        ``ue_chunk`` defaults to the same ray budget the materialized
-        kernel uses, applied per band.  Tiles are yielded band-major
-        (all UE chunks of one band before the next band) so row-wise
-        folds touch each output row over a contiguous stretch.
+        ``ue_chunk`` defaults to the kernel's ray budget, applied per
+        band.  Tiles are yielded band-major (all UE chunks of one band
+        before the next band) so row-wise folds touch each output row
+        over a contiguous stretch.
         """
         if tile_rows < 1:
             raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
@@ -399,8 +356,28 @@ class ChannelModel:
             raise ValueError(f"ue_chunk must be >= 1, got {ue_chunk}")
         g = grid or self.terrain.grid
         ues = [np.asarray(u, dtype=float).reshape(3) for u in ue_positions]
-        if not ues:
-            return
+        for ue_sl, row_sl, block in self._path_loss_tiles(
+            ues, altitude, g, tile_rows=tile_rows, ue_chunk=ue_chunk
+        ):
+            perf.count("oracle.map_tiles_yielded")
+            yield ue_sl, row_sl, self.link.snr_db(block)
+
+    def _path_loss_tiles(
+        self,
+        ues: List[np.ndarray],
+        altitude: float,
+        g: GridSpec,
+        *,
+        tile_rows: int,
+        ue_chunk: Optional[int] = None,
+    ):
+        """The chunked multi-UE map kernel, as path-loss tiles.
+
+        For each band of ``tile_rows`` grid rows, UEs are processed in
+        chunks along the UE axis sized so each ray batch stays within
+        :data:`_MAP_CHUNK_RAYS` (unless ``ue_chunk`` is given); within a
+        chunk one ray-trace call covers every (cell, UE) pair.
+        """
         ny, nx = g.shape
         centers = g.centers_flat()
         alt = float(altitude)
@@ -425,28 +402,7 @@ class ChannelModel:
                         block[j] = self._loss_from_obstructed(uav, ue, obs).reshape(
                             r1 - r0, nx
                         )
-                perf.count("oracle.map_tiles_yielded")
                 yield slice(lo, lo + k), slice(r0, r1), block
-
-    def iter_snr_map_tiles(
-        self,
-        ue_positions: Sequence,
-        altitude: float,
-        grid: Optional[GridSpec] = None,
-        *,
-        tile_rows: int = 64,
-        ue_chunk: Optional[int] = None,
-    ):
-        """Stream SNR maps as ``(ue_slice, row_slice, block)`` tiles.
-
-        The streamed counterpart of :meth:`snr_maps`; see
-        :meth:`iter_path_loss_map_tiles` for the tiling and exactness
-        contract.
-        """
-        for ue_sl, row_sl, block in self.iter_path_loss_map_tiles(
-            ue_positions, altitude, grid, tile_rows=tile_rows, ue_chunk=ue_chunk
-        ):
-            yield ue_sl, row_sl, self.link.snr_db(block)
 
     def path_loss_to_many(
         self, uav_xyz: np.ndarray, ue_positions: Sequence
@@ -494,175 +450,6 @@ class ChannelModel:
         if loss.shape[0] == 0:
             return loss
         return self.link.snr_db(loss)
-
-    # -- fleet SINR oracle ---------------------------------------------------------
-
-    def interference_mw(
-        self,
-        ue_positions: Sequence,
-        interferer_positions: Sequence,
-        activity: Optional[Sequence[float]] = None,
-    ) -> np.ndarray:
-        """Aggregate co-channel downlink interference per UE, in mW.
-
-        Sums the received power from every interfering transmitter at
-        every UE, scaled by per-interferer activity factors (fraction
-        of PRBs loaded; defaults to fully loaded — the conservative
-        busy-hour assumption).  The accumulation visits interferers in
-        ascending index order, matching the scalar reference in
-        :mod:`repro.channel.interference` term for term, so the batched
-        and loop paths agree bit for bit.
-        """
-        ues = np.atleast_2d(np.asarray(ue_positions, dtype=float))
-        interferers = [
-            np.asarray(p, dtype=float).reshape(3) for p in interferer_positions
-        ]
-        if activity is None:
-            act = np.ones(len(interferers))
-        else:
-            act = np.asarray(list(activity), dtype=float)
-            if act.shape != (len(interferers),):
-                raise ValueError(
-                    f"activity must have length {len(interferers)}, got {act.shape}"
-                )
-            if np.any((act < 0) | (act > 1)):
-                raise ValueError("activity factors must be in [0, 1]")
-        out = np.zeros(ues.shape[0], dtype=float)
-        for j, pos in enumerate(interferers):
-            rx_dbm = self.link.rx_power_dbm(self.path_loss_to_many(pos, ues))
-            out += act[j] * 10.0 ** (rx_dbm / 10.0)
-        return out
-
-    def sinr_maps(
-        self,
-        ue_positions: Sequence,
-        altitude: float,
-        grid: Optional[GridSpec] = None,
-        *,
-        interferer_positions: Sequence = (),
-        activity: Optional[Sequence[float]] = None,
-        workers: Optional[int] = None,
-        use_cache: bool = True,
-    ) -> np.ndarray:
-        """Per-UE SINR maps under fixed co-channel interferers, stacked.
-
-        For each grid cell the *serving* transmitter is hypothetically
-        placed at that cell (at ``altitude``); the ``interferer_positions``
-        are fixed 3D points (the rest of the fleet), so each UE's
-        interference-plus-noise denominator is a per-UE constant over
-        the candidate axis.  With no interferers this is **exactly**
-        :meth:`snr_maps` (same arithmetic, no round trip through mW),
-        which is what makes the 1-UAV fleet degenerate cleanly.
-        """
-        pl = self.path_loss_maps(
-            ue_positions, altitude, grid, workers=workers, use_cache=use_cache
-        )
-        if len(interferer_positions) == 0:
-            return self.link.snr_db(pl)
-        denom_db = self._sinr_denominator_db(
-            ue_positions, interferer_positions, activity
-        )
-        return self.link.rx_power_dbm(pl) - denom_db[:, None, None]
-
-    def iter_sinr_map_tiles(
-        self,
-        ue_positions: Sequence,
-        altitude: float,
-        grid: Optional[GridSpec] = None,
-        *,
-        interferer_positions: Sequence = (),
-        activity: Optional[Sequence[float]] = None,
-        tile_rows: int = 64,
-        ue_chunk: Optional[int] = None,
-    ):
-        """Stream SINR maps as ``(ue_slice, row_slice, block)`` tiles.
-
-        The streamed counterpart of :meth:`sinr_maps`, bit-identical to
-        it for every tiling: path-loss tiles carry exactly the
-        materialized values (the PR 6 contract), and the SINR
-        conversion — received power minus a per-UE
-        interference-plus-noise constant — is elementwise, so
-        restricting the computation to a band of rows changes nothing
-        per cell.  With no interferers it degrades to exactly
-        :meth:`iter_snr_map_tiles`.
-        """
-        if len(interferer_positions) == 0:
-            yield from self.iter_snr_map_tiles(
-                ue_positions, altitude, grid, tile_rows=tile_rows, ue_chunk=ue_chunk
-            )
-            return
-        denom_db = self._sinr_denominator_db(
-            ue_positions, interferer_positions, activity
-        )
-        for ue_sl, row_sl, block in self.iter_path_loss_map_tiles(
-            ue_positions, altitude, grid, tile_rows=tile_rows, ue_chunk=ue_chunk
-        ):
-            sinr = self.link.rx_power_dbm(block) - denom_db[ue_sl, None, None]
-            yield ue_sl, row_sl, sinr
-
-    def _sinr_denominator_db(
-        self,
-        ue_positions: Sequence,
-        interferer_positions: Sequence,
-        activity: Optional[Sequence[float]],
-    ) -> np.ndarray:
-        """Per-UE ``10·log10(noise + interference)`` in dBm."""
-        noise_mw = 10.0 ** (self.link.noise_floor_dbm / 10.0)
-        interf = self.interference_mw(ue_positions, interferer_positions, activity)
-        return 10.0 * np.log10(noise_mw + interf)
-
-    def _compute_path_loss_maps(
-        self, ues: Sequence[np.ndarray], altitude: float, g: GridSpec
-    ) -> np.ndarray:
-        """The vectorized multi-UE map kernel (no cache, no pool).
-
-        UEs are processed in chunks along the UE axis sized so each ray
-        batch stays within :data:`_MAP_CHUNK_RAYS`; within a chunk one
-        ray-trace call covers every (cell, UE) pair.
-        """
-        centers = g.centers_flat()
-        n_cells = len(centers)
-        alt = float(altitude)
-        uav = np.column_stack([centers, np.full(n_cells, alt)])
-        out = np.empty((len(ues),) + g.shape, dtype=float)
-        chunk = max(1, _MAP_CHUNK_RAYS // n_cells)
-        for lo in range(0, len(ues), chunk):
-            batch = ues[lo : lo + chunk]
-            k = len(batch)
-            tx = np.tile(uav, (k, 1))
-            rx = np.repeat(np.stack(batch), n_cells, axis=0)
-            obstructed = obstructed_lengths(self.terrain, tx, rx, self.ray_step_m)
-            for j, ue in enumerate(batch):
-                obs = obstructed[j * n_cells : (j + 1) * n_cells]
-                out[lo + j] = self._loss_from_obstructed(uav, ue, obs).reshape(g.shape)
-        return out
-
-    def _parallel_path_loss_maps(
-        self,
-        ues: Sequence[np.ndarray],
-        altitude: float,
-        g: GridSpec,
-        n_workers: int,
-    ) -> np.ndarray:
-        """Fan per-UE map computation out over a process pool.
-
-        Workers receive a cache-stripped copy of the model once (pool
-        initializer) and compute whole per-UE maps; results are
-        identical to the serial kernel because the per-ray sampling of
-        the tracer does not depend on batch composition.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        bare = replace(self, _shadow_cache={}, _map_cache=OrderedDict())
-        tasks = [(ue, float(altitude), g) for ue in ues]
-        perf.count("oracle.parallel_batches")
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(tasks)),
-            initializer=_map_worker_init,
-            initargs=(bare,),
-        ) as pool:
-            maps = list(pool.map(_map_worker, tasks))
-        return np.stack(maps)
 
     # -- FSPL priors --------------------------------------------------------------
 

@@ -37,10 +37,7 @@ from repro.geo.grid import GridSpec
 from repro.lte.linkadapt import OLLABank
 from repro.lte.throughput import PRB_PER_10MHZ, _THRESHOLDS, cqi_from_snr, throughput_mbps
 from repro.perf import perf
-from repro.rem.streaming import (
-    streamed_interference_max_min_placement,
-    streamed_max_min_placement,
-)
+from repro.rem.streaming import streamed_max_min_placement
 from repro.terrain.generators import make_terrain
 from repro.traffic.generators import BYTES_PER_TTI_PER_MBPS
 
@@ -132,16 +129,15 @@ class CityScenario:
             tiles = self.channel.iter_snr_map_tiles(
                 list(reps), self.altitude_m, self.eval_grid, tile_rows=tile_rows
             )
-            if not interferers:
-                return streamed_max_min_placement(
-                    self.eval_grid, tiles, self.altitude_m
+            if interferers:
+                penalty = interference_penalty_db(
+                    self.channel, list(reps), interferers, activity
                 )
-            penalty = interference_penalty_db(
-                self.channel, list(reps), interferers, activity
-            )
-            return streamed_interference_max_min_placement(
-                self.eval_grid, tiles, self.altitude_m, penalty
-            )
+                tiles = (
+                    (ue_sl, row_sl, block - penalty[ue_sl, None, None])
+                    for ue_sl, row_sl, block in tiles
+                )
+            return streamed_max_min_placement(self.eval_grid, tiles, self.altitude_m)
 
     # -- link adaptation ---------------------------------------------------------
 

@@ -22,9 +22,10 @@ first-class abstraction:
 * each cell then runs the standard single-UAV epoch inside its
   sector, followed by an interference-aware **joint placement**
   refinement that re-scores each cell's estimated REM stack by the
-  rise-over-thermal from the rest of the fleet (the
-  :func:`~repro.rem.streaming.streamed_interference_max_min_placement`
-  fold, reusing the PR 6 tile machinery);
+  rise-over-thermal from the rest of the fleet
+  (:func:`~repro.channel.interference.interference_penalty_db`
+  subtracted per UE before
+  :func:`~repro.core.placement.max_min_placement`);
 * frequency planning is a modular reuse factor
   (:func:`~repro.channel.interference.reuse_carriers`): cell ``i``
   transmits on carrier ``i % reuse_factor``, so ``reuse_factor=1`` is
@@ -56,6 +57,7 @@ from repro.channel.model import ChannelModel
 from repro.core.association import UNATTACHED, available_associations, make_association
 from repro.core.config import SkyRANConfig
 from repro.core.controller import EpochResult, SkyRANController
+from repro.core.placement import max_min_placement
 from repro.faults.injector import FaultInjector
 from repro.geo.grid import GridSpec
 from repro.geo.kmeans import kmeans
@@ -63,7 +65,6 @@ from repro.lte.enodeb import ENodeB
 from repro.lte.throughput import throughput_mbps
 from repro.lte.ue import UE
 from repro.perf import perf
-from repro.rem.streaming import streamed_interference_max_min_placement
 
 
 @dataclass(frozen=True)
@@ -485,12 +486,11 @@ class FleetController:
 
         Sequential best-response: each cell re-solves max–min placement
         over its own estimated SNR stack with every co-channel cell's
-        rise-over-thermal subtracted
-        (:func:`streamed_interference_max_min_placement`), then flies
-        there.  Earlier cells' refined positions feed later cells'
-        penalties — one pass of the usual coordinate-descent heuristic.
-        Skipped entirely when no two cells share a carrier, so the
-        degenerate 1-UAV fleet flies exactly the standalone
+        rise-over-thermal subtracted (:func:`interference_penalty_db`),
+        then flies there.  Earlier cells' refined positions feed later
+        cells' penalties — one pass of the usual coordinate-descent
+        heuristic.  Skipped entirely when no two cells share a carrier,
+        so the degenerate 1-UAV fleet flies exactly the standalone
         controller's path.
         """
         if not self._co_channel:
@@ -516,9 +516,8 @@ class FleetController:
                 act,
             )
             stack = np.stack([res.rem_maps[u] for u in ue_ids])
-            tiles = [(slice(0, len(ue_ids)), slice(0, stack.shape[1]), stack)]
-            placement = streamed_interference_max_min_placement(
-                self.rem_grid, tiles, res.altitude_m, penalty
+            placement = max_min_placement(
+                self.rem_grid, stack - penalty[:, None, None], res.altitude_m
             )
             move = ctrl.uav.goto(
                 placement.position.as_array(), ctrl.rng, faults=ctrl.faults

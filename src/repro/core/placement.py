@@ -51,12 +51,24 @@ def max_min_placement(
     """
     if len(rem_maps) == 0:
         raise ValueError("need at least one REM map")
-    mm = min_snr_map(rem_maps)
-    iy, ix = argmax_cell(mm)
+    return place_at_max(grid, min_snr_map(rem_maps), altitude)
+
+
+def place_at_max(
+    grid: GridSpec, min_map: np.ndarray, altitude: float
+) -> PlacementResult:
+    """The max-min decision on a folded min-SNR map: its argmax cell.
+
+    Shared by :func:`max_min_placement` and the streamed placement
+    folds in :mod:`repro.rem.streaming`, so every path breaks ties the
+    same way (first maximum in row-major order, non-finite cells
+    skipped).
+    """
+    iy, ix = argmax_cell(min_map)
     x, y = grid.center_of(ix, iy)
     return PlacementResult(
         position=Point3D(x, y, altitude),
-        min_snr_db=float(mm[iy, ix]),
+        min_snr_db=float(min_map[iy, ix]),
         cell=(iy, ix),
     )
 

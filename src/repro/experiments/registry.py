@@ -18,10 +18,11 @@ grid, point, aggregate)`` tuple — instead of hand-rolling its own
 :func:`run_experiment` is the one runner behind the ``python -m
 repro.experiments`` CLI, the legacy per-module ``run()`` functions and
 the smoke gates.  It fans grid points out over a process pool
-(``REPRO_NUM_WORKERS``, the same convention as the channel map
-oracle), shares the per-process channel-oracle LRU caches across
-points (see :func:`repro.experiments.common.scenario_for`), and
-memoizes completed points in the on-disk
+(``REPRO_NUM_WORKERS``; the only pool in the package — the channel
+map oracle runs in process), shares the per-process channel-oracle
+LRU caches across points (see
+:func:`repro.experiments.common.scenario_for`), and memoizes
+completed points in the on-disk
 :class:`~repro.experiments.artifacts.ArtifactStore` so re-runs are
 incremental.  Point records are always passed through a JSON round
 trip before aggregation, which is what makes a warm-cache re-run
@@ -30,6 +31,7 @@ bit-identical to a cold one.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -45,6 +47,10 @@ from repro.experiments.artifacts import (
     roundtrip,
 )
 from repro.perf import perf
+
+#: Environment knob for the default process-pool width of
+#: :func:`run_experiment`.  Unset keeps everything serial.
+NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
 
 #: Registration order is preserved; the CLI lists experiments in it.
 _EXPERIMENTS: Dict[str, "Experiment"] = {}
@@ -145,6 +151,24 @@ class ExperimentRun:
     perf_artifact_path: Optional[Path] = None
 
 
+def default_num_workers() -> int:
+    """Worker count from ``REPRO_NUM_WORKERS`` (serial when unset).
+
+    Anything but a positive integer raises ``ValueError`` rather than
+    quietly running serial.
+    """
+    raw = os.environ.get(NUM_WORKERS_ENV)
+    if raw is None:
+        return 1
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"{NUM_WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return n
+
+
 def run_experiment(
     experiment: "Experiment | str",
     quick: bool = True,
@@ -175,8 +199,6 @@ def run_experiment(
     force:
         Recompute every point even when cached.
     """
-    from repro.channel.model import default_num_workers
-
     if isinstance(experiment, str):
         exp = get_experiment(experiment)
         if exp is None:

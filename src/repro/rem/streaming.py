@@ -1,11 +1,12 @@
 """Streaming folds over map tiles.
 
 City-scale populations make the ``(n_ue, ny, nx)`` stack the memory
-bottleneck of every map consumer, but the aggregations the system
-actually needs — the min-SNR surface behind max–min placement, coverage
-counts, the aggregate REM — are all folds: they can consume the tiles
-of :meth:`~repro.channel.model.ChannelModel.iter_snr_map_tiles` as they
-arrive and keep only O(grid) state.
+bottleneck of every map consumer, but the min-SNR surface behind
+max–min placement is a fold: it can consume the tiles of
+:meth:`~repro.channel.model.ChannelModel.iter_snr_map_tiles` as they
+arrive and keep only O(grid) state.  The controller's
+uncertainty-discounted Step 8 folds interpolated REM bands the same
+way.
 
 Exactness
 ---------
@@ -13,14 +14,10 @@ Exactness
 Tiles carry a ``(ue_slice, row_slice, block)`` triple and each cell
 value is bit-identical to the materialized stack (the tile generator's
 contract), so the only question is whether the *fold* commutes with
-chunking:
-
-* ``min`` and integer counting are exact under any chunking — the
-  minimum of minima is the minimum, and both numpy's axis-0 reduce and
-  the chunked fold visit UEs in ascending index order;
-* float **sums** are exact only when each tile spans the full UE axis
-  (reassociating a float sum changes rounding), which is why
-  :func:`streamed_aggregate_rem` documents that caveat explicitly.
+chunking.  ``min`` does, under any chunking: the minimum of minima is
+the minimum, and NaN poisons a cell in both paths.  So does subtracting
+a per-UE constant from each tile first (the interference penalty of
+co-channel placement, ``block - penalty[ue_slice, None, None]``).
 """
 
 from __future__ import annotations
@@ -29,11 +26,13 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.placement import PlacementResult, uncertainty_penalty_db
+from repro.core.placement import (
+    PlacementResult,
+    place_at_max,
+    uncertainty_penalty_db,
+)
 from repro.geo.grid import GridSpec
-from repro.geo.points import Point3D
 from repro.perf import perf
-from repro.rem.aggregate import argmax_cell
 
 #: A streamed map tile: which UEs, which grid rows, and the
 #: ``(n_ue_chunk, n_rows, nx)`` block of values.
@@ -58,43 +57,6 @@ def streamed_min_snr_map(tiles: Iterable[Tile], shape: Tuple[int, int]) -> np.nd
     return out
 
 
-def streamed_coverage_counts(
-    tiles: Iterable[Tile], shape: Tuple[int, int], threshold_db: float
-) -> np.ndarray:
-    """Per-cell count of UEs whose map meets ``threshold_db``.
-
-    Integer accumulation, exact under any tiling; equals
-    ``(stack >= threshold_db).sum(axis=0)`` on the materialized stack.
-    """
-    out = np.zeros(shape, dtype=np.int64)
-    for _ue_sl, row_sl, block in tiles:
-        out[row_sl] += (block >= threshold_db).sum(axis=0)
-    return out
-
-
-def streamed_aggregate_rem(tiles: Iterable[Tile], shape: Tuple[int, int]) -> np.ndarray:
-    """Cell-wise NaN-ignoring sum over streamed per-UE map tiles.
-
-    Matches :func:`repro.rem.aggregate.aggregate_rem` bit-for-bit when
-    each tile spans the **full UE axis** (``ue_chunk >= n_ue``); with a
-    smaller UE chunk the float sum is reassociated, so agreement is
-    only up to rounding — prefer full-UE tiles when exactness matters.
-    """
-    out = np.zeros(shape, dtype=float)
-    all_nan = np.ones(shape, dtype=bool)
-    seen = False
-    for _ue_sl, row_sl, block in tiles:
-        seen = True
-        nan = np.isnan(block)
-        all_nan[row_sl] &= nan.all(axis=0)
-        with np.errstate(invalid="ignore"):
-            out[row_sl] += np.nansum(block, axis=0)
-    if not seen:
-        raise ValueError("need at least one tile (empty UE population?)")
-    out[all_nan] = np.nan
-    return out
-
-
 def streamed_max_min_placement(
     grid: GridSpec,
     tiles: Iterable[Tile],
@@ -109,49 +71,7 @@ def streamed_max_min_placement(
     chosen cell.
     """
     mm = streamed_min_snr_map(tiles, grid.shape)
-    iy, ix = argmax_cell(mm)
-    x, y = grid.center_of(ix, iy)
-    return PlacementResult(
-        position=Point3D(x, y, float(altitude)),
-        min_snr_db=float(mm[iy, ix]),
-        cell=(iy, ix),
-    )
-
-
-def streamed_interference_max_min_placement(
-    grid: GridSpec,
-    tiles: Iterable[Tile],
-    altitude: float,
-    penalty_db: np.ndarray,
-) -> PlacementResult:
-    """Interference-aware max–min placement folded from SNR tiles.
-
-    Joint fleet placement re-scores a cell's candidate SNR map by each
-    UE's rise-over-thermal from the *other* cells of the fleet
-    (:func:`repro.channel.interference.interference_penalty_db`):
-    ``SINR ≈ SNR - penalty``, a per-UE constant over the candidate
-    axis.  Because the penalty is constant per UE, subtracting it
-    inside the fold commutes with any tiling — the result is
-    bit-identical to materializing ``stack - penalty[:, None, None]``
-    and reducing, so the PR 6 tile machinery (O(grid) peak memory) is
-    reused unchanged.  ``penalty_db`` must align with the tile
-    source's UE axis; all-zero penalties recover
-    :func:`streamed_max_min_placement` exactly.
-    """
-    penalty_db = np.asarray(penalty_db, dtype=float)
-
-    def penalized() -> Iterable[Tile]:
-        for ue_sl, row_sl, block in tiles:
-            yield ue_sl, row_sl, block - penalty_db[ue_sl, None, None]
-
-    mm = streamed_min_snr_map(penalized(), grid.shape)
-    iy, ix = argmax_cell(mm)
-    x, y = grid.center_of(ix, iy)
-    return PlacementResult(
-        position=Point3D(x, y, float(altitude)),
-        min_snr_db=float(mm[iy, ix]),
-        cell=(iy, ix),
-    )
+    return place_at_max(grid, mm, float(altitude))
 
 
 def interpolate_tile(
@@ -289,11 +209,4 @@ def streamed_discounted_max_min_placement(
         row_slices=row_slices,
         collect_maps=collect_maps,
     )
-    iy, ix = argmax_cell(mm)
-    x, y = grid.center_of(ix, iy)
-    placement = PlacementResult(
-        position=Point3D(x, y, float(altitude)),
-        min_snr_db=float(mm[iy, ix]),
-        cell=(iy, ix),
-    )
-    return placement, maps
+    return place_at_max(grid, mm, float(altitude)), maps

@@ -224,7 +224,6 @@ class Scenario:
         self,
         altitude: float,
         grid: Optional[GridSpec] = None,
-        workers: Optional[int] = None,
     ) -> np.ndarray:
         """Ground-truth SNR maps, ``(n_ue, ny, nx)``, cached.
 
@@ -241,7 +240,7 @@ class Scenario:
         key = (round(altitude, 2), g, pos_key)
         if key not in self._truth_cache:
             self._truth_cache[key] = ground_truth_stack(
-                self.channel, self.ue_positions(), altitude, g, workers=workers
+                self.channel, self.ue_positions(), altitude, g
             )
             while len(self._truth_cache) > self._TRUTH_CACHE_MAX:
                 self._truth_cache.pop(next(iter(self._truth_cache)))

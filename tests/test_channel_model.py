@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.channel.fspl import fspl_db
-from repro.channel.groundtruth import ground_truth_rem, ground_truth_stack
+from repro.channel.groundtruth import ground_truth_stack
 from repro.channel.linkbudget import LinkBudget
 from repro.channel.model import ChannelModel
 
@@ -101,7 +101,7 @@ class TestGroundTruth:
 
     def test_single_matches_stack(self, flat_channel):
         ue = np.array([20.0, 20.0, 1.5])
-        single = ground_truth_rem(flat_channel, ue, 50.0)
+        single = flat_channel.snr_map(ue, 50.0)
         stack = ground_truth_stack(flat_channel, [ue], 50.0)
         np.testing.assert_allclose(single, stack[0])
 

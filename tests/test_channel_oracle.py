@@ -1,9 +1,9 @@
 """Golden-equivalence and structural tests for the batched map oracle.
 
-The batched/cached/parallel :meth:`ChannelModel.path_loss_maps` oracle
-must produce exactly the maps the direct serial per-UE reference
+The batched/cached :meth:`ChannelModel.path_loss_maps` oracle must
+produce exactly the maps the direct serial per-UE reference
 (:meth:`ChannelModel.path_loss_map`) produces — bit-identical, across
-terrains, altitudes, chunk boundaries and worker counts.  The perf
+terrains, altitudes and chunk boundaries.  The perf
 counters additionally pin structural properties the timings cannot:
 one ray trace per sample batch, cache hits on re-query, and recompute
 limited to UEs that actually moved.
@@ -83,7 +83,7 @@ def test_results_invariant_to_chunk_boundaries(box_channel, monkeypatch):
 def test_obstructed_lengths_batch_invariant(box_channel):
     # A ray's result must not depend on what else is in the batch
     # (per-ray bucketed sampling) — the property that makes chunked,
-    # cached and parallel paths interchangeable.
+    # cached and tiled paths interchangeable.
     terrain = box_channel.terrain
     rng = np.random.default_rng(3)
     tx = np.column_stack(
@@ -93,13 +93,6 @@ def test_obstructed_lengths_batch_invariant(box_channel):
     full = obstructed_lengths(terrain, tx, ue)
     for sl in (slice(0, 1), slice(3, 7), slice(10, 16)):
         np.testing.assert_array_equal(obstructed_lengths(terrain, tx[sl], ue), full[sl])
-
-
-def test_parallel_workers_match_serial(box_channel):
-    ues = _ues_on(box_channel.terrain, n=3)
-    serial = box_channel.path_loss_maps(ues, 60.0, use_cache=False)
-    parallel = box_channel.path_loss_maps(ues, 60.0, use_cache=False, workers=2)
-    np.testing.assert_array_equal(parallel, serial)
 
 
 def test_ground_truth_stack_matches_per_ue_snr_maps(box_channel):

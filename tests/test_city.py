@@ -279,18 +279,35 @@ def test_city_epoch_runs_and_is_shard_invariant(city):
     )
 
 
-def test_city_placement_matches_materialized_max_min(city):
-    """Streamed placement over REM reps == materialized max–min placement."""
+@pytest.mark.parametrize(
+    "interferer_positions",
+    [
+        pytest.param([], id="no_interferers"),
+        pytest.param([np.array([150.0, 150.0, 60.0])], id="one_co_channel_uav"),
+    ],
+)
+def test_city_placement_matches_materialized_max_min(city, interferer_positions):
+    """Streamed placement over REM reps == materialized max–min placement.
+
+    With a co-channel UAV the streamed fold debits each tile by the
+    per-UE interference penalty; the reference subtracts it from the
+    materialized stack.
+    """
+    from repro.channel.interference import interference_penalty_db
     from repro.core.placement import max_min_placement
 
     _keys, reps, _inv = city.population.unique_rem_cells()
-    placed = city.place(tile_rows=5)
+    placed = city.place(tile_rows=5, interferer_positions=interferer_positions)
     stack = city.channel.snr_maps(
         list(reps), city.altitude_m, city.eval_grid, use_cache=False
     )
-    reference = max_min_placement(city.eval_grid, list(stack), city.altitude_m)
+    penalty = interference_penalty_db(city.channel, list(reps), interferer_positions)
+    reference = max_min_placement(
+        city.eval_grid, list(stack - penalty[:, None, None]), city.altitude_m
+    )
     assert placed.cell == reference.cell
     assert placed.min_snr_db == reference.min_snr_db
+    assert placed.position == reference.position
 
 
 def test_serving_snr_matches_per_ue_channel(city):

@@ -138,6 +138,30 @@ class TestArtifactCache:
         )
 
 
+class TestNumWorkersEnv:
+    def test_unset_is_serial_and_an_integer_is_the_width(self, monkeypatch):
+        from repro.experiments.registry import NUM_WORKERS_ENV, default_num_workers
+
+        monkeypatch.delenv(NUM_WORKERS_ENV, raising=False)
+        assert default_num_workers() == 1
+        monkeypatch.setenv(NUM_WORKERS_ENV, "3")
+        assert default_num_workers() == 3
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_value_fails_loudly(self, monkeypatch, value):
+        from repro.experiments.registry import (
+            NUM_WORKERS_ENV,
+            default_num_workers,
+            run_experiment,
+        )
+
+        monkeypatch.setenv(NUM_WORKERS_ENV, value)
+        with pytest.raises(ValueError, match=f"REPRO_NUM_WORKERS.*{value!r}"):
+            default_num_workers()
+        with pytest.raises(ValueError, match="REPRO_NUM_WORKERS"):
+            run_experiment("fig7", quick=True)
+
+
 class TestCLI:
     def test_list(self, capsys):
         assert cli_main(["list"]) == 0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel.interference import sinr_db_from_rx_stack
+from repro.channel.interference import interference_penalty_db, sinr_db_from_rx_stack
 from repro.channel.linkbudget import LinkBudget
 from repro.core.association import (
     UNATTACHED,
@@ -83,10 +83,12 @@ class TestHandoverHysteresis:
         assert {"best_sinr", "sticky", "load_aware"} <= set(names)
 
 
-# -- streamed SINR tiles vs the materialized stack -----------------------------
+# -- penalised SNR tiles (SINR ~ SNR - penalty) vs the materialized stack ------
 
 
 class TestSinrTiles:
+    """The co-channel placement fold: SNR minus a per-UE penalty."""
+
     @pytest.fixture(scope="class")
     def world(self):
         scenario = Scenario.create("campus", n_ues=3, cell_size=4.0, seed=21)
@@ -102,39 +104,33 @@ class TestSinrTiles:
         scenario, interferers = world
         ues = scenario.ue_positions()
         grid = scenario.eval_grid
-        stack = scenario.channel.sinr_maps(
-            ues, 60.0, grid, interferer_positions=interferers
-        )
+        penalty = interference_penalty_db(scenario.channel, ues, interferers)
+        stack = scenario.channel.snr_maps(ues, 60.0, grid) - penalty[:, None, None]
         assembled = np.full_like(stack, np.nan)
-        for ue_sl, row_sl, block in scenario.channel.iter_sinr_map_tiles(
-            ues,
-            60.0,
-            grid,
-            interferer_positions=interferers,
-            tile_rows=tile_rows,
-            ue_chunk=ue_chunk,
+        for ue_sl, row_sl, block in scenario.channel.iter_snr_map_tiles(
+            ues, 60.0, grid, tile_rows=tile_rows, ue_chunk=ue_chunk
         ):
-            assembled[ue_sl, row_sl] = block
+            assembled[ue_sl, row_sl] = block - penalty[ue_sl, None, None]
         assert not np.isnan(assembled).any()
         assert np.array_equal(assembled, stack)
 
     def test_no_interferers_is_exactly_snr(self, world):
         scenario, _ = world
         ues = scenario.ue_positions()
-        grid = scenario.eval_grid
-        sinr = scenario.channel.sinr_maps(ues, 60.0, grid)
-        snr = scenario.channel.snr_maps(ues, 60.0, grid)
-        assert np.array_equal(sinr, snr)
+        penalty = interference_penalty_db(scenario.channel, ues, [])
+        assert np.array_equal(penalty, np.zeros(len(ues)))
+        snr = scenario.channel.snr_maps(ues, 60.0, scenario.eval_grid)
+        assert np.array_equal(snr - penalty[:, None, None], snr)
 
     def test_interference_only_costs(self, world):
         scenario, interferers = world
         ues = scenario.ue_positions()
-        grid = scenario.eval_grid
-        sinr = scenario.channel.sinr_maps(
-            ues, 60.0, grid, interferer_positions=interferers
+        penalty = interference_penalty_db(scenario.channel, ues, interferers)
+        assert (penalty > 0.0).all()
+        half = interference_penalty_db(
+            scenario.channel, ues, interferers, activity=[0.5, 0.5]
         )
-        snr = scenario.channel.snr_maps(ues, 60.0, grid)
-        assert (sinr <= snr + 1e-12).all()
+        assert (half < penalty).all()
 
 
 # -- cell-order invariance -----------------------------------------------------

@@ -4,9 +4,9 @@ The streaming contract is *bit*-identity, not closeness: each streamed
 tile must carry exactly the values of the corresponding slab of the
 materialized ``(n_ue, ny, nx)`` stack, for every tiling — including
 row counts that do not divide the grid height and UE chunks that do
-not divide the population.  The folds (min, counts, placement) must
-then commute with the tiling, and the IDW row-band interpolation must
-equal the sliced full interpolation.
+not divide the population.  The folds (min, placement) must then
+commute with the tiling, and the IDW row-band interpolation must equal
+the sliced full interpolation.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel.groundtruth import ground_truth_stack, iter_ground_truth_tiles
+from repro.channel.groundtruth import ground_truth_stack
 from repro.core.placement import max_min_placement, uncertainty_penalty_db
 from repro.geo.grid import GridSpec
-from repro.rem.aggregate import aggregate_rem, min_snr_map
+from repro.rem.aggregate import min_snr_map
 from repro.rem.idw import idw_interpolate, idw_interpolate_rows
 from repro.rem.interpolate import (
     IDWInterpolator,
@@ -30,8 +30,6 @@ from repro.rem.map import REM
 from repro.rem.streaming import (
     interpolate_tile,
     row_bands,
-    streamed_aggregate_rem,
-    streamed_coverage_counts,
     streamed_discounted_max_min_placement,
     streamed_discounted_min_map,
     streamed_max_min_placement,
@@ -81,7 +79,7 @@ def test_snr_tiles_bit_identical_to_snr_maps(box_channel, ues, tile_rows, ue_chu
 
 def test_ground_truth_tiles_match_stack(box_channel, ues):
     stack = ground_truth_stack(box_channel, ues, ALTITUDE, use_cache=False)
-    tiles = iter_ground_truth_tiles(box_channel, ues, ALTITUDE, tile_rows=9)
+    tiles = box_channel.iter_snr_map_tiles(ues, ALTITUDE, tile_rows=9)
     rebuilt = _reassemble(tiles, len(ues), box_channel.terrain.grid.shape)
     assert np.array_equal(rebuilt, stack)
 
@@ -130,36 +128,9 @@ def test_streamed_min_map_and_placement(box_channel, ues, tile_rows, ue_chunk):
     )
 
 
-def test_streamed_coverage_counts(box_channel, ues):
-    grid = box_channel.terrain.grid
-    stack = box_channel.snr_maps(ues, ALTITUDE, use_cache=False)
-    threshold = float(np.median(stack))
-    counts = streamed_coverage_counts(
-        box_channel.iter_snr_map_tiles(ues, ALTITUDE, tile_rows=13, ue_chunk=2),
-        grid.shape,
-        threshold,
-    )
-    assert np.array_equal(counts, (stack >= threshold).sum(axis=0))
-
-
-def test_streamed_aggregate_rem_exact_with_full_ue_tiles(box_channel, ues):
-    """Full-UE tiles keep the float sum's association: bit-identical."""
-    grid = box_channel.terrain.grid
-    stack = box_channel.snr_maps(ues, ALTITUDE, use_cache=False)
-    agg = streamed_aggregate_rem(
-        box_channel.iter_snr_map_tiles(
-            ues, ALTITUDE, tile_rows=13, ue_chunk=len(ues)
-        ),
-        grid.shape,
-    )
-    assert np.array_equal(agg, aggregate_rem(stack))
-
-
 def test_streamed_folds_reject_empty():
     with pytest.raises(ValueError, match="at least one tile"):
         streamed_min_snr_map(iter([]), (4, 4))
-    with pytest.raises(ValueError, match="at least one tile"):
-        streamed_aggregate_rem(iter([]), (4, 4))
 
 
 def test_streamed_min_map_nan_poisons_cell():
