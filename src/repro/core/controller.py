@@ -37,7 +37,7 @@ from repro.lte.ue import UE
 from repro.perf import perf
 from repro.rem.aggregate import aggregate_rem_running
 from repro.rem.interpolate import make_interpolator
-from repro.rem.streaming import streamed_discounted_max_min_placement
+from repro.rem.streaming import shared_by_mask, streamed_discounted_max_min_placement
 from repro.traffic.simulate import MACBatchResult, MACSimulation
 from repro.trajectory.information import TrajectoryHistory
 from repro.trajectory.random_flight import random_flight
@@ -506,14 +506,19 @@ class SkyRANController:
         (:meth:`_rem_groups`), so city-scale populations cost O(groups)
         REM state and O(grid) map state instead of O(n_ue) of each:
 
-        * one REM is looked up / seeded / measured *per group*;
+        * *per group*: one REM looked up / seeded / measured, and the
+          weighted IDW sums of its Step-6 and Step-8 maps;
+        * *per measured mask* (:func:`shared_by_mask` — the groups of
+          one flight share one): the IDW neighbour plan of each row
+          band and the Step-8 uncertainty penalty;
+        * *per flown tour*: the candidate's Step-6.4 distance, however
+          many group keys recorded the tour
+          (:meth:`TrajectoryHistory.mean_gain`);
         * planning consumes a running aggregate
           (:func:`repro.rem.aggregate.aggregate_rem_running`) of the
-          per-UE map references (group maps repeated per member, in
-          sorted-UE order) instead of a per-UE map list;
-        * placement streams row-bands through
-          :func:`streamed_discounted_max_min_placement`
-          — the per-UE map stack is never materialized.
+          per-UE map references, and placement streams row bands
+          through :func:`streamed_discounted_max_min_placement` — the
+          per-UE map stack is never materialized.
 
         With the default ``config.rem_key_pitch_m=None`` every group is
         a singleton and the epoch is the paper's per-UE pipeline.
@@ -553,8 +558,8 @@ class SkyRANController:
         # Step 6: plan over the running per-UE aggregate (group maps
         # broadcast to members) and the dedup waypoints.
         group_maps = {
-            rep: rems[rep].interpolated(method=self.interpolator)
-            for rep in sorted(rems)
+            rep: rem.interpolated(method=self.interpolator, plans=shared)
+            for rep, (rem, shared) in zip(rems, shared_by_mask(rems.values()))
         }
         agg = aggregate_rem_running(
             (group_maps[rep_of[ue_id]] for ue_id in sorted(estimates)),

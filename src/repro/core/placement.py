@@ -78,7 +78,7 @@ def uncertainty_penalty_db(
     measured_mask: np.ndarray,
     rate_db_per_m: float,
     cap_db: float,
-    rows: Optional[slice] = None,
+    rows: slice = slice(None),
 ) -> Optional[np.ndarray]:
     """Distance-to-nearest-measurement placement discount (capped).
 
@@ -103,15 +103,9 @@ def uncertainty_penalty_db(
 
     centers = grid.centers_flat()
     tree = cKDTree(centers[mask])
-    if rows is None:
-        query = centers
-        shape = grid.shape
-    else:
-        band = centers.reshape(grid.ny, grid.nx, 2)[rows]
-        shape = band.shape[:2]
-        query = band.reshape(-1, 2)
-    d, _ = tree.query(query)
-    return np.minimum(rate_db_per_m * d, cap_db).reshape(shape)
+    band = centers.reshape(grid.ny, grid.nx, 2)[rows]
+    d, _ = tree.query(band.reshape(-1, 2))
+    return np.minimum(rate_db_per_m * d, cap_db).reshape(band.shape[:2])
 
 
 def find_optimal_altitude(

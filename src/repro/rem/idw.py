@@ -8,6 +8,10 @@ inverse distance between cell centers, per Section 3.3.3.
 Implementation: a KD-tree query for the ``k`` nearest measured cells of
 every unmeasured cell, then the weighted mean.  Exact-hit cells keep
 their measured value.
+
+All but the weighted mean depends only on *which* cells are measured:
+that part is a neighbour plan, which maps sharing a measured mask can
+share (``plans``), each then paying only for its own weighted sums.
 """
 
 from __future__ import annotations
@@ -20,81 +24,38 @@ from scipy.spatial import cKDTree
 from repro.geo.grid import GridSpec
 
 
-def idw_interpolate(
+def _neighbour_plan(
     grid: GridSpec,
-    values: np.ndarray,
-    power: float = 2.0,
-    k_neighbors: int = 12,
-    max_distance_m: Optional[float] = None,
-    fallback: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Fill the NaN cells of a map by IDW from its measured cells.
+    measured: np.ndarray,
+    rows: slice,
+    power: float,
+    k_neighbors: int,
+    max_distance_m: Optional[float],
+) -> tuple:
+    """``(missing, idx, weights, wsum, too_far)`` for one row band.
 
-    Parameters
-    ----------
-    grid:
-        Grid the map lies over.
-    values:
-        ``(ny, nx)`` array; NaN marks unmeasured cells.
-    power:
-        Distance exponent (2 = paper's inverse-square weights).
-    k_neighbors:
-        Number of nearest measured cells contributing to each estimate.
-    max_distance_m:
-        If set, cells farther than this from every measurement are not
-        extrapolated; they take ``fallback`` (or stay NaN).
-    fallback:
-        Optional full map of prior values (e.g. an FSPL seed) used
-        where IDW declines to extrapolate or no measurements exist.
-
-    Returns
-    -------
-    ``(ny, nx)`` interpolated map.
+    ``idx`` holds flat grid indices of each missing cell's neighbours;
+    it (and everything after it) is None when the band has nothing to
+    estimate or nothing is measured.
     """
-    if power <= 0:
-        raise ValueError(f"power must be positive, got {power}")
-    if k_neighbors < 1:
-        raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
-
-    out = values.copy()
-    measured = ~np.isnan(values)
-    missing = ~measured
-    if not missing.any():
-        return out
-    if not measured.any():
-        if fallback is not None:
-            return np.asarray(fallback, dtype=float).copy()
-        return out
-
+    missing = ~measured[rows]
+    if not missing.any() or not measured.any():
+        return missing, None, None, None, None
     centers = grid.centers_flat()  # row-major (iy, ix) order
     measured_flat = measured.ravel()
     tree = cKDTree(centers[measured_flat])
-    measured_vals = values.ravel()[measured_flat]
-
-    query_pts = centers[missing.ravel()]
+    band = centers.reshape(grid.ny, grid.nx, 2)[rows].reshape(-1, 2)
     k = min(k_neighbors, int(measured_flat.sum()))
-    dist, idx = tree.query(query_pts, k=k)
+    dist, idx = tree.query(band[missing.ravel()], k=k)
     dist = np.atleast_2d(dist.T).T if dist.ndim == 1 else dist
     idx = np.atleast_2d(idx.T).T if idx.ndim == 1 else idx
 
     # Guard exact hits (shouldn't happen for NaN cells, but cheap).
     dist = np.maximum(dist, 1e-9)
     weights = 1.0 / dist**power
-    est = np.sum(weights * measured_vals[idx], axis=1) / np.sum(weights, axis=1)
-
-    if max_distance_m is not None:
-        too_far = dist[:, 0] > max_distance_m
-        if fallback is not None:
-            fb = np.asarray(fallback, dtype=float).ravel()[missing.ravel()]
-            est[too_far] = fb[too_far]
-        else:
-            est[too_far] = np.nan
-
-    out[missing] = est
-    return out
+    too_far = None if max_distance_m is None else dist[:, 0] > max_distance_m
+    idx = np.flatnonzero(measured_flat)[idx]
+    return missing, idx, weights, np.sum(weights, axis=1), too_far
 
 
 def idw_interpolate_rows(
@@ -105,16 +66,42 @@ def idw_interpolate_rows(
     k_neighbors: int = 12,
     max_distance_m: Optional[float] = None,
     fallback: Optional[np.ndarray] = None,
+    plans: Optional[dict] = None,
 ) -> np.ndarray:
-    """One row-band of :func:`idw_interpolate`, bit-identical per cell.
+    """Fill the NaN cells of one row band of a map by IDW.
 
-    IDW estimates are per-cell k-NN queries against the *global* set of
-    measured cells, so restricting the query points to a band of rows
-    changes nothing per cell while the work and output drop to
-    O(band).  This is what lets city-scale REM consumers stream
-    interpolated maps tile-by-tile instead of materializing them.
+    Estimates are per-cell k-NN queries against the *global* set of
+    measured cells, so a band is bit-identical to slicing the full map
+    while the work and output drop to O(band) — what lets city-scale
+    REM consumers stream interpolated maps tile by tile.
 
-    Returns the ``(n_rows, nx)`` interpolated block for ``rows``.
+    Parameters
+    ----------
+    grid:
+        Grid the map lies over.
+    values:
+        ``(ny, nx)`` array; NaN marks unmeasured cells.
+    rows:
+        Row band to return (``slice(None)``: the whole map).
+    power:
+        Distance exponent (2 = paper's inverse-square weights).
+    k_neighbors:
+        Number of nearest measured cells contributing to each estimate.
+    max_distance_m:
+        If set, cells farther than this from every measurement are not
+        extrapolated; they take ``fallback`` (or stay NaN).
+    fallback:
+        Optional full map of prior values (e.g. an FSPL seed) used
+        where IDW declines to extrapolate or no measurements exist.
+    plans:
+        Optional dict owned by the caller (one fold over a set of
+        REMs): the neighbour plan of each (measured mask, band,
+        parameters) is built once and reused by every later map with
+        the same measured cells.  Bit-identical with or without it.
+
+    Returns
+    -------
+    ``(n_rows, nx)`` interpolated block for ``rows``.
     """
     if power <= 0:
         raise ValueError(f"power must be positive, got {power}")
@@ -124,40 +111,35 @@ def idw_interpolate_rows(
     if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
 
-    sub = values[rows]
-    out = sub.copy()
     measured = ~np.isnan(values)
-    missing_sub = np.isnan(sub)
-    if not missing_sub.any():
+    args = (grid, measured, rows, power, k_neighbors, max_distance_m)
+    if plans is None:
+        plan = _neighbour_plan(*args)
+    else:
+        key = (measured.tobytes(), rows.indices(grid.ny), power, k_neighbors, max_distance_m)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _neighbour_plan(*args)
+    missing, idx, weights, wsum, too_far = plan
+
+    out = values[rows].copy()
+    if not missing.any():
         return out
-    if not measured.any():
+    if idx is None:  # nothing measured
         if fallback is not None:
             return np.asarray(fallback, dtype=float)[rows].copy()
         return out
-
-    centers = grid.centers_flat()  # row-major (iy, ix) order
-    measured_flat = measured.ravel()
-    tree = cKDTree(centers[measured_flat])
-    measured_vals = values.ravel()[measured_flat]
-
-    band = centers.reshape(grid.ny, grid.nx, 2)[rows].reshape(-1, 2)
-    query_pts = band[missing_sub.ravel()]
-    k = min(k_neighbors, int(measured_flat.sum()))
-    dist, idx = tree.query(query_pts, k=k)
-    dist = np.atleast_2d(dist.T).T if dist.ndim == 1 else dist
-    idx = np.atleast_2d(idx.T).T if idx.ndim == 1 else idx
-
-    dist = np.maximum(dist, 1e-9)
-    weights = 1.0 / dist**power
-    est = np.sum(weights * measured_vals[idx], axis=1) / np.sum(weights, axis=1)
-
-    if max_distance_m is not None:
-        too_far = dist[:, 0] > max_distance_m
+    est = np.sum(weights * values.ravel()[idx], axis=1) / wsum
+    if too_far is not None:
         if fallback is not None:
-            fb = np.asarray(fallback, dtype=float)[rows].ravel()[missing_sub.ravel()]
+            fb = np.asarray(fallback, dtype=float)[rows].ravel()[missing.ravel()]
             est[too_far] = fb[too_far]
         else:
             est[too_far] = np.nan
-
-    out[missing_sub] = est
+    out[missing] = est
     return out
+
+
+def idw_interpolate(grid: GridSpec, values: np.ndarray, **kwargs) -> np.ndarray:
+    """The whole ``(ny, nx)`` map: :func:`idw_interpolate_rows` over all rows."""
+    return idw_interpolate_rows(grid, values, slice(None), **kwargs)

@@ -24,8 +24,8 @@ from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 import numpy as np
 
 from repro.geo.grid import GridSpec
-from repro.rem.idw import idw_interpolate, idw_interpolate_rows
-from repro.rem.kriging import kriging_interpolate, kriging_interpolate_rows
+from repro.rem.idw import idw_interpolate_rows
+from repro.rem.kriging import kriging_interpolate_rows
 
 
 @runtime_checkable
@@ -62,20 +62,9 @@ class IDWInterpolator:
     k_neighbors: int = 12
     max_distance_m: Optional[float] = None
 
-    def interpolate(
-        self,
-        grid: GridSpec,
-        values: np.ndarray,
-        measured_mask: Optional[np.ndarray] = None,
-        fallback: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        return idw_interpolate(
-            grid,
-            _masked_values(values, measured_mask),
-            power=self.power,
-            k_neighbors=self.k_neighbors,
-            max_distance_m=self.max_distance_m,
-            fallback=fallback,
+    def interpolate(self, grid, values, measured_mask=None, fallback=None, plans=None):
+        return self.interpolate_tile(
+            grid, values, slice(None), measured_mask, fallback, plans
         )
 
     def interpolate_tile(
@@ -85,13 +74,15 @@ class IDWInterpolator:
         rows: slice,
         measured_mask: Optional[np.ndarray] = None,
         fallback: Optional[np.ndarray] = None,
+        plans: Optional[dict] = None,
     ) -> np.ndarray:
         """One row-band of the interpolated map (O(band) work/output).
 
         Optional protocol extension consumed by
         :func:`repro.rem.streaming.interpolate_tile`; bit-identical to
         slicing :meth:`interpolate`'s result because IDW estimates are
-        independent per-cell k-NN queries.
+        independent per-cell k-NN queries.  ``plans`` shares neighbour
+        plans across maps (:func:`plan_kwargs`).
         """
         return idw_interpolate_rows(
             grid,
@@ -101,6 +92,7 @@ class IDWInterpolator:
             k_neighbors=self.k_neighbors,
             max_distance_m=self.max_distance_m,
             fallback=fallback,
+            plans=plans,
         )
 
 
@@ -111,20 +103,8 @@ class KrigingInterpolator:
     k_neighbors: int = 12
     variogram: Optional[Tuple[float, float, float]] = None
 
-    def interpolate(
-        self,
-        grid: GridSpec,
-        values: np.ndarray,
-        measured_mask: Optional[np.ndarray] = None,
-        fallback: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        return kriging_interpolate(
-            grid,
-            _masked_values(values, measured_mask),
-            k_neighbors=self.k_neighbors,
-            variogram=self.variogram,
-            fallback=fallback,
-        )
+    def interpolate(self, grid, values, measured_mask=None, fallback=None):
+        return self.interpolate_tile(grid, values, slice(None), measured_mask, fallback)
 
     def interpolate_tile(
         self,
@@ -150,6 +130,14 @@ class KrigingInterpolator:
             variogram=self.variogram,
             fallback=fallback,
         )
+
+
+def plan_kwargs(interpolator, plans: Optional[dict]) -> dict:
+    """``{"plans": plans}`` for IDW, the one interpolator that shares
+    neighbour plans; ``{}`` keeps kriging and custom ones per map."""
+    if plans is None or not isinstance(interpolator, IDWInterpolator):
+        return {}
+    return {"plans": plans}
 
 
 _REGISTRY: Dict[str, Callable[..., Interpolator]] = {}

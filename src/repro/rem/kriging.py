@@ -128,14 +128,21 @@ def _krige_points(
     return est
 
 
-def kriging_interpolate(
+def kriging_interpolate_rows(
     grid: GridSpec,
     values: np.ndarray,
+    rows: slice,
     k_neighbors: int = 12,
     variogram: Optional[tuple] = None,
     fallback: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Fill the NaN cells of a map by local ordinary kriging.
+    """Fill the NaN cells of one row band of a map by local ordinary kriging.
+
+    Local OK solves one ``(k+1)``-system per target cell against the
+    *global* measured set, and the variogram (given or fitted) depends
+    only on that global set — so a band is bit-identical to slicing the
+    full map while the work and output drop to O(band), letting the
+    streamed epoch pipeline keep kriging REMs tile-resident.
 
     Parameters
     ----------
@@ -143,6 +150,8 @@ def kriging_interpolate(
         Grid the map lies over.
     values:
         ``(ny, nx)`` array; NaN marks unmeasured cells.
+    rows:
+        Row band to return (``slice(None)``: the whole map).
     k_neighbors:
         Measured neighbours per target cell.
     variogram:
@@ -153,56 +162,7 @@ def kriging_interpolate(
 
     Returns
     -------
-    ``(ny, nx)`` interpolated map.
-    """
-    if k_neighbors < 1:
-        raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
-    out = values.copy()
-    measured = ~np.isnan(values)
-    missing = ~measured
-    if not missing.any():
-        return out
-    if not measured.any():
-        if fallback is not None:
-            return np.asarray(fallback, dtype=float).copy()
-        return out
-
-    centers = grid.centers_flat()
-    m_flat = measured.ravel()
-    m_pts = centers[m_flat]
-    m_vals = values.ravel()[m_flat]
-    if variogram is None:
-        variogram = fit_variogram(m_pts, m_vals)
-
-    tree = cKDTree(m_pts)
-    q_pts = centers[missing.ravel()]
-    out[missing] = _krige_points(q_pts, m_pts, m_vals, tree, k_neighbors, variogram)
-    return out
-
-
-def kriging_interpolate_rows(
-    grid: GridSpec,
-    values: np.ndarray,
-    rows: slice,
-    k_neighbors: int = 12,
-    variogram: Optional[tuple] = None,
-    fallback: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One row-band of :func:`kriging_interpolate`, bit-identical per cell.
-
-    Local OK solves one ``(k+1)``-system per target cell against the
-    *global* measured set, and the variogram (given or fitted) depends
-    only on that global set — so restricting the target cells to a band
-    of rows changes nothing per cell while the work and output drop to
-    O(band).  This is the kriging counterpart of
-    :func:`repro.rem.idw.idw_interpolate_rows`, letting the streamed
-    epoch pipeline keep kriging REMs tile-resident instead of silently
-    rematerializing full maps.
-
-    Returns the ``(n_rows, nx)`` interpolated block for ``rows``.
+    ``(n_rows, nx)`` interpolated block for ``rows``.
     """
     if k_neighbors < 1:
         raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
@@ -235,3 +195,8 @@ def kriging_interpolate_rows(
         q_pts, m_pts, m_vals, tree, k_neighbors, variogram
     )
     return out
+
+
+def kriging_interpolate(grid: GridSpec, values: np.ndarray, **kwargs) -> np.ndarray:
+    """The whole ``(ny, nx)`` map: :func:`kriging_interpolate_rows` over all rows."""
+    return kriging_interpolate_rows(grid, values, slice(None), **kwargs)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.geo.grid import GridSpec
-from repro.rem.interpolate import Interpolator, make_interpolator
+from repro.rem.interpolate import Interpolator, make_interpolator, plan_kwargs
 
 
 @dataclass
@@ -94,6 +94,7 @@ class REM:
         k_neighbors: int = 12,
         max_distance_m: Optional[float] = None,
         method: "str | Interpolator" = "idw",
+        plans: Optional[dict] = None,
     ) -> np.ndarray:
         """Full SNR map: measured cells + interpolation (+ prior fallback).
 
@@ -102,7 +103,8 @@ class REM:
         footnote-3 alternative) or an :class:`~repro.rem.interpolate.
         Interpolator` instance; names are resolved through the registry
         with this call's ``power``/``k_neighbors``/``max_distance_m``
-        as construction parameters.
+        as construction parameters.  ``plans`` shares IDW neighbour
+        plans across maps (:func:`repro.rem.interpolate.plan_kwargs`).
         """
         if isinstance(method, str):
             method = make_interpolator(
@@ -112,7 +114,10 @@ class REM:
                 max_distance_m=max_distance_m,
             )
         return method.interpolate(
-            self.grid, self.measured_values(), fallback=self.prior
+            self.grid,
+            self.measured_values(),
+            fallback=self.prior,
+            **plan_kwargs(method, plans),
         )
 
     def interpolated_tile(

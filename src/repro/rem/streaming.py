@@ -22,7 +22,8 @@ co-channel placement, ``block - penalty[ue_slice, None, None]``).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from repro.core.placement import (
 )
 from repro.geo.grid import GridSpec
 from repro.perf import perf
+from repro.rem.interpolate import plan_kwargs
 
 #: A streamed map tile: which UEs, which grid rows, and the
 #: ``(n_ue_chunk, n_rows, nx)`` block of values.
@@ -81,6 +83,7 @@ def interpolate_tile(
     rows: slice,
     measured_mask: Optional[np.ndarray] = None,
     fallback: Optional[np.ndarray] = None,
+    plans: Optional[dict] = None,
 ) -> np.ndarray:
     """One row-band of an interpolated map, via the cheapest exact path.
 
@@ -90,16 +93,37 @@ def interpolate_tile(
     interpolating the full map and slicing, which is exact by
     construction but silently rematerializes — the fallback bumps the
     ``rem.tile_fallback`` perf counter so a streamed pipeline that is
-    secretly O(grid)-per-band shows up in BENCH artifacts.
+    secretly O(grid)-per-band shows up in BENCH artifacts.  ``plans``
+    shares IDW neighbour plans (:func:`repro.rem.interpolate.plan_kwargs`).
     """
     tile = getattr(interpolator, "interpolate_tile", None)
     if tile is not None:
-        return tile(grid, values, rows, measured_mask=measured_mask, fallback=fallback)
+        kw = plan_kwargs(interpolator, plans)
+        return tile(grid, values, rows, measured_mask=measured_mask, fallback=fallback, **kw)
     perf.count("rem.tile_fallback")
     full = interpolator.interpolate(
         grid, values, measured_mask=measured_mask, fallback=fallback
     )
     return full[rows].copy()
+
+
+def shared_by_mask(rems: Iterable) -> Iterator[Tuple[object, dict]]:
+    """Each REM with the dict of work shared by its measured mask.
+
+    REMs measured along one flight share a mask, and IDW neighbour
+    plans and the uncertainty penalty depend on the mask alone.  A
+    mask's dict is dropped after its last REM, so only masks still to
+    come hold state.
+    """
+    rems = list(rems)
+    keys = [rem.measured_mask.tobytes() for rem in rems]
+    left = Counter(keys)
+    shared: Dict[bytes, dict] = {}
+    for rem, key in zip(rems, keys):
+        yield rem, shared.setdefault(key, {})
+        left[key] -= 1
+        if not left[key]:
+            del shared[key]
 
 
 def row_bands(ny: int, tile_rows: int) -> List[slice]:
@@ -128,8 +152,11 @@ def streamed_discounted_min_map(
     distance-to-nearest-measurement penalty
     (:func:`repro.core.placement.uncertainty_penalty_db`), and folded
     into the running cell-wise minimum — the per-UE map *stack* is
-    never materialized, so peak state is O(grid) + O(band) regardless
-    of how many REMs stream through.
+    never materialized, so peak state is O(grid) plus the shared work
+    of the live measured masks, regardless of how many REMs stream
+    through.  Per REM only the measured values are new work: the IDW
+    neighbour plan and the penalty of each band are computed once per
+    measured mask (:func:`shared_by_mask`).
 
     Bit-identical to the materialized path (interpolate each REM
     fully, discount, ``np.min`` over the stack) for **every** tiling:
@@ -152,23 +179,26 @@ def streamed_discounted_min_map(
     out = np.full(grid.shape, np.inf)
     maps: Optional[List[np.ndarray]] = [] if collect_maps else None
     seen = False
-    for rem in rems:
+    for rem, shared in shared_by_mask(rems):
         seen = True
         values = rem.measured_values()
         full = np.empty(grid.shape) if collect_maps else None
         for rows in bands:
             block = interpolate_tile(
-                interpolator, grid, values, rows, fallback=rem.prior
+                interpolator, grid, values, rows, fallback=rem.prior, plans=shared
             )
             if collect_maps:
                 full[rows] = block
-            penalty = uncertainty_penalty_db(
-                grid,
-                rem.measured_mask,
-                penalty_rate_db_per_m,
-                penalty_cap_db,
-                rows=rows,
-            )
+            key = ("penalty", rows.indices(grid.ny))
+            if key not in shared:
+                shared[key] = uncertainty_penalty_db(
+                    grid,
+                    rem.measured_mask,
+                    penalty_rate_db_per_m,
+                    penalty_cap_db,
+                    rows=rows,
+                )
+            penalty = shared[key]
             if penalty is not None:
                 block = block - penalty
             np.minimum(out[rows], block, out=out[rows])

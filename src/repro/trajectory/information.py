@@ -24,12 +24,18 @@ from repro.trajectory.base import Trajectory
 #: order of magnitude beyond typical trajectory separations.
 DEFAULT_I_MAX = 1000.0
 
+#: Resampling pitch of the polyline distance behind the gain.
+SPACING_M = 10.0
+
+#: Largest (position, key) block one within-R pass holds at once.
+_CHUNK_PAIRS = 1 << 20
+
 
 def information_gain(
     candidate: Trajectory,
     history: Sequence[Trajectory],
     i_max: float = DEFAULT_I_MAX,
-    spacing_m: float = 10.0,
+    spacing_m: float = SPACING_M,
 ) -> float:
     """Gain a candidate trajectory offers one UE.
 
@@ -76,33 +82,57 @@ class TrajectoryHistory:
         key = _pos_key(ue_xyz, self.quantum_m)
         self._store.setdefault(key, []).append(trajectory)
 
+    def _within_r(self, positions: np.ndarray) -> np.ndarray:
+        """``(n, n_keys)``: which stored keys lie within R of each position.
+
+        One vectorized pass over the keys (insertion order, scaled back
+        to meters) with the scalar ``hypot(...) <= reuse_radius_m``
+        test, in position chunks of at most ``_CHUNK_PAIRS`` pairs.
+        """
+        keys = np.array(list(self._store), dtype=float).reshape(-1, 2) * self.quantum_m
+        step = max(1, _CHUNK_PAIRS // max(len(keys), 1))
+        chunks = (positions[i : i + step] for i in range(0, len(positions), step))
+        return np.concatenate(
+            [
+                np.hypot(p[:, :1] - keys[:, 0], p[:, 1:2] - keys[:, 1]) <= self.reuse_radius_m
+                for p in chunks
+            ]
+        )
+
     def trajectories_for(self, ue_xyz: np.ndarray) -> List[Trajectory]:
         """History for a UE position, including nearby (within R) keys."""
-        p = np.asarray(ue_xyz, dtype=float)
-        out: List[Trajectory] = []
-        for (kx, ky), trajs in self._store.items():
-            dist_m = np.hypot(
-                p[0] - kx * self.quantum_m, p[1] - ky * self.quantum_m
-            )
-            if dist_m <= self.reuse_radius_m:
-                out.extend(trajs)
-        return out
-
-    def gain_for(self, candidate: Trajectory, ue_xyz: np.ndarray) -> float:
-        """Information gain of a candidate for one UE position."""
-        return information_gain(
-            candidate, self.trajectories_for(ue_xyz), self.i_max
-        )
+        near = self._within_r(np.asarray(ue_xyz, dtype=float).reshape(1, -1))[0]
+        return [t for hit, trajs in zip(near, self._store.values()) if hit for t in trajs]
 
     def mean_gain(
         self, candidate: Trajectory, ue_positions: Sequence[np.ndarray]
     ) -> float:
-        """Average gain over the epoch's UEs (the paper's numerator)."""
+        """Average gain over the epoch's UEs (the paper's numerator).
+
+        Bit-identical to averaging :func:`information_gain` over each
+        UE's :meth:`trajectories_for`, but the candidate's distance to
+        each distinct tour object is computed once, however many keys
+        recorded it, and each UE takes the min over the tours it sees.
+        """
         if len(ue_positions) == 0:
             raise ValueError("need at least one UE position")
-        return float(
-            np.mean([self.gain_for(candidate, p) for p in ue_positions])
-        )
+        if self.i_max <= 0:
+            raise ValueError(f"i_max must be positive, got {self.i_max}")
+        tours = {id(t): t for trajs in self._store.values() for t in trajs}
+        col = {tid: i for i, tid in enumerate(tours)}
+        incidence = np.zeros((len(self._store), len(tours)), dtype=bool)
+        for j, trajs in enumerate(self._store.values()):
+            incidence[j, [col[id(t)] for t in trajs]] = True
+        positions = np.asarray(ue_positions, dtype=float)[:, :2]
+        seen = self._within_r(positions) @ incidence
+        dist = np.full(len(tours), np.inf)
+        for i, t in enumerate(tours.values()):
+            if seen[:, i].any():
+                dist[i] = polyline_to_polyline_distance(
+                    candidate.waypoints, t.waypoints, SPACING_M
+                )
+        gains = np.where(seen, dist, np.inf).min(axis=1, initial=np.inf)
+        return float(np.mean(np.minimum(gains, self.i_max)))
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._store.values())

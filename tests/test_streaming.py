@@ -23,13 +23,16 @@ from repro.rem.aggregate import min_snr_map
 from repro.rem.idw import idw_interpolate, idw_interpolate_rows
 from repro.rem.interpolate import (
     IDWInterpolator,
+    KrigingInterpolator,
     available_interpolators,
     make_interpolator,
 )
+from repro.rem.kriging import kriging_interpolate
 from repro.rem.map import REM
 from repro.rem.streaming import (
     interpolate_tile,
     row_bands,
+    shared_by_mask,
     streamed_discounted_max_min_placement,
     streamed_discounted_min_map,
     streamed_max_min_placement,
@@ -322,3 +325,144 @@ class TestStreamedDiscountedFold:
     def test_row_bands_validation(self):
         with pytest.raises(ValueError, match="tile_rows"):
             row_bands(10, 0)
+
+
+# -- shared neighbour plans vs the per-REM path ---------------------------------
+
+#: Non-square, so a swapped (ny, nx) anywhere in a plan shows.
+_PLAN_GRID = GridSpec.from_extent(48.0, 36.0, cell_size=4.0)
+
+
+@st.composite
+def _mask_groups(draw):
+    """2-8 REMs over a few shared measurement layouts.
+
+    Each REM takes one layout — a sparse set of sample positions
+    shared with other REMs (repeated masks), one of its own (distinct),
+    none (empty) or every cell (all measured) — with its own SNR
+    values, and a prior or none.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    g = _PLAN_GRID
+    cx, cy = (c.ravel() for c in g.centers())
+    everywhere = np.column_stack([cx, cy])
+    layouts = [
+        rng.uniform([0.5, 0.5], [47.5, 35.5], size=(int(rng.integers(1, 15)), 2))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["shared", "shared", "own", "empty", "all"]),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    rems = []
+    for i, kind in enumerate(kinds):
+        prior = None if draw(st.booleans()) else rng.normal(-4.0, 3.0, g.shape)
+        rem = REM(g, np.array([4.0 * i, 10.0, 1.5]), _FOLD_ALT, prior=prior)
+        if kind == "shared":
+            xy = layouts[int(rng.integers(len(layouts)))]
+        elif kind == "own":
+            xy = rng.uniform(0.5, 35.5, size=(int(rng.integers(1, 15)), 2))
+        elif kind == "all":
+            xy = everywhere
+        else:
+            xy = np.empty((0, 2))
+        if len(xy):
+            rem.add_measurements(xy, rng.normal(5.0, 6.0, len(xy)))
+        rems.append(rem)
+    return rems
+
+
+@st.composite
+def _plan_bands(draw):
+    ny = _PLAN_GRID.ny
+    cuts = draw(st.lists(st.integers(1, ny - 1), max_size=4, unique=True))
+    edges = [0] + sorted(cuts) + [ny]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _per_rem_fold(rems, interp, bands, rate, cap):
+    """Step 8 without sharing: every REM builds its own plans and penalty."""
+    g = _PLAN_GRID
+    out = np.full(g.shape, np.inf)
+    maps = []
+    for rem in rems:
+        full = np.empty(g.shape)
+        for rows in bands:
+            block = interp.interpolate_tile(
+                g, rem.measured_values(), rows, fallback=rem.prior
+            )
+            full[rows] = block
+            penalty = uncertainty_penalty_db(g, rem.measured_mask, rate, cap, rows=rows)
+            if penalty is not None:
+                block = block - penalty
+            np.minimum(out[rows], block, out=out[rows])
+        maps.append(full)
+    return out, maps
+
+
+class TestSharedPlans:
+    @given(
+        _mask_groups(),
+        _plan_bands(),
+        st.sampled_from([None, 6.0]),
+        st.sampled_from([0.0, 0.4]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_step8_fold_byte_equal_to_per_rem(self, rems, bands, max_d, rate):
+        interp = IDWInterpolator(max_distance_m=max_d)
+        mm, maps = streamed_discounted_min_map(
+            _PLAN_GRID,
+            rems,
+            interp,
+            penalty_rate_db_per_m=rate,
+            penalty_cap_db=3.0,
+            row_slices=bands,
+            collect_maps=True,
+        )
+        ref_mm, ref_maps = _per_rem_fold(rems, interp, bands, rate, 3.0)
+        assert mm.tobytes() == ref_mm.tobytes()
+        assert len(maps) == len(ref_maps)
+        for got, want in zip(maps, ref_maps):
+            assert got.tobytes() == want.tobytes()
+
+    @given(_mask_groups(), st.sampled_from([None, 6.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_step6_maps_byte_equal_to_per_rem(self, rems, max_d):
+        interp = IDWInterpolator(max_distance_m=max_d)
+        shared = [
+            rem.interpolated(method=interp, plans=plans)
+            for rem, plans in shared_by_mask(rems)
+        ]
+        one_dict: dict = {}  # plans keyed by mask: safe across masks too
+        assert len(shared) == len(rems)
+        for rem, got in zip(rems, shared):
+            want = rem.interpolated(method=interp).tobytes()
+            assert got.tobytes() == want
+            assert rem.interpolated(method=interp, plans=one_dict).tobytes() == want
+
+    def test_repeated_masks_share_one_dict(self):
+        g = _PLAN_GRID
+        rems = [REM(g, np.array([1.0, 1.0, 1.5]), _FOLD_ALT) for _ in range(4)]
+        for rem, xy in zip(rems, ([[5.0, 5.0]], [[20.0, 9.0]], [[5.0, 5.0]], [[5.0, 5.0]])):
+            rem.add_measurements(np.array(xy), np.array([1.0 + len(xy)]))
+        dicts = [d for _, d in shared_by_mask(rems)]
+        assert dicts[0] is dicts[2] is dicts[3]
+        assert dicts[1] is not dicts[0]
+
+    def test_kriging_keeps_the_per_rem_path(self):
+        g = _PLAN_GRID
+        rng = np.random.default_rng(3)
+        rem = REM(g, np.array([10.0, 10.0, 1.5]), _FOLD_ALT, prior=np.zeros(g.shape))
+        rem.add_measurements(rng.uniform(0.5, 35.5, (20, 2)), rng.normal(5.0, 6.0, 20))
+        plans: dict = {}
+        got = rem.interpolated(method=KrigingInterpolator(), plans=plans)
+        want = kriging_interpolate(g, rem.measured_values(), fallback=rem.prior)
+        assert got.tobytes() == want.tobytes()
+        band = interpolate_tile(
+            KrigingInterpolator(), g, rem.measured_values(), slice(2, 7), plans=plans
+        )
+        assert band.tobytes() == want[2:7].tobytes()
+        assert plans == {}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geo.grid import GridSpec
 from repro.trajectory.base import Trajectory
@@ -192,3 +194,89 @@ class TestInformation:
         h.record(np.array([0.0, 0.0, 1.5]), t)
         h.record(np.array([90.0, 0.0, 1.5]), t)
         assert len(h) == 3
+
+
+# -- mean_gain against the per-UE oracle ------------------------------------------
+
+
+def _oracle_trajectories_for(h, ue_xyz):
+    """The scalar within-R scan: every stored key, insertion order."""
+    p = np.asarray(ue_xyz, dtype=float)
+    out = []
+    for (kx, ky), trajs in h._store.items():
+        dist_m = np.hypot(p[0] - kx * h.quantum_m, p[1] - ky * h.quantum_m)
+        if dist_m <= h.reuse_radius_m:
+            out.extend(trajs)
+    return out
+
+
+def _oracle_mean_gain(h, candidate, ue_positions):
+    """One :func:`information_gain` per UE over its own history list."""
+    return float(
+        np.mean(
+            [
+                information_gain(candidate, _oracle_trajectories_for(h, p), h.i_max)
+                for p in ue_positions
+            ]
+        )
+    )
+
+
+def _tour(rng):
+    return Trajectory(rng.uniform(0.0, 60.0, size=(int(rng.integers(2, 5)), 2)), 50.0)
+
+
+@st.composite
+def _histories(draw):
+    """Histories over a 60 m square: reuse radii overlap on purpose.
+
+    A few tour objects are recorded under many keys (the controller
+    records one flown tour per REM group), and keys collect several
+    tours as positions repeat.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    h = TrajectoryHistory(
+        i_max=draw(st.sampled_from([DEFAULT_I_MAX, 15.0])),
+        reuse_radius_m=draw(st.sampled_from([4.0, 10.0, 25.0])),
+        quantum_m=draw(st.sampled_from([1.0, 2.5, 5.0])),
+    )
+    tours = [_tour(rng) for _ in range(draw(st.integers(1, 4)))]
+    spots = rng.uniform(0.0, 60.0, size=(draw(st.integers(1, 6)), 2))
+    for _ in range(draw(st.integers(0, 20))):
+        xy = spots[rng.integers(len(spots))] + rng.normal(0.0, 1.0, 2)
+        h.record(np.array([xy[0], xy[1], 1.5]), tours[rng.integers(len(tours))])
+    n_ues = draw(st.integers(1, 12))
+    positions = [np.array([x, y, 1.5]) for x, y in rng.uniform(-5.0, 65.0, (n_ues, 2))]
+    return h, _tour(rng), positions
+
+
+class TestMeanGainOracle:
+    @given(_histories())
+    @settings(max_examples=40, deadline=None)
+    def test_mean_gain_matches_per_ue_oracle_bitwise(self, case):
+        h, cand, positions = case
+        got = h.mean_gain(cand, positions)
+        assert got.hex() == _oracle_mean_gain(h, cand, positions).hex()
+        for p in positions:
+            want = _oracle_trajectories_for(h, p)
+            have = h.trajectories_for(p)
+            assert len(have) == len(want)
+            assert all(a is b for a, b in zip(have, want))
+
+    def test_one_tour_under_many_keys(self):
+        h = TrajectoryHistory(reuse_radius_m=10.0)
+        flown = Trajectory(np.array([[0.0, 0.0], [40.0, 0.0]]), 50.0)
+        for x in range(0, 100, 3):
+            h.record(np.array([float(x), 5.0, 1.5]), flown)
+        cand = Trajectory(np.array([[0.0, 20.0], [40.0, 20.0]]), 50.0)
+        positions = [np.array([float(x), 6.0, 1.5]) for x in range(0, 120, 7)]
+        got = h.mean_gain(cand, positions)
+        assert got.hex() == _oracle_mean_gain(h, cand, positions).hex()
+
+    def test_empty_history_is_imax(self):
+        h = TrajectoryHistory()
+        cand = Trajectory(np.array([[0.0, 0.0], [10.0, 0.0]]), 50.0)
+        positions = [np.array([1.0, 2.0, 1.5]), np.array([30.0, 2.0, 1.5])]
+        assert h.mean_gain(cand, positions) == h.i_max
+        assert h.mean_gain(cand, positions) == _oracle_mean_gain(h, cand, positions)
+        assert h.trajectories_for(positions[0]) == []
