@@ -1,13 +1,11 @@
 """Per-figure experiment harness.
 
 Every quantitative figure in the paper's evaluation has a module here
-that registers a ``(grid, point, aggregate)`` experiment with
-:mod:`repro.experiments.registry` and keeps its historical
-``run(quick=...)`` entrypoint (a thin wrapper over the registered
-experiment).  The unified CLI — ``python -m repro.experiments`` —
-runs any of them with on-disk point caching and an optional process
-pool; ``REGISTRY`` maps experiment ids to their run callables so the
-bench suite and EXPERIMENTS.md generation can enumerate them.
+that registers a ``(grid, point, aggregate, claims)`` experiment with
+:mod:`repro.experiments.registry`.  The one way to run a figure is the
+CLI, ``python -m repro.experiments``, which adds on-disk point caching,
+an optional process pool and the paper-claim check; in code, use
+``get_experiment(name).run(...)`` or ``run_experiment``.
 """
 
 from repro.experiments import (  # noqa: F401  (import side effect: registration)
@@ -42,8 +40,3 @@ from repro.experiments import (  # noqa: F401  (import side effect: registration
     learned_control,
     traffic_load,
 )
-from repro.experiments.registry import _EXPERIMENTS
-
-REGISTRY = {name: exp.run for name, exp in _EXPERIMENTS.items()}
-
-__all__ = ["REGISTRY"]

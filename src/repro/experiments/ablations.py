@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.experiments.common import scenario_for, skyran_for
 from repro.experiments.placement_common import fresh_scenario
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.lte.srs import apply_channel_batch, make_srs_symbol, pack_taps
 from repro.lte.tof import ToFEstimator, estimate_delays_batch
 from repro.rem.accuracy import median_abs_error_db
@@ -75,6 +75,17 @@ def aggregate_upsampling(records: List[Dict], quick: bool = True) -> Dict:
     }
 
 
+def claims_upsampling(result: Dict) -> List[Claim]:
+    """K=4 beats K=1 on ranging error, and K=8 buys almost nothing over K=4."""
+    rows = {r["K"]: r for r in result["rows"]}
+    return [
+        check("K=4 median_err_m", rows[4]["median_err_m"], "<=",
+              rows[1]["median_err_m"] + 0.5, "K=1 median_err_m + 0.5"),
+        check("K=8 median_err_m", rows[8]["median_err_m"], ">=",
+              rows[4]["median_err_m"] - 1.0, "K=4 median_err_m - 1.0"),
+    ]
+
+
 # -- REM interpolation scheme -------------------------------------------------
 
 
@@ -124,6 +135,17 @@ def aggregate_interpolation(records: List[Dict], quick: bool = True) -> Dict:
         "rows": records[0]["rows"],
         "paper": "IDW with inverse-square weights; kriging/GPR buys only marginal gains",
     }
+
+
+def claims_interpolation(result: Dict) -> List[Claim]:
+    """IDW beats nearest-cell; the IDW variations stay in a small band (footnote 3)."""
+    errs = {r["interp"]: r["median_err_db"] for r in result["rows"]}
+    band = [v for k, v in errs.items() if k.startswith("idw")]
+    return [
+        check("idw-p2-k12 (paper) median_err_db", errs["idw-p2-k12 (paper)"], "<=",
+              errs["nearest"] + 0.25, "nearest median_err_db + 0.25"),
+        check("idw band max - min median_err_db", max(band) - min(band), "<", 3.0),
+    ]
 
 
 # -- gradient cut quantile ----------------------------------------------------
@@ -179,6 +201,14 @@ def aggregate_gradient(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "paper": "the paper cuts at the median (quantile 0.5)"}
 
 
+def claims_gradient(result: Dict) -> List[Claim]:
+    """Every quantile gives a working system: the median is no cliff edge."""
+    return [
+        check(f"q={row['quantile']:g} relative_throughput", row["relative_throughput"], ">", 0.25)
+        for row in result["rows"]
+    ]
+
+
 # -- REM reuse radius R -------------------------------------------------------
 
 
@@ -230,6 +260,16 @@ def aggregate_reuse_radius(records: List[Dict], quick: bool = True) -> Dict:
     }
 
 
+def claims_reuse_radius(result: Dict) -> List[Claim]:
+    """A nonzero radius produces store hits under mobility; R=0 cannot."""
+    rows = {r["radius_m"]: r for r in result["rows"]}
+    return [
+        check("R=0 m store_hits", rows[0.0]["store_hits"], "==", 0),
+        check("R=25 m store_hits", rows[25.0]["store_hits"], ">=", rows[5.0]["store_hits"],
+              "R=5 m store_hits"),
+    ]
+
+
 # -- planner candidate window -------------------------------------------------
 
 
@@ -272,12 +312,22 @@ def aggregate_k_window(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "paper": "candidate range K_min..K_max (exact width unspecified)"}
 
 
+def claims_k_window(result: Dict) -> List[Claim]:
+    """Every candidate window gives a working system."""
+    return [
+        check(f"window={row['k_window']} relative_throughput", row["relative_throughput"], ">",
+              0.25)
+        for row in result["rows"]
+    ]
+
+
 UPSAMPLING = register(
     "ablation-upsampling",
     title="Ablation — ToF upsampling K",
     grid=grid_upsampling,
     point=point_upsampling,
     aggregate=aggregate_upsampling,
+    claims=claims_upsampling,
 )
 INTERPOLATION = register(
     "ablation-interpolation",
@@ -285,6 +335,7 @@ INTERPOLATION = register(
     grid=grid_interpolation,
     point=point_interpolation,
     aggregate=aggregate_interpolation,
+    claims=claims_interpolation,
 )
 GRADIENT = register(
     "ablation-gradient-threshold",
@@ -292,6 +343,7 @@ GRADIENT = register(
     grid=grid_gradient,
     point=point_gradient,
     aggregate=aggregate_gradient,
+    claims=claims_gradient,
 )
 REUSE_RADIUS = register(
     "ablation-reuse-radius",
@@ -299,6 +351,7 @@ REUSE_RADIUS = register(
     grid=grid_reuse_radius,
     point=point_reuse_radius,
     aggregate=aggregate_reuse_radius,
+    claims=claims_reuse_radius,
 )
 K_WINDOW = register(
     "ablation-k-window",
@@ -306,20 +359,5 @@ K_WINDOW = register(
     grid=grid_k_window,
     point=point_k_window,
     aggregate=aggregate_k_window,
+    claims=claims_k_window,
 )
-
-# Legacy entrypoints: each ablation's historical function name.
-ablation_upsampling = UPSAMPLING.run
-ablation_interpolation = INTERPOLATION.run
-ablation_gradient_threshold = GRADIENT.run
-ablation_reuse_radius = REUSE_RADIUS.run
-ablation_k_window = K_WINDOW.run
-
-
-def main() -> None:
-    for exp in (UPSAMPLING, INTERPOLATION, GRADIENT, REUSE_RADIUS, K_WINDOW):
-        exp.main()
-
-
-if __name__ == "__main__":
-    main()

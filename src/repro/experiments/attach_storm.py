@@ -154,8 +154,3 @@ EXPERIMENT = register(
     point=point,
     aggregate=aggregate,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

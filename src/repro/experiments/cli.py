@@ -15,6 +15,10 @@ warm re-run skips every point computation and reproduces the result
 artifact byte for byte; ``--force`` recomputes, ``--no-cache``
 bypasses the store entirely.  ``summary`` prints the stored table
 without computing anything.
+
+Both print each figure's paper claims under its rows.  ``run`` exits
+1 when a claim fails that :data:`~repro.experiments.registry.KNOWN_FAILING`
+does not list, or a listed claim passes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import argparse
 import sys
 
 from repro.experiments.artifacts import ArtifactStore
+from repro.experiments.common import print_claims, print_rows
 from repro.experiments.registry import (
+    claim_report,
     experiment_names,
     get_experiment,
     run_experiment,
@@ -53,23 +59,31 @@ def _cmd_list() -> int:
     return 0
 
 
+def _print_result(exp, result) -> bool:
+    """Rows and claims of one result; True when a claim gates the run."""
+    print_rows(exp.name, result.get("rows", []), result.get("paper"))
+    report = claim_report(exp, result)
+    print_claims(report)
+    return any(status in ("FAIL", "STALE") for _, status in report)
+
+
 def _cmd_run(args) -> int:
     import inspect
-
-    from repro.experiments.common import print_rows
 
     names = _resolve_names(args.experiments)
     if names is None:
         return 2
     store = None if args.no_cache else ArtifactStore(args.cache_dir)
     quick = not args.full
+    failed = []
     for name in names:
+        exp = get_experiment(name)
         overrides = {}
         if args.scheduler is not None:
             # Only experiments whose grid sweeps schedulers (the
             # traffic figures) understand the knob; pin their sweep to
             # the one requested discipline and leave the rest alone.
-            grid_params = inspect.signature(get_experiment(name).grid).parameters
+            grid_params = inspect.signature(exp.grid).parameters
             if "schedulers" in grid_params:
                 overrides["schedulers"] = [args.scheduler]
             else:
@@ -78,15 +92,15 @@ def _cmd_run(args) -> int:
                     file=sys.stderr,
                 )
         run = run_experiment(
-            name,
+            exp,
             quick=quick,
             overrides=overrides,
             workers=args.workers,
             store=store,
             force=args.force,
         )
-        result = run.result
-        print_rows(run.experiment, result.get("rows", []), result.get("paper"))
+        if _print_result(exp, run.result):
+            failed.append(name)
         status = (
             f"   [{run.experiment}] {len(run.params)} points: "
             f"{run.computed} computed, {run.cached} cached "
@@ -96,12 +110,17 @@ def _cmd_run(args) -> int:
         if run.artifact_path is not None:
             status += f" -> {run.artifact_path}"
         print(status)
+    if failed:
+        print(
+            f"claims FAIL or STALE in: {', '.join(failed)} "
+            "(a STALE claim passes but is listed in KNOWN_FAILING)",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
 def _cmd_summary(args) -> int:
-    from repro.experiments.common import print_rows
-
     names = _resolve_names(args.experiments)
     if names is None:
         return 2
@@ -117,8 +136,7 @@ def _cmd_summary(args) -> int:
             )
             status = 1
             continue
-        result = artifact.get("result", {})
-        print_rows(name, result.get("rows", []), result.get("paper"))
+        _print_result(get_experiment(name), artifact.get("result", {}))
         fidelity = "quick" if artifact.get("quick", True) else "full"
         print(f"   [{name}] {len(artifact.get('points', []))} points, {fidelity} fidelity")
     return status
@@ -179,7 +197,3 @@ def main(argv=None) -> int:
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_summary(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,10 +1,10 @@
 """Shared helpers for the per-figure experiments.
 
 The experiments run at two fidelities: ``quick`` (coarse grids, few
-seeds — what the pytest-benchmark suite uses so the whole set finishes
-in minutes) and full (closer to the paper's scale).  All knobs funnel
-through :func:`scenario_for` / :func:`controller_for` so the figures
-stay consistent with each other.
+seeds — the CLI default, on which the paper claims are checked; the
+whole set finishes in minutes) and full (closer to the paper's
+scale).  All knobs funnel through :func:`scenario_for` /
+:func:`controller_for` so the figures stay consistent with each other.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.terrain.generators import make_terrain
 UAV_SPEED_MPS = 30.0 / 3.6
 
 #: Terrain raster pitch for quick runs (paper: 1 m; 2 m keeps the
-#: whole bench suite tractable while preserving building-scale
+#: whole experiment set tractable while preserving building-scale
 #: features).
 QUICK_CELL_M = 2.0
 
@@ -175,6 +175,17 @@ def print_rows(title: str, rows: List[Dict], paper_note: Optional[str] = None) -
             else:
                 cells.append(f"{str(v):>16s}")
         print("   " + " | ".join(cells))
+
+
+def print_claims(report) -> None:
+    """The claims table under an experiment's rows: status, name, value, bound."""
+    if report:
+        print("   claims:")
+    for claim, status in report:
+        print(
+            f"   {status:>13s} | {claim.name:<56s} | "
+            f"{claim.value:10.3f} | {claim.bound:10.3f}"
+        )
 
 
 def empirical_cdf(values) -> Dict[str, np.ndarray]:

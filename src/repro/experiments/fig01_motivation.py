@@ -13,7 +13,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.experiments.common import scenario_for
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.lte.throughput import throughput_mbps
 
 #: Operating altitude of the Fig. 1 sweep.  High enough that most of
@@ -63,15 +63,24 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     }
 
 
+def claims(result: Dict) -> List[Claim]:
+    """Favourable positions are rare and far above the median."""
+    row = result["rows"][0]
+    return [
+        check("frac_ge_26mbps", row["frac_ge_26mbps"], "<", 0.15),
+        check("optimal_mbps", row["optimal_mbps"], ">", 25.0),
+        check(
+            "optimal_mbps", row["optimal_mbps"], ">", 2.0 * row["median_mbps"],
+            "2.0 * median_mbps",
+        ),
+    ]
+
+
 EXPERIMENT = register(
     "fig1",
     title="Fig. 1 — UAV positioning motivation (NYC, 20 UEs)",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

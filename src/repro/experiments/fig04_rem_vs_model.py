@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.channel.fspl import fspl_map
 from repro.experiments.common import config_for, scenario_for
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.flight.sampler import collect_snr_samples
 from repro.flight.uav import UAV
 from repro.rem.accuracy import median_abs_error_db
@@ -83,15 +83,32 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": [dict(r) for r in records], "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """Model error grows with terrain complexity; data beats it everywhere."""
+    rows = result["rows"]
+    first, last = rows[0], rows[-1]
+    out = [
+        check(
+            f"{last['terrain']} model_based_db", last["model_based_db"], ">",
+            first["model_based_db"], f"{first['terrain']} model_based_db",
+        )
+    ]
+    out += [
+        check(
+            f"{row['terrain']} data_driven_db", row["data_driven_db"], "<",
+            row["model_based_db"], "model_based_db",
+        )
+        for row in rows
+    ]
+    out.append(check(f"{last['terrain']} model_over_data", last["model_over_data"], ">", 2.0))
+    return out
+
+
 EXPERIMENT = register(
     "fig4",
     title="Fig. 4 — data-driven vs model-based REM error",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

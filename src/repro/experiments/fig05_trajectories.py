@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.channel.fspl import fspl_map
 from repro.experiments.common import scenario_for
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.rem.aggregate import aggregate_rem
 from repro.rem.gradient import gradient_map, high_gradient_cells
 from repro.trajectory.information import TrajectoryHistory
@@ -106,15 +106,28 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": records[0]["rows"], "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """SkyRAN covers informative cells more per km; exhaustive costs several x."""
+    rows = {r["trajectory"]: r for r in result["rows"]}
+    sky, exhaustive = rows["skyran-800m"], rows["exhaustive"]
+    return [
+        check(
+            "skyran-800m coverage_per_km", sky["coverage_per_km"], ">",
+            rows["uniform-800m"]["coverage_per_km"], "uniform-800m coverage_per_km",
+        ),
+        check("exhaustive hot_coverage", exhaustive["hot_coverage"], ">", 0.95),
+        check(
+            "exhaustive length_m", exhaustive["length_m"], ">", 4 * sky["length_m"],
+            "4 * skyran-800m length_m",
+        ),
+    ]
+
+
 EXPERIMENT = register(
     "fig5",
     title="Figs. 5/16 — trajectory coverage of informative cells",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

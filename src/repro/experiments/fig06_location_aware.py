@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.channel.fspl import fspl_map
 from repro.experiments.common import config_for, scenario_for
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.flight.sampler import collect_snr_samples
 from repro.flight.uav import UAV
 from repro.rem.accuracy import median_abs_error_db
@@ -150,15 +150,30 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     }
 
 
+def claims(result: Dict) -> List[Claim]:
+    """Location-aware probing wins at small fractions and improves with budget."""
+    rows = result["rows"]
+    out = [
+        check(
+            f"{row['budget_m']:g} m aware_err_db", row["aware_err_db"], "<",
+            row["naive_err_db"], "naive_err_db",
+        )
+        for row in rows[:2]
+    ]
+    out.append(
+        check(
+            f"{rows[-1]['budget_m']:g} m aware_err_db", rows[-1]["aware_err_db"], "<=",
+            rows[0]["aware_err_db"], f"{rows[0]['budget_m']:g} m aware_err_db",
+        )
+    )
+    return out
+
+
 EXPERIMENT = register(
     "fig6",
     title="Fig. 6 — location-aware vs naive probing",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

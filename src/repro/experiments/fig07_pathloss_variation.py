@@ -18,7 +18,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.channel.model import ChannelModel
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.terrain.generators import make_flat
 
 ALTITUDE_M = 30.0
@@ -68,15 +68,16 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     }
 
 
+def claims(result: Dict) -> List[Claim]:
+    """The segment swings by tens of dB (paper: ~20 dB)."""
+    return [check("swing_db", result["rows"][0]["swing_db"], ">", 15.0)]
+
+
 EXPERIMENT = register(
     "fig7",
     title="Fig. 7 — path loss variation along a 50 m flight",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.channel.model import ChannelModel
 from repro.core.placement import find_optimal_altitude
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.terrain.generators import make_flat
 
 PAPER = "interior minimum: descending reduces loss until shadowing dominates"
@@ -74,15 +74,29 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     }
 
 
+def claims(result: Dict) -> List[Claim]:
+    """An interior minimum that descend-and-track lands near."""
+    row = result["rows"][0]
+    losses = np.asarray(result["path_loss_db"])
+    best = row["best_altitude_m"]
+    return [
+        check("loss_at_best_db", row["loss_at_best_db"], "<", row["loss_at_120m_db"],
+              "loss_at_120m_db"),
+        check("loss_at_best_db", row["loss_at_best_db"], "<", row["loss_at_10m_db"],
+              "loss_at_10m_db"),
+        check("best_altitude_m", best, ">", 10.0),
+        check("best_altitude_m", best, "<", 120.0),
+        check("abs(tracked_altitude_m - best_altitude_m)", abs(row["tracked_altitude_m"] - best),
+              "<=", 15.0),
+        check("path_loss_db[0]", losses[0], ">", losses.min() + 5.0, "min(path_loss_db) + 5.0"),
+    ]
+
+
 EXPERIMENT = register(
     "fig8",
     title="Fig. 8 — path loss vs UAV altitude",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

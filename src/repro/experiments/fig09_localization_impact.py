@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.channel.fspl import fspl_map
 from repro.experiments.common import config_for, scenario_for
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.core.placement import max_min_placement
 from repro.flight.sampler import collect_snr_samples
 from repro.flight.uav import UAV
@@ -89,15 +89,24 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": [dict(r) for r in records], "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """Placement degrades with injected error; small errors keep most of optimal."""
+    first, last = result["rows"][0], result["rows"][-1]
+    label = f"error {first['loc_error_m']:g} m relative_throughput"
+    return [
+        check(
+            label, first["relative_throughput"], ">=", last["relative_throughput"] - 0.05,
+            f"error {last['loc_error_m']:g} m relative_throughput - 0.05",
+        ),
+        check(label, first["relative_throughput"], ">", 0.6),
+    ]
+
+
 EXPERIMENT = register(
     "fig9",
     title="Fig. 9 — impact of localization error",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

@@ -13,7 +13,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.experiments.common import scenario_for
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.mobility.models import ScriptedRoute
 
 ALTITUDE_M = 60.0
@@ -100,15 +100,30 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "curves": curves, "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """Throughput decays for every moving fraction; more movers lose at least as much."""
+    rows = result["rows"]
+    out = []
+    for row in rows:
+        frac = f"moving {row['moving_fraction']:g}"
+        out.append(check(f"{frac} rel_at_60min", row["rel_at_60min"], "<=", 1.05))
+        out.append(check(f"{frac} epoch_at_10pct_min", row["epoch_at_10pct_min"], ">", 0.0))
+    first, last = rows[0], rows[-1]
+    out.append(
+        check(
+            f"moving {last['moving_fraction']:g} rel_at_60min", last["rel_at_60min"], "<=",
+            first["rel_at_60min"] + 0.15,
+            f"moving {first['moving_fraction']:g} rel_at_60min + 0.15",
+        )
+    )
+    return out
+
+
 EXPERIMENT = register(
     "fig12",
     title="Fig. 12 — throughput decay without repositioning",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

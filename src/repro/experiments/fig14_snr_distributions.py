@@ -12,7 +12,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.experiments.common import scenario_for
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.flight.sampler import collect_snr_samples
 from repro.flight.uav import UAV
 from repro.trajectory.uniform import zigzag_for_budget
@@ -59,15 +59,25 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rec["rows"], "samples": samples, "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """Every UE sees tens of dB of SNR spread, mild and harsh UEs mixed."""
+    rows = result["rows"]
+    out = [
+        check(f"UE {row['ue']} snr_spread_db", row["snr_spread_db"], ">", 8.0) for row in rows
+    ]
+    spreads = [row["snr_spread_db"] for row in rows]
+    out.append(
+        check("max snr_spread_db", max(spreads), ">", 1.5 * min(spreads),
+              "1.5 * min snr_spread_db")
+    )
+    return out
+
+
 EXPERIMENT = register(
     "fig14",
     title="Fig. 14 — per-UE SNR distributions in flight",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

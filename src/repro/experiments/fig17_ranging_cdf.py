@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.experiments.common import empirical_cdf
 from repro.experiments.loc_common import campus_scenario, localization_trial
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 
 FLIGHT_M = 20.0
 
@@ -67,15 +67,20 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "cdfs": cdfs, "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """Metre-scale ranging from a 20 m flight (paper: 4-5 m median)."""
+    all_row = next(r for r in result["rows"] if r["ue"] == "all")
+    return [
+        check("all median_m", all_row["median_m"], "<", 6.0),
+        check("all p90_m", all_row["p90_m"], "<", 25.0),
+    ]
+
+
 EXPERIMENT = register(
     "fig17",
     title="Fig. 17 — ToF ranging error CDF",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

@@ -13,12 +13,15 @@ import numpy as np
 
 from repro.experiments.common import empirical_cdf
 from repro.experiments.loc_common import campus_scenario, localization_trial
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 
 FLIGHT_M = 20.0
 
 #: The macro-cell strawman accuracy the paper compares against.
 MACRO_CELL_ERROR_M = 75.0
+
+#: Low end of the paper's 50-100 m macro-cell band; the claim sits 2.5x below it.
+MACRO_LOW_M = 50.0
 
 PAPER = "median 5-7 m; existing macro-cell techniques: 50-100 m"
 
@@ -72,15 +75,18 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     }
 
 
+def claims(result: Dict) -> List[Claim]:
+    """An order of magnitude below macro-cell localization (paper: 5-7 m vs 50-100 m)."""
+    return [
+        check("median_m", result["median_m"], "<", MACRO_LOW_M / 2.5, "50 m macro-cell / 2.5")
+    ]
+
+
 EXPERIMENT = register(
     "fig18",
     title="Fig. 18 — UE localization error CDF",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

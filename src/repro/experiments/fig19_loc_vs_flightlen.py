@@ -12,7 +12,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.experiments.loc_common import campus_scenario, localization_trial
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 
 PAPER = "error drops until ~20 m of flight, flat beyond"
 
@@ -58,15 +58,22 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """Very short flights are far worse; accuracy saturates by a few tens of m."""
+    first, last = result["rows"][0], result["rows"][-1]
+    return [
+        check(
+            f"{first['flight_m']:g} m median_err_m", first["median_err_m"], ">",
+            2.0 * last["median_err_m"], f"2.0 * {last['flight_m']:g} m median_err_m",
+        )
+    ]
+
+
 EXPERIMENT = register(
     "fig19",
     title="Fig. 19 — localization error vs flight length",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

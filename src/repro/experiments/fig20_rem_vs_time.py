@@ -11,7 +11,7 @@ from typing import Dict, List
 
 from repro.experiments.common import UAV_SPEED_MPS
 from repro.experiments.placement_common import mean_of_records, scheme_point
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 
 PAPER = "SkyRAN ~3 dB by ~82 s; Uniform still ~7 dB at 120 s"
 
@@ -62,15 +62,37 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """Both schemes improve with time; SkyRAN sits below Uniform throughout."""
+    rows = result["rows"]
+    first, last = rows[0], rows[-1]
+    out = [
+        check(
+            f"{last['flight_time_s']:g} s skyran_err_db", last["skyran_err_db"], "<=",
+            first["skyran_err_db"], f"{first['flight_time_s']:g} s skyran_err_db",
+        )
+    ]
+    out += [
+        check(
+            f"{row['flight_time_s']:g} s skyran_err_db", row["skyran_err_db"], "<=",
+            row["uniform_err_db"] + 0.5, "uniform_err_db + 0.5",
+        )
+        for row in rows
+    ]
+    out.append(
+        check(
+            f"{first['flight_time_s']:g} s skyran_err_db", first["skyran_err_db"], "<",
+            first["uniform_err_db"], "uniform_err_db",
+        )
+    )
+    return out
+
+
 EXPERIMENT = register(
     "fig20",
     title="Fig. 20 — REM error vs measurement time",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

@@ -12,7 +12,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.experiments.placement_common import scheme_point
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 
 PAPER = "Centroid reaches only ~0.4-0.6x of optimal, higher variance with few UEs"
 
@@ -50,15 +50,23 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """Centroid leaves a large gap at every UE count (paper: 0.4-0.6x)."""
+    rows = result["rows"]
+    mean_rel = float(np.mean([r["centroid_relative"] for r in rows]))
+    out = [check("mean centroid_relative", mean_rel, "<", 0.85)]
+    out += [
+        check(f"{row['n_ues']} UEs centroid_relative", row["centroid_relative"], "<", 1.0)
+        for row in rows
+    ]
+    return out
+
+
 EXPERIMENT = register(
     "fig21",
     title="Fig. 21 — Centroid relative throughput vs #UEs",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.experiments.placement_common import mean_of_records, scheme_point
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 
 TOPOLOGIES = (("A-uniform", "uniform"), ("B-clustered", "clustered"))
 
@@ -98,15 +98,39 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "curves": curves, "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """SkyRAN dominates Uniform when clustered and holds or improves with budget."""
+    rows = result["rows"]
+    clustered = [r for r in rows if r["topology"] == "B-clustered"]
+    uniform_topo = [r for r in rows if r["topology"] == "A-uniform"]
+    out = [
+        check(
+            f"B-clustered {row['budget_m']:g} m skyran_rel", row["skyran_rel"], ">",
+            row["uniform_rel"], "uniform_rel",
+        )
+        for row in clustered
+    ]
+    first, last = uniform_topo[0], uniform_topo[-1]
+    out.append(
+        check(
+            f"A-uniform {last['budget_m']:g} m skyran_rel", last["skyran_rel"], ">=",
+            first["skyran_rel"] - 0.05, f"A-uniform {first['budget_m']:g} m skyran_rel - 0.05",
+        )
+    )
+    out.append(
+        check(
+            f"B-clustered {clustered[-1]['budget_m']:g} m skyran_rel",
+            clustered[-1]["skyran_rel"], ">=", 0.7,
+        )
+    )
+    return out
+
+
 EXPERIMENT = register(
     "fig23",
     title="Fig. 23 — relative throughput vs budget, topologies A/B",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

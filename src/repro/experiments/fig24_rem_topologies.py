@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.experiments.placement_common import mean_of_records, scheme_point
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 
 BUDGET_M = 1000.0
 
@@ -60,15 +60,28 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """SkyRAN's maps at least as accurate as Uniform's, under a loose absolute bound.
+
+    The paper shows < 3 dB on its testbed; the synthetic shadowing
+    floor sits higher (see EXPERIMENTS.md), hence the 9 dB sanity bound.
+    """
+    out = []
+    for row in result["rows"]:
+        label = f"{row['topology']} skyran_err_db"
+        out.append(
+            check(label, row["skyran_err_db"], "<=", row["uniform_err_db"] + 0.5,
+                  "uniform_err_db + 0.5")
+        )
+        out.append(check(label, row["skyran_err_db"], "<", 9.0))
+    return out
+
+
 EXPERIMENT = register(
     "fig24",
     title="Fig. 24 — median REM accuracy at 1000 m budget",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

@@ -13,45 +13,15 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.experiments.common import UAV_SPEED_MPS, skyran_for, uniform_for
-from repro.experiments.placement_common import fresh_scenario
-from repro.experiments.registry import register
-from repro.sim.runner import overhead_to_target, run_epochs
+from repro.experiments.placement_common import overhead_point, reached_count, uncensored
+from repro.experiments.registry import Claim, check, register
 
-ALTITUDE_M = 60.0
 EPOCH_BUDGET_M = 300.0
-MAX_EPOCHS = 8
 TARGET = 0.9
 
 MODES = (("STATIC", 0.0), ("DYNAMIC", 0.5))
 
 PAPER = "SkyRAN ~100 s static / ~6 min dynamic, about half of Uniform"
-
-
-def _time_to_target(terrain, scheme, move_fraction, seed, quick) -> float:
-    scenario = fresh_scenario(terrain, 6, "uniform", seed, quick)
-    if scheme == "skyran":
-        ctrl = skyran_for(scenario, seed=seed, quick=quick)
-        ctrl.altitude = ALTITUDE_M
-    else:
-        ctrl = uniform_for(scenario, altitude=ALTITUDE_M, seed=seed, quick=quick)
-    records = run_epochs(
-        scenario,
-        ctrl,
-        MAX_EPOCHS,
-        budget_per_epoch_m=EPOCH_BUDGET_M,
-        move_fraction=move_fraction,
-        seed=seed,
-    )
-    # Overhead on the paper's axis: measurement-flight time at cruise
-    # speed (distance / 30 km/h), so SkyRAN's deliberately slow
-    # localization hops don't distort the wall clock.
-    d = overhead_to_target(records, target_relative=TARGET, value="distance")
-    # Never reaching the target scores as the full run's overhead (a
-    # lower bound on the true overhead — flagged by the benches).
-    if d is None:
-        d = records[-1].cumulative_distance_m
-    return d / UAV_SPEED_MPS
 
 
 def grid(quick: bool = True, seeds=(0, 1, 2)) -> List[Dict]:
@@ -65,26 +35,61 @@ def grid(quick: bool = True, seeds=(0, 1, 2)) -> List[Dict]:
 
 def point(params: Dict, quick: bool = True) -> Dict:
     """Flight time to 0.9x optimal for one (mode, scheme, seed)."""
-    time_s = _time_to_target(
-        "nyc", params["scheme"], params["move_fraction"], params["seed"], quick
+    out = overhead_point(
+        "nyc",
+        params["scheme"],
+        EPOCH_BUDGET_M,
+        params["move_fraction"],
+        params["seed"],
+        quick,
+        target_relative=TARGET,
     )
-    return {"mode": params["mode"], "scheme": params["scheme"], "time_s": float(time_s)}
+    out["mode"] = params["mode"]
+    return out
 
 
 def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     rows = []
     for mode, _ in MODES:
-        sky = [r["time_s"] for r in records if r["mode"] == mode and r["scheme"] == "skyran"]
-        uni = [r["time_s"] for r in records if r["mode"] == mode and r["scheme"] == "uniform"]
+        sky = [r for r in records if r["mode"] == mode and r["scheme"] == "skyran"]
+        uni = [r for r in records if r["mode"] == mode and r["scheme"] == "uniform"]
+        sky_s = np.mean([r["time_s"] for r in sky])
+        uni_s = np.mean([r["time_s"] for r in uni])
         rows.append(
             {
                 "mode": mode,
-                "skyran_time_s": float(np.mean(sky)),
-                "uniform_time_s": float(np.mean(uni)),
-                "uniform_over_skyran": float(np.mean(uni) / max(np.mean(sky), 1e-9)),
+                "skyran_time_s": float(sky_s),
+                "uniform_time_s": float(uni_s),
+                "uniform_over_skyran": float(uni_s / max(sky_s, 1e-9)),
+                "skyran_reached": reached_count(sky),
+                "uniform_reached": reached_count(uni),
             }
         )
     return {"rows": rows, "paper": PAPER}
+
+
+def claims(result: Dict) -> List[Claim]:
+    """Dynamics cost extra flight; SkyRAN needs no more than Uniform (paper: half).
+
+    A claim on a row with a censored run fails: its times are caps.
+    """
+    rows = {r["mode"]: r for r in result["rows"]}
+    static, dynamic = rows["STATIC"], rows["DYNAMIC"]
+    out = [
+        check(
+            "DYNAMIC skyran_time_s", dynamic["skyran_time_s"], ">=",
+            static["skyran_time_s"] * 0.5, "STATIC skyran_time_s * 0.5",
+            valid=uncensored(static, dynamic),
+        )
+    ]
+    out += [
+        check(
+            f"{row['mode']} skyran_time_s", row["skyran_time_s"], "<=",
+            row["uniform_time_s"] * 1.35, "uniform_time_s * 1.35", valid=uncensored(row),
+        )
+        for row in result["rows"]
+    ]
+    return out
 
 
 EXPERIMENT = register(
@@ -93,9 +98,5 @@ EXPERIMENT = register(
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

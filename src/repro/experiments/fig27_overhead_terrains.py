@@ -11,41 +11,15 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.experiments.common import UAV_SPEED_MPS, skyran_for, uniform_for
-from repro.experiments.placement_common import fresh_scenario
-from repro.experiments.registry import register
-from repro.sim.runner import overhead_to_target, run_epochs
+from repro.experiments.placement_common import overhead_point, reached_count, uncensored
+from repro.experiments.registry import Claim, check, register
 
-ALTITUDE_M = 60.0
-MAX_EPOCHS = 8
 TARGET = 0.9
 
 #: Larger terrains get proportionally larger per-epoch budgets.
 EPOCH_BUDGETS = {"rural": 250.0, "nyc": 300.0, "large": 1200.0}
 
 PAPER = "overhead grows with terrain scale; SkyRAN below Uniform in NYC/LARGE"
-
-
-def _time_to_target(terrain, scheme, seed, quick) -> float:
-    scenario = fresh_scenario(terrain, 6, "uniform", seed, quick)
-    if scheme == "skyran":
-        ctrl = skyran_for(scenario, seed=seed, quick=quick)
-        ctrl.altitude = ALTITUDE_M
-    else:
-        ctrl = uniform_for(scenario, altitude=ALTITUDE_M, seed=seed, quick=quick)
-    records = run_epochs(
-        scenario,
-        ctrl,
-        MAX_EPOCHS,
-        budget_per_epoch_m=EPOCH_BUDGETS[terrain],
-        move_fraction=0.0,
-        seed=seed,
-    )
-    # Measurement-flight time at cruise speed (see fig26 notes).
-    d = overhead_to_target(records, target_relative=TARGET, value="distance")
-    if d is None:
-        d = records[-1].cumulative_distance_m
-    return d / UAV_SPEED_MPS
 
 
 def grid(quick: bool = True, seeds=(0, 1)) -> List[Dict]:
@@ -59,23 +33,52 @@ def grid(quick: bool = True, seeds=(0, 1)) -> List[Dict]:
 
 def point(params: Dict, quick: bool = True) -> Dict:
     """Flight time to 0.9x optimal for one (terrain, scheme, seed)."""
-    time_s = _time_to_target(params["terrain"], params["scheme"], params["seed"], quick)
-    return {"terrain": params["terrain"], "scheme": params["scheme"], "time_s": float(time_s)}
+    terrain = params["terrain"]
+    out = overhead_point(
+        terrain,
+        params["scheme"],
+        EPOCH_BUDGETS[terrain],
+        0.0,
+        params["seed"],
+        quick,
+        target_relative=TARGET,
+    )
+    out["terrain"] = terrain
+    return out
 
 
 def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     rows = []
     for terrain in ("rural", "nyc", "large"):
-        sky = [r["time_s"] for r in records if r["terrain"] == terrain and r["scheme"] == "skyran"]
-        uni = [r["time_s"] for r in records if r["terrain"] == terrain and r["scheme"] == "uniform"]
+        sky = [r for r in records if r["terrain"] == terrain and r["scheme"] == "skyran"]
+        uni = [r for r in records if r["terrain"] == terrain and r["scheme"] == "uniform"]
         rows.append(
             {
                 "terrain": terrain,
-                "skyran_time_min": float(np.mean(sky)) / 60.0,
-                "uniform_time_min": float(np.mean(uni)) / 60.0,
+                "skyran_time_min": float(np.mean([r["time_s"] for r in sky])) / 60.0,
+                "uniform_time_min": float(np.mean([r["time_s"] for r in uni])) / 60.0,
+                "skyran_reached": reached_count(sky),
+                "uniform_reached": reached_count(uni),
             }
         )
     return {"rows": rows, "paper": PAPER}
+
+
+def claims(result: Dict) -> List[Claim]:
+    """The 16x-larger LARGE terrain costs more flight than RURAL, for both schemes.
+
+    A claim on a row with a censored run fails: its times are caps.
+    """
+    rows = {r["terrain"]: r for r in result["rows"]}
+    large, rural = rows["large"], rows["rural"]
+    return [
+        check(
+            f"large {scheme}_time_min", large[f"{scheme}_time_min"], ">",
+            rural[f"{scheme}_time_min"], f"rural {scheme}_time_min",
+            valid=uncensored(large, rural),
+        )
+        for scheme in ("skyran", "uniform")
+    ]
 
 
 EXPERIMENT = register(
@@ -84,9 +87,5 @@ EXPERIMENT = register(
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

@@ -12,43 +12,15 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.experiments.common import UAV_SPEED_MPS, skyran_for, uniform_for
-from repro.experiments.placement_common import fresh_scenario
-from repro.experiments.registry import register
-from repro.sim.runner import overhead_to_target, run_epochs
+from repro.experiments.placement_common import overhead_point, reached_count, uncensored
+from repro.experiments.registry import Claim, check, register
 
-ALTITUDE_M = 60.0
 EPOCH_BUDGET_M = 300.0
-MAX_EPOCHS = 8
 TARGET_DB = 5.0
 
 MODES = (("STATIC", 0.0), ("DYNAMIC", 0.5))
 
 PAPER = "SkyRAN reaches 5 dB REMs in about half Uniform's flight time"
-
-
-def _time_to_rem_target(scheme, move_fraction, seed, quick) -> float:
-    scenario = fresh_scenario("nyc", 6, "uniform", seed, quick)
-    if scheme == "skyran":
-        ctrl = skyran_for(scenario, seed=seed, quick=quick)
-        ctrl.altitude = ALTITUDE_M
-    else:
-        ctrl = uniform_for(scenario, altitude=ALTITUDE_M, seed=seed, quick=quick)
-    records = run_epochs(
-        scenario,
-        ctrl,
-        MAX_EPOCHS,
-        budget_per_epoch_m=EPOCH_BUDGET_M,
-        move_fraction=move_fraction,
-        seed=seed,
-    )
-    # Measurement-flight time at cruise speed (see fig26 notes).
-    d = overhead_to_target(
-        records, metric="rem", target_rem_db=TARGET_DB, value="distance"
-    )
-    if d is None:
-        d = records[-1].cumulative_distance_m
-    return d / UAV_SPEED_MPS
 
 
 def grid(quick: bool = True, seeds=(0, 1, 2)) -> List[Dict]:
@@ -62,25 +34,49 @@ def grid(quick: bool = True, seeds=(0, 1, 2)) -> List[Dict]:
 
 def point(params: Dict, quick: bool = True) -> Dict:
     """Flight time to a <=5 dB REM for one (mode, scheme, seed)."""
-    time_s = _time_to_rem_target(
-        params["scheme"], params["move_fraction"], params["seed"], quick
+    out = overhead_point(
+        "nyc",
+        params["scheme"],
+        EPOCH_BUDGET_M,
+        params["move_fraction"],
+        params["seed"],
+        quick,
+        metric="rem",
+        target_rem_db=TARGET_DB,
     )
-    return {"mode": params["mode"], "scheme": params["scheme"], "time_s": float(time_s)}
+    out["mode"] = params["mode"]
+    return out
 
 
 def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     rows = []
     for mode, _ in MODES:
-        sky = [r["time_s"] for r in records if r["mode"] == mode and r["scheme"] == "skyran"]
-        uni = [r["time_s"] for r in records if r["mode"] == mode and r["scheme"] == "uniform"]
+        sky = [r for r in records if r["mode"] == mode and r["scheme"] == "skyran"]
+        uni = [r for r in records if r["mode"] == mode and r["scheme"] == "uniform"]
         rows.append(
             {
                 "mode": mode,
-                "skyran_time_min": float(np.mean(sky)) / 60.0,
-                "uniform_time_min": float(np.mean(uni)) / 60.0,
+                "skyran_time_min": float(np.mean([r["time_s"] for r in sky])) / 60.0,
+                "uniform_time_min": float(np.mean([r["time_s"] for r in uni])) / 60.0,
+                "skyran_reached": reached_count(sky),
+                "uniform_reached": reached_count(uni),
             }
         )
     return {"rows": rows, "paper": PAPER}
+
+
+def claims(result: Dict) -> List[Claim]:
+    """SkyRAN reaches accurate maps in no more flight than Uniform (paper: half).
+
+    A claim on a row with a censored run fails: its times are caps.
+    """
+    return [
+        check(
+            f"{row['mode']} skyran_time_min", row["skyran_time_min"], "<=",
+            row["uniform_time_min"] * 1.35, "uniform_time_min * 1.35", valid=uncensored(row),
+        )
+        for row in result["rows"]
+    ]
 
 
 EXPERIMENT = register(
@@ -89,9 +85,5 @@ EXPERIMENT = register(
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

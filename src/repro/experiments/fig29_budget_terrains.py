@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.experiments.common import skyran_for, uniform_for
 from repro.experiments.placement_common import fresh_scenario
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.sim.runner import run_epochs
 
 ALTITUDE_M = 60.0
@@ -94,15 +94,22 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """SkyRAN wins on complex terrains and stays near parity on RURAL."""
+    rows = {r["terrain"]: r for r in result["rows"]}
+    out = [
+        check(f"{terrain} skyran_over_uniform", rows[terrain]["skyran_over_uniform"], ">", 0.95)
+        for terrain in ("nyc", "large")
+    ]
+    out.append(check("rural skyran_over_uniform", rows["rural"]["skyran_over_uniform"], ">", 0.7))
+    return out
+
+
 EXPERIMENT = register(
     "fig29",
     title="Figs. 29/30 — 5000 m budget across terrains",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

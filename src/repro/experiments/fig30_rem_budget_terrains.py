@@ -13,7 +13,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.experiments.fig29_budget_terrains import TERRAINS, grid, point
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 
 PAPER = "SkyRAN REMs several dB more accurate than Uniform on NYC/LARGE"
 
@@ -33,15 +33,23 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """SkyRAN's maps at least as accurate as Uniform's on the complex terrains."""
+    rows = {r["terrain"]: r for r in result["rows"]}
+    return [
+        check(
+            f"{terrain} skyran_rem_db", rows[terrain]["skyran_rem_db"], "<=",
+            rows[terrain]["uniform_rem_db"] + 1.5, "uniform_rem_db + 1.5",
+        )
+        for terrain in ("nyc", "large")
+    ]
+
+
 EXPERIMENT = register(
     "fig30",
     title="Fig. 30 — median REM accuracy at 5000 m budget",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.experiments.common import skyran_for, uniform_for
 from repro.experiments.placement_common import fresh_scenario
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.sim.runner import run_epochs
 
 ALTITUDE_M = 60.0
@@ -81,15 +81,19 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """SkyRAN stays at or above Uniform across UE counts."""
+    rows = result["rows"]
+    sky = float(np.mean([r["skyran_rel"] for r in rows]))
+    uni = float(np.mean([r["uniform_rel"] for r in rows]))
+    return [check("mean skyran_rel", sky, ">=", uni - 0.1, "mean uniform_rel - 0.1")]
+
+
 EXPERIMENT = register(
     "fig31",
     title="Fig. 31 — relative throughput vs #UEs (NYC)",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

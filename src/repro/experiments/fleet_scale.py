@@ -136,8 +136,3 @@ EXPERIMENT = register(
     point=point,
     aggregate=aggregate,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

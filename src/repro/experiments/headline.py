@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.experiments.common import UAV_SPEED_MPS
 from repro.experiments.placement_common import scheme_point
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 
 #: "about 30 secs of a measurement flight" at 30 km/h.
 HEADLINE_BUDGET_M = 30.0 * UAV_SPEED_MPS
@@ -60,15 +60,21 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": rows, "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """Most of optimal from a short flight, beating both baselines."""
+    row = result["rows"][0]
+    return [
+        check("skyran_rel", row["skyran_rel"], ">", 0.75),
+        check("sky_over_uniform", row["sky_over_uniform"], ">", 1.0),
+        check("sky_over_centroid", row["sky_over_centroid"], ">", 1.0),
+    ]
+
+
 EXPERIMENT = register(
     "headline",
     title="Headline — SkyRAN vs baselines at ~30 s budget",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

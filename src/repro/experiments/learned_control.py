@@ -110,11 +110,3 @@ EXPERIMENT = register(
     point=point,
     aggregate=aggregate,
 )
-
-
-def run(quick: bool = True, **overrides) -> Dict:
-    return EXPERIMENT.run(quick=quick, **overrides)
-
-
-if __name__ == "__main__":
-    EXPERIMENT.main()

@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.experiments.common import config_for, scenario_for
-from repro.sim.runner import run_simulation
+from repro.experiments.common import (
+    UAV_SPEED_MPS,
+    config_for,
+    scenario_for,
+    skyran_for,
+    uniform_for,
+)
+from repro.sim.runner import overhead_to_target, run_epochs, run_simulation
 
 #: Fixed operating altitude for the testbed-style comparisons, so all
 #: schemes are scored on the same horizontal placement problem (the
 #: paper "presents results for UAV positioning at a given altitude").
 TESTBED_ALTITUDE_M = 60.0
+
+#: Epoch cap of the overhead figures (26-28).  A run that has not met
+#: its target by then is censored.
+OVERHEAD_MAX_EPOCHS = 8
 
 
 def run_scheme(
@@ -111,3 +121,58 @@ def mean_over_seeds(
     out["scheme"] = scheme
     out["budget_m"] = budget_m
     return out
+
+
+def overhead_point(
+    terrain: str,
+    scheme: str,
+    budget_per_epoch_m: float,
+    move_fraction: float,
+    seed: int,
+    quick: bool,
+    **target,
+) -> Dict:
+    """Measurement-flight time until a target is first met (Figs. 26-28).
+
+    Six UEs, the scheme pinned to the testbed altitude, up to
+    :data:`OVERHEAD_MAX_EPOCHS` epochs; ``target`` goes to
+    :func:`~repro.sim.runner.overhead_to_target`.  Time is distance at
+    cruise speed, the paper's overhead axis, so SkyRAN's deliberately
+    slow localization hops don't distort it.  A run that never meets
+    the target is censored: ``reached`` is False and ``time_s`` is the
+    whole run's flight, only a lower bound on the true overhead.
+    """
+    scenario = fresh_scenario(terrain, 6, "uniform", seed, quick)
+    if scheme == "skyran":
+        ctrl = skyran_for(scenario, seed=seed, quick=quick)
+        ctrl.altitude = TESTBED_ALTITUDE_M
+    else:
+        ctrl = uniform_for(scenario, altitude=TESTBED_ALTITUDE_M, seed=seed, quick=quick)
+    records = run_epochs(
+        scenario,
+        ctrl,
+        OVERHEAD_MAX_EPOCHS,
+        budget_per_epoch_m=budget_per_epoch_m,
+        move_fraction=move_fraction,
+        seed=seed,
+    )
+    distance = overhead_to_target(records, value="distance", **target)
+    reached = distance is not None
+    if not reached:
+        distance = records[-1].cumulative_distance_m
+    return {"scheme": scheme, "time_s": float(distance / UAV_SPEED_MPS), "reached": reached}
+
+
+def reached_count(records: List[Dict]) -> str:
+    """``"hits/n"``: how many overhead runs met their target."""
+    return f"{sum(bool(r['reached']) for r in records)}/{len(records)}"
+
+
+def uncensored(*rows: Dict) -> bool:
+    """True when every run behind these overhead rows met its target."""
+    for row in rows:
+        for key in ("skyran_reached", "uniform_reached"):
+            hits, n = row[key].split("/")
+            if hits != n:
+                return False
+    return True

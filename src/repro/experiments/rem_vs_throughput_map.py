@@ -17,7 +17,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.experiments.common import scenario_for
-from repro.experiments.registry import register
+from repro.experiments.registry import Claim, check, register
 from repro.lte.throughput import throughput_mbps
 from repro.rem.idw import idw_interpolate
 
@@ -69,15 +69,22 @@ def aggregate(records: List[Dict], quick: bool = True) -> Dict:
     return {"rows": records[0]["rows"], "paper": PAPER}
 
 
+def claims(result: Dict) -> List[Claim]:
+    """Predicting throughput through the SNR map beats interpolating it directly."""
+    return [
+        check(
+            f"{row['measured_frac']:g} rem_path_err_mbps", row["rem_path_err_mbps"], "<=",
+            row["tputmap_path_err_mbps"] + 1e-9, "tputmap_path_err_mbps + 1e-9",
+        )
+        for row in result["rows"]
+    ]
+
+
 EXPERIMENT = register(
     "rem-vs-tputmap",
     title="Section 2.3 — REM vs throughput-map fidelity",
     grid=grid,
     point=point,
     aggregate=aggregate,
+    claims=claims,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

@@ -133,8 +133,3 @@ EXPERIMENT = register(
     point=point,
     aggregate=aggregate,
 )
-run = EXPERIMENT.run
-main = EXPERIMENT.main
-
-if __name__ == "__main__":
-    main()

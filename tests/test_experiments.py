@@ -1,74 +1,76 @@
-"""Smoke tests for the per-figure experiment modules and the CLI.
+"""Smoke tests for the per-figure experiment modules, their paper
+claims and the CLI.
 
-Heavy experiments run in the benchmark suite; here we execute the
-light ones end to end and check the result contract (``rows`` +
-``paper``) that the bench harness and EXPERIMENTS.md generator rely
-on.
+Heavy experiments run through the CLI (CI's claims step and the
+EXPERIMENTS.md generator); here we execute the light ones end to end
+and check the result contract (``rows`` + ``paper``), that claims are
+computed from the result alone, and the CLI's claim gate.
 """
 
 import numpy as np
 import pytest
 
-from repro.experiments import REGISTRY
+from repro.experiments import registry
 from repro.experiments.artifacts import roundtrip
-from repro.experiments import (
-    fig01_motivation,
-    fig03_centroid_vs_optimal,
-    fig07_pathloss_variation,
-    fig08_altitude,
-    fig12_epoch_length,
-)
-from repro.__main__ import main as cli_main
+from repro.experiments.cli import main as cli_main
+from repro.experiments.registry import experiment_names, get_experiment
+
+ABLATIONS = {
+    "ablation-upsampling",
+    "ablation-interpolation",
+    "ablation-gradient-threshold",
+    "ablation-reuse-radius",
+    "ablation-k-window",
+}
+
+#: Every figure that carries paper claims (each once had a bench).
+CLAIM_FIGURES = {
+    "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "fig12", "fig14", "fig17", "fig18", "fig19", "fig20", "fig21",
+    "fig23", "fig24", "fig26", "fig27", "fig28", "fig29", "fig30",
+    "fig31", "headline", "rem-vs-tputmap",
+}
+
+
+def run(name, **overrides):
+    return get_experiment(name).run(quick=True, **overrides)
 
 
 class TestRegistry:
     def test_every_paper_figure_registered(self):
-        expected = {
-            "fig1", "fig3", "fig4", "fig6", "fig7", "fig8", "fig9",
-            "fig12", "fig14", "fig17", "fig18", "fig19", "fig20",
-            "fig21", "fig23", "fig24", "fig26", "fig27", "fig28",
-            "fig29", "fig30", "fig31", "headline",
-        }
-        assert expected <= set(REGISTRY)
+        expected = CLAIM_FIGURES - {"fig5", "rem-vs-tputmap"}
+        assert expected <= set(experiment_names())
 
     def test_ablations_registered(self):
-        assert {k for k in REGISTRY if k.startswith("ablation-")} == {
-            "ablation-upsampling",
-            "ablation-interpolation",
-            "ablation-gradient-threshold",
-            "ablation-reuse-radius",
-            "ablation-k-window",
-        }
+        assert {k for k in experiment_names() if k.startswith("ablation-")} == ABLATIONS
 
 
 class TestLightExperiments:
     def test_fig01_contract(self):
-        result = fig01_motivation.run(quick=True)
+        result = run("fig1")
         assert "rows" in result and "paper" in result
         assert result["avg_map"].ndim == 2
         assert np.all(np.diff(result["cdf_values"]) >= 0)
 
     def test_fig03_contract(self):
-        result = fig03_centroid_vs_optimal.run(quick=True, seeds=(0, 1))
+        result = run("fig3", seeds=(0, 1))
         assert 0.0 <= result["mean_ratio"] <= 1.5
         assert result["rows"][-1]["seed"] == "mean"
 
     def test_fig07_swing(self):
-        result = fig07_pathloss_variation.run(quick=True)
+        result = run("fig7")
         row = result["rows"][0]
         assert row["max_pl_db"] > row["min_pl_db"]
         assert len(result["arc_m"]) == len(result["path_loss_db"])
 
     def test_fig08_interior_minimum(self):
-        result = fig08_altitude.run(quick=True)
+        result = run("fig8")
         row = result["rows"][0]
         assert row["loss_at_best_db"] <= row["loss_at_120m_db"]
         assert row["loss_at_best_db"] <= row["loss_at_10m_db"]
 
     def test_fig12_decay(self):
-        result = fig12_epoch_length.run(
-            quick=True, fractions=(0.5,), duration_min=20.0, step_min=10.0
-        )
+        result = run("fig12", fractions=(0.5,), duration_min=20.0, step_min=10.0)
         row = result["rows"][0]
         assert row["epoch_at_10pct_min"] >= 0.0
         times, rel = result["curves"][0.5]
@@ -160,6 +162,90 @@ class TestNumWorkersEnv:
             default_num_workers()
         with pytest.raises(ValueError, match="REPRO_NUM_WORKERS"):
             run_experiment("fig7", quick=True)
+
+
+class TestClaims:
+    @pytest.mark.parametrize("name", ["fig1", "fig3", "fig7", "fig8"])
+    def test_claims_survive_the_artifact_roundtrip(self, name):
+        # ``summary`` checks claims on the stored (JSON) result, so the
+        # claims must read the same from it as from the fresh one.
+        exp = get_experiment(name)
+        result = exp.run(quick=True)
+        claims = exp.claims(result)
+        assert claims
+        assert claims == exp.claims(roundtrip(result))
+
+    def test_former_bench_figures_and_ablations_carry_claims(self):
+        for name in sorted(CLAIM_FIGURES | ABLATIONS):
+            assert get_experiment(name).claims is not None, name
+
+    def test_known_failing_names_registered_experiments(self):
+        names = set(experiment_names())
+        for experiment, claim in registry.KNOWN_FAILING:
+            assert experiment in names, (experiment, claim)
+
+    def test_censored_overhead_row_fails_its_claim(self):
+        row = {
+            "mode": "STATIC",
+            "skyran_time_min": 1.0,
+            "uniform_time_min": 2.0,
+            "skyran_reached": "3/3",
+            "uniform_reached": "3/3",
+        }
+        claims = get_experiment("fig28").claims
+        assert claims({"rows": [row]})[0].ok
+        assert not claims({"rows": [dict(row, uniform_reached="2/3")]})[0].ok
+
+    def test_check_names_the_comparison(self):
+        claim = registry.check("x", 2.0, ">", 1.0)
+        assert claim == registry.Claim("x > 1.0", 2.0, 1.0, True)
+        relative = registry.check("x", 2.0, "<=", 3.0, "y + 1")
+        assert relative.name == "x <= y + 1" and relative.ok
+        assert not registry.check("x", 2.0, ">", 1.0, valid=False).ok
+
+
+class TestClaimGate:
+    """``run`` exits 1 on an unlisted failing claim or a listed passing one."""
+
+    NAME = "claim-gate-probe"
+
+    @pytest.fixture
+    def probe(self):
+        def register(op):
+            registry.register(
+                self.NAME,
+                title="claim gate probe",
+                grid=lambda quick=True: [{"x": 1.0}],
+                point=lambda params, quick=True: dict(params),
+                aggregate=lambda records, quick=True: {"rows": records},
+                claims=lambda result: [
+                    registry.check("x", result["rows"][0]["x"], op, 0.5)
+                ],
+            )
+
+        yield register
+        registry._EXPERIMENTS.pop(self.NAME, None)
+
+    def test_unlisted_failing_claim_exits_1(self, probe, capsys):
+        probe("<")
+        assert cli_main(["run", self.NAME, "--no-cache"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_listed_failing_claim_exits_0(self, probe, monkeypatch, capsys):
+        probe("<")
+        monkeypatch.setattr(registry, "KNOWN_FAILING", frozenset({(self.NAME, "x < 0.5")}))
+        assert cli_main(["run", self.NAME, "--no-cache"]) == 0
+        assert "known-failing" in capsys.readouterr().out
+
+    def test_listed_passing_claim_exits_1(self, probe, monkeypatch, capsys):
+        probe(">")
+        monkeypatch.setattr(registry, "KNOWN_FAILING", frozenset({(self.NAME, "x > 0.5")}))
+        assert cli_main(["run", self.NAME, "--no-cache"]) == 1
+        assert "STALE" in capsys.readouterr().out
+
+    def test_passing_claim_exits_0(self, probe):
+        probe(">")
+        assert cli_main(["run", self.NAME, "--no-cache"]) == 0
 
 
 class TestCLI:
