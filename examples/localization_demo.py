@@ -16,8 +16,8 @@ from repro import Scenario
 from repro.flight.sampler import collect_gps_ranges, localize_all_ues
 from repro.flight.uav import UAV
 from repro.localization.ranging import mad_filter
-from repro.lte.srs import apply_channel, make_srs_symbol
-from repro.lte.tof import ToFEstimator, estimate_delay_samples
+from repro.lte.srs import apply_channel_batch, make_srs_symbol, pack_taps
+from repro.lte.tof import ToFEstimator, estimate_delays_batch
 from repro.trajectory.random_flight import random_flight
 
 
@@ -32,9 +32,12 @@ def demo_single_symbol() -> None:
 
     true_range = 163.0
     delay = true_range / cfg.meters_per_sample
-    rx = apply_channel(sym, cfg, delay, snr_db=12.0, rng=rng, multipath=((0.1, -9.0),))
+    # A one-symbol batch: delay, SNR and one weak ground-bounce tap.
+    rx = apply_channel_batch(
+        sym, cfg, np.array([delay]), np.array([12.0]), rng, *pack_taps([((0.1, -9.0),)])
+    )
     for K in (1, 4):
-        est = estimate_delay_samples(rx, sym, upsampling=K)
+        est = estimate_delays_batch(rx, sym, upsampling=K, quality=False)[0][0]
         print(
             f"  K={K}: estimated delay {est:6.3f} samples -> "
             f"{est * cfg.meters_per_sample:7.1f} m (true {true_range:.1f} m)"

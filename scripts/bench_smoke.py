@@ -164,139 +164,6 @@ def bench_oracle(n_ues: int, repeats: int) -> dict:
     }
 
 
-def bench_localization(n_ues: int, repeats: int) -> dict:
-    """Batched-vs-reference localization flight on the campus scenario.
-
-    One 20 m localization flight at 100 m altitude over the campus with
-    ``n_ues`` UEs, run end to end (SRS synthesis -> channel -> Eq. 1-3
-    ToF -> MAD filter -> joint multilateration) twice: through the
-    per-symbol reference path (re-synthesizing the SRS symbol per
-    reception, as the seed did, and finite-differencing the joint
-    Jacobian) and through the batched kernels with the analytic
-    Jacobian.  The two observation sets must match exactly (the batch
-    kernels are bit-identical under the documented RNG draw schedule);
-    the positions agree to solver tolerance.
-    """
-    from repro.flight.sampler import (  # noqa: E402
-        collect_gps_ranges,
-        collect_gps_ranges_reference,
-    )
-    from repro.flight.uav import UAV  # noqa: E402
-    from repro.localization.joint import solve_joint_multilateration  # noqa: E402
-    from repro.localization.ranging import (  # noqa: E402
-        mad_filter,
-        mad_filter_reference,
-    )
-    from repro.lte.tof import ToFEstimator  # noqa: E402
-    from repro.trajectory.random_flight import random_flight  # noqa: E402
-
-    scenario = Scenario.create("campus", n_ues=n_ues, seed=0)
-    grid = scenario.grid
-    start = np.array([grid.origin_x + grid.width / 2, grid.origin_y + grid.height / 2])
-    fly_rng = np.random.default_rng(0)
-    uav = UAV(position=np.array([start[0], start[1], 100.0]), speed_mps=3.0)
-    traj = random_flight(grid, start, 20.0, 100.0, fly_rng)
-    log = uav.fly(traj, fly_rng)
-    estimator = ToFEstimator(scenario.enodeb.srs_config, 4)
-    margin = 20.0
-    bounds = (
-        (grid.origin_x - margin, grid.max_x + margin),
-        (grid.origin_y - margin, grid.max_y + margin),
-    )
-    n_symbols = n_ues * max(2, int(log.duration_s * 100.0) + 1)
-
-    def collect(collector, outlier_filter=mad_filter, **kw):
-        rng = np.random.default_rng(1)
-        obs = {}
-        for ue in scenario.ues:
-            o = outlier_filter(
-                collector(
-                    log, ue, scenario.channel, scenario.enodeb, estimator, rng, **kw
-                )
-            )
-            if len(o) >= 3:
-                obs[ue.ue_id] = o
-        return obs
-
-    def collect_reference():
-        # The honest baseline: per-symbol SRS re-synthesis and channel
-        # application, scalar Eq. 1-3 estimation, the mask-per-fix
-        # aggregation loop, and the per-point moving-median MAD filter.
-        return collect(
-            collect_gps_ranges_reference,
-            outlier_filter=mad_filter_reference,
-            resynthesize=True,
-        )
-
-    obs_batched = collect(collect_gps_ranges)
-    obs_reference = collect_reference()
-    observations_identical = set(obs_batched) == set(obs_reference) and all(
-        len(obs_batched[u]) == len(obs_reference[u])
-        and all(
-            x.range_m == y.range_m and x.t_s == y.t_s
-            for x, y in zip(obs_batched[u], obs_reference[u])
-        )
-        for u in obs_batched
-    )
-
-    t_collect_ref = _time_min(collect_reference, repeats)
-    perf.reset()
-    t_collect_batched = _time_min(lambda: collect(collect_gps_ranges), repeats)
-    loc_counters = perf.counters()
-
-    res_ref = solve_joint_multilateration(
-        obs_reference, bounds_xy=bounds, jac="2-point", model="reference"
-    )
-    res_batched = solve_joint_multilateration(
-        obs_batched, bounds_xy=bounds, jac="analytic"
-    )
-    max_position_delta_m = max(
-        float(np.linalg.norm(res_batched.per_ue[u].position - res_ref.per_ue[u].position))
-        for u in res_batched.per_ue
-    )
-    t_solve_ref = _time_min(
-        lambda: solve_joint_multilateration(
-            obs_reference, bounds_xy=bounds, jac="2-point", model="reference"
-        ),
-        repeats,
-    )
-    t_solve_batched = _time_min(
-        lambda: solve_joint_multilateration(
-            obs_batched, bounds_xy=bounds, jac="analytic"
-        ),
-        repeats,
-    )
-
-    e2e_ref = t_collect_ref + t_solve_ref
-    e2e_batched = t_collect_batched + t_solve_batched
-    return {
-        "terrain": "campus",
-        "n_ues": n_ues,
-        "flight_m": 20.0,
-        "altitude_m": 100.0,
-        "n_srs_symbols": n_symbols,
-        "observations_identical": bool(observations_identical),
-        "max_position_delta_m": max_position_delta_m,
-        "collect_reference_s": t_collect_ref,
-        "collect_batched_s": t_collect_batched,
-        "collect_speedup": t_collect_ref / t_collect_batched
-        if t_collect_batched > 0
-        else float("inf"),
-        "symbols_per_s_batched": n_symbols / t_collect_batched
-        if t_collect_batched > 0
-        else float("inf"),
-        "solve_reference_s": t_solve_ref,
-        "solve_batched_s": t_solve_batched,
-        "solve_speedup": t_solve_ref / t_solve_batched
-        if t_solve_batched > 0
-        else float("inf"),
-        "e2e_reference_s": e2e_ref,
-        "e2e_batched_s": e2e_batched,
-        "e2e_speedup": e2e_ref / e2e_batched if e2e_batched > 0 else float("inf"),
-        "perf_counters": loc_counters,
-    }
-
-
 def bench_mac(n_ues: int, repeats: int) -> dict:
     """TTI-batch kernel vs the per-TTI Python reference.
 
@@ -589,19 +456,6 @@ def main(argv=None) -> int:
         "--skip-headline", action="store_true", help="only run the oracle bench"
     )
     parser.add_argument(
-        "--loc",
-        action="store_true",
-        help="also run the localization bench and gate on --min-loc-speedup",
-    )
-    parser.add_argument(
-        "--min-loc-speedup",
-        type=float,
-        default=2.0,
-        help="with --loc, fail if the batched localization path is not at "
-        "least this many times faster end-to-end (generous CI floor; "
-        "0 = report only)",
-    )
-    parser.add_argument(
         "--mac",
         action="store_true",
         help="also run the MAC scheduler bench and gate on --min-mac-speedup",
@@ -719,22 +573,6 @@ def main(argv=None) -> int:
         f"mean diff {oracle['mean_abs_diff_db']:.3f} dB)"
     )
 
-    loc = None
-    if args.loc:
-        loc = bench_localization(args.ues, args.repeats)
-        payload["localization"] = loc
-        print(
-            f"[localization] campus/{args.ues} UEs, 20 m flight "
-            f"({loc['n_srs_symbols']} SRS symbols): "
-            f"collect {loc['collect_reference_s']:.3f} s -> "
-            f"{loc['collect_batched_s']:.3f} s ({loc['collect_speedup']:.2f}x, "
-            f"{loc['symbols_per_s_batched']:.0f} symbols/s), "
-            f"solve {loc['solve_reference_s']:.3f} s -> "
-            f"{loc['solve_batched_s']:.3f} s ({loc['solve_speedup']:.2f}x), "
-            f"e2e {loc['e2e_speedup']:.2f}x, "
-            f"max position delta {loc['max_position_delta_m']:.2e} m"
-        )
-
     sched = None
     if args.mac:
         sched = bench_mac(args.ues, args.repeats)
@@ -829,21 +667,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    if loc is not None:
-        if not loc["observations_identical"]:
-            print(
-                "FAIL: batched localization observations differ from the "
-                "per-symbol reference",
-                file=sys.stderr,
-            )
-            return 1
-        if args.min_loc_speedup > 0 and loc["e2e_speedup"] < args.min_loc_speedup:
-            print(
-                f"FAIL: localization e2e speedup {loc['e2e_speedup']:.2f}x "
-                f"< required {args.min_loc_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
     if sched is not None:
         mismatched = [c for c, r in sched["cases"].items() if not r["bit_identical"]]
         if mismatched:

@@ -90,9 +90,6 @@ class ShardRoundRobin:
             out[idx[((self.ranks[idx] - rho) % n_a) < rem]] += 1
         return out
 
-    def grants_reference(self, schedulable, bytes_per_prb, n_prb: int, tti: int) -> list:
-        return [int(g) for g in self.grants(schedulable, bytes_per_prb, n_prb, tti)]
-
     def grants_slab(
         self,
         schedulable: np.ndarray,
@@ -119,9 +116,6 @@ class ShardRoundRobin:
         return out
 
     def update(self, served_bytes: np.ndarray) -> None:
-        pass
-
-    def update_reference(self, served_bytes) -> None:
         pass
 
 

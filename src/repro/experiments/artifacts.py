@@ -3,8 +3,8 @@
 Completed grid points are memoized as small JSON files keyed by a
 content hash of everything that determines their value: the point
 function's identity, its parameters, the fidelity flag, and a
-fingerprint of the code-relevant constants (config defaults, channel
-defaults, the experiment-harness constants).  Re-running a figure —
+fingerprint of the code (every ``repro`` source file, plus the config,
+channel and experiment-harness constants).  Re-running a figure —
 or upgrading a ``--quick`` run to full fidelity point by point — only
 computes the points whose keys are missing.
 
@@ -22,11 +22,6 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional
-
-#: Bump when the meaning of cached records changes in a way the
-#: constant fingerprint cannot see (e.g. a point-function rewrite that
-#: keeps its name and parameters).
-CACHE_VERSION = 1
 
 #: Environment override for the store root used by the CLI and smoke
 #: scripts (defaults to ``benchmarks/artifacts/experiments``).
@@ -75,18 +70,31 @@ def roundtrip(value):
     return json.loads(json.dumps(jsonable(value), sort_keys=True))
 
 
-def code_fingerprint() -> str:
-    """Hash of the code-relevant constants behind every experiment.
+def source_digest(root: "Path | str") -> str:
+    """sha256 over every ``*.py`` under ``root``: sorted relative path + bytes."""
+    root = Path(root)
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py"), key=lambda p: p.relative_to(root).as_posix()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
-    Covers the :class:`~repro.core.config.SkyRANConfig` defaults
-    (every operational knob), the channel/link-budget defaults, the
-    experiment-harness constants, and the learned-control constants
-    (:func:`repro.learn.constants.fingerprint_payload` — feature
-    schemas, RNG lanes, model defaults) — changing any of them changes
-    every point key, invalidating the cache wholesale.
+
+def code_fingerprint() -> str:
+    """Hash of the code and constants behind every experiment.
+
+    Covers the source of the whole ``repro`` package
+    (:func:`source_digest`), so any code change — a point function, the
+    controller, a kernel — changes every point key and invalidates the
+    cache wholesale; plus the :class:`~repro.core.config.SkyRANConfig`
+    defaults (every operational knob), the channel/link-budget
+    defaults, the experiment-harness constants, and the learned-control
+    constants (:func:`repro.learn.constants.fingerprint_payload` —
+    feature schemas, RNG lanes, model defaults).
     """
     from dataclasses import fields
 
+    import repro
     from repro.channel.linkbudget import LinkBudget
     from repro.channel.model import ChannelModel
     from repro.core.config import SkyRANConfig
@@ -99,7 +107,7 @@ def code_fingerprint() -> str:
         if isinstance(f.default, (bool, int, float, str))
     }
     payload = {
-        "cache_version": CACHE_VERSION,
+        "source": source_digest(Path(repro.__file__).parent),
         "config": asdict(SkyRANConfig()),
         "channel": channel_defaults,
         "link": asdict(LinkBudget()),

@@ -14,7 +14,6 @@ from repro.flight.sampler import (
     collect_gps_ranges,
     collect_snr_samples,
     localize_all_ues,
-    localize_ue,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "collect_gps_ranges",
     "collect_snr_samples",
     "localize_all_ues",
-    "localize_ue",
 ]

@@ -4,8 +4,9 @@ The UAV's motion turns a single eNodeB into a synthetic aperture: SRS
 -derived ranges from many points along a short random flight are fused
 by multilateration.  Because onboard ToF processing adds an unknown
 constant delay, the range offset is estimated *jointly* with the UE
-position (offset-augmented least squares, solved by gradient descent
-with Huber robustification against NLOS outliers).
+position (offset-augmented least squares, one offset shared by every
+UE of the flight, solved by SciPy trust-region least squares with a
+Huber loss against NLOS outliers).
 """
 
 from repro.localization.ranging import (
@@ -14,13 +15,10 @@ from repro.localization.ranging import (
     mad_filter,
     ranges_from_delays,
 )
-from repro.localization.multilateration import (
-    MultilaterationResult,
-    solve_multilateration,
-)
 from repro.localization.calibration import OffsetCalibrator
 from repro.localization.joint import (
     JointLocalizationResult,
+    MultilaterationResult,
     solve_joint_multilateration,
 )
 
@@ -30,7 +28,6 @@ __all__ = [
     "mad_filter",
     "ranges_from_delays",
     "MultilaterationResult",
-    "solve_multilateration",
     "JointLocalizationResult",
     "solve_joint_multilateration",
     "OffsetCalibrator",

@@ -1,18 +1,32 @@
-"""Joint multi-UE multilateration with a shared offset.
+"""Offset-augmented joint multilateration (paper Section 3.2.3).
 
-The constant ToF processing offset is a property of the eNodeB receive
-chain, not of any UE — every UE ranged in the same flight shares it.
-Estimating one offset jointly across all UEs is dramatically better
-conditioned than per-UE estimation: for a single UE a short flight
-only separates range from offset through the second-order curvature of
-the range profile (noise amplified by ~range/aperture), whereas with
-``U`` UEs the offset is constrained by all of them at once and the
-per-UE error drops roughly by ``sqrt(U)``.
+Each observation gives a range ``r_i`` from a known UAV anchor ``a_i``
+to an unknown UE position ``p``, corrupted by a *constant* processing
+offset ``b`` plus noise:
 
-This is how SkyRAN reaches median 5-7 m from a 20 m flight (Fig. 18);
-:func:`solve_joint_multilateration` is the production path, while
-:func:`~repro.localization.multilateration.solve_multilateration`
-remains for single-UE use and ablations.
+    r_i = ||p - a_i|| + b + n_i
+
+The paper folds ``b`` into the unknowns and solves the least-squares
+problem iteratively.  The problem is sharply ill-conditioned for short
+flights: to first order a small aperture only determines the
+*direction* to a UE, while range and offset separate only through the
+second-order curvature of ``||p - a_i||`` along the flight (noise
+amplified by ~range/aperture).  Plain gradient descent crawls in that
+valley, so the solver is SciPy's trust-region least squares with a
+Huber loss against heavy-tailed NLOS outliers, plus restarts because
+the robust objective is non-convex.
+
+The offset is a property of the eNodeB receive chain, not of any UE —
+every UE ranged in the same flight shares it.  Estimating one offset
+jointly across all UEs is far better conditioned than per-UE
+estimation: with ``U`` UEs the offset is constrained by all of them at
+once and the per-UE error drops roughly by ``sqrt(U)``.  This is how
+SkyRAN reaches median 5-7 m from a 20 m flight (Fig. 18); a single UE
+is the ``U = 1`` case of the same solve.
+
+The UE height is fixed to a known antenna height (UEs are on the
+ground; the UAV flies 40-120 m above, so the geometry has almost no
+vertical diversity and estimating z would be ill-conditioned).
 """
 
 from __future__ import annotations
@@ -23,9 +37,44 @@ from typing import Dict, Mapping, Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from repro.localization.multilateration import MultilaterationResult
 from repro.localization.ranging import GpsRange
 from repro.perf import perf
+
+
+@dataclass(frozen=True)
+class MultilaterationResult:
+    """One UE's solution of the offset-augmented multilateration.
+
+    Attributes
+    ----------
+    position:
+        Estimated UE position ``(x, y, z)``; z is the fixed input.
+    offset_m:
+        Estimated constant range offset.
+    residual_rms_m:
+        RMS of the final range residuals.
+    n_iter:
+        Residual-function evaluations used by the winning solve.
+    converged:
+        Whether the winning solve reported convergence.
+    inlier_fraction:
+        Fraction of the input observations the solve actually trusted
+        (1.0 when the NLOS trim kept everything).  Together with
+        ``residual_rms_m`` this is the per-UE quality score the
+        degraded-mode controller gates its fallbacks on.
+    """
+
+    position: np.ndarray
+    offset_m: float
+    residual_rms_m: float
+    n_iter: int
+    converged: bool
+    inlier_fraction: float = 1.0
+
+    @property
+    def quality_ok(self) -> bool:
+        """Crude sanity gate: solve converged and kept most of its data."""
+        return self.converged and self.inlier_fraction >= 0.5
 
 
 @dataclass(frozen=True)
@@ -54,21 +103,63 @@ def _stack_observations(observations: Sequence[GpsRange]):
     return anchors, ranges
 
 
-#: Jacobian modes for the joint solve.  "analytic" evaluates the exact
-#: closed-form Jacobian in one vectorized pass; "2-point" is SciPy's
-#: dense finite differencing (2U+1 residual sweeps per step — the
-#: pre-analytic behavior, retained as the validation oracle) and
-#: "3-point" its higher-order variant (truncation error ~eps^(2/3)
-#: instead of ~sqrt(eps), the tighter oracle for validating the
-#: analytic mode).
-JAC_MODES = ("analytic", "2-point", "3-point")
+def _flatten(data):
+    """Stack per-UE ``(anchors, ranges)`` into flat arrays + a UE-index vector.
 
-#: Residual-model implementations.  "vectorized" evaluates all UEs in
-#: one flat pass (and is the only model with an analytic Jacobian);
-#: "reference" retains the per-UE-loop residual closure the solver
-#: shipped with, as the honest baseline for benchmarking and for
-#: validating that vectorization did not change the solve.
-MODEL_MODES = ("vectorized", "reference")
+    UEs are taken in ascending id order, the parameter layout of the
+    joint solve (``theta = [x_0, y_0, x_1, y_1, ..., b]``).
+    """
+    ue_ids = sorted(data)
+    anchors = np.concatenate([data[u][0] for u in ue_ids], axis=0)
+    ranges = np.concatenate([data[u][1] for u in ue_ids])
+    ue_idx = np.concatenate(
+        [np.full(len(data[u][1]), i, dtype=int) for i, u in enumerate(ue_ids)]
+    )
+    return anchors, ranges, ue_idx
+
+
+def _joint_model(data, ue_z: float, prior_b: float, prior_w: float):
+    """``(residuals, jac)`` of the joint problem over ``data``.
+
+    ``data`` maps UE id to ``(anchors (m, 3), ranges (m,))``.  The
+    residuals are ``||p_u - a_i|| + b - r_i`` over every UE's rows in
+    one flat pass, plus one ``sqrt(prior_w) * (b - prior_b)`` row when
+    ``prior_w > 0``.  The Jacobian is closed-form: ``(p_xy - a_xy) /
+    dist`` on the row's own UE columns and 1 on the offset column, so
+    each trust-region step is one vectorized evaluation.
+    """
+    anchors, ranges, ue_idx = _flatten(data)
+    ax, ay = anchors[:, 0], anchors[:, 1]
+    dz2 = (anchors[:, 2] - ue_z) ** 2
+    m = len(ranges)
+    rows = m + (1 if prior_w > 0 else 0)
+    n_params = 2 * len(data) + 1
+    xi, yi = 2 * ue_idx, 2 * ue_idx + 1
+
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        dx = ax - theta[xi]
+        dy = ay - theta[yi]
+        dist = np.sqrt(dx * dx + dy * dy + dz2)
+        out = np.empty(rows)
+        out[:m] = dist + theta[-1] - ranges
+        if prior_w > 0:
+            out[m] = np.sqrt(prior_w) * (theta[-1] - prior_b)
+        return out
+
+    def jac(theta: np.ndarray) -> np.ndarray:
+        dx = theta[xi] - ax
+        dy = theta[yi] - ay
+        dist = np.maximum(np.sqrt(dx * dx + dy * dy + dz2), 1e-12)
+        J = np.zeros((rows, n_params))
+        obs_rows = np.arange(m)
+        J[obs_rows, xi] = dx / dist
+        J[obs_rows, yi] = dy / dist
+        J[:m, -1] = 1.0
+        if prior_w > 0:
+            J[m, -1] = np.sqrt(prior_w)
+        return J
+
+    return residuals, jac
 
 
 def solve_joint_multilateration(
@@ -81,8 +172,6 @@ def solve_joint_multilateration(
     seed: Optional[int] = 0,
     bounds_xy: Optional[tuple] = None,
     offset_prior: Optional[tuple] = None,
-    jac: str = "analytic",
-    model: str = "vectorized",
 ) -> JointLocalizationResult:
     """Solve every UE's position and one shared range offset.
 
@@ -115,27 +204,7 @@ def solve_joint_multilateration(
         residual rows pulling ``b`` toward the prior; the offset is a
         receive-chain constant, so epochs after the first should not
         re-learn it from scratch.
-    jac:
-        One of :data:`JAC_MODES`.  The default analytic Jacobian makes
-        each trust-region step one vectorized evaluation instead of
-        ``2U + 1`` finite-difference residual sweeps; "2-point"
-        reproduces the finite-difference solve (the validation oracle)
-        and "3-point" its higher-order variant.
-    model:
-        One of :data:`MODEL_MODES`.  "vectorized" (default) evaluates
-        the residuals of all UEs in one flat pass; "reference" retains
-        the per-UE-loop residual closure (finite-difference Jacobians
-        only) as the benchmark baseline.  Both produce bit-identical
-        residual values.
     """
-    if jac not in JAC_MODES:
-        raise ValueError(f"jac must be one of {JAC_MODES}, got {jac!r}")
-    if model not in MODEL_MODES:
-        raise ValueError(f"model must be one of {MODEL_MODES}, got {model!r}")
-    if model == "reference" and jac not in ("2-point", "3-point"):
-        raise ValueError(
-            f"the reference model supports finite-difference Jacobians only, got {jac!r}"
-        )
     ue_ids = sorted(observations_by_ue)
     if not ue_ids:
         raise ValueError("need observations for at least one UE")
@@ -146,7 +215,6 @@ def solve_joint_multilateration(
             raise ValueError(f"UE {ue_id}: need at least 3 observations, got {len(obs)}")
         data[ue_id] = _stack_observations(obs)
     orig_counts = {ue_id: len(data[ue_id][1]) for ue_id in ue_ids}
-    n_params = 2 * len(ue_ids) + 1
 
     if offset_prior is not None:
         prior_b, prior_w = float(offset_prior[0]), float(offset_prior[1])
@@ -155,72 +223,10 @@ def solve_joint_multilateration(
     else:
         prior_b, prior_w = 0.0, 0.0
 
-    def flatten(data):
-        """Stack per-UE observations into flat arrays + a UE-index vector."""
-        anchors = np.concatenate([data[u][0] for u in ue_ids], axis=0)
-        ranges = np.concatenate([data[u][1] for u in ue_ids])
-        ue_idx = np.concatenate(
-            [np.full(len(data[u][1]), i, dtype=int) for i, u in enumerate(ue_ids)]
-        )
-        return anchors, ranges, ue_idx
-
-    def make_model(data):
-        """(residuals, jac) closures over the current data."""
-        anchors, ranges, ue_idx = flatten(data)
-        ax, ay = anchors[:, 0], anchors[:, 1]
-        dz2 = (anchors[:, 2] - ue_z) ** 2
-        m = len(ranges)
-        rows = m + (1 if prior_w > 0 else 0)
-        xi, yi = 2 * ue_idx, 2 * ue_idx + 1
-
-        def residuals(theta: np.ndarray) -> np.ndarray:
-            dx = ax - theta[xi]
-            dy = ay - theta[yi]
-            dist = np.sqrt(dx * dx + dy * dy + dz2)
-            out = np.empty(rows)
-            out[:m] = dist + theta[-1] - ranges
-            if prior_w > 0:
-                out[m] = np.sqrt(prior_w) * (theta[-1] - prior_b)
-            return out
-
-        def jac_fn(theta: np.ndarray) -> np.ndarray:
-            dx = theta[xi] - ax
-            dy = theta[yi] - ay
-            dist = np.maximum(np.sqrt(dx * dx + dy * dy + dz2), 1e-12)
-            J = np.zeros((rows, n_params))
-            obs_rows = np.arange(m)
-            J[obs_rows, xi] = dx / dist
-            J[obs_rows, yi] = dy / dist
-            J[:m, -1] = 1.0
-            if prior_w > 0:
-                J[m, -1] = np.sqrt(prior_w)
-            return J
-
-        return residuals, jac_fn
-
-    def make_model_reference(data):
-        """The retained per-UE-loop residual closure (seed behavior)."""
-
-        def residuals(theta: np.ndarray) -> np.ndarray:
-            b = theta[-1]
-            out = []
-            for i, ue_id in enumerate(ue_ids):
-                anchors, ranges = data[ue_id]
-                p = np.array([theta[2 * i], theta[2 * i + 1], ue_z])
-                dist = np.linalg.norm(anchors - p[None, :], axis=1)
-                out.append(dist + b - ranges)
-            if prior_w > 0:
-                out.append(np.array([np.sqrt(prior_w) * (b - prior_b)]))
-            return np.concatenate(out)
-
-        return residuals, None
-
-    build_model = make_model if model == "vectorized" else make_model_reference
-    residuals, jac_fn = build_model(data)
+    residuals, jac = _joint_model(data, ue_z, prior_b, prior_w)
 
     rng = np.random.default_rng(seed)
-    first_anchors, first_ranges = data[ue_ids[0]]
-    centroid = first_anchors[:, :2].mean(axis=0)
+    first_anchors = data[ue_ids[0]][0]
     spread = max(float(first_anchors[:, :2].std()), 10.0)
 
     if bounds_xy is not None:
@@ -263,7 +269,7 @@ def solve_joint_multilateration(
                 ftol=tol,
                 gtol=tol,
                 bounds=solver_bounds,
-                jac=jac_fn if jac == "analytic" else jac,
+                jac=jac,
             )
             if best is None or sol.cost < best.cost:
                 best = sol
@@ -278,7 +284,7 @@ def solve_joint_multilateration(
             res = residuals(best.x)
             scale = 1.4826 * float(np.median(np.abs(res - np.median(res))))
             cut = max(2.5, 2.0 * scale)
-            anchors_f, ranges_f, ue_idx_f = flatten(data)
+            anchors_f, ranges_f, ue_idx_f = _flatten(data)
             m = len(ranges_f)
             keep = res[:m] <= cut
             counts = np.bincount(ue_idx_f, minlength=len(ue_ids))
@@ -295,7 +301,7 @@ def solve_joint_multilateration(
                 )
                 for i, ue_id in enumerate(ue_ids)
             }
-            residuals, jac_fn = build_model(data)
+            residuals, jac = _joint_model(data, ue_z, prior_b, prior_w)
             best = least_squares(
                 residuals,
                 x0=_clip_theta(best.x),
@@ -306,7 +312,7 @@ def solve_joint_multilateration(
                 ftol=tol,
                 gtol=tol,
                 bounds=solver_bounds,
-                jac=jac_fn if jac == "analytic" else jac,
+                jac=jac,
             )
 
     theta = best.x

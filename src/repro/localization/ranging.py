@@ -78,9 +78,9 @@ def aggregate_tof_to_gps(
     fix, kept_ranges = fix[in_window], ranges[in_window]
     if len(fix) == 0:
         return []
-    # Stable sort keeps each window's reports in time order, so the
-    # per-window means see the exact operand order of the old
-    # mask-per-fix loop.
+    # Stable sort keeps each window's reports in time order, so each
+    # window's mean sees its reports in the same operand order as
+    # ``ranges[mask].mean()`` over that window's mask.
     order = np.argsort(fix, kind="stable")
     fix, kept_ranges = fix[order], kept_ranges[order]
     uniq, starts = np.unique(fix, return_index=True)
@@ -88,8 +88,8 @@ def aggregate_tof_to_gps(
     means = np.add.reduceat(kept_ranges, starts) / counts
     # reduceat sums sequentially while .mean() uses SIMD/pairwise
     # accumulation, which rounds differently from three elements up.
-    # Recompute those windows with .mean() so results stay
-    # bit-identical to the per-fix loop; at the nominal rates (100 Hz
+    # Recompute those windows with .mean() so every window's value is
+    # exactly its ``.mean()``; at the nominal rates (100 Hz
     # ToF into 50 Hz fixes) windows hold ~2 reports, so this loop is
     # almost always empty.
     for j in np.flatnonzero(counts >= 3):
@@ -100,42 +100,6 @@ def aggregate_tof_to_gps(
         )
         for j, i in enumerate(uniq)
     ]
-
-
-def aggregate_tof_to_gps_reference(
-    gps_times_s: Sequence[float],
-    gps_xyz: np.ndarray,
-    tof_times_s: Sequence[float],
-    ranges_m: Sequence[float],
-) -> List[GpsRange]:
-    """Retained mask-per-fix loop behind :func:`aggregate_tof_to_gps`.
-
-    The O(fixes x reports) implementation the aggregation shipped
-    with — kept as the equivalence oracle for the vectorized path and
-    as the honest baseline the localization benchmark times against.
-    """
-    gps_times = np.asarray(gps_times_s, dtype=float)
-    gps_xyz = np.asarray(gps_xyz, dtype=float)
-    tof_times = np.asarray(tof_times_s, dtype=float)
-    ranges = np.asarray(ranges_m, dtype=float)
-    if gps_xyz.shape != (len(gps_times), 3):
-        raise ValueError(
-            f"gps_xyz must be ({len(gps_times)}, 3), got {gps_xyz.shape}"
-        )
-    if tof_times.shape != ranges.shape:
-        raise ValueError("tof_times_s and ranges_m must have the same length")
-    if np.any(np.diff(gps_times) < 0):
-        raise ValueError("gps_times_s must be non-decreasing")
-    out: List[GpsRange] = []
-    for i, t in enumerate(gps_times):
-        t_next = gps_times[i + 1] if i + 1 < len(gps_times) else np.inf
-        mask = (tof_times >= t) & (tof_times < t_next)
-        if not mask.any():
-            continue
-        out.append(
-            GpsRange(gps_xyz=gps_xyz[i], range_m=float(ranges[mask].mean()), t_s=float(t))
-        )
-    return out
 
 
 def mad_filter(
@@ -177,40 +141,6 @@ def mad_filter(
         trend[i] = np.median(r[max(0, i - half) : i + half + 1])
     for i in range(max(half, n - half), n):
         trend[i] = np.median(r[max(0, i - half) : i + half + 1])
-    resid = r - trend
-    center = np.median(resid)
-    mad = np.median(np.abs(resid - center))
-    scale = 1.4826 * mad
-    if scale <= 1e-9:
-        return obs
-    upper = (k_pos if k_pos is not None else k) * scale
-    keep = (resid - center >= -k * scale) & (resid - center <= upper)
-    return [o for o, good in zip(obs, keep) if good]
-
-
-def mad_filter_reference(
-    observations: Sequence[GpsRange],
-    k: float = 4.0,
-    k_pos: Optional[float] = None,
-) -> List[GpsRange]:
-    """Retained per-point moving-median loop behind :func:`mad_filter`.
-
-    Kept as the equivalence oracle for the sliding-window-view trend
-    and as the honest baseline for the localization benchmark.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    if k_pos is not None and k_pos <= 0:
-        raise ValueError(f"k_pos must be positive, got {k_pos}")
-    obs = list(observations)
-    if len(obs) < 5:
-        return obs
-    r = np.array([o.range_m for o in obs])
-    window = min(11, len(r) | 1)  # odd window
-    half = window // 2
-    trend = np.array(
-        [np.median(r[max(0, i - half) : i + half + 1]) for i in range(len(r))]
-    )
     resid = r - trend
     center = np.median(resid)
     mad = np.median(np.abs(resid - center))

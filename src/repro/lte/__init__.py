@@ -13,7 +13,6 @@ scheduler, and a minimal EPC (attach/bearer state machines).
 
 from repro.lte.srs import (
     SRSConfig,
-    apply_channel,
     apply_channel_batch,
     make_srs_symbol,
     pack_taps,
@@ -21,9 +20,7 @@ from repro.lte.srs import (
 )
 from repro.lte.tof import (
     ToFEstimator,
-    estimate_delay_samples,
     estimate_delays_batch,
-    upsample_freq,
 )
 from repro.lte.throughput import (
     CQI_TABLE,
@@ -38,15 +35,12 @@ from repro.lte.epc import EPC, BearerState, SessionRecord
 
 __all__ = [
     "SRSConfig",
-    "apply_channel",
     "apply_channel_batch",
     "make_srs_symbol",
     "pack_taps",
     "zadoff_chu",
     "ToFEstimator",
-    "estimate_delay_samples",
     "estimate_delays_batch",
-    "upsample_freq",
     "CQI_TABLE",
     "cqi_from_snr",
     "spectral_efficiency",

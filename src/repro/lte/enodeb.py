@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (mobility uses lte.ue
 
 from repro.lte.epc import EPC
 from repro.lte.linkadapt import OuterLoopLinkAdaptation
-from repro.lte.srs import SRSConfig, apply_channel, apply_channel_batch, make_srs_symbol
+from repro.lte.srs import SRSConfig, apply_channel_batch, make_srs_symbol
 from repro.lte.throughput import PRB_PER_10MHZ, throughput_mbps
 from repro.lte.ue import UE, UEState
 
@@ -138,24 +138,6 @@ class ENodeB:
 
     # -- SRS receive path --------------------------------------------------------------
 
-    def receive_srs(
-        self,
-        ue: UE,
-        true_delay_samples: float,
-        snr_db: float,
-        rng: np.random.Generator,
-        multipath: Sequence = (),
-    ) -> np.ndarray:
-        """Receive one SRS symbol from a UE over a synthetic channel.
-
-        The localization flight calls this once per 10 ms SRS report;
-        the returned frequency-domain symbol feeds the ToF estimator.
-        """
-        tx = make_srs_symbol(self.srs_config, root=ue.srs_root)
-        return apply_channel(
-            tx, self.srs_config, true_delay_samples, snr_db, rng, multipath
-        )
-
     def receive_srs_batch(
         self,
         ue: UE,
@@ -168,11 +150,11 @@ class ENodeB:
     ) -> np.ndarray:
         """Receive a flight's worth of SRS symbols from one UE at once.
 
-        Batched counterpart of :meth:`receive_srs`: one (cached) symbol
-        synthesis and one :func:`repro.lte.srs.apply_channel_batch`
-        call covering every kept reception, with per-symbol tap sets as
-        masked arrays.  Bit-identical to per-symbol receives under the
-        batch kernel's documented RNG draw schedule.
+        The localization flight sends one symbol per 10 ms SRS report;
+        the returned ``(n, n_fft)`` frequency-domain symbols feed the
+        ToF estimator.  One (cached) symbol synthesis and one
+        :func:`repro.lte.srs.apply_channel_batch` call cover every kept
+        reception, with per-symbol tap sets as masked arrays.
         """
         tx = make_srs_symbol(self.srs_config, root=ue.srs_root)
         return apply_channel_batch(

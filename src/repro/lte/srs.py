@@ -99,23 +99,6 @@ class SRSConfig:
         return np.concatenate([pos, neg])
 
 
-def synthesize_srs_symbol(config: SRSConfig, root: int) -> np.ndarray:
-    """Uncached SRS synthesis (ZC sequence + prime search + bin mapping).
-
-    :func:`make_srs_symbol` memoizes this per ``(config, root)``; the
-    per-symbol reference benchmark calls it directly to reproduce the
-    seed cost of re-synthesizing the symbol for every reception.
-    """
-    # Largest prime <= n_subcarriers keeps the ZC property; repeat-pad
-    # the tail as the LTE spec does for sequence length mismatches.
-    length = _largest_prime_at_most(config.n_subcarriers)
-    zc = zadoff_chu(root, length)
-    seq = np.resize(zc, config.n_subcarriers)
-    symbol = np.zeros(config.n_fft, dtype=complex)
-    symbol[config.subcarrier_bins()] = seq
-    return symbol
-
-
 #: Memoized SRS symbols per (config, root).  The symbol depends only on
 #: the numerology and the ZC root, so every SRS reception of a flight
 #: (and the correlator's reference copy) shares one array.
@@ -138,7 +121,12 @@ def make_srs_symbol(config: SRSConfig, root: Optional[int] = None) -> np.ndarray
         perf.count("srs.symbol_cache.hit")
         return symbol
     perf.count("srs.symbol_cache.miss")
-    symbol = synthesize_srs_symbol(config, root)
+    # Largest prime <= n_subcarriers keeps the ZC property; repeat-pad
+    # the tail as the LTE spec does for sequence length mismatches.
+    length = _largest_prime_at_most(config.n_subcarriers)
+    seq = np.resize(zadoff_chu(root, length), config.n_subcarriers)
+    symbol = np.zeros(config.n_fft, dtype=complex)
+    symbol[config.subcarrier_bins()] = seq
     symbol.setflags(write=False)
     _SRS_SYMBOL_CACHE[key] = symbol
     return symbol
@@ -164,77 +152,14 @@ def _largest_prime_at_most(n: int) -> int:
     return 2
 
 
-def _delay_phase(config: SRSConfig, delay_samples: float) -> np.ndarray:
-    """Per-bin phase ramp implementing a (possibly fractional) delay.
-
-    A time delay of ``d`` samples multiplies frequency bin ``f_k`` by
-    ``exp(-j 2 pi f_k d / N)`` where ``f_k`` is the *signed* frequency
-    of the bin (``fftfreq`` convention), which is the band-limited
-    interpolation of the delay.
-    """
-    freqs = np.fft.fftfreq(config.n_fft) * config.n_fft
-    return np.exp(-2j * np.pi * freqs * delay_samples / config.n_fft)
-
-
-def apply_channel(
-    symbol: np.ndarray,
-    config: SRSConfig,
-    delay_samples: float,
-    snr_db: float,
-    rng: np.random.Generator,
-    multipath: Sequence[Tuple[float, float]] = (),
-) -> np.ndarray:
-    """Propagate a frequency-domain SRS symbol through the channel.
-
-    Parameters
-    ----------
-    symbol:
-        Transmitted frequency-domain SRS symbol, ``(n_fft,)``.
-    config:
-        Numerology (for the bin frequencies).
-    delay_samples:
-        Direct-path propagation delay in (fractional) samples.
-    snr_db:
-        Per-subcarrier SNR of the direct path at the receiver.
-    rng:
-        Noise generator.
-    multipath:
-        Extra taps as ``(excess_delay_samples, relative_power_db)``
-        pairs; each adds a delayed, attenuated copy with random phase.
-        NLOS links put most energy into positive-excess-delay taps,
-        which is what biases ToF high in obstructed environments.
-
-    Returns
-    -------
-    Received frequency-domain symbol ``(n_fft,)``.
-    """
-    symbol = np.asarray(symbol, dtype=complex)
-    if symbol.shape != (config.n_fft,):
-        raise ValueError(f"symbol must be ({config.n_fft},), got {symbol.shape}")
-    rx = symbol * _delay_phase(config, delay_samples)
-    for excess, power_db in multipath:
-        if excess < 0:
-            raise ValueError(f"multipath excess delay must be >= 0, got {excess}")
-        amp = 10.0 ** (power_db / 20.0)
-        phase = np.exp(2j * np.pi * rng.random())
-        rx = rx + amp * phase * symbol * _delay_phase(config, delay_samples + excess)
-    # AWGN scaled against the average active-subcarrier signal power.
-    active = np.abs(symbol) > 0
-    sig_power = float(np.mean(np.abs(symbol[active]) ** 2)) if active.any() else 1.0
-    noise_power = sig_power / (10.0 ** (snr_db / 10.0))
-    noise = rng.normal(0.0, np.sqrt(noise_power / 2.0), (config.n_fft, 2))
-    rx = rx + noise[:, 0] + 1j * noise[:, 1]
-    return rx
-
-
 def _pow10(x: np.ndarray, div: float) -> np.ndarray:
     """Elementwise ``10.0 ** (x / div)`` via CPython float pow.
 
     NumPy's vectorized pow and CPython's libm pow disagree in the last
-    ulp for a few percent of inputs; the per-symbol reference channel
-    (:func:`apply_channel`) computes its noise sigma and tap amplitudes
-    with Python-float pow, so the batch kernel must do the same for
-    bit-exact parity.  Evaluated once per distinct value.
+    ulp for a few percent of inputs; the channel's noise sigma and tap
+    amplitudes are defined by Python-float pow (the per-symbol channel
+    the batch kernel is pinned to in the tests), so the batch kernel
+    evaluates them that way.  Evaluated once per distinct value.
     """
     vals, inv = np.unique(np.asarray(x, dtype=float), return_inverse=True)
     table = np.array([10.0 ** (float(v) / div) for v in vals], dtype=float)
@@ -273,23 +198,30 @@ def apply_channel_batch(
     tap_power_db: Optional[np.ndarray] = None,
     tap_mask: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Propagate many SRS symbols through per-symbol channels in one shot.
+    """Propagate SRS symbols through per-symbol channels in one shot.
 
-    Vectorized equivalent of calling :func:`apply_channel` once per
-    symbol: row ``i`` of the result is the reception of ``symbol`` at
-    direct-path delay ``delays_samples[i]``, SNR ``snrs_db[i]`` and the
-    row-``i`` multipath tap set.  Tap sets are masked arrays — rows of
-    ``(tap_excess, tap_power_db)`` with ``tap_mask`` marking the active
-    taps, **left-packed** (active taps occupy the leading columns, in
-    the order their random phases should be drawn).
+    Row ``i`` of the result is the reception of ``symbol`` (the
+    transmitted ``(n_fft,)`` frequency-domain SRS) after a direct path
+    of ``delays_samples[i]`` (fractional) samples — a per-bin phase
+    ramp ``exp(-2j pi f_k d / N)`` over the signed bin frequencies,
+    the band-limited interpolation of the delay — plus the row-``i``
+    multipath taps and AWGN at per-subcarrier SNR ``snrs_db[i]``
+    (scaled against the mean active-subcarrier signal power).  Each tap
+    ``(excess_delay_samples, relative_power_db)`` adds a delayed,
+    attenuated copy with a uniformly random phase; NLOS links put most
+    energy into positive-excess-delay taps, which is what biases ToF
+    high in obstructed environments.  Tap sets are masked arrays — rows
+    of ``(tap_excess, tap_power_db)`` with ``tap_mask`` marking the
+    active taps, **left-packed** (active taps occupy the leading
+    columns, in the order their random phases are drawn); see
+    :func:`pack_taps`.
 
     **RNG draw schedule (the reproducibility contract).**  Draws are
     consumed per symbol, in row (time) order; for each symbol, first
     the tap phases — one uniform per *active* tap, in tap-column
-    order — then the ``(n_fft, 2)`` Gaussian noise block.  This is
-    exactly the order a per-symbol :func:`apply_channel` loop consumes
-    draws in, so for the same generator state the batch is
-    bit-identical to the loop — and a symbol that is absent from the
+    order — then the ``(n_fft, 2)`` Gaussian noise block.  A
+    one-symbol-at-a-time channel consuming draws in that order is
+    bit-identical to the batch, and a symbol that is absent from the
     batch (e.g. dropped by fault injection before reaching the eNodeB)
     consumes no draws, leaving every later symbol's channel unchanged.
 
@@ -329,7 +261,7 @@ def apply_channel_batch(
     # -- RNG draws, per symbol in time order (see docstring contract) --
     # The noise normals are drawn straight into the output buffer (the
     # interleaved re/im float view of a complex row IS the (n_fft, 2)
-    # block the per-symbol path draws) and scaled by sigma afterwards —
+    # block of one symbol's draws) and scaled by sigma afterwards —
     # ``rng.normal(0, s, size)`` is bit-identical to
     # ``s * rng.standard_normal(size)`` and consumes the same stream.
     active = np.abs(symbol) > 0

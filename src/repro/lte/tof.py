@@ -24,29 +24,6 @@ import numpy as np
 from repro.lte.srs import SRSConfig
 
 
-def upsample_freq(x: np.ndarray, factor: int) -> np.ndarray:
-    """Zero-pad the middle of a frequency-domain vector (paper Eq. 2).
-
-    With the standard FFT layout (positive frequencies first, negative
-    at the top), inserting ``N (K - 1)`` zeros between the two halves
-    interpolates the time-domain signal by ``K``.  Accepts a batch of
-    rows (``(n, m)``) and pads every row along the last axis.
-    """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    x = np.asarray(x)
-    if factor == 1:
-        return x.copy()
-    n = x.shape[-1]
-    half = n // 2
-    pad = n * (factor - 1)
-    out = np.empty(x.shape[:-1] + (n * factor,), dtype=x.dtype)
-    out[..., :half] = x[..., :half]
-    out[..., half : half + pad] = 0
-    out[..., half + pad :] = x[..., half:]
-    return out
-
-
 def _background_guard(total: int, guard: Optional[int]) -> int:
     """Half-width of the excluded window around the correlation peak."""
     if guard is None:
@@ -59,46 +36,29 @@ def _background_guard(total: int, guard: Optional[int]) -> int:
     return int(guard)
 
 
-def correlation_quality(
-    mag: np.ndarray, peak: int, guard: Optional[int] = None
-) -> float:
-    """Peak-to-background ratio of a correlation magnitude profile.
-
-    The ratio of the peak magnitude to the median magnitude away from
-    the peak: a circular guard window of ``guard`` bins on each side of
-    the (upsampled) peak is excluded from the median, so the peak's own
-    main lobe cannot inflate the background estimate (``guard``
-    defaults to ``len(mag) // 128``, at least 1).  A clean SRS
-    reception correlates to a sharp spike (high ratio); a burst buried
-    in noise or shredded by interference yields a flat profile (ratio
-    near 1).  Degraded-mode localization uses this to discard
-    receptions whose "delay" is really an argmax over noise.
-    """
-    mag = np.asarray(mag)
-    total = len(mag)
-    guard = _background_guard(total, guard)
-    if 2 * guard + 1 >= total:
-        return float("inf")
-    kept = mag[(peak + np.arange(guard + 1, total - guard)) % total]
-    background = float(np.median(kept))
-    if background <= 1e-30:
-        return float("inf")
-    return float(mag[peak] / background)
-
-
 def correlation_quality_batch(
     mag: np.ndarray, peaks: np.ndarray, guard: Optional[int] = None
 ) -> np.ndarray:
-    """Row-wise :func:`correlation_quality` of ``(n, total)`` profiles."""
+    """Peak-to-background ratio of each row of ``(n, total)`` magnitude profiles.
+
+    The ratio of the peak magnitude (at ``peaks[i]``) to the median
+    magnitude away from the peak: a circular guard window of ``guard``
+    bins on each side of the (upsampled) peak is excluded from the
+    median, so the peak's own main lobe cannot inflate the background
+    estimate (``guard`` defaults to ``total // 128``, at least 1).  A
+    clean SRS reception correlates to a sharp spike (high ratio); a
+    burst buried in noise or shredded by interference yields a flat
+    profile (ratio near 1).  Degraded-mode localization uses this to
+    discard receptions whose "delay" is really an argmax over noise.
+    """
     mag = np.asarray(mag)
     peaks = np.asarray(peaks, dtype=int)
     n, total = mag.shape
     guard = _background_guard(total, guard)
     if 2 * guard + 1 >= total or n == 0:
         return np.full(n, np.inf)
-    # Gather each row's background span — the same circular
-    # [peak + guard + 1, peak + total - guard) window the scalar path
-    # takes its median over, so the two agree bit-for-bit.
+    # Gather each row's background span: the circular
+    # [peak + guard + 1, peak + total - guard) window.
     idx = (peaks[:, None] + np.arange(guard + 1, total - guard)[None, :]) % total
     background = np.median(mag[np.arange(n)[:, None], idx], axis=-1)
     peak_mag = mag[np.arange(n), peaks]
@@ -109,17 +69,23 @@ def correlation_quality_batch(
     return out
 
 
-def estimate_delay_samples(
-    received: np.ndarray,
+def estimate_delays_batch(
+    received_2d: np.ndarray,
     known: np.ndarray,
     upsampling: int = 4,
     refine: bool = True,
-) -> float:
-    """Delay of ``received`` w.r.t. ``known``, in (fractional) samples.
+    quality: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Eq. 1-3 delays (and qualities) of a batch of receptions, in samples.
 
-    Implements Eqs. 1-3.  Delays beyond half the symbol wrap negative
-    (circular correlation); SkyRAN's operating ranges (< 1 km, i.e.
-    < ~52 samples) are far from the wrap point.
+    Each row of ``received_2d`` (``(n, n_fft)``) is correlated against
+    the same ``known`` symbol: one row-wise frequency-domain product
+    (Eq. 1), one middle zero-pad by the factor ``upsampling`` (Eq. 2),
+    one batched IFFT, then the argmax of the magnitude (Eq. 3) and the
+    peak-to-background quality (:func:`correlation_quality_batch`).
+    Delays beyond half the symbol wrap negative (circular
+    correlation); SkyRAN's operating ranges (< 1 km, i.e. < ~52
+    samples) are far from the wrap point.
 
     With ``refine`` (default), the integer-bin argmax of Eq. 3 is
     followed by a three-point parabolic fit over the peak's
@@ -129,65 +95,6 @@ def estimate_delay_samples(
     coarse for the multilateration to separate the range curvature
     from the constant offset over a short 20 m flight.  Set
     ``refine=False`` to reproduce the raw-argmax ablation.
-    """
-    delay, _ = estimate_delay_and_quality(received, known, upsampling, refine)
-    return delay
-
-
-def estimate_delay_and_quality(
-    received: np.ndarray,
-    known: np.ndarray,
-    upsampling: int = 4,
-    refine: bool = True,
-) -> tuple:
-    """Eq. 1-3 delay plus the correlation peak quality.
-
-    Same estimator as :func:`estimate_delay_samples`, additionally
-    returning :func:`correlation_quality` of the profile so callers can
-    reject garbage receptions without re-correlating.
-    """
-    received = np.asarray(received, dtype=complex)
-    known = np.asarray(known, dtype=complex)
-    if received.shape != known.shape:
-        raise ValueError(
-            f"received {received.shape} and known {known.shape} must match"
-        )
-    product = received * np.conj(known)  # Eq. 1
-    padded = upsample_freq(product, upsampling)  # Eq. 2
-    mag = np.abs(np.fft.ifft(padded))
-    total = len(mag)
-    peak = int(np.argmax(mag))  # Eq. 3
-    delta = 0.0
-    if refine:
-        # Parabolic vertex through (peak-1, peak, peak+1), circular.
-        y0 = mag[(peak - 1) % total]
-        y1 = mag[peak]
-        y2 = mag[(peak + 1) % total]
-        denom = y0 - 2.0 * y1 + y2
-        if abs(denom) > 1e-12:
-            delta = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
-    pos = peak + delta
-    if pos > total / 2:
-        pos -= total
-    return pos / upsampling, correlation_quality(mag, peak)
-
-
-def estimate_delays_batch(
-    received_2d: np.ndarray,
-    known: np.ndarray,
-    upsampling: int = 4,
-    refine: bool = True,
-    quality: bool = True,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Eq. 1-3 delays (and qualities) for a whole batch of receptions.
-
-    Vectorized equivalent of calling
-    :func:`estimate_delay_and_quality` on every row of ``received_2d``
-    (``(n, n_fft)``) against the same ``known`` symbol: one row-wise
-    frequency-domain product (Eq. 1), one middle zero-pad (Eq. 2), one
-    batched IFFT, then vectorized argmax + three-point parabolic
-    refinement (Eq. 3) and peak-to-background quality.  Bit-identical
-    to the per-symbol loop.
 
     Returns ``(delays_samples, qualities)``; ``qualities`` is None when
     ``quality=False`` (skipping the background medians, the most
@@ -207,9 +114,9 @@ def estimate_delays_batch(
     if upsampling < 1:
         raise ValueError(f"factor must be >= 1, got {upsampling}")
     # Eqs. 1-2 fused: the row-wise frequency-domain product is written
-    # straight into the two halves of the middle-zero-padded buffer,
-    # skipping the intermediate product array (same elementwise
-    # multiplies, so still bit-identical to the per-symbol path).
+    # straight into the two halves of the middle-zero-padded buffer
+    # (standard FFT layout: inserting n (K - 1) zeros between the
+    # positive and negative halves interpolates the IFFT by K).
     known_conj = np.conj(known)
     m = known.shape[0]
     half = m // 2
@@ -241,7 +148,7 @@ def estimate_delays_batch(
 class ToFEstimator:
     """SRS-based ranging front end.
 
-    Wraps :func:`estimate_delay_samples` with the numerology needed to
+    Wraps :func:`estimate_delays_batch` with the numerology needed to
     convert sample delays into meters.
 
     Attributes
@@ -264,39 +171,20 @@ class ToFEstimator:
         """Smallest representable range step: meters/sample divided by K."""
         return self.config.meters_per_sample / self.upsampling
 
-    def delay_samples(self, received: np.ndarray, known: np.ndarray) -> float:
-        """Estimated delay in samples."""
-        return estimate_delay_samples(received, known, self.upsampling)
-
-    def range_m(self, received: np.ndarray, known: np.ndarray) -> float:
-        """Estimated one-way range in meters.
-
-        Includes whatever constant processing offset the transmit
-        chain added; the multilateration solver estimates and removes
-        that offset jointly with the position (Section 3.2.3).
-        """
-        return self.delay_samples(received, known) * self.config.meters_per_sample
-
-    def range_and_quality_m(self, received: np.ndarray, known: np.ndarray) -> tuple:
-        """``(range_m, quality)``: the range plus the correlation quality.
-
-        The quality (peak-to-background ratio of the correlation
-        profile) lets degraded-mode consumers discard receptions that
-        are noise-only — e.g. SRS bursts shredded by interference in a
-        chaos run — before they poison the multilateration.
-        """
-        delay, quality = estimate_delay_and_quality(received, known, self.upsampling)
-        return delay * self.config.meters_per_sample, quality
-
     def ranges_batch_m(
         self, received_2d: np.ndarray, known: np.ndarray, quality: bool = True
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """``(ranges_m, qualities)`` for a whole batch of receptions.
+        """``(ranges_m, qualities)`` for a batch of receptions.
 
-        The batched counterpart of :meth:`range_and_quality_m` (one
-        vectorized Eq. 1-3 pass over ``(n, n_fft)`` rows); pass
-        ``quality=False`` to skip the background medians when no
-        quality gate will consume them.
+        One vectorized Eq. 1-3 pass over ``(n, n_fft)`` rows.  Ranges
+        include whatever constant processing offset the transmit chain
+        added; the multilateration solver estimates and removes that
+        offset jointly with the position (Section 3.2.3).  The
+        qualities (peak-to-background ratios) let degraded-mode
+        consumers discard noise-only receptions — e.g. SRS bursts
+        shredded by interference in a chaos run — before they poison
+        the multilateration; pass ``quality=False`` to skip them when
+        no quality gate will consume them.
         """
         delays, qualities = estimate_delays_batch(
             received_2d, known, self.upsampling, quality=quality

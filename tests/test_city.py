@@ -184,6 +184,44 @@ def test_shard_round_robin_matches_global_scheduler(rates):
         assert np.array_equal(slab[:, 0], got)
 
 
+class _ShardRoundRobinWithReference(ShardRoundRobin):
+    """:class:`ShardRoundRobin` plus the list hooks of the reference MAC loop."""
+
+    def grants_reference(self, schedulable, bytes_per_prb, n_prb, tti):
+        return [int(g) for g in self.grants(schedulable, bytes_per_prb, n_prb, tti)]
+
+    def update_reference(self, served_bytes):
+        pass
+
+
+def test_shard_round_robin_reference_loop_matches_kernel(rates):
+    """One shard's MAC batch: reference per-TTI loop == kernel, bit for bit."""
+    schedulable = rates > 0.0  # full buffer: every live link is schedulable
+    ranks = np.where(schedulable, np.cumsum(schedulable) - 1, -1).astype(np.int64)
+    sl = slice(40, 103)
+    ids = tuple(range(sl.start, sl.stop))
+    runs = []
+    for reference in (False, True):
+        scheduler = _ShardRoundRobinWithReference(
+            ranks=ranks[sl], n_active_global=int(schedulable.sum())
+        )
+        queues = QueueBank(ids, limit_bytes=0.0, full_buffer=np.ones(len(ids), bool))
+        runs.append(
+            run_tti_batch(
+                bytes_per_prb=rates[sl],
+                offered_bytes=np.zeros((len(ids), 12)),
+                scheduler=scheduler,
+                queues=queues,
+                n_prb=50,
+                tti0=3,
+                reference=reference,
+            )
+        )
+    kernel, ref = runs
+    assert np.array_equal(kernel.grants, ref.grants)
+    assert np.array_equal(kernel.served_bytes, ref.served_bytes)
+
+
 def test_shard_round_robin_rejects_diverged_set():
     shard = ShardRoundRobin(ranks=np.array([0, -1, 1]), n_active_global=2)
     with pytest.raises(ValueError, match="diverged"):

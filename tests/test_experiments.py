@@ -139,6 +139,29 @@ class TestArtifactCache:
             parallel.artifact_path.read_bytes() == serial.artifact_path.read_bytes()
         )
 
+    def test_source_digest_sees_one_changed_byte(self, tmp_path):
+        # The code fingerprint hashes every source file, so a point
+        # function edited in place can never be served from the cache.
+        import shutil
+        from pathlib import Path
+
+        import repro.experiments
+        from repro.experiments.artifacts import source_digest
+
+        root = tmp_path / "experiments"
+        shutil.copytree(
+            Path(repro.experiments.__file__).parent,
+            root,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        base = source_digest(root)
+        assert source_digest(root) == base
+        module = root / "fig17_ranging_cdf.py"
+        code = bytearray(module.read_bytes())
+        code[len(code) // 2] ^= 0x01
+        module.write_bytes(bytes(code))
+        assert source_digest(root) != base
+
 
 class TestNumWorkersEnv:
     def test_unset_is_serial_and_an_integer_is_the_width(self, monkeypatch):

@@ -21,11 +21,6 @@ import pytest
 from repro.core.config import SkyRANConfig
 from repro.core.epoch import EpochTrigger
 from repro.faults import FaultInjector, FaultPlan, as_injector
-from repro.localization.multilateration import (
-    ransac_inlier_mask,
-    solve_multilateration,
-)
-from repro.localization.ranging import GpsRange
 from repro.perf import perf
 from repro.rem.idw import idw_interpolate
 from repro.rem.interpolate import (
@@ -295,40 +290,3 @@ class TestEpochDebounce:
     def test_debounce_validation(self):
         with pytest.raises(ValueError):
             EpochTrigger(margin=0.1, debounce=0)
-
-
-class TestRansac:
-    def _make_obs(self, n_outliers: int):
-        rng = np.random.default_rng(3)
-        ue = np.array([50.0, 40.0, 1.5])
-        t = np.linspace(0.0, 10.0, 40)
-        anchors = np.column_stack(
-            [20.0 + 6.0 * t, 30.0 + 2.0 * np.sin(t), np.full_like(t, 60.0)]
-        )
-        ranges = np.linalg.norm(anchors - ue, axis=1) + rng.normal(0.0, 0.5, len(t))
-        ranges[:n_outliers] += 300.0  # gross multipath spikes
-        return [
-            GpsRange(t_s=float(tt), gps_xyz=a, range_m=float(r))
-            for tt, a, r in zip(t, anchors, ranges)
-        ], ue
-
-    def test_mask_rejects_gross_outliers(self):
-        obs, _ = self._make_obs(n_outliers=6)
-        anchors = np.array([o.gps_xyz for o in obs])
-        ranges = np.array([o.range_m for o in obs])
-        mask = ransac_inlier_mask(anchors, ranges, iters=16, seed=1)
-        assert not mask[:6].any()
-        assert mask[6:].sum() >= 30
-
-    def test_solver_recovers_with_ransac(self):
-        obs, ue = self._make_obs(n_outliers=6)
-        hardened = solve_multilateration(obs, ransac_iters=16)
-        err_hard = np.hypot(hardened.position[0] - ue[0], hardened.position[1] - ue[1])
-        assert hardened.inlier_fraction < 1.0
-        assert err_hard < 10.0
-
-    def test_default_path_untouched(self):
-        obs, _ = self._make_obs(n_outliers=0)
-        res = solve_multilateration(obs)
-        assert res.inlier_fraction == 1.0
-        assert res.quality_ok

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.localization.joint import solve_joint_multilateration
-from repro.localization.multilateration import solve_multilateration
 from repro.localization.ranging import (
     GpsRange,
     aggregate_tof_to_gps,
@@ -75,10 +74,12 @@ class TestRanging:
 
 
 class TestSingleUE:
+    """A single UE is the one-UE case of the joint solve."""
+
     def test_recovers_position_and_offset(self, rng):
         ue = np.array([30.0, -20.0, 1.5])
         obs = _circle_obs(ue, 100.0, 60, 50.0, 137.0, 0.0, rng)
-        res = solve_multilateration(obs)
+        res = solve_joint_multilateration({1: obs}).per_ue[1]
         np.testing.assert_allclose(res.position[:2], ue[:2], atol=0.5)
         assert res.offset_m == pytest.approx(137.0, abs=0.5)
         assert res.residual_rms_m < 0.5
@@ -86,13 +87,13 @@ class TestSingleUE:
     def test_noise_degrades_gracefully(self, rng):
         ue = np.array([30.0, -20.0, 1.5])
         obs = _circle_obs(ue, 100.0, 60, 50.0, 137.0, 2.0, rng)
-        res = solve_multilateration(obs)
+        res = solve_joint_multilateration({1: obs}).per_ue[1]
         err = np.hypot(res.position[0] - ue[0], res.position[1] - ue[1])
         assert err < 10.0
 
     def test_requires_three_observations(self):
         with pytest.raises(ValueError):
-            solve_multilateration([GpsRange(np.zeros(3), 1.0, 0.0)] * 2)
+            solve_joint_multilateration({1: [GpsRange(np.zeros(3), 1.0, 0.0)] * 2})
 
 
 class TestJoint:

@@ -1,11 +1,12 @@
-"""Batched SRS/ToF localization kernel vs. per-symbol reference.
+"""Batched SRS/ToF localization kernels vs. their one-at-a-time oracles.
 
-The batch kernels promise *bit-identical* results to the retained
-per-symbol/per-fix reference implementations under the documented RNG
-draw schedule; these tests hold them to it, end to end: channel,
+Each batched kernel of paper Steps 1-4 must be *bit-identical* to the
+plain loop in :mod:`tests.localization_oracles` under the documented
+RNG draw schedule; these tests hold them to it, end to end: channel,
 Eq. 1-3 estimator, flight collection (including fault injection and
-quality gating), ToF-to-GPS aggregation, MAD filtering, and the
-analytic-Jacobian joint solve against its finite-difference oracle.
+quality gating), ToF-to-GPS aggregation, MAD filtering, and the joint
+solve's residuals, with its analytic Jacobian checked against central
+differences.
 """
 
 import numpy as np
@@ -14,35 +15,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultPlan
-from repro.flight.sampler import collect_gps_ranges, collect_gps_ranges_reference
+from repro.flight.sampler import collect_gps_ranges
 from repro.flight.uav import UAV
-from repro.localization.joint import solve_joint_multilateration
-from repro.localization.multilateration import solve_multilateration
-from repro.localization.ranging import (
-    GpsRange,
-    aggregate_tof_to_gps,
-    aggregate_tof_to_gps_reference,
-    mad_filter,
-    mad_filter_reference,
-)
+from repro.localization.joint import _joint_model, _stack_observations
+from repro.localization.ranging import GpsRange, aggregate_tof_to_gps, mad_filter
 from repro.lte.srs import (
+    _SRS_SYMBOL_CACHE,
     SRSConfig,
     _largest_prime_at_most,
-    apply_channel,
     apply_channel_batch,
     make_srs_symbol,
     pack_taps,
-    synthesize_srs_symbol,
 )
-from repro.lte.tof import (
-    ToFEstimator,
-    correlation_quality,
-    estimate_delay_and_quality,
-    estimate_delays_batch,
-)
+from repro.lte.tof import ToFEstimator, correlation_quality_batch, estimate_delays_batch
 from repro.perf import perf
 from repro.sim.scenario import Scenario
 from repro.trajectory.random_flight import random_flight
+from tests import localization_oracles as oracle
 
 pytestmark = pytest.mark.localization
 
@@ -63,14 +52,14 @@ SNRS = np.array([18.0, 6.0, 25.0, 3.5, 15.0, 10.0])
 
 
 def _batch_vs_loop(symbol, delays, snrs, tap_sets, seed=3):
-    """Run the batch kernel and the apply_channel loop off twin RNGs."""
+    """Run the batch kernel and the per-symbol oracle off twin RNGs."""
     excess, power, mask = pack_taps(tap_sets)
     rng_a = np.random.default_rng(seed)
     rng_b = np.random.default_rng(seed)
     batched = apply_channel_batch(symbol, CFG, delays, snrs, rng_a, excess, power, mask)
     looped = np.stack(
         [
-            apply_channel(symbol, CFG, d, s, rng_b, taps)
+            oracle.apply_channel(symbol, CFG, d, s, rng_b, taps)
             for d, s, taps in zip(delays, snrs, tap_sets)
         ]
     )
@@ -92,13 +81,13 @@ class TestChannelBatch:
         rng_b = np.random.default_rng(11)
         batched = apply_channel_batch(symbol, CFG, DELAYS, SNRS, rng_a)
         looped = np.stack(
-            [apply_channel(symbol, CFG, d, s, rng_b) for d, s in zip(DELAYS, SNRS)]
+            [oracle.apply_channel(symbol, CFG, d, s, rng_b) for d, s in zip(DELAYS, SNRS)]
         )
         assert np.array_equal(batched, looped)
 
     def test_dropped_symbols_consume_no_draws(self):
         # Fault-dropping symbol i from the batch must reproduce the
-        # loop that never calls apply_channel for symbol i.
+        # loop that never receives symbol i.
         symbol = make_srs_symbol(CFG)
         keep = np.array([True, False, True, True, False, True])
         kept_taps = [t for t, k in zip(TAP_SETS, keep) if k]
@@ -129,7 +118,7 @@ class TestEstimatorBatch:
         batched_rx, _, _, _ = _batch_vs_loop(symbol, DELAYS, SNRS, TAP_SETS, seed=9)
         delays, qualities = estimate_delays_batch(batched_rx, symbol, 4)
         for i, row in enumerate(batched_rx):
-            d, q = estimate_delay_and_quality(row, symbol, 4)
+            d, q = oracle.estimate_delay_and_quality(row, symbol, 4)
             assert delays[i] == d
             assert qualities[i] == q
 
@@ -148,6 +137,11 @@ class TestEstimatorBatch:
             )
 
 
+def _quality(mag, peak, guard=None):
+    """The production quality of one profile, as a one-row batch."""
+    return float(correlation_quality_batch(mag[None, :], np.array([peak]), guard)[0])
+
+
 class TestCorrelationQuality:
     def test_sharp_peak_guard_excludes_main_lobe(self):
         # A sinc-like peak whose main lobe spans several bins: without
@@ -158,21 +152,21 @@ class TestCorrelationQuality:
         peak = 137
         lobe = np.array([0.2, 0.6, 1.0, 0.6, 0.2])
         mag[peak - 2 : peak + 3] = lobe
-        q = correlation_quality(mag, peak)
+        q = _quality(mag, peak)
         assert q == pytest.approx(1.0 / 0.01)
         # Shrinking the guard to zero leaves the shoulders in the
         # background window; the ratio must not *increase*.
-        assert correlation_quality(mag, peak, guard=0) <= q
+        assert _quality(mag, peak, guard=0) <= q
 
     def test_flat_profile_near_one(self):
         mag = np.full(1024, 0.5)
-        assert correlation_quality(mag, 10) == pytest.approx(1.0)
+        assert _quality(mag, 10) == pytest.approx(1.0)
 
     def test_wraps_circularly(self):
         mag = np.full(1024, 0.01)
         mag[0] = 1.0  # peak at the wrap point
         mag[-1] = mag[1] = 0.5  # lobe shoulders straddle the boundary
-        q = correlation_quality(mag, 0, guard=1)
+        q = _quality(mag, 0, guard=1)
         assert q == pytest.approx(1.0 / 0.01)
 
 
@@ -187,8 +181,11 @@ class TestSRSSymbolCache:
         assert not a.flags.writeable
         with pytest.raises((ValueError, RuntimeError)):
             a[0] = 0
-        assert np.array_equal(a, synthesize_srs_symbol(CFG, 25))
         assert make_srs_symbol(CFG, 29) is not a
+        # A fresh synthesis (cache dropped) has the same values.
+        _SRS_SYMBOL_CACHE.pop((CFG, 25))
+        fresh = make_srs_symbol(CFG, 25)
+        assert fresh is not a and np.array_equal(fresh, a)
 
     def test_prime_search_cached(self):
         _largest_prime_at_most.cache_clear()
@@ -248,14 +245,13 @@ class TestCollectEquivalence:
                 np.random.default_rng(1),
                 **kw,
             )
-            b = collect_gps_ranges_reference(
+            b = oracle.collect_gps_ranges(
                 log,
                 ue,
                 scenario.channel,
                 scenario.enodeb,
                 estimator,
                 np.random.default_rng(1),
-                resynthesize=True,
                 **ref_kw,
             )
             assert _obs_equal(a, b)
@@ -265,7 +261,11 @@ class TestCollectEquivalence:
         self._compare(campus_flight)
 
     def test_quality_gated(self, campus_flight):
-        self._compare(campus_flight, min_quality=3.0)
+        # Campus receptions score ~370-420; a 405 floor rejects a share
+        # of them, so the gate's bookkeeping is compared too.
+        perf.reset()
+        self._compare(campus_flight, min_quality=405.0)
+        assert perf.counters().get("fallback.srs_quality_reject", 0) > 0
 
     def test_faulted(self, campus_flight):
         self._compare(
@@ -274,15 +274,20 @@ class TestCollectEquivalence:
         )
 
 
+def _central_jacobian(residuals, theta, h=1e-6):
+    cols = []
+    for j in range(len(theta)):
+        step = np.zeros_like(theta)
+        step[j] = h
+        cols.append((residuals(theta + step) - residuals(theta - step)) / (2 * h))
+    return np.column_stack(cols)
+
+
 class TestJointSolver:
-    def test_analytic_matches_finite_difference(self, campus_flight):
-        # The Fig. 18-style acceptance check: the analytic Jacobian
-        # joint solve must land within 1e-6 m of the 3-point
-        # finite-difference oracle on a real campus flight (2-point FD
-        # truncation error floors around 1e-5 m and is benchmarked
-        # separately).
-        scenario, log, estimator, bounds = campus_flight
-        obs = {}
+    @pytest.fixture()
+    def campus_data(self, campus_flight):
+        scenario, log, estimator, _ = campus_flight
+        data = {}
         for ue in scenario.ues:
             o = mad_filter(
                 collect_gps_ranges(
@@ -295,52 +300,49 @@ class TestJointSolver:
                 )
             )
             if len(o) >= 3:
-                obs[ue.ue_id] = o
-        assert len(obs) >= 3
-        res_a = solve_joint_multilateration(
-            obs, bounds_xy=bounds, jac="analytic", tol=1e-12
-        )
-        res_fd = solve_joint_multilateration(
-            obs, bounds_xy=bounds, jac="3-point", tol=1e-12
-        )
-        for u in res_a.per_ue:
-            delta = np.linalg.norm(
-                res_a.per_ue[u].position - res_fd.per_ue[u].position
-            )
-            assert delta < 1e-6
-        assert res_a.offset_m == pytest.approx(res_fd.offset_m, abs=1e-6)
+                data[ue.ue_id] = _stack_observations(o)
+        assert len(data) >= 3
+        return data
 
-    def test_reference_model_matches_vectorized(self, rng):
-        # Both residual models are bit-identical functions of theta, so
-        # the same finite-difference solve lands on the same answer.
-        ues = {1: np.array([20.0, 20.0, 1.5]), 2: np.array([-40.0, 10.0, 1.5])}
-        obs = {
-            k: _circle_obs(v, 90.0, 40, 45.0, 137.0, 0.5, rng)
-            for k, v in ues.items()
-        }
-        res_vec = solve_joint_multilateration(obs, jac="2-point")
-        res_ref = solve_joint_multilateration(obs, jac="2-point", model="reference")
-        for k in res_vec.per_ue:
-            assert np.array_equal(
-                res_vec.per_ue[k].position, res_ref.per_ue[k].position
-            )
-        assert res_vec.offset_m == res_ref.offset_m
+    @staticmethod
+    def _thetas(data, rng, n=4):
+        """Parameter vectors scattered around each UE's anchor centroid."""
+        centre = np.concatenate([data[u][0][:, :2].mean(axis=0) for u in sorted(data)])
+        return [
+            np.append(centre + rng.normal(0.0, 40.0, len(centre)), rng.uniform(100, 180))
+            for _ in range(n)
+        ]
 
-    def test_mode_validation(self):
-        obs = {1: [GpsRange(np.zeros(3), 1.0, float(i)) for i in range(3)]}
-        with pytest.raises(ValueError, match="jac"):
-            solve_joint_multilateration(obs, jac="4-point")
-        with pytest.raises(ValueError, match="model"):
-            solve_joint_multilateration(obs, model="looped")
-        with pytest.raises(ValueError, match="finite-difference"):
-            solve_joint_multilateration(obs, jac="analytic", model="reference")
+    def test_analytic_matches_finite_difference(self, campus_data, rng):
+        # The analytic Jacobian of the joint residuals (with and without
+        # an offset-prior row) against central differences on a real
+        # campus flight.
+        for prior_w in (0.0, 4.0):
+            residuals, jac = _joint_model(campus_data, 1.5, 137.0, prior_w)
+            for theta in self._thetas(campus_data, rng):
+                np.testing.assert_allclose(
+                    jac(theta), _central_jacobian(residuals, theta), rtol=0, atol=1e-6
+                )
+
+    def test_reference_model_matches_vectorized(self, campus_data, rng):
+        # The flat residual pass is bit-identical to the per-UE loop.
+        for prior_w in (0.0, 4.0):
+            residuals, _ = _joint_model(campus_data, 1.5, 137.0, prior_w)
+            for theta in self._thetas(campus_data, rng):
+                want = oracle.joint_residuals(campus_data, theta, 1.5, 137.0, prior_w)
+                assert np.array_equal(residuals(theta), want)
 
     def test_single_ue_jac_modes_agree(self, rng):
         ue = np.array([30.0, -20.0, 1.5])
-        obs = _circle_obs(ue, 100.0, 60, 50.0, 137.0, 0.0, rng)
-        res_a = solve_multilateration(obs, jac="analytic", tol=1e-12)
-        res_fd = solve_multilateration(obs, jac="3-point", tol=1e-12)
-        assert np.linalg.norm(res_a.position - res_fd.position) < 1e-6
+        data = {7: _stack_observations(_circle_obs(ue, 100.0, 60, 50.0, 137.0, 0.0, rng))}
+        residuals, jac = _joint_model(data, 1.5, 0.0, 0.0)
+        for theta in self._thetas(data, rng):
+            assert np.array_equal(
+                residuals(theta), oracle.joint_residuals(data, theta, 1.5, 0.0, 0.0)
+            )
+            np.testing.assert_allclose(
+                jac(theta), _central_jacobian(residuals, theta), rtol=0, atol=1e-6
+            )
 
 
 def _circle_obs(ue, radius, n, alt, offset, noise, rng):
@@ -376,23 +378,41 @@ class TestAggregationProperties:
         ).reshape(len(gps_t), 3)
         ranges = [pyrandom.uniform(50.0, 500.0) for _ in tof_t]
         fast = aggregate_tof_to_gps(gps_t, gps_xyz, tof_t, ranges)
-        slow = aggregate_tof_to_gps_reference(gps_t, gps_xyz, tof_t, ranges)
+        slow = oracle.aggregate_tof_to_gps(gps_t, gps_xyz, tof_t, ranges)
         assert _obs_equal(fast, slow)
 
-    @given(ranges_lists, st.integers(0, 2**31 - 1))
+    @given(ranges_lists, st.integers(0, 2**31 - 1), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_vectorized_mad_filter_matches_loop(self, base, seed):
-        noise = np.random.default_rng(seed).normal(0, 1.0, len(base))
+    def test_vectorized_mad_filter_matches_loop(self, base, seed, noisy):
+        if noisy:
+            noise = np.random.default_rng(seed).normal(0, 1.0, len(base))
+        else:
+            # Coarse steps and no noise: tied ranges, so the MAD is often
+            # zero and the scale floor decides.
+            base = [100.0 * round(r / 250.0) for r in base]
+            noise = np.zeros(len(base))
         obs = [
             GpsRange(np.array([float(i), 0.0, 50.0]), float(r + dn), float(i))
             for i, (r, dn) in enumerate(zip(base, noise))
         ]
         fast = mad_filter(obs)
-        slow = mad_filter_reference(obs)
+        slow = oracle.mad_filter(obs)
+        assert _obs_equal(fast, slow)
+
+    def test_dense_windows_match_loop(self):
+        # Windows of 8+ reports, where a sequential sum and NumPy's
+        # pairwise mean round differently.
+        rng = np.random.default_rng(4)
+        gps_t = np.array([0.0, 1.0, 2.5])
+        gps_xyz = rng.uniform(-50, 50, (3, 3))
+        tof_t = np.sort(rng.uniform(0.0, 4.0, 90))
+        ranges = rng.uniform(50.0, 500.0, 90)
+        fast = aggregate_tof_to_gps(gps_t, gps_xyz, tof_t, ranges)
+        slow = oracle.aggregate_tof_to_gps(gps_t, gps_xyz, tof_t, ranges)
         assert _obs_equal(fast, slow)
 
     def test_aggregate_rejects_non_monotone_times(self):
         xyz = np.zeros((2, 3))
-        for fn in (aggregate_tof_to_gps, aggregate_tof_to_gps_reference):
+        for fn in (aggregate_tof_to_gps, oracle.aggregate_tof_to_gps):
             with pytest.raises(ValueError, match="non-decreasing"):
                 fn([1.0, 0.0], xyz, [0.5], [10.0])

@@ -1,15 +1,31 @@
-"""Unit tests for SRS synthesis and the synthetic channel."""
+"""Unit tests for SRS synthesis and the synthetic channel.
+
+Channel cases run one-row batches of :func:`apply_channel_batch`.
+"""
 
 import numpy as np
 import pytest
 
 from repro.lte.srs import (
     SRSConfig,
-    apply_channel,
+    apply_channel_batch,
     make_srs_symbol,
+    pack_taps,
     zadoff_chu,
     _largest_prime_at_most,
 )
+
+
+def apply_channel(symbol, cfg, delay_samples, snr_db, rng, multipath=()):
+    """One reception through the batch channel."""
+    return apply_channel_batch(
+        symbol,
+        cfg,
+        np.array([delay_samples]),
+        np.array([snr_db]),
+        rng,
+        *pack_taps([multipath]),
+    )[0]
 
 
 class TestZadoffChu:

