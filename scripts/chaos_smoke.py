@@ -1,16 +1,20 @@
 #!/usr/bin/env python
-"""Chaos smoke: SkyRAN under fault injection, one command.
+"""Chaos smoke: every scheme under fault injection, one command.
 
-Runs the campus scenario twice through
-:func:`repro.sim.runner.run_simulation` — once fault-free, once under a
-moderately hostile :class:`~repro.faults.plan.FaultPlan` (SRS loss, GPS
-blackouts, ToF outliers, wind, SNR drops/corruption) — and checks that
-the degraded run degrades *gracefully*:
+Runs the campus scenario through
+:func:`repro.sim.runner.run_simulation` under a moderately hostile
+:class:`~repro.faults.plan.FaultPlan` (SRS loss, GPS blackouts, ToF
+outliers, wind, SNR drops/corruption) for each scheme that flies:
+``skyran`` (plus a fault-free twin), ``fleet`` (two UAVs) and
+``events``.  Each faulted run must degrade *gracefully*:
 
 * no exception anywhere in the faulted epochs,
 * faults actually fired (``faults.*`` counters are non-zero),
-* worst-UE throughput keeps at least ``--min-degradation`` of its
-  fault-free value after the final epoch.
+* at least one mitigation ran (``fallback.*`` counters are non-zero),
+* for ``skyran``, worst-UE throughput keeps at least
+  ``--min-degradation`` of its fault-free value after the final epoch.
+  (The other schemes have no such bound: a fleet's fault-free worst
+  UE can sit at 0 Mb/s, where a ratio means nothing.)
 
 Counters for every fault fired and every fallback taken are printed,
 and the whole result lands in ``BENCH_chaos.json``.
@@ -20,8 +24,8 @@ Usage::
     PYTHONPATH=src python scripts/chaos_smoke.py [--out PATH]
         [--epochs N] [--min-degradation F] [--seed N]
 
-Exit status is non-zero if the faulted run crashes, fires no faults,
-or degrades beyond the bound.
+Exit status is non-zero if a faulted run crashes, fires no faults,
+takes no fallback, or (skyran) degrades beyond the bound.
 """
 
 from __future__ import annotations
@@ -54,19 +58,36 @@ CHAOS_PLAN = dict(
 )
 
 
-def _run(faults, epochs: int, seed: int):
+#: Fleet size of the ``fleet`` run.
+FLEET_UAVS = 2
+
+
+def _run(faults, epochs: int, seed: int, scheme: str = "skyran"):
     scenario = Scenario.create("campus", n_ues=3, cell_size=8.0, seed=3)
     cfg = SkyRANConfig(rem_cell_size_m=16.0, measurement_budget_m=250.0)
+    kwargs = {"n_uavs": FLEET_UAVS} if scheme == "fleet" else {}
     return run_simulation(
         scenario,
         cfg,
         faults,
-        scheme="skyran",
+        scheme=scheme,
         n_epochs=epochs,
         budget_per_epoch_m=250.0,
         seed=seed,
         altitude=60.0,
+        **kwargs,
     )
+
+
+def _print_counters(scheme: str, result) -> None:
+    print(f"[{scheme}] fault counters:")
+    for name, count in result.fault_counters.items():
+        print(f"    {name:<28s} {count:>8d}")
+    print(f"[{scheme}] fallback counters:")
+    if not result.fallback_counters:
+        print("    (none taken)")
+    for name, count in result.fallback_counters.items():
+        print(f"    {name:<28s} {count:>8d}")
 
 
 def main(argv=None) -> int:
@@ -83,7 +104,7 @@ def main(argv=None) -> int:
         "--min-degradation",
         type=float,
         default=0.3,
-        help="faulted min-throughput must keep this fraction of fault-free",
+        help="skyran: faulted min-throughput must keep this fraction of fault-free",
     )
     args = parser.parse_args(argv)
 
@@ -93,14 +114,20 @@ def main(argv=None) -> int:
 
     plan = FaultPlan(seed=args.seed, **CHAOS_PLAN)
     print(f"[chaos] {plan.describe()}")
-    t0 = time.perf_counter()
-    try:
-        chaos = _run(plan, args.epochs, args.seed)
-    except Exception as exc:  # the one thing chaos must never do
-        print(f"FAIL: faulted run raised {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    t_chaos = time.perf_counter() - t0
+    runs = {}
+    for scheme in ("skyran", "fleet", "events"):
+        t0 = time.perf_counter()
+        try:
+            result = _run(plan, args.epochs, args.seed, scheme)
+        except Exception as exc:  # the one thing chaos must never do
+            print(
+                f"FAIL: faulted {scheme} run raised {type(exc).__name__}: {exc}",
+                file=sys.stderr,
+            )
+            return 1
+        runs[scheme] = (result, time.perf_counter() - t0)
 
+    chaos, t_chaos = runs["skyran"]
     clean_min = clean.final.min_throughput_mbps
     chaos_min = chaos.final.min_throughput_mbps
     kept = chaos_min / clean_min if clean_min > 0 else 1.0
@@ -112,14 +139,12 @@ def main(argv=None) -> int:
         f"[chaos] rel {chaos.relative_throughput:.3f}, "
         f"min {chaos_min:.2f} Mbps = {kept:.0%} of fault-free ({t_chaos:.1f} s)"
     )
-    print("[chaos] fault counters:")
-    for name, count in chaos.fault_counters.items():
-        print(f"    {name:<28s} {count:>8d}")
-    print("[chaos] fallback counters:")
-    if not chaos.fallback_counters:
-        print("    (none taken)")
-    for name, count in chaos.fallback_counters.items():
-        print(f"    {name:<28s} {count:>8d}")
+    for scheme, (result, wall) in runs.items():
+        print(
+            f"[{scheme}] {result.total_faults} faults, "
+            f"{sum(result.fallback_counters.values())} fallbacks ({wall:.1f} s)"
+        )
+        _print_counters(scheme, result)
 
     payload = {
         "bench": "chaos_smoke",
@@ -137,6 +162,15 @@ def main(argv=None) -> int:
             "fault_counters": chaos.fault_counters,
             "fallback_counters": chaos.fallback_counters,
         },
+        "schemes": {
+            scheme: {
+                "min_throughput_mbps": result.final.min_throughput_mbps,
+                "wall_time_s": wall,
+                "fault_counters": result.fault_counters,
+                "fallback_counters": result.fallback_counters,
+            }
+            for scheme, (result, wall) in runs.items()
+        },
         "min_throughput_kept": kept,
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -145,9 +179,13 @@ def main(argv=None) -> int:
         fh.write("\n")
     print(f"[artifact] {args.out}")
 
-    if chaos.total_faults == 0:
-        print("FAIL: the chaos plan fired no faults", file=sys.stderr)
-        return 1
+    for scheme, (result, _wall) in runs.items():
+        if result.total_faults == 0:
+            print(f"FAIL: the chaos plan fired no faults in {scheme}", file=sys.stderr)
+            return 1
+        if not any(result.fallback_counters.values()):
+            print(f"FAIL: {scheme} took no fallback under faults", file=sys.stderr)
+            return 1
     if kept < args.min_degradation:
         print(
             f"FAIL: min throughput kept {kept:.0%} < required "

@@ -109,16 +109,17 @@ class UniformController:
         log = self.uav.fly(traj, self.rng, faults=self.faults)
         distance = log.distance_m
 
-        for ue in self.enodeb.connected_ues():
+        ues = self.enodeb.connected_ues()
+        samples = collect_snr_samples(
+            log, ues, self.channel, self.rng, faults=self.faults
+        )
+        for ue, (xy, snr) in zip(ues, samples):
             rem = self._rems.get(ue.ue_id)
             if rem is None:
                 # No locations, no FSPL seed: the prior needs a UE
                 # position that Uniform does not have.
                 rem = REM(self.rem_grid, ue.xyz * np.nan, self.altitude, prior=None)
                 self._rems[ue.ue_id] = rem
-            xy, snr = collect_snr_samples(
-                log, ue, self.channel, self.rng, faults=self.faults
-            )
             if len(snr):
                 rem.add_measurements(xy, snr)
 

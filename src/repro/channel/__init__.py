@@ -22,14 +22,7 @@ implements that model plus the statistical layers around it:
 """
 
 from repro.channel.fspl import fspl_db, fspl_map
-from repro.channel.raytrace import (
-    LinkState,
-    is_los,
-    link_state,
-    obstructed_lengths,
-    ray_profile_batch,
-    trace_profile,
-)
+from repro.channel.raytrace import obstructed_lengths
 from repro.channel.shadowing import ShadowingField
 from repro.channel.fading import sample_fading_db
 from repro.channel.linkbudget import LinkBudget
@@ -42,12 +35,7 @@ __all__ = [
     "sinr_db",
     "fspl_db",
     "fspl_map",
-    "LinkState",
-    "is_los",
-    "link_state",
     "obstructed_lengths",
-    "ray_profile_batch",
-    "trace_profile",
     "ShadowingField",
     "sample_fading_db",
     "LinkBudget",

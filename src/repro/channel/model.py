@@ -32,14 +32,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.channel.fading import sample_fading_db
 from repro.channel.fspl import DEFAULT_FREQ_HZ, fspl_db, fspl_map
 from repro.channel.linkbudget import LinkBudget
-from repro.channel.raytrace import LinkState, obstructed_lengths, ray_profile_batch
+from repro.channel.raytrace import obstructed_lengths
 from repro.channel.shadowing import ShadowingField
 from repro.geo.grid import GridSpec
 from repro.perf import perf
@@ -48,6 +48,17 @@ from repro.terrain.heightmap import Terrain
 #: Peak ray budget per UE-axis chunk of the batched map kernel (the
 #: ray tracer further chunks by sample count internally).
 _MAP_CHUNK_RAYS = 2_000_000
+
+
+def _lru_put(cache: OrderedDict, key: tuple, value, size: int) -> int:
+    """Insert as most recent, evict the oldest past ``size``; returns evictions."""
+    cache[key] = value
+    cache.move_to_end(key)
+    evicted = 0
+    while len(cache) > size:
+        cache.popitem(last=False)
+        evicted += 1
+    return evicted
 
 
 @dataclass
@@ -91,9 +102,11 @@ class ChannelModel:
         Base seed for the per-UE shadowing fields.
     map_cache_size:
         Maximum number of per-UE full-grid maps (and FSPL priors) kept
-        in the LRU oracle cache.  The cache is keyed on (altitude,
-        grid, UE position), so a moved UE simply stops hitting its old
-        entry — the maps of unmoved UEs stay warm across epochs.
+        in the LRU oracle cache, and of shadowing fields kept in the
+        LRU field cache.  The map cache is keyed on (altitude, grid, UE
+        position), the field cache on UE position, so a moved UE simply
+        stops hitting its old entries — those of unmoved UEs stay warm
+        across epochs.
     """
 
     terrain: Terrain
@@ -108,8 +121,8 @@ class ChannelModel:
     link: LinkBudget = field(default_factory=LinkBudget)
     seed: int = 0
     map_cache_size: int = 128
-    _shadow_cache: Dict[Tuple[float, float, float], ShadowingField] = field(
-        default_factory=dict, repr=False
+    _shadow_cache: "OrderedDict[tuple, ShadowingField]" = field(
+        default_factory=OrderedDict, repr=False
     )
     _map_cache: "OrderedDict[tuple, np.ndarray]" = field(
         default_factory=OrderedDict, repr=False
@@ -117,34 +130,35 @@ class ChannelModel:
 
     # -- shadowing --------------------------------------------------------------
 
-    def _shadowing_for(self, ue_xyz: np.ndarray) -> ShadowingField:
-        ue = np.asarray(ue_xyz, dtype=float).reshape(3)
-        key = (round(ue[0], 3), round(ue[1], 3), round(ue[2], 3))
+    def _field(
+        self, key: tuple, sigma_db: float, seed: int, ue_xyz=None
+    ) -> ShadowingField:
+        """A shadowing field from the LRU field cache, generated on a miss.
+
+        A field is a pure function of (seed, UE position), so an
+        evicted field comes back bit-identical when regenerated.
+        """
         cached = self._shadow_cache.get(key)
         if cached is None:
             cached = ShadowingField.generate(
                 self.terrain.grid,
-                sigma_db=self.shadowing_sigma_db,
+                sigma_db=sigma_db,
                 correlation_m=self.shadowing_correlation_m,
-                seed=self.seed,
-                ue_xyz=ue,
+                seed=seed,
+                ue_xyz=ue_xyz,
             )
-            self._shadow_cache[key] = cached
+            _lru_put(self._shadow_cache, key, cached, self.map_cache_size)
+        else:
+            self._shadow_cache.move_to_end(key)
         return cached
+
+    def _shadowing_for(self, ue_xyz: np.ndarray) -> ShadowingField:
+        ue = np.asarray(ue_xyz, dtype=float).reshape(3)
+        return self._field(tuple(ue.tolist()), self.shadowing_sigma_db, self.seed, ue)
 
     def _common_shadowing(self) -> ShadowingField:
         """The UAV-position-dependent field shared by every link."""
-        key = ("__common__", 0.0, 0.0)
-        cached = self._shadow_cache.get(key)
-        if cached is None:
-            cached = ShadowingField.generate(
-                self.terrain.grid,
-                sigma_db=self.common_sigma_db,
-                correlation_m=self.shadowing_correlation_m,
-                seed=self.seed + 7_777_777,
-            )
-            self._shadow_cache[key] = cached
-        return cached
+        return self._field(("__common__",), self.common_sigma_db, self.seed + 7_777_777)
 
     # -- mean path loss ----------------------------------------------------------
 
@@ -160,17 +174,27 @@ class ChannelModel:
         )
 
     def _loss_from_obstructed(
-        self, uav: np.ndarray, ue: np.ndarray, obstructed: np.ndarray
+        self, uav: np.ndarray, ues: np.ndarray, obstructed: np.ndarray
     ) -> np.ndarray:
-        """Mean path loss given pre-traced obstructed lengths."""
-        dist = np.linalg.norm(uav - ue[None, :], axis=1)
+        """Mean path loss of traced links, given their obstructed lengths.
+
+        ``uav`` and ``ues`` are ``(n, 3)`` / ``(1, 3)`` arrays, one of
+        them a single position: one UE seen from many UAV positions
+        (maps, measurement flights) or one UAV position seeing many UEs
+        (serving SNR, fleet stacks).  The one place the loss is
+        composed: FSPL + obstruction excess + the UE's own shadowing
+        field + the common field, summed in that order.
+        """
+        dist = np.linalg.norm(uav - ues, axis=1)
         loss = fspl_db(dist, self.freq_hz)
         loss = loss + self._excess_db(obstructed)
+        xy = uav[:, :2]
         if self.shadowing_sigma_db > 0:
-            shadow = self._shadowing_for(ue)
-            loss = loss + shadow.at_many(uav[:, :2])
+            loss = loss + np.concatenate(
+                [self._shadowing_for(ue).at_many(xy) for ue in ues]
+            )
         if self.common_sigma_db > 0:
-            loss = loss + self._common_shadowing().at_many(uav[:, :2])
+            loss = loss + self._common_shadowing().at_many(xy)
         return loss
 
     def path_loss_db(self, uav_xyz: np.ndarray, ue_xyz: np.ndarray) -> np.ndarray:
@@ -179,39 +203,28 @@ class ChannelModel:
         ``uav_xyz`` may be a single ``(3,)`` point or an ``(n, 3)``
         array; the result matches (scalar float for a single point).
         """
-        single = np.asarray(uav_xyz, dtype=float).ndim == 1
-        uav = np.atleast_2d(np.asarray(uav_xyz, dtype=float))
-        ue = np.asarray(ue_xyz, dtype=float).reshape(3)
-        obstructed = obstructed_lengths(self.terrain, uav, ue, self.ray_step_m)
-        loss = self._loss_from_obstructed(uav, ue, obstructed)
-        if single:
+        loss, _ = self.path_loss_and_los(uav_xyz, ue_xyz)
+        if np.asarray(uav_xyz).ndim == 1:
             return float(loss[0])
         return loss
 
     def path_loss_and_los(
         self, uav_xyz: np.ndarray, ue_xyz: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Mean path loss *and* LOS state from a single shared trace.
+        """Mean path loss *and* LOS state per UAV position, from one trace.
 
         The measurement paths need both (loss for the mean SNR, LOS for
-        the fading/jitter statistics); calling :meth:`path_loss_db` and
-        :meth:`is_los` separately would trace the same rays twice.
+        the fading/jitter statistics); a link is LOS when no part of
+        its ray runs below the surface.
         """
         uav = np.atleast_2d(np.asarray(uav_xyz, dtype=float))
-        ue = np.asarray(ue_xyz, dtype=float).reshape(3)
-        state: LinkState = ray_profile_batch(self.terrain, uav, ue, self.ray_step_m)
-        loss = self._loss_from_obstructed(uav, ue, state.obstructed_m)
-        return loss, state.los
+        ue = np.asarray(ue_xyz, dtype=float).reshape(1, 3)
+        obstructed = obstructed_lengths(self.terrain, uav, ue, self.ray_step_m)
+        return self._loss_from_obstructed(uav, ue, obstructed), obstructed <= 0.0
 
     def snr_db(self, uav_xyz: np.ndarray, ue_xyz: np.ndarray) -> np.ndarray:
         """Mean SNR (dB) from UAV position(s) to one UE."""
         return self.link.snr_db(self.path_loss_db(uav_xyz, ue_xyz))
-
-    def is_los(self, uav_xyz: np.ndarray, ue_xyz: np.ndarray) -> np.ndarray:
-        """LOS state per UAV position."""
-        uav = np.atleast_2d(np.asarray(uav_xyz, dtype=float))
-        ue = np.asarray(ue_xyz, dtype=float).reshape(3)
-        return obstructed_lengths(self.terrain, uav, ue, self.ray_step_m) <= 0.0
 
     # -- full-grid maps ----------------------------------------------------------
 
@@ -263,11 +276,9 @@ class ChannelModel:
         return hit
 
     def _map_cache_put(self, key: tuple, value: np.ndarray) -> None:
-        self._map_cache[key] = value
-        self._map_cache.move_to_end(key)
-        while len(self._map_cache) > self.map_cache_size:
-            self._map_cache.popitem(last=False)
-            perf.count("oracle.map_cache.evict")
+        evicted = _lru_put(self._map_cache, key, value, self.map_cache_size)
+        if evicted:
+            perf.count("oracle.map_cache.evict", evicted)
 
     def path_loss_maps(
         self,
@@ -399,9 +410,9 @@ class ChannelModel:
                     block = np.empty((k, r1 - r0, nx), dtype=float)
                     for j, ue in enumerate(batch):
                         obs = obstructed[j * n_cells : (j + 1) * n_cells]
-                        block[j] = self._loss_from_obstructed(uav, ue, obs).reshape(
-                            r1 - r0, nx
-                        )
+                        block[j] = self._loss_from_obstructed(
+                            uav, ue[None, :], obs
+                        ).reshape(r1 - r0, nx)
                 yield slice(lo, lo + k), slice(r0, r1), block
 
     def path_loss_to_many(
@@ -410,32 +421,16 @@ class ChannelModel:
         """Mean path loss (dB) from one UAV position to many UEs.
 
         The one-Tx-many-Rx kernel under :meth:`snr_to_many` and the
-        fleet SINR stacks: bit-identical to calling
-        :meth:`path_loss_db` once per UE.  With per-UE shadowing
-        enabled each UE's frozen field must be sampled separately, so
-        the method degrades to exactly that per-UE loop; with it
-        disabled (the city configuration) the whole population runs
-        through one vectorized ray batch.
+        fleet SINR stacks: every ray runs through one trace, each UE
+        reads its own shadowing field, and the result is bit-identical
+        to calling :meth:`path_loss_db` once per UE.
         """
-        uav = np.asarray(uav_xyz, dtype=float).reshape(3)
-        ues = np.atleast_2d(np.asarray(ue_positions, dtype=float))
+        uav = np.asarray(uav_xyz, dtype=float).reshape(1, 3)
+        ues = np.asarray(ue_positions, dtype=float).reshape(-1, 3)
         if ues.shape[0] == 0:
             return np.empty(0, dtype=float)
-        if self.shadowing_sigma_db > 0:
-            perf.count("oracle.to_many_ue_loop", len(ues))
-            return np.array(
-                [float(self.path_loss_db(uav, ue)) for ue in ues], dtype=float
-            )
-        perf.count("oracle.to_many_batched", len(ues))
-        obstructed = obstructed_lengths(
-            self.terrain, uav[None, :], ues, self.ray_step_m
-        )
-        dist = np.linalg.norm(uav[None, :] - ues, axis=1)
-        loss = fspl_db(dist, self.freq_hz)
-        loss = loss + self._excess_db(obstructed)
-        if self.common_sigma_db > 0:
-            loss = loss + self._common_shadowing().at_many(uav[None, :2])
-        return loss
+        obstructed = obstructed_lengths(self.terrain, uav, ues, self.ray_step_m)
+        return self._loss_from_obstructed(uav, ues, obstructed)
 
     def snr_to_many(self, uav_xyz: np.ndarray, ue_positions: Sequence) -> np.ndarray:
         """Mean SNR (dB) from one UAV position to many UEs.

@@ -27,7 +27,7 @@ batched together:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -51,21 +51,6 @@ _CHUNK_SAMPLES = 262_144
 #: Sample counts are rounded up to a multiple of this (above 32) so
 #: rays group into a handful of equal-width batches.
 _BUCKET_QUANTUM = 32
-
-
-class LinkState(NamedTuple):
-    """Per-ray link state from a single trace.
-
-    Attributes
-    ----------
-    obstructed_m:
-        Horizontally-projected meters of each ray below the surface.
-    los:
-        Boolean line-of-sight flag per ray (``obstructed_m <= 0``).
-    """
-
-    obstructed_m: np.ndarray
-    los: np.ndarray
 
 
 def _bucket_steps(n_steps: np.ndarray) -> np.ndarray:
@@ -197,69 +182,3 @@ def _blocked_fractions(
             perf.count("raytrace.samples_traced", zsel.size)
             out[sel] = np.count_nonzero(zsel < surface, axis=1) / n_steps
     return out
-
-
-def ray_profile_batch(
-    terrain: Terrain,
-    tx_xyz: np.ndarray,
-    rx_xyz: np.ndarray,
-    step: float = DEFAULT_STEP_M,
-) -> LinkState:
-    """Obstructed length *and* LOS state for each ray in one pass.
-
-    This is the API the channel model's measurement path uses: SNR
-    sampling needs both the mean path loss (driven by the obstructed
-    length) and the LOS state (selecting the fading distribution), and
-    both come from the same trace — tracing twice, as separate
-    ``path_loss`` / ``is_los`` calls would, doubles the cost of the
-    hottest loop in the system for no information.
-    """
-    obstructed = obstructed_lengths(terrain, tx_xyz, rx_xyz, step)
-    return LinkState(obstructed_m=obstructed, los=obstructed <= 0.0)
-
-
-def link_state(
-    terrain: Terrain,
-    tx_xyz: np.ndarray,
-    rx_xyz: np.ndarray,
-    step: float = DEFAULT_STEP_M,
-) -> LinkState:
-    """Alias of :func:`ray_profile_batch` (single-pass length + LOS)."""
-    return ray_profile_batch(terrain, tx_xyz, rx_xyz, step)
-
-
-def trace_profile(
-    terrain: Terrain,
-    tx_xyz: np.ndarray,
-    rx_xyz: np.ndarray,
-    step: float = DEFAULT_STEP_M,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sampled ray profile for a single Tx->Rx pair (debug/plot helper).
-
-    Returns
-    -------
-    (arc, ray_z, surface_z):
-        ``arc`` - distance along the ray at each sample (m);
-        ``ray_z`` - ray height at each sample;
-        ``surface_z`` - terrain surface height under each sample.
-    """
-    tx = np.asarray(tx_xyz, dtype=float).reshape(3)
-    rx = np.asarray(rx_xyz, dtype=float).reshape(3)
-    dist = float(np.linalg.norm(rx - tx))
-    n_steps = max(2, int(np.ceil(dist / step)))
-    t = np.linspace(0.0, 1.0, n_steps)
-    xs = tx[0] + t * (rx[0] - tx[0])
-    ys = tx[1] + t * (rx[1] - tx[1])
-    zs = tx[2] + t * (rx[2] - tx[2])
-    surface = terrain.heights_at_xy(xs, ys)
-    return t * dist, zs, surface
-
-
-def is_los(
-    terrain: Terrain,
-    tx_xyz: np.ndarray,
-    rx_xyz: np.ndarray,
-    step: float = DEFAULT_STEP_M,
-) -> np.ndarray:
-    """Boolean line-of-sight test for each Tx->Rx ray."""
-    return obstructed_lengths(terrain, tx_xyz, rx_xyz, step) <= 0.0

@@ -209,6 +209,22 @@ class CityScenario:
 
     # -- one epoch ---------------------------------------------------------------
 
+    def _serve(self, uav_xyz, n_tti, n_prb, olla_rounds, shard_ues) -> dict:
+        """Serve the population from a placement: serving SNR, OLLA, city MAC."""
+        snr = self.serving_snr_db(uav_xyz)
+        effective = snr
+        for _ in range(int(olla_rounds)):
+            effective = self.olla_round(snr)
+        rates = throughput_mbps(effective, n_prb=1) * BYTES_PER_TTI_PER_MBPS
+        mac = run_city_mac(
+            self.population, rates, n_tti, n_prb=n_prb, shard_ues=shard_ues
+        )
+        return {
+            "mean_snr_db": float(snr.mean()),
+            "aggregate_served_mbps": mac.aggregate_served_mbps(),
+            "mac": mac,
+        }
+
     def run_epoch(
         self,
         *,
@@ -219,21 +235,10 @@ class CityScenario:
     ) -> dict:
         """Place, adapt and serve one epoch; returns summary metrics."""
         placement = self.place()
-        snr = self.serving_snr_db(placement.position.as_array())
-        effective = snr
-        for _ in range(int(olla_rounds)):
-            effective = self.olla_round(snr)
-        rates = throughput_mbps(effective, n_prb=1) * BYTES_PER_TTI_PER_MBPS
-        mac = run_city_mac(
-            self.population, rates, n_tti, n_prb=n_prb, shard_ues=shard_ues
+        served = self._serve(
+            placement.position.as_array(), n_tti, n_prb, olla_rounds, shard_ues
         )
-        return {
-            "placement": placement,
-            "min_snr_db": placement.min_snr_db,
-            "mean_snr_db": float(snr.mean()),
-            "aggregate_served_mbps": mac.aggregate_served_mbps(),
-            "mac": mac,
-        }
+        return {"placement": placement, "min_snr_db": placement.min_snr_db, **served}
 
     # -- the full controller epoch ------------------------------------------------
 
@@ -340,13 +345,8 @@ class CityScenario:
         )
         with perf.span("city.controller_epoch"):
             result = controller.run_epoch(budget_m)
-            snr = self.serving_snr_db(result.placement.position.as_array())
-            effective = snr
-            for _ in range(int(olla_rounds)):
-                effective = self.olla_round(snr)
-            rates = throughput_mbps(effective, n_prb=1) * BYTES_PER_TTI_PER_MBPS
-            mac = run_city_mac(
-                self.population, rates, n_tti, n_prb=n_prb, shard_ues=shard_ues
+            served = self._serve(
+                result.placement.position.as_array(), n_tti, n_prb, olla_rounds, shard_ues
             )
         return {
             "placement": result.placement,
@@ -354,7 +354,5 @@ class CityScenario:
             "n_rem_groups": result.n_rem_groups,
             "altitude_m": result.altitude_m,
             "min_snr_db": result.placement.min_snr_db,
-            "mean_snr_db": float(snr.mean()),
-            "aggregate_served_mbps": mac.aggregate_served_mbps(),
-            "mac": mac,
+            **served,
         }

@@ -581,13 +581,12 @@ class SkyRANController:
         # its representative.
         log = self.uav.fly(plan.trajectory, self.rng, faults=self.faults)
         total_distance += log.distance_m
-        for ue in self.enodeb.connected_ues():
-            if ue.ue_id not in rems:
-                continue
+        measured = [u for u in self.enodeb.connected_ues() if u.ue_id in rems]
+        samples = collect_snr_samples(
+            log, measured, self.channel, self.rng, faults=self.faults
+        )
+        for ue, (xy, snr) in zip(measured, samples):
             before = rems[ue.ue_id].n_measured_cells
-            xy, snr = collect_snr_samples(
-                log, ue, self.channel, self.rng, faults=self.faults
-            )
             if len(snr):
                 rems[ue.ue_id].add_measurements(xy, snr)
             if self._chaos and rems[ue.ue_id].n_measured_cells == before:
@@ -712,12 +711,13 @@ class SkyRANController:
         traffic passes through the fault injector's traffic-burst
         channel (inert when the plan's burst rate is zero).
         """
-        snrs = {
-            ue.ue_id: float(self.channel.snr_db(self.uav.position, ue.xyz))
-            for ue in self.enodeb.connected_ues()
-            if ue.ue_id in self._mac.ue_ids
-        }
-        return self._mac.run(snrs, self.config.tti_batch, faults=self.faults)
+        ues = [u for u in self.enodeb.connected_ues() if u.ue_id in self._mac.ue_ids]
+        snrs = self.channel.snr_to_many(self.uav.position, [ue.xyz for ue in ues])
+        return self._mac.run(
+            {ue.ue_id: float(s) for ue, s in zip(ues, snrs)},
+            self.config.tti_batch,
+            faults=self.faults,
+        )
 
     @staticmethod
     def _summarize_batch(batch: MACBatchResult) -> Dict[str, float]:

@@ -36,9 +36,9 @@ def _data_driven_maps(scenario, rem_grid, rng):
     uav = UAV(position=np.array([rem_grid.origin_x, rem_grid.origin_y, ALTITUDE_M]))
     log = uav.fly(traj, rng)
     maps = []
-    for ue in scenario.ues:
+    samples = collect_snr_samples(log, scenario.ues, scenario.channel, rng)
+    for ue, (xy, snr) in zip(scenario.ues, samples):
         rem = REM(rem_grid, ue.xyz, ALTITUDE_M)
-        xy, snr = collect_snr_samples(log, ue, scenario.channel, rng)
         rem.add_measurements(xy, snr)
         maps.append(rem.interpolated())
     return maps

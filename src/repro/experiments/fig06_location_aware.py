@@ -36,8 +36,8 @@ def _measure(scenario, rem_grid, rems, traj, rng):
     """Fly a trajectory and fold its samples into the given REMs."""
     uav = UAV(position=np.array([traj.waypoints[0][0], traj.waypoints[0][1], ALTITUDE_M]))
     log = uav.fly(traj, rng)
-    for ue, rem in zip(scenario.ues, rems):
-        xy, snr = collect_snr_samples(log, ue, scenario.channel, rng)
+    samples = collect_snr_samples(log, scenario.ues, scenario.channel, rng)
+    for rem, (xy, snr) in zip(rems, samples):
         rem.add_measurements(xy, snr)
 
 

@@ -61,8 +61,8 @@ def _placement_with_error(scenario, rem_grid, error_m, rng, seed):
     )
     uav = UAV(position=np.array([start[0], start[1], ALTITUDE_M]))
     log = uav.fly(plan.trajectory, rng)
-    for ue, rem in zip(scenario.ues, rems):
-        xy, snr = collect_snr_samples(log, ue, scenario.channel, rng)
+    samples = collect_snr_samples(log, scenario.ues, scenario.channel, rng)
+    for rem, (xy, snr) in zip(rems, samples):
         rem.add_measurements(xy, snr)
     placement = max_min_placement(rem_grid, [r.interpolated() for r in rems], ALTITUDE_M)
     return scenario.relative_throughput(placement.position)

@@ -38,8 +38,8 @@ def point(params: Dict, quick: bool = True) -> Dict:
     log = uav.fly(traj, rng)
     rows = []
     samples = {}
-    for ue in scenario.ues:
-        _, snr = collect_snr_samples(log, ue, scenario.channel, rng)
+    reports = collect_snr_samples(log, scenario.ues, scenario.channel, rng)
+    for ue, (_, snr) in zip(scenario.ues, reports):
         samples[ue.ue_id] = snr
         rows.append(
             {

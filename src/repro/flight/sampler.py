@@ -230,13 +230,19 @@ def localize_all_ues(
 
 def collect_snr_samples(
     log: FlightLog,
-    ue: UE,
+    ues: Sequence[UE],
     channel: ChannelModel,
     rng: np.random.Generator,
     rate_hz: float = SRS_RATE_HZ,
     faults: Optional["FaultInjector"] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-sample SNR reports for one UE along a measurement flight.
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per-sample SNR reports for each UE along one measurement flight.
+
+    The flight's sample times, true and GPS positions (and, under
+    faults, the GPS-valid mask) are interpolated once; each UE in
+    ``ues`` order then draws its fading and noise from ``rng``
+    (:meth:`~repro.channel.model.ChannelModel.sample_snr_db`) and
+    passes through the fault injector.
 
     ``faults`` injects SNR report drops/corruption; samples taken while
     GPS was blacked out are discarded (the frozen hold-last fix would
@@ -244,7 +250,7 @@ def collect_snr_samples(
 
     Returns
     -------
-    (gps_xy, snr_db):
+    One ``(gps_xy, snr_db)`` per UE:
         ``(n, 2)`` *GPS* (noisy) horizontal positions — what the REM
         binning believes — and the ``(n,)`` SNR samples the PHY
         reported at the corresponding *true* positions.
@@ -252,17 +258,23 @@ def collect_snr_samples(
     n = max(2, int(log.duration_s * rate_hz) + 1)
     times = np.linspace(log.t_s[0], log.t_s[-1], n)
     true_pos = _positions_at(log, times, "true")
-    gps_pos = _positions_at(log, times, "gps")
-    snr = np.asarray(channel.sample_snr_db(true_pos, ue.xyz, rng))
-    if faults is None:
-        return gps_pos[:, :2], snr
-    keep, snr = faults.snr_faults(snr)
-    if log.gps_valid is not None:
+    gps_xy = _positions_at(log, times, "gps")[:, :2]
+    valid = None
+    if faults is not None and log.gps_valid is not None:
         # A sample is only binnable if both neighbouring fixes were
         # valid (the interpolated position is trustworthy).
         valid = np.interp(times, log.t_s, log.gps_valid.astype(float)) > 0.999
-        dropped = int((keep & ~valid).sum())
-        if dropped:
-            perf.count("fallback.snr_unbinnable", dropped)
-        keep = keep & valid
-    return gps_pos[keep][:, :2], snr[keep]
+    out = []
+    for ue in ues:
+        snr = channel.sample_snr_db(true_pos, ue.xyz, rng)
+        if faults is None:
+            out.append((gps_xy, snr))
+            continue
+        keep, snr = faults.snr_faults(snr)
+        if valid is not None:
+            dropped = int((keep & ~valid).sum())
+            if dropped:
+                perf.count("fallback.snr_unbinnable", dropped)
+            keep = keep & valid
+        out.append((gps_xy[keep], snr[keep]))
+    return out

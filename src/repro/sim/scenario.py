@@ -249,12 +249,9 @@ class Scenario:
     def evaluate(self, position) -> PlacementEvaluation:
         """True performance of a UAV position (exact, not gridded)."""
         pos = position.as_array() if isinstance(position, Point3D) else np.asarray(position, dtype=float)
-        snrs: Dict[int, float] = {}
-        tputs: Dict[int, float] = {}
-        for ue in self.ues:
-            snr = float(self.channel.snr_db(pos, ue.xyz))
-            snrs[ue.ue_id] = snr
-            tputs[ue.ue_id] = throughput_mbps(snr)
+        snr = self.channel.snr_to_many(pos, self.ue_positions())
+        snrs = {ue.ue_id: float(v) for ue, v in zip(self.ues, snr)}
+        tputs = {ue_id: throughput_mbps(v) for ue_id, v in snrs.items()}
         values = list(tputs.values())
         return PlacementEvaluation(
             snr_db=snrs,

@@ -89,7 +89,7 @@ class TestChannelModel:
     def test_is_los_vector(self, box_channel):
         ue = np.array([90.0, 50.0, 1.5])
         uavs = np.array([[80.0, 50.0, 50.0], [10.0, 50.0, 5.0]])
-        los = box_channel.is_los(uavs, ue)
+        _, los = box_channel.path_loss_and_los(uavs, ue)
         assert los[0] and not los[1]
 
 

@@ -18,7 +18,7 @@ import repro.channel.model as model_mod
 import repro.channel.raytrace as raytrace_mod
 from repro.channel.groundtruth import ground_truth_stack
 from repro.channel.model import ChannelModel
-from repro.channel.raytrace import obstructed_lengths, ray_profile_batch
+from repro.channel.raytrace import obstructed_lengths
 from repro.channel.shadowing import ShadowingField
 from repro.core.config import SkyRANConfig
 from repro.core.controller import SkyRANController
@@ -121,19 +121,21 @@ def test_path_loss_and_los_traces_once(box_channel):
     before = perf.counter("raytrace.calls")
     loss, los = box_channel.path_loss_and_los(uav, ue)
     assert perf.counter("raytrace.calls") == before + 1
-    # And it agrees with the two-call path it replaces.
+    # And it agrees with the loss-only call and the raw trace.
     np.testing.assert_array_equal(loss, box_channel.path_loss_db(uav, ue))
-    np.testing.assert_array_equal(los, box_channel.is_los(uav, ue))
+    np.testing.assert_array_equal(
+        los, obstructed_lengths(box_channel.terrain, uav, ue) <= 0.0
+    )
 
 
-def test_ray_profile_batch_los_consistent_with_obstruction(box_channel):
-    terrain = box_channel.terrain
+def test_path_loss_and_los_consistent_with_obstruction(box_channel):
     tx = np.array([[50.0, 20.0, 5.0], [50.0, 20.0, 119.0]])
     ue = np.array([50.0, 80.0, 1.5])  # across the building
-    state = ray_profile_batch(terrain, tx, ue)
-    np.testing.assert_array_equal(state.los, state.obstructed_m <= 0.0)
-    assert not state.los[0]  # grazing ray through the box
-    assert state.obstructed_m[0] > 0.0
+    obstructed = obstructed_lengths(box_channel.terrain, tx, ue)
+    _, los = box_channel.path_loss_and_los(tx, ue)
+    np.testing.assert_array_equal(los, obstructed <= 0.0)
+    assert not los[0]  # grazing ray through the box
+    assert obstructed[0] > 0.0
 
 
 # -- LRU map cache --------------------------------------------------------------
@@ -188,6 +190,33 @@ def test_fspl_prior_map_cached_and_copy_safe(box_channel, small_grid):
     np.testing.assert_array_equal(a, b)
     a[:] = 0.0  # mutating the returned map must not poison the cache
     np.testing.assert_array_equal(b, box_channel.fspl_prior_map(ue, 60.0, small_grid))
+
+
+def test_shadowing_cache_bounded_lru_and_regenerates_bitwise(box_terrain):
+    # Every position of a mobile UE is a new field; the field cache
+    # keeps at most map_cache_size of them, and a field evicted and
+    # regenerated is bit-identical (a pure function of seed + position).
+    channel = ChannelModel(box_terrain, common_sigma_db=0.0, map_cache_size=3)
+    ues = [np.array([10.0 + 7.0 * i, 30.0, 1.5]) for i in range(6)]
+    first = channel._shadowing_for(ues[0]).values_db.copy()
+    for ue in ues[1:4]:
+        channel._shadowing_for(ue)
+    assert len(channel._shadow_cache) == 3
+    assert tuple(ues[0].tolist()) not in channel._shadow_cache
+    # A hit refreshes recency: ues[1] survives the next insertion.
+    channel._shadowing_for(ues[1])
+    channel._shadowing_for(ues[4])
+    assert list(channel._shadow_cache) == [
+        tuple(u.tolist()) for u in (ues[3], ues[1], ues[4])
+    ]
+    np.testing.assert_array_equal(channel._shadowing_for(ues[0]).values_db, first)
+    assert len(channel._shadow_cache) == 3
+    uav = np.array([[20.0, 70.0, 60.0], [80.0, 20.0, 40.0]])
+    fresh = ChannelModel(box_terrain, common_sigma_db=0.0)
+    for ue in ues:
+        np.testing.assert_array_equal(
+            channel.path_loss_db(uav, ue), fresh.path_loss_db(uav, ue)
+        )
 
 
 # -- shadowing seed handling ----------------------------------------------------

@@ -1,9 +1,12 @@
 """Unit tests for UAV kinematics, GPS, battery and samplers."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.channel.model import ChannelModel
+from repro.faults import FaultInjector, FaultPlan
 from repro.flight.sampler import (
     collect_gps_ranges,
     collect_snr_samples,
@@ -14,6 +17,7 @@ from repro.lte.enodeb import ENodeB
 from repro.lte.tof import ToFEstimator
 from repro.lte.ue import UE
 from repro.trajectory.base import Trajectory
+from tests import link_oracles as oracle
 
 
 class TestBattery:
@@ -96,7 +100,7 @@ class TestSamplers:
 
     def test_snr_samples_near_truth(self, setup, rng):
         channel, enodeb, ue, log = setup
-        xy, snr = collect_snr_samples(log, ue, channel, rng)
+        [(xy, snr)] = collect_snr_samples(log, [ue], channel, rng)
         assert len(xy) == len(snr)
         mid_true = channel.snr_db(log.true_xyz[len(log) // 2], ue.xyz)
         assert abs(np.median(snr) - mid_true) < 5.0
@@ -121,3 +125,66 @@ class TestSamplers:
             result.per_ue[1].position[0] - 50.0, result.per_ue[1].position[1] - 50.0
         )
         assert err < 15.0
+
+
+class TestSnrSamplesOneFlight:
+    """The flight is sampled once for all UEs, bitwise as a per-UE loop."""
+
+    @pytest.fixture()
+    def world(self, box_terrain):
+        # Per-UE and common shadowing on; the flight crosses the
+        # building so the samples mix LOS and NLOS fading.
+        channel = ChannelModel(box_terrain)
+        ues = []
+        for i, (x, y) in enumerate([(50.0, 85.0), (20.0, 50.0), (70.0, 30.0)]):
+            ue = UE(ue_id=i + 1)
+            ue.move_to(x, y)
+            ues.append(ue)
+        traj = Trajectory(np.array([[10.0, 50.0], [90.0, 50.0], [90.0, 20.0]]), 15.0)
+        return channel, ues, traj
+
+    def _check(self, channel, ues, log, faults=None):
+        rng, rng_ref = np.random.default_rng(21), np.random.default_rng(21)
+        faults_ref = copy.deepcopy(faults)
+        got = collect_snr_samples(log, ues, channel, rng, faults=faults)
+        want = [
+            oracle.collect_snr_samples(log, ue, channel, rng_ref, faults=faults_ref)
+            for ue in ues
+        ]
+        assert len(got) == len(ues)
+        for (xy, snr), (xy_ref, snr_ref) in zip(got, want):
+            np.testing.assert_array_equal(xy, xy_ref)
+            np.testing.assert_array_equal(snr, snr_ref)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        return got
+
+    def test_fault_free_matches_per_ue_loop(self, world):
+        channel, ues, traj = world
+        uav = UAV(position=np.array([10.0, 50.0, 15.0]), speed_mps=10.0)
+        log = uav.fly(traj, np.random.default_rng(4))
+        got = self._check(channel, ues, log)
+        los = oracle.path_loss_and_los(channel, log.true_xyz, ues[0].xyz)[1]
+        assert los.any() and not los.all()
+        assert all(len(snr) == len(got[0][1]) for _, snr in got)
+
+    def test_faulted_matches_per_ue_loop(self, world):
+        channel, ues, traj = world
+        faults = FaultInjector(
+            FaultPlan(
+                seed=3,
+                gps_blackout_rate_per_s=0.5,
+                gps_blackout_duration_s=1.0,
+                snr_drop_rate=0.3,
+                snr_corrupt_rate=0.2,
+            )
+        )
+        uav = UAV(position=np.array([10.0, 50.0, 15.0]), speed_mps=10.0)
+        log = uav.fly(traj, np.random.default_rng(4), faults=faults)
+        assert log.gps_valid is not None and not log.gps_valid.all()
+        snr_rng = faults._rng["snr"]
+        state = copy.deepcopy(snr_rng.bit_generator.state)
+        got = self._check(channel, ues, log, faults=faults)
+        assert snr_rng.bit_generator.state != state
+        n = max(2, int(log.duration_s * 100.0) + 1)
+        assert all(0 < len(snr) < n for _, snr in got)
+

@@ -24,6 +24,7 @@ from repro.geo.grid import GridSpec
 from repro.lte.throughput import throughput_mbps
 from repro.rem.map import REM
 from repro.sim.scenario import Scenario
+from tests import link_oracles as oracle
 
 
 def _controller(*, pitch=None, seed=1, n_ues=4, known=None):
@@ -226,27 +227,42 @@ class TestKnownPositions:
 
 
 class TestAggregateThroughputVectorized:
-    @pytest.mark.parametrize("shadowing", [0.0, 6.0])
-    def test_matches_scalar_loop(self, shadowing):
-        """snr_to_many keeps the KPI bit-identical to the per-UE loop."""
+    @pytest.mark.parametrize(
+        "shadowing, common",
+        [(0.0, 0.0), (6.0, 0.0), (6.0, 4.5)],
+        ids=["0.0", "6.0", "6.0-common"],
+    )
+    def test_matches_scalar_loop(self, shadowing, common):
+        """snr_to_many is, element by element and bitwise, the per-UE
+        snr_db loop and the term-by-term link oracle, so the KPI is the
+        per-UE loop's."""
         scenario = Scenario.create(
             "campus",
             n_ues=4,
             cell_size=4.0,
             seed=5,
-            channel_kwargs={"shadowing_sigma_db": shadowing, "common_sigma_db": 0.0},
+            channel_kwargs={"shadowing_sigma_db": shadowing, "common_sigma_db": common},
         )
         cfg = SkyRANConfig(rem_cell_size_m=8.0)
         ctrl = SkyRANController(scenario.channel, scenario.enodeb, cfg, seed=1)
         ctrl.run_epoch(budget_m=300.0)
         got = ctrl.aggregate_throughput_mbps()
+        channel = ctrl.channel
+        ues = [ue.xyz for ue in ctrl.enodeb.connected_ues()]
+        for uav in (ctrl.uav.position, [60.0, 80.0, 40.0], [20.0, 170.0, 15.0]):
+            uav = np.asarray(uav, dtype=float)
+            snrs = channel.snr_to_many(uav, np.array(ues))
+            loop = [channel.snr_db(uav, ue) for ue in ues]
+            links = [oracle.path_loss_and_los(channel, uav, ue)[0][0] for ue in ues]
+            np.testing.assert_array_equal(snrs, loop)
+            np.testing.assert_array_equal(snrs, channel.link.snr_db(np.array(links)))
         rates = [
             float(
                 throughput_mbps(
-                    float(ctrl.channel.snr_db(ctrl.uav.position, ue.xyz))
+                    float(ctrl.channel.snr_db(ctrl.uav.position, ue))
                 )
             )
-            for ue in ctrl.enodeb.connected_ues()
+            for ue in ues
         ]
         assert got == float(np.mean(rates))
 
