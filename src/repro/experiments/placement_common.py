@@ -102,27 +102,6 @@ def mean_of_records(records) -> Dict:
     }
 
 
-def mean_over_seeds(
-    terrain: str,
-    n_ues: int,
-    layout: str,
-    scheme: str,
-    budget_m: float,
-    seeds,
-    quick: bool = True,
-    altitude: Optional[float] = TESTBED_ALTITUDE_M,
-) -> Dict:
-    """Average scheme performance over several scenario/controller seeds."""
-    records = [
-        scheme_point(terrain, n_ues, layout, scheme, budget_m, seed, quick, altitude)
-        for seed in seeds
-    ]
-    out = mean_of_records(records)
-    out["scheme"] = scheme
-    out["budget_m"] = budget_m
-    return out
-
-
 def overhead_point(
     terrain: str,
     scheme: str,

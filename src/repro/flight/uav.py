@@ -66,10 +66,6 @@ class Battery:
     def remaining_wh(self) -> float:
         return max(0.0, self.capacity_wh - self.used_wh)
 
-    @property
-    def remaining_fraction(self) -> float:
-        return self.remaining_wh / self.capacity_wh
-
     def endurance_hover_s(self) -> float:
         """Hover time the remaining charge buys."""
         return self.remaining_wh / self.hover_power_w * 3600.0
@@ -103,12 +99,6 @@ class FlightLog:
     @property
     def duration_s(self) -> float:
         return float(self.t_s[-1] - self.t_s[0]) if len(self.t_s) > 1 else 0.0
-
-    def gps_valid_mask(self) -> np.ndarray:
-        """Validity mask, materialized (all-True when no blackout hit)."""
-        if self.gps_valid is None:
-            return np.ones(len(self.t_s), dtype=bool)
-        return self.gps_valid
 
     def __len__(self) -> int:
         return len(self.t_s)

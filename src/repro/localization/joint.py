@@ -71,11 +71,6 @@ class MultilaterationResult:
     converged: bool
     inlier_fraction: float = 1.0
 
-    @property
-    def quality_ok(self) -> bool:
-        """Crude sanity gate: solve converged and kept most of its data."""
-        return self.converged and self.inlier_fraction >= 0.5
-
 
 @dataclass(frozen=True)
 class JointLocalizationResult:

@@ -20,6 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.channel.fspl import SPEED_OF_LIGHT
+from repro.lte._rowblocks import pipeline
 from repro.perf import perf
 
 
@@ -76,10 +77,6 @@ class SRSConfig:
             )
         if self.sample_rate_hz <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-
-    @property
-    def sample_period_s(self) -> float:
-        return 1.0 / self.sample_rate_hz
 
     @property
     def meters_per_sample(self) -> float:
@@ -255,30 +252,36 @@ def apply_channel_batch(
         ):
             raise ValueError("tap_mask must be left-packed (active taps first)")
     n_taps = tap_mask.shape[1]
-    counts = tap_mask.sum(axis=1)
+    counts = tap_mask.sum(axis=1).tolist()
     n_fft = config.n_fft
 
-    # -- RNG draws, per symbol in time order (see docstring contract) --
-    # The noise normals are drawn straight into the output buffer (the
-    # interleaved re/im float view of a complex row IS the (n_fft, 2)
-    # block of one symbol's draws) and scaled by sigma afterwards —
-    # ``rng.normal(0, s, size)`` is bit-identical to
-    # ``s * rng.standard_normal(size)`` and consumes the same stream.
     active = np.abs(symbol) > 0
     sig_power = float(np.mean(np.abs(symbol[active]) ** 2)) if active.any() else 1.0
     noise_power = sig_power / _pow10(snrs, 10.0)
     noise_sigma = np.sqrt(noise_power / 2.0)
+    tap_amp = _pow10(tap_power_db, 20.0)
     phase_u = np.zeros((n, n_taps), dtype=float)
     rx = np.empty((n, n_fft), dtype=complex)
     float_rows = rx.view(np.float64)
-    for i in range(n):
-        k = int(counts[i])
-        if k:
-            phase_u[i, :k] = rng.random(k)
-        rng.standard_normal(out=float_rows[i])
-    rx *= noise_sigma[:, None]
+    uniform = rng.random
+    normal = rng.standard_normal
 
-    # -- vectorized channel math (no draws below this line) ------------
+    def draw(lo: int, hi: int) -> None:
+        """RNG draws of rows ``[lo, hi)``, per symbol in time order.
+
+        The noise normals are drawn straight into the output buffer
+        (the interleaved re/im float view of a complex row IS the
+        ``(n_fft, 2)`` block of one symbol's draws) and scaled by sigma
+        in :func:`propagate` — ``rng.normal(0, s, size)`` is
+        bit-identical to ``s * rng.standard_normal(size)`` and consumes
+        the same stream.
+        """
+        for i in range(lo, hi):
+            k = counts[i]
+            if k:
+                uniform(out=phase_u[i, :k])
+            normal(out=float_rows[i])
+
     # Only the active subcarriers carry signal: inactive bins are zero
     # until the noise lands on them, and adding noise to a zero washes
     # out the +-0.0 sign the per-symbol path leaves there — so the
@@ -304,6 +307,14 @@ def apply_channel_batch(
     half = w // 2 if w % 2 == 0 and np.array_equal(
         f_act[w // 2 :], -f_act[: w // 2][::-1]
     ) else None
+    # The sounded bins form a few contiguous runs (two for the standard
+    # DC-straddling layout), so the scatter of signal into noise is
+    # sliced adds rather than fancy indexing.
+    splits = np.flatnonzero(np.diff(bins) != 1) + 1
+    runs = [
+        (bins[a], bins[b - 1] + 1, a, b)
+        for a, b in zip([0, *splits], [*splits, w])
+    ] if w else []
 
     def ramp_for(scaled_delays: np.ndarray) -> np.ndarray:
         """Phase ramp exp(-2j pi f d / N) over the active bins."""
@@ -317,30 +328,31 @@ def apply_channel_batch(
             out[:, half:] = np.conj(front[:, ::-1])
         return out
 
-    # symbol * ramp, in the per-symbol operand order (complex multiply
-    # is not bitwise commutative under FMA contraction).
-    work = ramp_for(delays)
-    np.multiply(sym_act[None, :], work, out=work)
-    for j in range(n_taps):
-        live = np.flatnonzero(tap_mask[:, j])
-        if not len(live):
-            continue
-        amp = _pow10(tap_power_db[live, j], 20.0)
-        phase = np.exp(2j * np.pi * phase_u[live, j])
-        contrib = (amp * phase)[:, None] * sym_act[None, :]
-        contrib *= ramp_for(delays[live] + tap_excess[live, j])
-        if len(live) == n:
-            work += contrib
-        else:
-            work[live] += contrib
-    # Scatter signal into the noise.  The sounded bins form a few
-    # contiguous runs (two for the standard DC-straddling layout), so
-    # the scatter is sliced adds rather than fancy indexing.
-    if w:
-        splits = np.flatnonzero(np.diff(bins) != 1) + 1
-        start = 0
-        for stop in list(splits) + [w]:
-            lo, hi = bins[start], bins[stop - 1] + 1
-            rx[:, lo:hi] += work[:, start:stop]
-            start = stop
+    def propagate(lo: int, hi: int) -> None:
+        """Draw-free channel math of rows ``[lo, hi)``, in place in ``rx``."""
+        block = rx[lo:hi]
+        block *= noise_sigma[lo:hi, None]
+        d = delays[lo:hi]
+        # symbol * ramp, in the per-symbol operand order (complex
+        # multiply is not bitwise commutative under FMA contraction).
+        work = ramp_for(d)
+        np.multiply(sym_act[None, :], work, out=work)
+        for j in range(n_taps):
+            live = np.flatnonzero(tap_mask[lo:hi, j])
+            if not len(live):
+                continue
+            phase = np.exp(2j * np.pi * phase_u[lo:hi, j][live])
+            contrib = (tap_amp[lo:hi, j][live] * phase)[:, None] * sym_act[None, :]
+            contrib *= ramp_for(d[live] + tap_excess[lo:hi, j][live])
+            if len(live) == hi - lo:
+                work += contrib
+            else:
+                work[live] += contrib
+        for b_lo, b_hi, a, b in runs:
+            block[:, b_lo:b_hi] += work[:, a:b]
+
+    # The caller draws every block in row order while a helper thread
+    # (two CPUs, a large batch) propagates the block before it; every
+    # step is row-wise, so the bits do not depend on the split.
+    pipeline(n, draw, propagate)
     return rx

@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.lte._rowblocks import ROW_BLOCK, row_blocks, split_rows
 from repro.lte.srs import SRSConfig
 
 
@@ -81,7 +82,7 @@ def estimate_delays_batch(
     Each row of ``received_2d`` (``(n, n_fft)``) is correlated against
     the same ``known`` symbol: one row-wise frequency-domain product
     (Eq. 1), one middle zero-pad by the factor ``upsampling`` (Eq. 2),
-    one batched IFFT, then the argmax of the magnitude (Eq. 3) and the
+    a batched IFFT per row block, then the argmax of the magnitude (Eq. 3) and the
     peak-to-background quality (:func:`correlation_quality_batch`).
     Delays beyond half the symbol wrap negative (circular
     correlation); SkyRAN's operating ranges (< 1 km, i.e. < ~52
@@ -120,27 +121,48 @@ def estimate_delays_batch(
     known_conj = np.conj(known)
     m = known.shape[0]
     half = m // 2
-    pad = m * (upsampling - 1)
-    padded = np.empty((n, m * upsampling), dtype=complex)
-    np.multiply(received[:, :half], known_conj[None, :half], out=padded[:, :half])
-    padded[:, half : half + pad] = 0
-    np.multiply(received[:, half:], known_conj[None, half:], out=padded[:, half + pad :])
-    mag = np.abs(np.fft.ifft(padded, axis=-1))
-    total = mag.shape[1]
-    rows = np.arange(n)
-    peaks = np.argmax(mag, axis=-1)  # Eq. 3
-    delta = np.zeros(n)
-    if refine:
-        # Parabolic vertex through (peak-1, peak, peak+1), circular.
-        y0 = mag[rows, (peaks - 1) % total]
-        y1 = mag[rows, peaks]
-        y2 = mag[rows, (peaks + 1) % total]
-        denom = y0 - 2.0 * y1 + y2
-        ok = np.abs(denom) > 1e-12
-        delta[ok] = np.clip(0.5 * (y0[ok] - y2[ok]) / denom[ok], -0.5, 0.5)
-    pos = peaks + delta
-    pos = np.where(pos > total / 2, pos - total, pos)
-    qualities = correlation_quality_batch(mag, peaks) if quality else None
+    total = m * upsampling
+    tail = half + m * (upsampling - 1)
+    pos = np.empty(n)
+    qualities = np.empty(n) if quality else None
+
+    def correlate(lo: int, hi: int) -> None:
+        """Eqs. 1-3 over rows ``[lo, hi)``, one bounded row block at a time.
+
+        The padded buffer is reused by every block (its zero middle is
+        written once), and so are the IFFT output and the magnitudes.
+        """
+        size = min(ROW_BLOCK, hi - lo)
+        padded = np.zeros((size, total), dtype=complex)
+        spectrum = np.empty_like(padded)
+        mag_buf = np.empty((size, total))
+        for b_lo, b_hi in row_blocks(lo, hi):
+            k = b_hi - b_lo
+            pad, out, mag = padded[:k], spectrum[:k], mag_buf[:k]
+            rx = received[b_lo:b_hi]
+            np.multiply(rx[:, :half], known_conj[None, :half], out=pad[:, :half])
+            np.multiply(rx[:, half:], known_conj[None, half:], out=pad[:, tail:])
+            np.fft.ifft(pad, axis=-1, out=out)
+            np.abs(out, out=mag)
+            rows = np.arange(k)
+            peaks = np.argmax(mag, axis=-1)  # Eq. 3
+            delta = np.zeros(k)
+            if refine:
+                # Parabolic vertex through (peak-1, peak, peak+1), circular.
+                y0 = mag[rows, (peaks - 1) % total]
+                y1 = mag[rows, peaks]
+                y2 = mag[rows, (peaks + 1) % total]
+                denom = y0 - 2.0 * y1 + y2
+                ok = np.abs(denom) > 1e-12
+                delta[ok] = np.clip(0.5 * (y0[ok] - y2[ok]) / denom[ok], -0.5, 0.5)
+            p = peaks + delta
+            pos[b_lo:b_hi] = np.where(p > total / 2, p - total, p)
+            if qualities is not None:
+                qualities[b_lo:b_hi] = correlation_quality_batch(mag, peaks)
+
+    # Both halves of the batch at once on two CPUs; every step is
+    # row-wise, so the bits do not depend on the split.
+    split_rows(n, correlate)
     return pos / upsampling, qualities
 
 

@@ -67,6 +67,3 @@ class UE:
     def move_to(self, x: float, y: float, z: Optional[float] = None) -> None:
         """Teleport the UE (mobility models call this per step)."""
         self.position = Point3D(x, y, self.position.z if z is None else z)
-
-    def is_served(self) -> bool:
-        return self.state in (UEState.CONNECTED, UEState.IDLE)

@@ -460,14 +460,6 @@ class RunResult:
         return self.final.relative_throughput
 
     @property
-    def total_distance_m(self) -> float:
-        return self.final.cumulative_distance_m
-
-    @property
-    def total_time_s(self) -> float:
-        return self.final.cumulative_time_s
-
-    @property
     def total_faults(self) -> int:
         return sum(self.fault_counters.values())
 

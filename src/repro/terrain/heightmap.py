@@ -87,10 +87,6 @@ class Terrain:
     def max_height(self) -> float:
         return self._max_height
 
-    @property
-    def mean_height(self) -> float:
-        return float(np.mean(self.heights))
-
     def built_fraction(self, threshold: float = 2.0) -> float:
         """Fraction of cells whose surface rises above ``threshold`` meters.
 

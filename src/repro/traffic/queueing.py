@@ -79,10 +79,6 @@ class QueueBank:
     def n_ues(self) -> int:
         return len(self.ue_ids)
 
-    def index_of(self, ue_id: int) -> int:
-        """Array index of a UE id (ValueError if unknown)."""
-        return self.ue_ids.index(int(ue_id))
-
     def admit(self, offered_bytes_tti: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Tail-drop admission for one TTI's offered bytes.
 

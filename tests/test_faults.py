@@ -44,7 +44,9 @@ def _cfg() -> SkyRANConfig:
     return SkyRANConfig(rem_cell_size_m=16.0, measurement_budget_m=250.0)
 
 
-def _run(scenario, faults=None, scheme: str = "skyran", n_epochs: int = 2) -> RunResult:
+def _run(
+    scenario, faults=None, scheme: str = "skyran", n_epochs: int = 2, **kwargs
+) -> RunResult:
     return run_simulation(
         scenario,
         _cfg(),
@@ -54,6 +56,7 @@ def _run(scenario, faults=None, scheme: str = "skyran", n_epochs: int = 2) -> Ru
         budget_per_epoch_m=250.0,
         seed=7,
         altitude=60.0,
+        **kwargs,
     )
 
 
@@ -133,6 +136,18 @@ CHAOS_MATRIX = [
     ("wind", "serve", FaultPlan(seed=5, wind_speed_mps=1.5)),
 ]
 
+#: Every fault channel at once.
+EVERY_CHANNEL = FaultPlan(
+    seed=11,
+    srs_drop_rate=0.6,
+    srs_delay_rate=0.2,
+    gps_blackout_rate_per_s=0.05,
+    tof_outlier_rate=0.1,
+    wind_speed_mps=1.0,
+    snr_drop_rate=0.3,
+    snr_corrupt_rate=0.1,
+)
+
 
 class TestChaosMatrix:
     @pytest.mark.parametrize(
@@ -148,21 +163,39 @@ class TestChaosMatrix:
         assert rec.altitude_m == 60.0
 
     def test_everything_at_once(self, chaos_scenario):
-        plan = FaultPlan(
-            seed=11,
-            srs_drop_rate=0.6,
-            srs_delay_rate=0.2,
-            gps_blackout_rate_per_s=0.05,
-            tof_outlier_rate=0.1,
-            wind_speed_mps=1.0,
-            snr_drop_rate=0.3,
-            snr_corrupt_rate=0.1,
-        )
-        out = _run(chaos_scenario, plan)
+        out = _run(chaos_scenario, EVERY_CHANNEL)
         assert len(out.records) == 2
         assert out.total_faults > 0
         for rec in out.records:
             assert np.isfinite(rec.relative_throughput)
+
+    @pytest.mark.parametrize(
+        "scheme,kwargs",
+        [("skyran", {}), ("fleet", {"n_uavs": 2}), ("events", {})],
+        ids=["skyran", "fleet", "events"],
+    )
+    def test_every_scheme_degrades_and_replays(self, scheme, kwargs):
+        # Every fault channel at once, through each scheme's runner
+        # loop: the run completes, faults fire, a fallback takes over
+        # somewhere, and a replay of the same plan is bit-identical.
+        # Chaos runs gate ToF on correlation quality, so this also runs
+        # the quality medians of the blocked estimator.
+        runs = [
+            _run(
+                Scenario.create("campus", n_ues=3, cell_size=8.0, seed=3),
+                EVERY_CHANNEL,
+                scheme=scheme,
+                **kwargs,
+            )
+            for _ in range(2)
+        ]
+        out, replay = runs
+        assert out.scheme == scheme
+        assert out.total_faults > 0
+        assert out.total_fallbacks > 0
+        assert replay.records == out.records
+        assert replay.fault_counters == out.fault_counters
+        assert replay.fallback_counters == out.fallback_counters
 
     @pytest.mark.parametrize("scheme", ["uniform", "centroid"])
     def test_baselines_survive_chaos(self, chaos_scenario, scheme):

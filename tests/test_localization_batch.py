@@ -9,6 +9,11 @@ solve's residuals, with its analytic Jacobian checked against central
 differences.
 """
 
+import hashlib
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,8 @@ from repro.flight.sampler import collect_gps_ranges
 from repro.flight.uav import UAV
 from repro.localization.joint import _joint_model, _stack_observations
 from repro.localization.ranging import GpsRange, aggregate_tof_to_gps, mad_filter
+from repro.lte import _rowblocks
+from repro.lte import tof as tof_module
 from repro.lte.srs import (
     _SRS_SYMBOL_CACHE,
     SRSConfig,
@@ -135,6 +142,147 @@ class TestEstimatorBatch:
             estimate_delays_batch(
                 np.zeros((2, CFG.n_fft), dtype=complex), symbol, upsampling=0
             )
+
+
+#: A flight-sized batch: mixed LOS / NLOS / no-tap rows, long enough to
+#: run many row blocks, a partial tail block and (on two CPUs) a helper.
+N_LARGE = 1000
+
+
+@pytest.fixture(scope="module")
+def large_case():
+    """A ~1,000-row batch and its per-symbol oracle results."""
+    rng = np.random.default_rng(2024)
+    delays = rng.uniform(2.0, 60.0, N_LARGE)
+    snrs = rng.uniform(-5.0, 30.0, N_LARGE)
+    kinds = [[(0.1, -9.0)], [(0.5, -3.0), (1.2, -6.0)], []]
+    tap_sets = [kinds[k] for k in rng.integers(0, 3, N_LARGE)]
+    symbol = make_srs_symbol(CFG)
+    rng_b = np.random.default_rng(17)
+    rx = np.stack(
+        [
+            oracle.apply_channel(symbol, CFG, d, s, rng_b, taps)
+            for d, s, taps in zip(delays, snrs, tap_sets)
+        ]
+    )
+    est = [oracle.estimate_delay_and_quality(row, symbol, 4) for row in rx]
+    return {
+        "args": (symbol, CFG, delays, snrs) + pack_taps(tap_sets),
+        "rx": rx,
+        "state": rng_b.bit_generator.state,
+        "delays": np.array([d for d, _ in est]),
+        "qualities": np.array([q for _, q in est]),
+    }
+
+
+def _run_kernels(case):
+    """Both kernels on the large case, from a fresh generator."""
+    symbol, cfg, delays, snrs, excess, power, mask = case["args"]
+    rng = np.random.default_rng(17)
+    rx = apply_channel_batch(symbol, cfg, delays, snrs, rng, excess, power, mask)
+    d_q, q = estimate_delays_batch(rx, symbol, 4, quality=True)
+    d, no_q = estimate_delays_batch(rx, symbol, 4, quality=False)
+    assert no_q is None
+    return rx, rng.bit_generator.state, d_q, q, d
+
+
+def _digest(outputs) -> str:
+    rx, state, d_q, q, d = outputs
+    h = hashlib.sha256(repr(state).encode())
+    for a in (rx, d_q, q, d):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(params=[1, 2], ids=["serial", "helper"])
+def cpus(request, monkeypatch):
+    """Force the kernels' helper thread off (1 CPU) or on (2 CPUs)."""
+    monkeypatch.setattr(_rowblocks, "_cpu_count", lambda: request.param)
+    assert _rowblocks.use_helper(N_LARGE) == (request.param == 2)
+    return request.param
+
+
+class TestLargeBatch:
+    def test_bit_identical_to_loop(self, large_case, cpus):
+        # Serial and helper runs both match the oracle, hence each other.
+        rx, state, d_q, q, d = _run_kernels(large_case)
+        assert np.array_equal(rx, large_case["rx"])
+        assert state == large_case["state"]
+        assert np.array_equal(d_q, large_case["delays"])
+        assert np.array_equal(d, large_case["delays"])
+        assert np.array_equal(q, large_case["qualities"])
+
+    def test_helper_exception_reaches_caller(self, large_case, monkeypatch):
+        monkeypatch.setattr(_rowblocks, "_cpu_count", lambda: 2)
+        real = tof_module.correlation_quality_batch
+
+        def fails_off_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper failed")
+            return real(*args)
+
+        monkeypatch.setattr(tof_module, "correlation_quality_batch", fails_off_main_thread)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            estimate_delays_batch(large_case["rx"], large_case["args"][0], 4)
+        with pytest.raises(ZeroDivisionError):
+            _rowblocks.pipeline(N_LARGE, lambda lo, hi: None, lambda lo, hi: 1 / (lo - 64))
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_under_fast_thread_switching(self, large_case, monkeypatch):
+        # Four callers at once, each with its own helper (eight threads
+        # on however many CPUs), switching often enough to interleave
+        # every block handoff: each call still returns the oracle's bits.
+        monkeypatch.setattr(_rowblocks, "_cpu_count", lambda: 2)
+        want = _digest(
+            (
+                large_case["rx"],
+                large_case["state"],
+                large_case["delays"],
+                large_case["qualities"],
+                large_case["delays"],
+            )
+        )
+        got = [None] * 4
+
+        def call(i):
+            got[i] = _digest(_run_kernels(large_case))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 4
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_fork_child_after_threaded_call(self, large_case, monkeypatch):
+        # A process forked after the parent ran the helper thread (as the
+        # experiments' process pool does) runs the kernels to the same bits.
+        monkeypatch.setattr(_rowblocks, "_cpu_count", lambda: 2)
+        parent = _digest(_run_kernels(large_case))
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+
+        def child():
+            writer.send(_digest(_run_kernels(large_case)))
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        try:
+            assert reader.poll(120), "forked child produced no result"
+            assert reader.recv() == parent
+        finally:
+            proc.join(30)
+        assert proc.exitcode == 0
 
 
 def _quality(mag, peak, guard=None):
