@@ -1,15 +1,18 @@
-"""Bounded row blocks, optionally across two threads, for the SRS/ToF kernels.
+"""Bounded row blocks, optionally across two threads, for the batch kernels.
 
 Every step of :func:`repro.lte.srs.apply_channel_batch` and
 :func:`repro.lte.tof.estimate_delays_batch` is row-wise, so a batch can
 be cut into blocks of :data:`ROW_BLOCK` rows (keeping the temporaries
 cache-sized) and the blocks can run on different threads without moving
-a single bit of the result.  Threads are started per call and joined
-before it returns, and an exception raised on a helper is re-raised on
-the caller: no thread outlives a call, so processes forked afterwards
-(the experiments' process pool) inherit no pool state.  The work done
-on a helper must never touch :data:`repro.perf.perf` or a traced entry
-point, whose span stacks are single-threaded.
+a single bit of the result.  The ray tracer
+(:func:`repro.channel.raytrace.obstructed_lengths`) splits its own
+(bucket, chunk) work items the same way through :func:`on_two_threads`.
+Threads are started per call and joined before it returns, and an
+exception raised on a helper is re-raised on the caller: no thread
+outlives a call, so processes forked afterwards (the experiments'
+process pool) inherit no pool state.  The work done on a helper must
+never touch :data:`repro.perf.perf` or a traced entry point, whose span
+stacks are single-threaded.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, Iterator, List, Tuple, TypeVar
+
+A = TypeVar("A")
+B = TypeVar("B")
 
 #: Rows per block: the ToF block's padded buffer, IFFT output and
 #: magnitudes stay around 10 MB at the paper's numerology (K = 4).
@@ -35,9 +41,12 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def use_helper(n_rows: int) -> bool:
-    """Whether a batch of ``n_rows`` runs its blocks on two threads."""
-    return n_rows >= MIN_THREADED_ROWS and _cpu_count() >= 2
+def use_helper(size: int, minimum: int = MIN_THREADED_ROWS) -> bool:
+    """Whether a batch of ``size`` units of work (rows by default) uses two threads.
+
+    ``minimum`` is the smallest batch worth starting a thread for.
+    """
+    return size >= minimum and _cpu_count() >= 2
 
 
 def row_blocks(lo: int, hi: int) -> Iterator[Tuple[int, int]]:
@@ -102,6 +111,19 @@ def pipeline(
         raise errors[0]
 
 
+def on_two_threads(here: Callable[[], A], there: Callable[[], B]) -> Tuple[A, B]:
+    """``(here(), there())``, with ``there`` on a helper started for this call."""
+    result: List[B] = []
+    thread, errors = _start_helper(lambda: result.append(there()))
+    try:
+        mine = here()
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return mine, result[0]
+
+
 def split_rows(n_rows: int, work: Callable[[int, int], None]) -> None:
     """``work(lo, hi)`` over all rows: both halves at once on two threads.
 
@@ -111,10 +133,4 @@ def split_rows(n_rows: int, work: Callable[[int, int], None]) -> None:
         work(0, n_rows)
         return
     mid = n_rows // 2
-    thread, errors = _start_helper(lambda: work(mid, n_rows))
-    try:
-        work(0, mid)
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
+    on_two_threads(lambda: work(0, mid), lambda: work(mid, n_rows))

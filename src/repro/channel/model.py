@@ -17,9 +17,12 @@ The same object generates both the ground truth and every measurement,
 so estimated REMs can in principle converge to the truth — exactly the
 premise of a measurement-driven system like SkyRAN.
 
-Because every figure funnels through this oracle, the map path is
-batch-first: one chunked kernel traces rays for whole groups of UEs at
-once, band by band over the grid rows.  :meth:`path_loss_maps` runs it
+Because every figure funnels through this oracle, the link path is
+batch-first: one chunked kernel (:meth:`ChannelModel._link_chunks`)
+traces the rays from a set of UAV positions to whole groups of UEs at
+once.  Maps run it band by band over the grid rows, and a measurement
+flight (:meth:`ChannelModel.sample_snr_many`) runs it once over the
+flight's sample positions for all its UEs.  :meth:`path_loss_maps` runs it
 with one band spanning every row and memoizes per-UE maps in an LRU
 cache keyed on (altitude, grid, UE position) — so UE mobility only
 invalidates the maps of UEs that actually moved — while
@@ -48,6 +51,11 @@ from repro.terrain.heightmap import Terrain
 #: Peak ray budget per UE-axis chunk of the batched map kernel (the
 #: ray tracer further chunks by sample count internally).
 _MAP_CHUNK_RAYS = 2_000_000
+
+#: Ray budget per UE block of a measurement flight's trace.  The tracer
+#: chunks by sample count anyway, so a flight gains nothing from larger
+#: blocks; this keeps the tiled endpoint arrays near 6 MB each.
+_FLIGHT_CHUNK_RAYS = 262_144
 
 
 def _lru_put(cache: OrderedDict, key: tuple, value, size: int) -> int:
@@ -218,9 +226,9 @@ class ChannelModel:
         its ray runs below the surface.
         """
         uav = np.atleast_2d(np.asarray(uav_xyz, dtype=float))
-        ue = np.asarray(ue_xyz, dtype=float).reshape(1, 3)
-        obstructed = obstructed_lengths(self.terrain, uav, ue, self.ray_step_m)
-        return self._loss_from_obstructed(uav, ue, obstructed), obstructed <= 0.0
+        ue = np.asarray(ue_xyz, dtype=float).reshape(3)
+        _, loss, los = next(self._link_chunks(uav, [ue], 1))
+        return loss[0], los[0]
 
     def snr_db(self, uav_xyz: np.ndarray, ue_xyz: np.ndarray) -> np.ndarray:
         """Mean SNR (dB) from UAV position(s) to one UE."""
@@ -382,12 +390,12 @@ class ChannelModel:
         tile_rows: int,
         ue_chunk: Optional[int] = None,
     ):
-        """The chunked multi-UE map kernel, as path-loss tiles.
+        """The link kernel over map bands, as path-loss tiles.
 
-        For each band of ``tile_rows`` grid rows, UEs are processed in
-        chunks along the UE axis sized so each ray batch stays within
-        :data:`_MAP_CHUNK_RAYS` (unless ``ue_chunk`` is given); within a
-        chunk one ray-trace call covers every (cell, UE) pair.
+        For each band of ``tile_rows`` grid rows, the UEs go through
+        :meth:`_link_chunks` in chunks along the UE axis sized so each
+        ray batch stays within :data:`_MAP_CHUNK_RAYS` (unless
+        ``ue_chunk`` is given).
         """
         ny, nx = g.shape
         centers = g.centers_flat()
@@ -395,25 +403,37 @@ class ChannelModel:
         for r0 in range(0, ny, tile_rows):
             r1 = min(r0 + tile_rows, ny)
             band = centers[r0 * nx : r1 * nx]
-            n_cells = len(band)
-            uav = np.column_stack([band, np.full(n_cells, alt)])
-            chunk = ue_chunk or max(1, _MAP_CHUNK_RAYS // n_cells)
-            for lo in range(0, len(ues), chunk):
-                batch = ues[lo : lo + chunk]
-                k = len(batch)
-                with perf.span("oracle.map_tiles"):
-                    tx = np.tile(uav, (k, 1))
-                    rx = np.repeat(np.stack(batch), n_cells, axis=0)
-                    obstructed = obstructed_lengths(
-                        self.terrain, tx, rx, self.ray_step_m
-                    )
-                    block = np.empty((k, r1 - r0, nx), dtype=float)
-                    for j, ue in enumerate(batch):
-                        obs = obstructed[j * n_cells : (j + 1) * n_cells]
-                        block[j] = self._loss_from_obstructed(
-                            uav, ue[None, :], obs
-                        ).reshape(r1 - r0, nx)
-                yield slice(lo, lo + k), slice(r0, r1), block
+            uav = np.column_stack([band, np.full(len(band), alt)])
+            chunk = ue_chunk or max(1, _MAP_CHUNK_RAYS // len(band))
+            for ue_sl, loss, _ in self._link_chunks(uav, ues, chunk):
+                yield ue_sl, slice(r0, r1), loss.reshape(len(loss), r1 - r0, nx)
+
+    def _link_chunks(self, uav: np.ndarray, ues: List[np.ndarray], ue_chunk: int):
+        """The chunked many-positions x many-UEs link kernel.
+
+        Every UE of ``ues`` (``(3,)`` positions) is seen from every row
+        of the ``(n, 3)`` array ``uav``.  UEs go ``ue_chunk`` at a time
+        through one ray-trace call covering every (position, UE) pair of
+        the chunk, and each UE's loss is composed by
+        :meth:`_loss_from_obstructed`.  Yields ``(ue_slice, loss, los)``
+        with the chunk's ``(k, n)`` mean path loss and LOS mask.  A
+        ray's trace does not depend on the rest of its batch, so each
+        row is bitwise what a one-UE call gives.
+        """
+        n = len(uav)
+        for lo in range(0, len(ues), ue_chunk):
+            batch = ues[lo : lo + ue_chunk]
+            k = len(batch)
+            with perf.span("oracle.link_chunks"):
+                tx = np.tile(uav, (k, 1))
+                rx = np.repeat(np.stack(batch), n, axis=0)
+                obstructed = obstructed_lengths(
+                    self.terrain, tx, rx, self.ray_step_m
+                ).reshape(k, n)
+                loss = np.empty((k, n), dtype=float)
+                for j, ue in enumerate(batch):
+                    loss[j] = self._loss_from_obstructed(uav, ue[None, :], obstructed[j])
+            yield slice(lo, lo + k), loss, obstructed <= 0.0
 
     def path_loss_to_many(
         self, uav_xyz: np.ndarray, ue_positions: Sequence
@@ -473,6 +493,36 @@ class ChannelModel:
 
     # -- measurement samples -------------------------------------------------------
 
+    def sample_snr_many(
+        self,
+        uav_xyz: np.ndarray,
+        ue_positions: Sequence,
+        rng: np.random.Generator,
+        measurement_noise_db: float = 0.5,
+    ) -> List[np.ndarray]:
+        """Noisy per-sample SNR from UAV positions to each of many UEs.
+
+        What the eNodeB PHY reports along a measurement flight: mean
+        SNR + Rician/Rayleigh small-scale fading (K keyed on the LOS
+        state of each sample position) + Gaussian instrument noise.
+        All links are traced by :meth:`_link_chunks` in UE blocks of
+        about :data:`_FLIGHT_CHUNK_RAYS` rays, each trace serving both
+        the mean and the LOS state; then each UE, in ``ue_positions``
+        order, draws its fading and then its noise from ``rng``.
+        Returns one ``(n,)`` array per UE.
+        """
+        uav = np.atleast_2d(np.asarray(uav_xyz, dtype=float))
+        ues = [np.asarray(u, dtype=float).reshape(3) for u in ue_positions]
+        chunk = max(1, _FLIGHT_CHUNK_RAYS // max(1, len(uav)))
+        out = []
+        for _, loss, los in self._link_chunks(uav, ues, chunk):
+            for ue_loss, ue_los in zip(loss, los):
+                mean = self.link.snr_db(ue_loss)
+                fading = sample_fading_db(ue_los, rng)
+                noise = rng.normal(0.0, measurement_noise_db, size=mean.shape)
+                out.append(mean + fading + noise)
+        return out
+
     def sample_snr_db(
         self,
         uav_xyz: np.ndarray,
@@ -480,18 +530,8 @@ class ChannelModel:
         rng: np.random.Generator,
         measurement_noise_db: float = 0.5,
     ) -> np.ndarray:
-        """Noisy per-sample SNR as the eNodeB PHY would report it.
-
-        Mean SNR + Rician/Rayleigh small-scale fading (K keyed on the
-        LOS state of each sample position) + Gaussian instrument noise.
-        One ray trace serves both the mean and the LOS state.
-        """
-        uav = np.atleast_2d(np.asarray(uav_xyz, dtype=float))
-        loss, los = self.path_loss_and_los(uav, ue_xyz)
-        mean = np.atleast_1d(self.link.snr_db(loss))
-        fading = sample_fading_db(los, rng)
-        noise = rng.normal(0.0, measurement_noise_db, size=mean.shape)
-        out = mean + fading + noise
+        """:meth:`sample_snr_many` for one UE (a float for a single point)."""
+        [out] = self.sample_snr_many(uav_xyz, [ue_xyz], rng, measurement_noise_db)
         if np.asarray(uav_xyz).ndim == 1:
             return float(out[0])
         return out

@@ -27,10 +27,11 @@ batched together:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro._rowblocks import on_two_threads, use_helper
 from repro.perf import perf
 from repro.terrain.heightmap import Terrain
 
@@ -152,26 +153,38 @@ def _blocked_fractions(
     """Fraction of each ray's samples that fall below the surface.
 
     Rays are grouped into equal-sample-count buckets (per-ray density,
-    see :func:`_bucket_steps`) and each bucket is processed in
+    see :func:`_bucket_steps`) and each bucket is cut into
     memory-bounded chunks with one ``heights_at_xy`` gather per chunk.
+    Each (bucket, chunk) work item writes only its own rays' entries,
+    and a blocked-sample count is an integer, so a batch of at least two
+    chunks' worth of samples runs its items in two halves of about equal
+    sample count on two threads without moving a bit of the result.
+    The helper reports its sample tallies back, and the caller alone
+    counts them.
     """
     n = tx.shape[0]
     hmax = terrain.max_height
     buckets = _bucket_steps(np.ceil(dist / step))
-    out = np.zeros(n, dtype=float)
+    items: List[Tuple[np.ndarray, np.ndarray]] = []
     for b in np.unique(buckets):
         idx = np.flatnonzero(buckets == b)
         n_steps = int(b)
         t = np.linspace(_ENDPOINT_MARGIN, 1.0 - _ENDPOINT_MARGIN, n_steps)
         chunk = max(1, _CHUNK_SAMPLES // n_steps)
-        for lo in range(0, len(idx), chunk):
-            sel = idx[lo : lo + chunk]
+        items.extend((t, idx[lo : lo + chunk]) for lo in range(0, len(idx), chunk))
+    out = np.zeros(n, dtype=float)
+
+    def trace(part: Sequence[Tuple[np.ndarray, np.ndarray]]) -> Tuple[int, int]:
+        """Fill ``out`` for the items of ``part``; ``(samples, samples_traced)``."""
+        samples = traced = 0
+        for t, sel in part:
+            n_steps = len(t)
             txc, rxc = tx[sel], rx[sel]
             zs = txc[:, None, 2] + t[None, :] * (rxc[:, 2] - txc[:, 2])[:, None]
             # Ceiling pruning: a sample above the terrain's global max
             # height can never be below the surface.
             cols = np.flatnonzero((zs < hmax).any(axis=0))
-            perf.count("raytrace.samples", len(sel) * n_steps)
+            samples += len(sel) * n_steps
             if cols.size == 0:
                 continue
             tc = t[cols]
@@ -179,6 +192,21 @@ def _blocked_fractions(
             ys = txc[:, None, 1] + tc[None, :] * (rxc[:, 1] - txc[:, 1])[:, None]
             surface = terrain.heights_at_xy(xs, ys)
             zsel = zs[:, cols]
-            perf.count("raytrace.samples_traced", zsel.size)
+            traced += zsel.size
             out[sel] = np.count_nonzero(zsel < surface, axis=1) / n_steps
+        return samples, traced
+
+    sizes = np.cumsum([len(t) * len(sel) for t, sel in items])
+    if use_helper(int(sizes[-1]), 2 * _CHUNK_SAMPLES):
+        half = int(np.searchsorted(sizes, sizes[-1] / 2, side="right"))
+        half = min(max(half, 1), len(items) - 1)
+        mine, theirs = on_two_threads(
+            lambda: trace(items[:half]), lambda: trace(items[half:])
+        )
+        samples, traced = mine[0] + theirs[0], mine[1] + theirs[1]
+    else:
+        samples, traced = trace(items)
+    perf.count("raytrace.samples", samples)
+    if traced:
+        perf.count("raytrace.samples_traced", traced)
     return out

@@ -23,9 +23,10 @@ grid, point, aggregate, claims)`` tuple:
 repro.experiments`` CLI, :meth:`Experiment.run`, the EXPERIMENTS.md
 generator and the smoke gates.  It fans grid points out over a
 process pool (``REPRO_NUM_WORKERS``; the only pool in the package —
-the channel map oracle runs in process, and the SRS/ToF kernels start
-at most one helper thread per call and join it before returning, so a
-forked worker inherits no thread; see :mod:`repro.lte._rowblocks`),
+the channel map oracle runs in process, and the ray tracer and the
+SRS/ToF kernels start at most one helper thread per call and join it
+before returning, so a forked worker inherits no thread; see
+:mod:`repro._rowblocks`),
 shares the per-process
 channel-oracle LRU caches across points (see
 :func:`repro.experiments.common.scenario_for`), and memoizes

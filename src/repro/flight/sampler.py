@@ -239,9 +239,10 @@ def collect_snr_samples(
     """Per-sample SNR reports for each UE along one measurement flight.
 
     The flight's sample times, true and GPS positions (and, under
-    faults, the GPS-valid mask) are interpolated once; each UE in
-    ``ues`` order then draws its fading and noise from ``rng``
-    (:meth:`~repro.channel.model.ChannelModel.sample_snr_db`) and
+    faults, the GPS-valid mask) are interpolated once, and the links
+    from every sample position to every UE are traced together
+    (:meth:`~repro.channel.model.ChannelModel.sample_snr_many`); each UE
+    in ``ues`` order draws its fading and noise from ``rng``, then
     passes through the fault injector.
 
     ``faults`` injects SNR report drops/corruption; samples taken while
@@ -265,8 +266,7 @@ def collect_snr_samples(
         # valid (the interpolated position is trustworthy).
         valid = np.interp(times, log.t_s, log.gps_valid.astype(float)) > 0.999
     out = []
-    for ue in ues:
-        snr = channel.sample_snr_db(true_pos, ue.xyz, rng)
+    for snr in channel.sample_snr_many(true_pos, [ue.xyz for ue in ues], rng):
         if faults is None:
             out.append((gps_xy, snr))
             continue

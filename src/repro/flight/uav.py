@@ -136,18 +136,24 @@ class UAV:
     def _gps_of(
         self, true_xyz: np.ndarray, t_s: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Time-correlated (OU) GPS error around the true track."""
-        n = len(true_xyz)
-        noise = np.empty((n, 3))
+        """Time-correlated (OU) GPS error around the true track.
+
+        One standard-normal triple per fix, drawn as one ``(n, 3)``
+        block (the stream of one size-3 draw per fix).  The recurrence
+        runs over Python floats, which round each product and sum as
+        float64 arrays do; the decay comes from ``np.exp``, because
+        ``math.exp`` differs from it in the last ulp on some inputs.
+        """
         sigma = np.array(
             [self.gps_noise_std_m, self.gps_noise_std_m, 0.5 * self.gps_noise_std_m]
         )
-        noise[0] = rng.normal(0.0, 1.0, 3)
-        for i in range(1, n):
-            dt = max(float(t_s[i] - t_s[i - 1]), 0.0)
-            rho = np.exp(-dt / GPS_ERROR_TAU_S)
-            noise[i] = rho * noise[i - 1] + np.sqrt(max(1.0 - rho * rho, 0.0)) * rng.normal(0.0, 1.0, 3)
-        return true_xyz + noise * sigma[None, :]
+        noise = rng.normal(0.0, 1.0, (len(true_xyz), 3)).tolist()
+        rho = np.exp(-np.maximum(np.diff(t_s), 0.0) / GPS_ERROR_TAU_S)
+        scale = np.sqrt(np.maximum(1.0 - rho * rho, 0.0))
+        prev = noise[0]
+        for i, (r, s) in enumerate(zip(rho.tolist(), scale.tolist()), start=1):
+            prev = noise[i] = [r * p + s * z for p, z in zip(prev, noise[i])]
+        return true_xyz + np.array(noise) * sigma[None, :]
 
     def fly(
         self,

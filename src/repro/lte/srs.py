@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.channel.fspl import SPEED_OF_LIGHT
-from repro.lte._rowblocks import pipeline
+from repro._rowblocks import pipeline
 from repro.perf import perf
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.lte._rowblocks import ROW_BLOCK, row_blocks, split_rows
+from repro._rowblocks import ROW_BLOCK, row_blocks, split_rows
 from repro.lte.srs import SRSConfig
 
 
@@ -58,11 +58,22 @@ def correlation_quality_batch(
     guard = _background_guard(total, guard)
     if 2 * guard + 1 >= total or n == 0:
         return np.full(n, np.inf)
-    # Gather each row's background span: the circular
-    # [peak + guard + 1, peak + total - guard) window.
-    idx = (peaks[:, None] + np.arange(guard + 1, total - guard)[None, :]) % total
-    background = np.median(mag[np.arange(n)[:, None], idx], axis=-1)
-    peak_mag = mag[np.arange(n), peaks]
+    # The background median without gathering the background: the
+    # 2g+1 guard bins around each peak become -inf in a copy, so they
+    # take the lowest 2g+1 places of each row's order and the median of
+    # the remaining L bins sits at fixed places after them.  For even
+    # L the two middle values are averaged as np.median does.
+    excluded = 2 * guard + 1
+    rows = np.arange(n)
+    work = np.array(mag, dtype=float)
+    work[rows[:, None], (peaks[:, None] + np.arange(-guard, guard + 1)) % total] = -np.inf
+    mid = excluded + (total - excluded - 1) // 2
+    if (total - excluded) % 2:
+        background = np.partition(work, mid, axis=-1)[:, mid]
+    else:
+        part = np.partition(work, (mid, mid + 1), axis=-1)
+        background = (part[:, mid] + part[:, mid + 1]) / 2.0
+    peak_mag = mag[rows, peaks]
     out = np.empty(n, dtype=float)
     tiny = background <= 1e-30
     out[tiny] = np.inf

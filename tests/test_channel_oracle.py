@@ -80,6 +80,27 @@ def test_results_invariant_to_chunk_boundaries(box_channel, monkeypatch):
     np.testing.assert_array_equal(chunked, full)
 
 
+def test_flight_samples_invariant_to_ue_blocks(box_terrain, monkeypatch):
+    # One flight trace for all UEs, or one UE per block: the same SNRs
+    # and the same generator state, with one trace per block.
+    channel = ChannelModel(box_terrain)
+    ues = _ues_on(box_terrain, n=5, seed=4)
+    uav = np.column_stack(
+        [np.linspace(5, 95, 300), np.linspace(90, 10, 300), np.full(300, 25.0)]
+    )
+    rng = np.random.default_rng(6)
+    before = perf.counter("raytrace.calls")
+    whole = channel.sample_snr_many(uav, ues, rng)
+    assert perf.counter("raytrace.calls") == before + 1
+    monkeypatch.setattr(model_mod, "_FLIGHT_CHUNK_RAYS", 1)
+    rng_blocks = np.random.default_rng(6)
+    blocks = channel.sample_snr_many(uav, ues, rng_blocks)
+    assert perf.counter("raytrace.calls") == before + 1 + len(ues)
+    for a, b in zip(whole, blocks):
+        np.testing.assert_array_equal(a, b)
+    assert rng.bit_generator.state == rng_blocks.bit_generator.state
+
+
 def test_obstructed_lengths_batch_invariant(box_channel):
     # A ray's result must not depend on what else is in the batch
     # (per-ray bucketed sampling) — the property that makes chunked,

@@ -12,7 +12,7 @@ from repro.flight.sampler import (
     collect_snr_samples,
     localize_all_ues,
 )
-from repro.flight.uav import UAV, Battery, GPS_RATE_HZ
+from repro.flight.uav import UAV, Battery, GPS_ERROR_TAU_S, GPS_RATE_HZ
 from repro.lte.enodeb import ENodeB
 from repro.lte.tof import ToFEstimator
 from repro.lte.ue import UE
@@ -44,7 +44,37 @@ class TestBattery:
             Battery().drain_hover(-1.0)
 
 
+def _gps_loop(uav, true_xyz, t_s, rng):
+    """Reference for ``UAV._gps_of``: one size-3 draw and one OU step per fix."""
+    n = len(true_xyz)
+    noise = np.empty((n, 3))
+    sigma = np.array([uav.gps_noise_std_m, uav.gps_noise_std_m, 0.5 * uav.gps_noise_std_m])
+    noise[0] = rng.normal(0.0, 1.0, 3)
+    for i in range(1, n):
+        dt = max(float(t_s[i] - t_s[i - 1]), 0.0)
+        rho = np.exp(-dt / GPS_ERROR_TAU_S)
+        noise[i] = rho * noise[i - 1] + np.sqrt(max(1.0 - rho * rho, 0.0)) * rng.normal(
+            0.0, 1.0, 3
+        )
+    return true_xyz + noise * sigma[None, :]
+
+
 class TestUAV:
+    @pytest.mark.parametrize("n", [2, 50, 500, 3000])
+    def test_gps_error_matches_per_fix_loop(self, n):
+        # Irregular fix times, with a repeated and a backwards stamp
+        # (the decay clamps a negative step to zero).
+        t_rng = np.random.default_rng(n)
+        t = np.cumsum(t_rng.uniform(0.0, 40.0, n))
+        t[n // 2] = t[n // 2 - 1]
+        t[-1] = t[-2] - 1.0
+        true = t_rng.uniform(-100.0, 100.0, (n, 3))
+        uav = UAV(gps_noise_std_m=2.5)
+        rng, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+        got = uav._gps_of(true, t, rng)
+        np.testing.assert_array_equal(got, _gps_loop(uav, true, t, rng_ref))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
     def test_fly_reaches_endpoint(self, rng):
         uav = UAV(position=np.array([0.0, 0.0, 50.0]))
         traj = Trajectory(np.array([[100.0, 0.0]]), altitude=50.0)

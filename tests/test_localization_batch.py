@@ -24,7 +24,7 @@ from repro.flight.sampler import collect_gps_ranges
 from repro.flight.uav import UAV
 from repro.localization.joint import _joint_model, _stack_observations
 from repro.localization.ranging import GpsRange, aggregate_tof_to_gps, mad_filter
-from repro.lte import _rowblocks
+from repro import _rowblocks
 from repro.lte import tof as tof_module
 from repro.lte.srs import (
     _SRS_SYMBOL_CACHE,
@@ -309,6 +309,20 @@ class TestCorrelationQuality:
     def test_flat_profile_near_one(self):
         mag = np.full(1024, 0.5)
         assert _quality(mag, 10) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("total", [4096, 4095], ids=["odd-L", "even-L"])
+    def test_batch_matches_median_oracle(self, total):
+        # 4096 bins (the paper's numerology) leave an odd background
+        # count, 4095 an even one (np.median's mean of the middle pair).
+        rng = np.random.default_rng(total)
+        mag = np.abs(rng.normal(size=(150, total)) + 1j * rng.normal(size=(150, total)))
+        mag[:10] = np.round(mag[:10], 1)  # ties at the median
+        peaks = np.argmax(mag, axis=1)
+        peaks[:20] = rng.integers(0, total, 20)  # guard windows that wrap
+        peaks[20:22] = [0, total - 1]
+        got = correlation_quality_batch(mag, peaks)
+        want = [oracle.correlation_quality(row, p) for row, p in zip(mag, peaks)]
+        np.testing.assert_array_equal(got, want)
 
     def test_wraps_circularly(self):
         mag = np.full(1024, 0.01)
