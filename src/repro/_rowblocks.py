@@ -9,8 +9,8 @@ a single bit of the result.  The ray tracer
 (bucket, chunk) work items the same way through :func:`on_two_threads`.
 Threads are started per call and joined before it returns, and an
 exception raised on a helper is re-raised on the caller: no thread
-outlives a call, so processes forked afterwards (the experiments'
-process pool) inherit no pool state.  The work done on a helper must
+outlives a call, so processes forked afterwards inherit no pool
+state.  The work done on a helper must
 never touch :data:`repro.perf.perf` or a traced entry point, whose span
 stacks are single-threaded.
 """

@@ -18,9 +18,10 @@ batched together:
   meters of its *own* arc length (bucketed to a few canonical sample
   counts so the work stays vectorized), instead of oversampling every
   short ray at the density the longest ray in the batch needs;
-* **ceiling pruning** — sample columns whose ray height is everywhere
-  above the terrain's global maximum height cannot be obstructed and
-  are skipped before any surface lookup.  For a UAV well above the
+* **live columns** — a ray's height is linear along it, so the samples
+  below the terrain's global maximum height form one interval of its
+  sample columns, found in closed form (:func:`_live_columns`).  Only
+  those columns are built and looked up.  For a UAV well above the
   clutter this drops the majority of samples, and it is exact: a
   skipped sample can never satisfy ``z < surface``.
 """
@@ -143,6 +144,39 @@ def obstructed_lengths(
     return frac * effective * (1.0 - 2 * _ENDPOINT_MARGIN)
 
 
+def _live_columns(
+    z0: np.ndarray, dz: np.ndarray, hmax: float, t: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-ray ``[lo, hi)`` of the sample columns that can lie below ``hmax``.
+
+    Ray ``i`` samples heights ``z0[i] + t * dz[i]``, so the columns
+    below the ceiling are a prefix (ascending ray), a suffix
+    (descending) or all or none (level).  The boundary is the
+    closed-form crossing of a ceiling raised by a slack of 1e-6 of the
+    heights involved, nine orders of magnitude above the rounding of
+    ``z0 + t * dz``: the interval covers every column whose computed
+    height is below ``hmax`` and exceeds the exact set only when a
+    sample lies within the slack of the ceiling.
+    """
+    n_steps = len(t)
+    if np.isnan(hmax):  # no sample is below a NaN ceiling
+        none = np.zeros(len(z0), dtype=np.int64)
+        return none, none
+    ceiling = hmax + 1e-6 * (1.0 + abs(hmax) + np.abs(z0) + np.abs(dz))
+    delta = (t[-1] - t[0]) / (n_steps - 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = ((ceiling - z0) / dz - t[0]) / delta
+    # Column k is below the ceiling where k < x (ascending) or k > x
+    # (descending); the 1e-6 nudges keep a crossing that lands on a
+    # column from rounding the wrong way.
+    hi = np.where(dz > 0, np.floor(x + 1e-6) + 1, n_steps)
+    hi = np.where((dz == 0) & ~(z0 < hmax), 0.0, hi)
+    lo = np.where(dz < 0, np.floor(x - 1e-6) + 1, 0.0)
+    lo = np.clip(lo, 0, n_steps).astype(np.int64)
+    hi = np.clip(hi, 0, n_steps).astype(np.int64)
+    return lo, np.maximum(hi, lo)
+
+
 def _blocked_fractions(
     terrain: Terrain,
     tx: np.ndarray,
@@ -153,60 +187,65 @@ def _blocked_fractions(
     """Fraction of each ray's samples that fall below the surface.
 
     Rays are grouped into equal-sample-count buckets (per-ray density,
-    see :func:`_bucket_steps`) and each bucket is cut into
-    memory-bounded chunks with one ``heights_at_xy`` gather per chunk.
-    Each (bucket, chunk) work item writes only its own rays' entries,
-    and a blocked-sample count is an integer, so a batch of at least two
-    chunks' worth of samples runs its items in two halves of about equal
-    sample count on two threads without moving a bit of the result.
-    The helper reports its sample tallies back, and the caller alone
-    counts them.
+    see :func:`_bucket_steps`).  Each ray traces only its live columns
+    (:func:`_live_columns`): a column outside them has ``z >=
+    max_height >= surface`` and cannot count, and the blocked count is
+    an integer, so the result is the full trace's to the bit.  A
+    bucket's rays are sorted by their live interval and cut into work
+    items of at most :data:`_CHUNK_SAMPLES` live sample points, each
+    with one ``heights_at_xy`` gather over the union of its rays'
+    intervals.  Each item writes only its own rays' entries, so a batch
+    of at least two chunks' worth of live samples runs its items in two
+    halves of about equal live sample count on two threads without
+    moving a bit of the result.
     """
     n = tx.shape[0]
     hmax = terrain.max_height
     buckets = _bucket_steps(np.ceil(dist / step))
+    dz_all = rx[:, 2] - tx[:, 2]
     items: List[Tuple[np.ndarray, np.ndarray]] = []
     for b in np.unique(buckets):
         idx = np.flatnonzero(buckets == b)
         n_steps = int(b)
         t = np.linspace(_ENDPOINT_MARGIN, 1.0 - _ENDPOINT_MARGIN, n_steps)
-        chunk = max(1, _CHUNK_SAMPLES // n_steps)
-        items.extend((t, idx[lo : lo + chunk]) for lo in range(0, len(idx), chunk))
+        lo, hi = _live_columns(tx[idx, 2], dz_all[idx], hmax, t)
+        live = np.flatnonzero(hi > lo)
+        live = live[np.lexsort((hi[live], lo[live]))]
+        idx, lo, hi = idx[live], lo[live], hi[live]
+        start = 0
+        while start < len(idx):
+            # Greedy cut: the longest run of rays whose count times the
+            # width of their intervals' union fits the chunk budget (at
+            # least one ray).
+            c0 = int(lo[start])
+            stop = min(len(idx), start + max(1, _CHUNK_SAMPLES // int(hi[start] - c0)))
+            width = np.maximum.accumulate(hi[start:stop]) - c0
+            cost = width * np.arange(1, stop - start + 1)
+            k = max(1, int(np.searchsorted(cost, _CHUNK_SAMPLES, side="right")))
+            items.append((t[c0 : c0 + int(width[k - 1])], idx[start : start + k]))
+            start += k
     out = np.zeros(n, dtype=float)
 
-    def trace(part: Sequence[Tuple[np.ndarray, np.ndarray]]) -> Tuple[int, int]:
-        """Fill ``out`` for the items of ``part``; ``(samples, samples_traced)``."""
-        samples = traced = 0
-        for t, sel in part:
-            n_steps = len(t)
+    def trace(part: Sequence[Tuple[np.ndarray, np.ndarray]]) -> None:
+        """Fill ``out`` for the items of ``part``."""
+        for tc, sel in part:
+            n_steps = int(buckets[sel[0]])
             txc, rxc = tx[sel], rx[sel]
-            zs = txc[:, None, 2] + t[None, :] * (rxc[:, 2] - txc[:, 2])[:, None]
-            # Ceiling pruning: a sample above the terrain's global max
-            # height can never be below the surface.
-            cols = np.flatnonzero((zs < hmax).any(axis=0))
-            samples += len(sel) * n_steps
-            if cols.size == 0:
-                continue
-            tc = t[cols]
+            zs = txc[:, None, 2] + tc[None, :] * (rxc[:, 2] - txc[:, 2])[:, None]
             xs = txc[:, None, 0] + tc[None, :] * (rxc[:, 0] - txc[:, 0])[:, None]
             ys = txc[:, None, 1] + tc[None, :] * (rxc[:, 1] - txc[:, 1])[:, None]
             surface = terrain.heights_at_xy(xs, ys)
-            zsel = zs[:, cols]
-            traced += zsel.size
-            out[sel] = np.count_nonzero(zsel < surface, axis=1) / n_steps
-        return samples, traced
+            out[sel] = np.count_nonzero(zs < surface, axis=1) / n_steps
 
-    sizes = np.cumsum([len(t) * len(sel) for t, sel in items])
-    if use_helper(int(sizes[-1]), 2 * _CHUNK_SAMPLES):
-        half = int(np.searchsorted(sizes, sizes[-1] / 2, side="right"))
+    sizes = np.cumsum([len(tc) * len(sel) for tc, sel in items], dtype=np.int64)
+    traced = int(sizes[-1]) if items else 0
+    if use_helper(traced, 2 * _CHUNK_SAMPLES):
+        half = int(np.searchsorted(sizes, traced / 2, side="right"))
         half = min(max(half, 1), len(items) - 1)
-        mine, theirs = on_two_threads(
-            lambda: trace(items[:half]), lambda: trace(items[half:])
-        )
-        samples, traced = mine[0] + theirs[0], mine[1] + theirs[1]
+        on_two_threads(lambda: trace(items[:half]), lambda: trace(items[half:]))
     else:
-        samples, traced = trace(items)
-    perf.count("raytrace.samples", samples)
+        trace(items)
+    perf.count("raytrace.samples", int(buckets.sum()))
     if traced:
         perf.count("raytrace.samples_traced", traced)
     return out

@@ -31,6 +31,7 @@ from repro.lte.throughput import PRB_PER_10MHZ
 from repro.perf import perf
 from repro.traffic.generators import BYTES_PER_TTI_PER_MBPS
 from repro.traffic.queueing import QueueBank
+from repro.traffic.schedulers import round_robin_slab
 from repro.traffic.simulate import run_tti_batch
 from repro.city.population import UEPopulation, shard_size
 
@@ -99,21 +100,10 @@ class ShardRoundRobin:
         n_tti: int,
     ) -> Optional[np.ndarray]:
         sched = self._check(schedulable)
-        n = len(sched)
-        out = np.zeros((n, n_tti), dtype=np.int64)
-        n_a = self.n_active_global
-        if n_a == 0:
-            return out
-        base, rem = divmod(int(n_prb), n_a)
         idx = np.flatnonzero(sched)
-        out[idx, :] = base
-        if rem:
-            rho = (int(tti0) + np.arange(n_tti)) % n_a
-            pos = self.ranks[idx][:, None]
-            out[idx[:, None], np.arange(n_tti)[None, :]] += (
-                ((pos - rho[None, :]) % n_a) < rem
-            ).astype(np.int64)
-        return out
+        return round_robin_slab(
+            len(sched), idx, self.ranks[idx], self.n_active_global, n_prb, tti0, n_tti
+        )
 
     def update(self, served_bytes: np.ndarray) -> None:
         pass

@@ -25,9 +25,9 @@ generator and the smoke gates.  It fans grid points out over a
 process pool (``REPRO_NUM_WORKERS``; the only pool in the package —
 the channel map oracle runs in process, and the ray tracer and the
 SRS/ToF kernels start at most one helper thread per call and join it
-before returning, so a forked worker inherits no thread; see
-:mod:`repro._rowblocks`),
-shares the per-process
+before returning; see :mod:`repro._rowblocks`) whose workers are
+fresh interpreters pinned to one BLAS/OpenMP thread each
+(:func:`worker_pool`), shares the per-process
 channel-oracle LRU caches across points (see
 :func:`repro.experiments.common.scenario_for`), and memoizes
 completed points in the on-disk
@@ -39,13 +39,15 @@ bit-identical to a cold one.
 
 from __future__ import annotations
 
+import multiprocessing
 import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.experiments.artifacts import (
     EXPERIMENT_SCHEMA,
@@ -60,6 +62,17 @@ from repro.perf import perf
 #: Environment knob for the default process-pool width of
 #: :func:`run_experiment`.  Unset keeps everything serial.
 NUM_WORKERS_ENV = "REPRO_NUM_WORKERS"
+
+#: Environment every pool worker starts with: one BLAS/OpenMP thread
+#: and a fixed hash seed, the pins of the benchmark runner.  A worker
+#: that kept the default BLAS width would run ``workers x cores`` BLAS
+#: threads on ``cores`` CPUs.
+WORKER_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "PYTHONHASHSEED": "0",
+}
 
 #: Registration order is preserved; the CLI lists experiments in it.
 _EXPERIMENTS: Dict[str, "Experiment"] = {}
@@ -241,6 +254,31 @@ def default_num_workers() -> int:
     return n
 
 
+@contextmanager
+def worker_pool(n_workers: int) -> Iterator[ProcessPoolExecutor]:
+    """A process pool whose workers start with :data:`WORKER_ENV`.
+
+    BLAS reads its thread count once, when the library loads, so the
+    pins must be in place before a worker imports numpy: the workers
+    are spawned (fresh interpreters, not forks of this process) while
+    this process's environment carries the pins.  The environment is
+    restored when the pool shuts down; this process's own BLAS, loaded
+    long before, is unaffected.
+    """
+    saved = {key: os.environ.get(key) for key in WORKER_ENV}
+    os.environ.update(WORKER_ENV)
+    try:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
+            yield pool
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
 def run_experiment(
     experiment: "Experiment | str",
     quick: bool = True,
@@ -302,7 +340,7 @@ def run_experiment(
     with perf.span("experiments.points"):
         if len(missing) > 1 and n_workers > 1:
             tasks = [(exp.name, params[i], quick) for i in missing]
-            with ProcessPoolExecutor(max_workers=min(n_workers, len(missing))) as pool:
+            with worker_pool(min(n_workers, len(missing))) as pool:
                 for idx, record in zip(missing, pool.map(_pool_point, tasks)):
                     records[idx] = record
                     perf.count("experiments.point.computed")

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 #: Denominator floor for the PF metric when a UE's EWMA average is
 #: still zero (never served, zero-rate history).  Applied identically
@@ -66,6 +67,41 @@ def rotated_schedulable(schedulable: np.ndarray, tti: int) -> np.ndarray:
     if rho == 0:
         return idx
     return np.concatenate([idx[rho:], idx[:rho]])
+
+
+def round_robin_slab(
+    n: int,
+    idx: np.ndarray,
+    ranks: np.ndarray,
+    n_active: int,
+    n_prb: int,
+    tti0: int,
+    n_tti: int,
+) -> np.ndarray:
+    """``(n, n_tti)`` round-robin grants for TTIs ``tti0 ..``.
+
+    Rows ``idx`` hold the UEs whose ranks among the ``n_active``
+    schedulable UEs are ``ranks``; every other row is zero.  Each gets
+    ``n_prb // n_active`` PRBs, plus one remainder PRB in TTI ``tti``
+    when ``(rank - tti) mod n_active`` is below the remainder.  Column
+    ``t`` of a UE is entry ``e + t`` of one pattern row, ``pattern[j] =
+    base + ((n_active - 1 - j) mod n_active < rem)``, where ``e =
+    n_active - 1 - (rank - tti0) mod n_active``: each UE's row is a
+    window of that row, copied in one gather, with no 2-D scatter.
+    """
+    out = np.zeros((n, n_tti), dtype=np.int64)
+    if n_active == 0 or len(idx) == 0:
+        return out
+    base, rem = divmod(int(n_prb), n_active)
+    if not rem:
+        out[idx] = base
+        return out
+    e = (n_active - 1) - (np.asarray(ranks, dtype=np.int64) - int(tti0)) % n_active
+    e0 = int(e.min())
+    j = np.arange(e0, int(e.max()) + n_tti)
+    pattern = base + (((n_active - 1 - j) % n_active) < rem)
+    out[idx] = sliding_window_view(pattern, n_tti)[e - e0]
+    return out
 
 
 @dataclass
@@ -126,21 +162,10 @@ class RoundRobinScheduler:
         n_tti: int,
     ) -> Optional[np.ndarray]:
         """All TTIs of a constant-schedulable-set batch at once."""
-        n = len(schedulable)
-        out = np.zeros((n, n_tti), dtype=np.int64)
         idx = np.flatnonzero(np.asarray(schedulable, dtype=bool))
-        n_a = len(idx)
-        if n_a == 0:
-            return out
-        base, rem = divmod(int(n_prb), n_a)
-        out[idx, :] = base
-        if rem:
-            rho = (int(tti0) + np.arange(n_tti)) % n_a
-            pos = np.arange(n_a)[:, None]
-            out[idx[:, None], np.arange(n_tti)[None, :]] += (
-                ((pos - rho[None, :]) % n_a) < rem
-            ).astype(np.int64)
-        return out
+        return round_robin_slab(
+            len(schedulable), idx, np.arange(len(idx)), len(idx), n_prb, tti0, n_tti
+        )
 
     def update(self, served_bytes: np.ndarray) -> None:
         pass
@@ -196,7 +221,9 @@ class ProportionalFairScheduler:
         self._ensure_avg(rates)
         out = np.zeros(len(schedulable), dtype=np.int64)
         order = rotated_schedulable(schedulable, tti)
-        if len(order) == 0:
+        if len(order) <= 1:
+            # A lone UE wins every PRB; nobody to rank.
+            out[order] = max(int(n_prb), 0)
             return out
         r = rates[order].tolist()
         avg = self._avg_bytes[order].tolist()
@@ -260,7 +287,8 @@ class ProportionalFairScheduler:
 
     def update(self, served_bytes: np.ndarray) -> None:
         served = np.asarray(served_bytes, dtype=float)
-        self._ensure_avg(np.zeros_like(served))
+        if self._avg_bytes is None:
+            self._avg_bytes = np.zeros_like(served)
         alpha = 1.0 / float(self.time_constant_tti)
         self._avg_bytes = (1.0 - alpha) * self._avg_bytes + alpha * served
 

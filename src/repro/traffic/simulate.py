@@ -267,30 +267,30 @@ def _run_kernel(
         perf.count("sched.slab_tti", int(n_tti))
         return grants, dropped, served, backlog
 
-    grants = np.zeros((n, n_tti), dtype=np.int64)
-    dropped = np.zeros((n, n_tti), dtype=float)
-    served = np.zeros((n, n_tti), dtype=float)
+    # The scheduler loop keeps TTI-major (n_tti, n) buffers, so each
+    # TTI reads and writes one contiguous row.
+    offered_rows = np.ascontiguousarray(offered.T)
+    grants = np.zeros((n_tti, n), dtype=np.int64)
+    dropped = np.zeros((n_tti, n), dtype=float)
+    served = np.zeros((n_tti, n), dtype=float)
     backlog = queues.backlog_bytes.copy()
     for t in range(n_tti):
-        off_t = offered[:, t]
+        off_t = offered_rows[t]
         if limit > 0:
             room = np.maximum(limit - backlog, 0.0)
             accepted = np.minimum(off_t, room)
-            drop_t = off_t - accepted
+            dropped[t] = off_t - accepted
         else:
             accepted = off_t
-            drop_t = np.zeros(n, dtype=float)
         avail = backlog + accepted
         schedulable = (avail > 0.0) & rate_ok
         g = scheduler.grants(schedulable, rates, n_prb, tti0 + t)
-        cap = g * rates
-        served_t = np.minimum(avail, cap)
+        served_t = np.minimum(avail, g * rates)
         backlog = avail - served_t
         scheduler.update(served_t)
-        grants[:, t] = g
-        dropped[:, t] = drop_t
-        served[:, t] = served_t
-    return grants, dropped, served, backlog
+        grants[t] = g
+        served[t] = served_t
+    return grants.T.copy(), dropped.T.copy(), served.T.copy(), backlog
 
 
 def _run_reference(

@@ -11,7 +11,10 @@ by term for one UE, kept beside the tests that hold the kernels to it:
   :meth:`~repro.channel.model.ChannelModel.snr_to_many`);
 * :func:`collect_snr_samples` — one UE's measurement flight with its
   fading drawn before its instrument noise
-  (:func:`repro.flight.sampler.collect_snr_samples`).
+  (:func:`repro.flight.sampler.collect_snr_samples`);
+* :func:`obstructed_lengths_full` — the tracer with every sample of
+  every ray traced, one ray at a time, no column pruning
+  (:func:`repro.channel.raytrace.obstructed_lengths`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ import numpy as np
 
 from repro.channel.fading import sample_fading_db
 from repro.channel.fspl import fspl_db
-from repro.channel.raytrace import obstructed_lengths
+from repro.channel.raytrace import (
+    _ENDPOINT_MARGIN,
+    DEFAULT_STEP_M,
+    _bucket_steps,
+    obstructed_lengths,
+)
 from repro.flight.sampler import SRS_RATE_HZ
 
 #: The PHY instrument noise of :meth:`ChannelModel.sample_snr_db`.
@@ -71,3 +79,33 @@ def collect_snr_samples(
         valid = np.interp(times, log.t_s, log.gps_valid.astype(float)) > 0.999
         keep = keep & valid
     return gps_pos[keep][:, :2], snr[keep]
+
+
+def obstructed_lengths_full(
+    terrain, tx_xyz, rx_xyz, step: float = DEFAULT_STEP_M
+) -> Tuple[np.ndarray, int]:
+    """Obstructed lengths with every sample traced: ``(lengths, samples)``.
+
+    Each ray gets its own bucketed sample count and its own surface
+    gather over all of its samples; ``samples`` is the total the
+    tracer's ``raytrace.samples`` counter reports.
+    """
+    tx = np.atleast_2d(np.asarray(tx_xyz, dtype=float))
+    rx = np.atleast_2d(np.asarray(rx_xyz, dtype=float))
+    tx, rx = np.broadcast_arrays(tx, rx)
+    n = tx.shape[0]
+    dist = np.linalg.norm(rx - tx, axis=1)
+    horiz = np.linalg.norm((rx - tx)[:, :2], axis=1)
+    if n == 0 or float(dist.max()) == 0.0:
+        return np.zeros(n), 0
+    n_steps = _bucket_steps(np.ceil(dist / step))
+    frac = np.zeros(n)
+    for i in range(n):
+        t = np.linspace(_ENDPOINT_MARGIN, 1.0 - _ENDPOINT_MARGIN, int(n_steps[i]))
+        zs = tx[i, 2] + t * (rx[i, 2] - tx[i, 2])
+        xs = tx[i, 0] + t * (rx[i, 0] - tx[i, 0])
+        ys = tx[i, 1] + t * (rx[i, 1] - tx[i, 1])
+        surface = terrain.heights_at_xy(xs, ys)
+        frac[i] = np.count_nonzero(zs < surface) / int(n_steps[i])
+    effective = np.maximum(horiz, 0.15 * dist)
+    return frac * effective * (1.0 - 2 * _ENDPOINT_MARGIN), int(n_steps.sum())

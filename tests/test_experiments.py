@@ -139,6 +139,21 @@ class TestArtifactCache:
             parallel.artifact_path.read_bytes() == serial.artifact_path.read_bytes()
         )
 
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        # Workers start with the pins whatever this process carries,
+        # and this process gets its own environment back.
+        import os
+
+        from repro.experiments.registry import WORKER_ENV, worker_pool
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        with worker_pool(2) as pool:
+            seen = list(pool.map(os.getenv, list(WORKER_ENV)))
+        assert seen == list(WORKER_ENV.values())
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "8"
+        assert "OMP_NUM_THREADS" not in os.environ
+
     def test_source_digest_sees_one_changed_byte(self, tmp_path):
         # The code fingerprint hashes every source file, so a point
         # function edited in place can never be served from the cache.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.city.mac import ShardRoundRobin
 from repro.core.config import SkyRANConfig
 from repro.core.epoch import EpochTrigger
 from repro.faults import FaultInjector, FaultPlan
@@ -256,6 +257,117 @@ class TestKernelEquivalence:
 snr_arrays = st.lists(
     st.floats(min_value=-20.0, max_value=30.0, allow_nan=False), min_size=1, max_size=8
 )
+
+
+class TestRoundRobinSlab:
+    """A round-robin slab is its per-TTI grants stacked, dtype included."""
+
+    N_PRB = 50
+
+    @staticmethod
+    def _stacked(grants, n_tti, tti0):
+        cols = [np.asarray(grants(tti0 + t)) for t in range(n_tti)]
+        return np.stack(cols, axis=1) if cols else None
+
+    # n_active below, dividing and above n_prb; 0 and 1; tti0 on and
+    # either side of a rotation wrap and far out.
+    @pytest.mark.parametrize("n_active", [0, 1, 7, 10, 50, 64, 130])
+    @pytest.mark.parametrize("wrap", [0, 1, 3])
+    @pytest.mark.parametrize("tti0_offset", [-1, 0, 1, 2**40])
+    def test_slab_equals_stacked_grants(self, n_active, wrap, tti0_offset):
+        rng = np.random.default_rng(n_active + 7 * wrap)
+        n = 160
+        schedulable = np.zeros(n, dtype=bool)
+        schedulable[rng.choice(n, n_active, replace=False)] = True
+        rates = rng.uniform(1.0, 90.0, n)
+        tti0 = max(0, wrap * n_active + tti0_offset)
+        n_tti = 2 * n_active + 3
+
+        rr = make_scheduler("round_robin")
+        slab = rr.grants_slab(schedulable, rates, self.N_PRB, tti0, n_tti)
+        want = self._stacked(
+            lambda t: rr.grants(schedulable, rates, self.N_PRB, t), n_tti, tti0
+        )
+        ref = self._stacked(
+            lambda t: rr.grants_reference(schedulable.tolist(), rates, self.N_PRB, t),
+            n_tti,
+            tti0,
+        )
+        assert slab.dtype == want.dtype == np.int64
+        assert np.array_equal(slab, want) and np.array_equal(slab, ref)
+        assert (slab.sum(axis=0) == (self.N_PRB if n_active else 0)).all()
+
+        ranks = np.where(schedulable, np.cumsum(schedulable) - 1, -1)
+        for sl in (slice(0, n), slice(40, 103), slice(150, 160)):
+            shard = ShardRoundRobin(ranks=ranks[sl], n_active_global=n_active)
+            got = shard.grants_slab(schedulable[sl], rates[sl], self.N_PRB, tti0, n_tti)
+            per_tti = self._stacked(
+                lambda t: shard.grants(schedulable[sl], rates[sl], self.N_PRB, t),
+                n_tti,
+                tti0,
+            )
+            assert got.dtype == np.int64
+            assert np.array_equal(got, per_tti) and np.array_equal(got, slab[sl])
+
+    def test_zero_ttis(self):
+        schedulable = np.array([True, False, True])
+        rr = make_scheduler("round_robin")
+        assert rr.grants_slab(schedulable, np.ones(3), 50, 4, 0).shape == (3, 0)
+        shard = ShardRoundRobin(ranks=np.array([0, -1, 1]), n_active_global=2)
+        assert shard.grants_slab(schedulable, np.ones(3), 50, 4, 0).shape == (3, 0)
+
+
+class TestProportionalFairShortcuts:
+    """PF with at most one schedulable UE skips its heap, to the same grants."""
+
+    @pytest.mark.parametrize("n_prb", [-1, 0, 1, 50])
+    def test_lone_or_no_ue_matches_reference(self, n_prb):
+        rates = np.array([12.5, 0.0, 40.0, 300.0, 7.0])
+        fast = make_scheduler("proportional_fair")
+        ref = make_scheduler("proportional_fair")
+        masks = [np.zeros(5, dtype=bool)] + [np.eye(5, dtype=bool)[i] for i in range(5)]
+        for t, mask in enumerate(masks * 3):
+            g = fast.grants(mask, rates, n_prb, t)
+            assert g.dtype == np.int64
+            assert g.tolist() == ref.grants_reference(mask.tolist(), rates, n_prb, t)
+            served = g * rates
+            fast.update(served)
+            ref.update_reference(served.tolist())
+            assert fast._avg_bytes.tobytes() == ref._avg_bytes.tobytes()
+
+    def test_update_before_grants_starts_from_zero(self):
+        fast = make_scheduler("proportional_fair")
+        ref = make_scheduler("proportional_fair")
+        served = np.array([10.0, 0.0, 3.5])
+        fast.update(served)
+        ref.update_reference(served.tolist())
+        assert fast._avg_bytes.tobytes() == ref._avg_bytes.tobytes()
+
+    def test_sparse_traffic_kernel_matches_reference(self):
+        # Light Poisson load: most TTIs have zero or one UE with data.
+        ue_ids = tuple(range(1, 6))
+        rates = rate_per_prb_bytes(np.array([3.0, 8.0, 14.0, 20.0, 25.0]))
+        model = make_traffic_model("poisson", rate_mbps=0.5)
+        offered = np.stack([model.source(u, seed=4).offered_bytes(400) for u in ue_ids])
+        runs = []
+        for reference in (False, True):
+            queues = QueueBank(ue_ids, limit_bytes=0.0)
+            runs.append(
+                run_tti_batch(
+                    bytes_per_prb=rates,
+                    offered_bytes=offered,
+                    scheduler=make_scheduler("proportional_fair"),
+                    queues=queues,
+                    reference=reference,
+                )
+            )
+        kernel, reference = runs
+        active = (kernel.grants > 0).sum(axis=0)
+        assert (active <= 1).mean() > 0.5 and (active >= 2).any()
+        for f in RESULT_FIELDS:
+            got = getattr(kernel, f)
+            assert np.array_equal(got, getattr(reference, f)), f
+            assert got.flags.c_contiguous, f
 
 
 class TestSchedulerProperties:
