@@ -36,6 +36,7 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the MAC and SINR oracles live in tests/
 
 from repro.channel.fspl import fspl_db  # noqa: E402
 from repro.channel.groundtruth import ground_truth_stack  # noqa: E402
@@ -165,7 +166,7 @@ def bench_oracle(n_ues: int, repeats: int) -> dict:
 
 
 def bench_mac(n_ues: int, repeats: int) -> dict:
-    """TTI-batch kernel vs the per-TTI Python reference.
+    """TTI-batch kernel vs the per-TTI pure-Python oracle.
 
     Four workloads over 2000 TTIs.  The full-buffer round-robin case
     runs the whole-batch *slab* fast path and is the speedup gate.
@@ -173,7 +174,7 @@ def bench_mac(n_ues: int, repeats: int) -> dict:
     the per-TTI loop and are reported only: PF and max-min grant from a
     heap (one ``heapreplace`` per PRB), round-robin with numpy over
     UEs.  Each case first asserts the kernel is bit-identical to the
-    reference before any timing.
+    oracle replay (``tests/traffic_oracles.py``) before any timing.
     """
     from repro.traffic import (  # noqa: E402
         QueueBank,
@@ -182,6 +183,7 @@ def bench_mac(n_ues: int, repeats: int) -> dict:
         run_tti_batch,
     )
     from repro.traffic.simulate import rate_per_prb_bytes  # noqa: E402
+    from tests.traffic_oracles import make_oracle, replay  # noqa: E402
 
     n_tti = 2000
     ue_ids = tuple(range(1, n_ues + 1))
@@ -193,15 +195,18 @@ def bench_mac(n_ues: int, repeats: int) -> dict:
     zeros = np.zeros_like(offered)
 
     def run_case(sched_name, offered_arr, full_buffer, reference):
-        # Fresh queue bank and scheduler per call: both carry state
-        # (backlogs, PF averages) that must not leak between timings.
+        # Fresh queue bank, scheduler and oracle per call: all carry
+        # state (backlogs, PF averages) that must not leak between timings.
         queues = QueueBank(ue_ids, full_buffer=full_buffer)
+        if reference:
+            return replay(
+                make_oracle(sched_name), rates, offered_arr, queues.backlog_bytes
+            )
         return run_tti_batch(
             bytes_per_prb=rates,
             offered_bytes=offered_arr,
             scheduler=make_scheduler(sched_name),
             queues=queues,
-            reference=reference,
         )
 
     cases = {}
@@ -349,15 +354,15 @@ def bench_fleet(n_ues: int, repeats: int) -> dict:
     reuse factor 2, shadowing off so the one-Tx-many-Rx ray batch
     engages.  The batched path (one ray batch per UAV via
     :func:`fleet_sinr_db_stack`) must be bit-identical to the scalar
-    :func:`sinr_db` reference — one call per UE, one ray per
-    (UAV, UE) pair — before any timing.
+    ``sinr_db`` oracle of ``tests/link_oracles.py`` — one call per UE,
+    one ray per (UAV, UE) pair — before any timing.
     """
     from repro.channel.interference import (  # noqa: E402
         fleet_rx_power_dbm,
         fleet_sinr_db_stack,
         reuse_carriers,
-        sinr_db,
     )
+    from tests.link_oracles import sinr_db  # noqa: E402
 
     scenario = Scenario.create(
         "campus", n_ues=n_ues, seed=0, channel_kwargs={"shadowing_sigma_db": 0.0}
@@ -465,7 +470,7 @@ def main(argv=None) -> int:
         type=float,
         default=3.0,
         help="with --mac, fail if the full-buffer slab kernel is not at "
-        "least this many times faster than the per-TTI reference (the "
+        "least this many times faster than the per-TTI oracle (the "
         "only case where whole-batch vectorization applies; generous "
         "CI floor; 0 = report only)",
     )
@@ -579,7 +584,7 @@ def main(argv=None) -> int:
         payload["sched"] = sched
         for case, row in sched["cases"].items():
             print(
-                f"[mac] {case}: reference {row['reference_s'] * 1e3:.1f} ms -> "
+                f"[mac] {case}: oracle {row['reference_s'] * 1e3:.1f} ms -> "
                 f"kernel {row['kernel_s'] * 1e3:.1f} ms ({row['speedup']:.2f}x, "
                 f"identical={row['bit_identical']}, "
                 f"{row['served_mbps']:.1f} Mbps served)"
@@ -671,7 +676,7 @@ def main(argv=None) -> int:
         mismatched = [c for c, r in sched["cases"].items() if not r["bit_identical"]]
         if mismatched:
             print(
-                "FAIL: MAC kernel differs from the per-TTI reference: "
+                "FAIL: MAC kernel differs from the per-TTI oracle: "
                 + ", ".join(mismatched),
                 file=sys.stderr,
             )

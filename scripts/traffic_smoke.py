@@ -3,10 +3,11 @@
 
 Four checks, all hard failures:
 
-1. **Kernel == reference** — a loaded Poisson TTI batch through each
+1. **Kernel == oracle** — a loaded Poisson TTI batch through each
    registered scheduler must be *bit-identical* between the vectorized
-   kernel and the pure-Python per-TTI reference (grants, served,
-   dropped bytes and final backlogs).
+   kernel and the pure-Python per-TTI replay of
+   ``tests/traffic_oracles.py`` (grants, served, dropped bytes and
+   final backlogs).
 2. **Conservation** — every TTI with any schedulable UE grants exactly
    ``n_prb`` PRBs; zero-rate UEs never receive a grant; served bytes
    never exceed offered + initial backlog.
@@ -22,7 +23,7 @@ The measurements land in ``BENCH_traffic.json``.
 
 Usage::
 
-    PYTHONPATH=src python scripts/traffic_smoke.py [--out PATH]
+    python scripts/traffic_smoke.py [--out PATH]
         [--ues N] [--tti N] [--seed N]
 """
 
@@ -39,6 +40,7 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the oracle lives in tests/
 
 from repro.core.config import SkyRANConfig  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
@@ -52,6 +54,7 @@ from repro.traffic import (  # noqa: E402
     run_tti_batch,
 )
 from repro.traffic.simulate import rate_per_prb_bytes  # noqa: E402
+from tests.traffic_oracles import make_oracle, replay  # noqa: E402
 
 
 def check_kernel_vs_reference(n_ues: int, n_tti: int, seed: int) -> dict:
@@ -67,7 +70,6 @@ def check_kernel_vs_reference(n_ues: int, n_tti: int, seed: int) -> dict:
             [model.source(u, seed=seed).offered_bytes(n_tti) for u in ue_ids]
         )
         q_k = QueueBank(ue_ids)
-        q_r = QueueBank(ue_ids)
         t0 = time.perf_counter()
         res_k = run_tti_batch(
             bytes_per_prb=rates,
@@ -77,13 +79,7 @@ def check_kernel_vs_reference(n_ues: int, n_tti: int, seed: int) -> dict:
         )
         t_kernel = time.perf_counter() - t0
         t0 = time.perf_counter()
-        res_r = run_tti_batch(
-            bytes_per_prb=rates,
-            offered_bytes=offered,
-            scheduler=make_scheduler(name),
-            queues=q_r,
-            reference=True,
-        )
+        res_r = replay(make_oracle(name), rates, offered, np.zeros(n_ues))
         t_reference = time.perf_counter() - t0
         identical = all(
             np.array_equal(getattr(res_k, f), getattr(res_r, f))
@@ -110,7 +106,7 @@ def check_kernel_vs_reference(n_ues: int, n_tti: int, seed: int) -> dict:
         }
         print(
             f"[kernel] {name:<18s} identical={identical} conserved={conserved} "
-            f"kernel {t_kernel * 1e3:.1f} ms vs reference {t_reference * 1e3:.1f} ms "
+            f"kernel {t_kernel * 1e3:.1f} ms vs oracle {t_reference * 1e3:.1f} ms "
             f"({out[name]['speedup']:.1f}x)"
         )
     return out

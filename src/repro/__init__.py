@@ -22,11 +22,7 @@ from repro.core import (
     find_optimal_altitude,
     max_min_placement,
 )
-from repro.baselines import (
-    CentroidController,
-    RandomPlacementController,
-    UniformController,
-)
+from repro.baselines import CentroidController, UniformController
 from repro.geo import GridSpec, Point2D, Point3D
 from repro.lte import ENodeB, EPC, SRSConfig, ToFEstimator, UE, throughput_mbps
 from repro.rem import REM, idw_interpolate, median_abs_error_db
@@ -46,7 +42,6 @@ __all__ = [
     "find_optimal_altitude",
     "max_min_placement",
     "CentroidController",
-    "RandomPlacementController",
     "UniformController",
     "GridSpec",
     "Point2D",

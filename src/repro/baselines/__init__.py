@@ -5,15 +5,12 @@
   same max-min placement.
 * **Centroid** — UE locations only, no REMs: localize, hover over the
   centroid.
-* **RandomPlacement** — the no-information floor.
 """
 
 from repro.baselines.uniform import UniformController
 from repro.baselines.centroid import CentroidController
-from repro.baselines.random_placement import RandomPlacementController
 
 __all__ = [
     "UniformController",
     "CentroidController",
-    "RandomPlacementController",
 ]

@@ -78,18 +78,7 @@ class ShardRoundRobin:
         n_prb: int,
         tti: int,
     ) -> np.ndarray:
-        sched = self._check(schedulable)
-        out = np.zeros(len(sched), dtype=np.int64)
-        n_a = self.n_active_global
-        if n_a == 0:
-            return out
-        base, rem = divmod(int(n_prb), n_a)
-        idx = np.flatnonzero(sched)
-        out[idx] = base
-        if rem:
-            rho = int(tti) % n_a
-            out[idx[((self.ranks[idx] - rho) % n_a) < rem]] += 1
-        return out
+        return self.grants_slab(schedulable, bytes_per_prb, n_prb, tti, 1)[:, 0]
 
     def grants_slab(
         self,

@@ -615,8 +615,7 @@ class FleetController:
 
         Unlike :meth:`per_ue_snr_db`, this charges each link with the
         co-channel cells' downlink as interference — the honest fleet
-        KPI.  Batched via the SINR stack; bit-identical to
-        :func:`~repro.channel.interference.fleet_sinr_db_reference`.
+        KPI.  Batched via the SINR stack.
         """
         serving = self.serving_dict() if serving is None else serving
         ue_positions = {ue.ue_id: ue.xyz for ue in self.ues if ue.ue_id in serving}

@@ -79,20 +79,6 @@ class QueueBank:
     def n_ues(self) -> int:
         return len(self.ue_ids)
 
-    def admit(self, offered_bytes_tti: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Tail-drop admission for one TTI's offered bytes.
-
-        Returns ``(accepted, dropped)`` per UE.  Pure function of the
-        current backlog — it does **not** mutate state; the TTI kernel
-        owns the update order (admit, grant, drain, account).
-        """
-        offered = np.asarray(offered_bytes_tti, dtype=float)
-        if self.limit_bytes <= 0:
-            return offered, np.zeros_like(offered)
-        room = np.maximum(self.limit_bytes - self.backlog_bytes, 0.0)
-        accepted = np.minimum(offered, room)
-        return accepted, offered - accepted
-
     def account_batch(
         self,
         arrived: np.ndarray,

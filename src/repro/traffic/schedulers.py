@@ -19,13 +19,14 @@ usable link?  Three classic disciplines are provided:
     Per-PRB greedy argmin of bytes granted so far this TTI: equalizes
     granted capacity in bytes, so low-rate UEs get more PRBs.
 
+A scheduler is four methods: ``reset(n_ues)``, ``grants`` (one TTI),
+``grants_slab`` (a whole batch, or ``None``) and ``update(served)``.
 Round-robin's ``grants`` is numpy over UEs.  The two greedy
 disciplines run on a ``heapq``: granting a PRB changes only the
 winner's key, so each PRB is one ``heapreplace`` and a TTI costs
 O(n + n_prb log n) Python operations instead of ``n_prb`` numpy
-passes over every UE.  Every scheduler also has a pure-Python
-reference path (``grants_reference``) performing the identical float
-operations in the identical order, so the two are bit-exact — the
+passes over every UE.  The tests hold every discipline bit for bit to
+a linear-scan pure-Python oracle (``tests/traffic_oracles.py``), the
 equivalence the traffic smoke gate asserts.  Ties in the greedy
 argmax/argmin resolve to the first UE in *rotated* schedulable order
 (rotation = ``tti mod n_active``), which is what aligns all three
@@ -33,9 +34,10 @@ disciplines on the same grant under full symmetry; the heaps keep it
 by keying on ``(key, rotated position)``, whose tuple order is
 exactly that first-in-order rule.
 
-Stateless disciplines additionally expose ``grants_slab`` — a whole
-(UEs x TTIs) grant matrix in one shot — which the kernel uses when the
-schedulable set cannot change within a batch (full-buffer runs).
+Stateless disciplines answer ``grants_slab`` with a whole (UEs x TTIs)
+grant matrix in one shot, which the kernel uses when the schedulable
+set cannot change within a batch (full-buffer runs); PF, whose EWMA
+couples TTIs, answers ``None``.
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 #: Denominator floor for the PF metric when a UE's EWMA average is
-#: still zero (never served, zero-rate history).  Applied identically
-#: in the heap and reference paths so they stay bit-exact.
+#: still zero (or NaN).
 TINY_BYTES = 1e-12
 
 
@@ -134,25 +135,6 @@ class RoundRobinScheduler:
             out[idx[((pos - rho) % n_a) < rem]] += 1
         return out
 
-    def grants_reference(
-        self,
-        schedulable,
-        bytes_per_prb,
-        n_prb: int,
-        tti: int,
-    ) -> list:
-        n = len(schedulable)
-        out = [0] * n
-        idx = [i for i in range(n) if schedulable[i]]
-        n_a = len(idx)
-        if n_a == 0:
-            return out
-        base, rem = divmod(int(n_prb), n_a)
-        rho = int(tti) % n_a
-        for pos, i in enumerate(idx):
-            out[i] = base + (1 if (pos - rho) % n_a < rem else 0)
-        return out
-
     def grants_slab(
         self,
         schedulable: np.ndarray,
@@ -170,9 +152,6 @@ class RoundRobinScheduler:
     def update(self, served_bytes: np.ndarray) -> None:
         pass
 
-    def update_reference(self, served_bytes) -> None:
-        pass
-
 
 @dataclass(kw_only=True)
 class ProportionalFairScheduler:
@@ -182,7 +161,7 @@ class ProportionalFairScheduler:
     position)``; each PRB goes to the top, whose key alone is
     recomputed and ``heapreplace``-d, so a TTI costs O(n + n_prb log
     n).  Negating the metric is exact, so the heap's first-minimum is
-    the reference's first-maximum, ties included.
+    the first maximum in rotated order, ties included.
 
     Attributes
     ----------
@@ -246,42 +225,6 @@ class ProportionalFairScheduler:
         out[order] = counts
         return out
 
-    def grants_reference(
-        self,
-        schedulable,
-        bytes_per_prb,
-        n_prb: int,
-        tti: int,
-    ) -> list:
-        rates = np.asarray(bytes_per_prb, dtype=float)
-        self._ensure_avg(rates)
-        n = len(schedulable)
-        out = [0] * n
-        order = [int(i) for i in rotated_schedulable(schedulable, tti)]
-        n_a = len(order)
-        if n_a == 0:
-            return out
-        r = [float(rates[i]) for i in order]
-        avg = [float(self._avg_bytes[i]) for i in order]
-        pending = [0.0] * n_a
-        counts = [0] * n_a
-        for _ in range(int(n_prb)):
-            best_k = 0
-            best_m = -1.0
-            for k in range(n_a):
-                denom = avg[k] + pending[k]
-                if not denom > 0.0:
-                    denom = TINY_BYTES
-                m = r[k] / denom
-                if m > best_m:
-                    best_m = m
-                    best_k = k
-            pending[best_k] += r[best_k]
-            counts[best_k] += 1
-        for k, i in enumerate(order):
-            out[i] = counts[k]
-        return out
-
     def grants_slab(self, schedulable, bytes_per_prb, n_prb, tti0, n_tti):
         return None  # EWMA state couples TTIs
 
@@ -292,24 +235,15 @@ class ProportionalFairScheduler:
         alpha = 1.0 / float(self.time_constant_tti)
         self._avg_bytes = (1.0 - alpha) * self._avg_bytes + alpha * served
 
-    def update_reference(self, served_bytes) -> None:
-        served = np.asarray(served_bytes, dtype=float)
-        self._ensure_avg(np.zeros_like(served))
-        alpha = 1.0 / float(self.time_constant_tti)
-        for i in range(len(served)):
-            self._avg_bytes[i] = (1.0 - alpha) * float(self._avg_bytes[i]) + alpha * float(
-                served[i]
-            )
-
 
 @dataclass
 class MaxMinScheduler:
     """Equalize granted bytes within each TTI (max-min in capacity).
 
     ``grants`` keeps a heap of ``(granted bytes, rotated position)``;
-    each PRB goes to the top and re-enters at ``granted + rate`` — the
-    reference's ``pending += rate`` — so a TTI costs O(n + n_prb log
-    n) with the reference's first-minimum tie-break.
+    each PRB goes to the top and re-enters at ``granted + rate``, so a
+    TTI costs O(n + n_prb log n) with the first-minimum-in-rotated-
+    order tie-break.
     """
 
     name: str = field(default="max_min", init=False)
@@ -339,36 +273,6 @@ class MaxMinScheduler:
         out[order] = counts
         return out
 
-    def grants_reference(
-        self,
-        schedulable,
-        bytes_per_prb,
-        n_prb: int,
-        tti: int,
-    ) -> list:
-        rates = np.asarray(bytes_per_prb, dtype=float)
-        n = len(schedulable)
-        out = [0] * n
-        order = [int(i) for i in rotated_schedulable(schedulable, tti)]
-        n_a = len(order)
-        if n_a == 0:
-            return out
-        r = [float(rates[i]) for i in order]
-        pending = [0.0] * n_a
-        counts = [0] * n_a
-        for _ in range(int(n_prb)):
-            best_k = 0
-            best_p = pending[0]
-            for k in range(1, n_a):
-                if pending[k] < best_p:
-                    best_p = pending[k]
-                    best_k = k
-            pending[best_k] += r[best_k]
-            counts[best_k] += 1
-        for k, i in enumerate(order):
-            out[i] = counts[k]
-        return out
-
     def grants_slab(
         self,
         schedulable: np.ndarray,
@@ -391,9 +295,6 @@ class MaxMinScheduler:
         return patterns[:, (int(tti0) + np.arange(n_tti)) % n_a]
 
     def update(self, served_bytes: np.ndarray) -> None:
-        pass
-
-    def update_reference(self, served_bytes) -> None:
         pass
 
 

@@ -2,22 +2,19 @@
 
 :func:`run_tti_batch` evolves every UE's RLC queue through a batch of
 TTIs under a pluggable scheduler, producing full (n_ues, n_tti)
-matrices of offered / dropped / granted / served bytes.  Two
-implementations share the exact same update recurrence:
+matrices of offered / dropped / granted / served bytes.  Each TTI's
+admit/grant/drain is elementwise numpy over UEs, and — when the
+schedulable set cannot change within the batch (full-buffer traffic)
+— the scheduler hands over a whole-batch grant *slab* so thousands of
+TTIs collapse into a handful of array ops.
 
-* the **kernel** path (default) does each TTI's admit/grant/drain as
-  elementwise numpy over UEs, and — when the schedulable set cannot
-  change within the batch (full-buffer traffic) — asks the scheduler
-  for a whole-batch grant *slab* so thousands of TTIs collapse into a
-  handful of array ops;
-* the **reference** path replays the identical recurrence in pure
-  Python floats, one UE at a time.
-
-Because both paths perform the same IEEE-754 operations in the same
-order (``avail = backlog + accepted``, ``served = min(avail, cap)``,
-``backlog = avail - served``; no cumsum/prefix tricks anywhere), their
-outputs are **bit-identical**, which is what the equivalence tests and
-``scripts/traffic_smoke.py`` assert.
+Every path performs the same IEEE-754 operations in the same order
+(``avail = backlog + accepted``, ``served = min(avail, cap)``,
+``backlog = avail - served``; no cumsum/prefix tricks anywhere), so
+the outputs are **bit-identical** to a pure-Python per-UE, per-TTI
+replay of the recurrence — the oracle in ``tests/traffic_oracles.py``
+that the equivalence tests and ``scripts/traffic_smoke.py`` assert
+against.
 
 :class:`MACSimulation` wraps sources + queues + scheduler into the
 stateful per-epoch object the controller and the experiments drive.
@@ -26,7 +23,7 @@ stateful per-epoch object the controller and the experiments drive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,7 +121,6 @@ def run_tti_batch(
     queues: QueueBank,
     n_prb: int = PRB_PER_10MHZ,
     tti0: int = 0,
-    reference: bool = False,
 ) -> MACBatchResult:
     """Run one TTI batch and fold the result into ``queues``.
 
@@ -147,16 +143,10 @@ def run_tti_batch(
         raise ValueError(f"n_prb must be >= 1, got {n_prb}")
     n_tti = offered.shape[1]
 
-    span = "sched.reference" if reference else "sched.kernel"
-    with perf.span(span):
-        if reference:
-            grants, dropped, served, backlog = _run_reference(
-                rates, offered, scheduler, queues, int(n_prb), int(tti0)
-            )
-        else:
-            grants, dropped, served, backlog = _run_kernel(
-                rates, offered, scheduler, queues, int(n_prb), int(tti0)
-            )
+    with perf.span("sched.kernel"):
+        grants, dropped, served, backlog = _run_kernel(
+            rates, offered, scheduler, queues, int(n_prb), int(tti0)
+        )
 
     queues.account_batch(offered, dropped, served, backlog)
     perf.count("sched.tti", int(n_tti))
@@ -210,6 +200,16 @@ def _run_kernel(
     tti0: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     n, n_tti = offered.shape
+    if n_tti == 0:
+        # No TTI to schedule: over zero TTIs every UE vacuously
+        # "offers every TTI", a set no scheduler should be asked about.
+        empty = np.zeros((n, 0), dtype=float)
+        return (
+            np.zeros((n, 0), dtype=np.int64),
+            empty,
+            empty.copy(),
+            queues.backlog_bytes.copy(),
+        )
     rate_ok = rates > 0.0
     limit = float(queues.limit_bytes)
 
@@ -235,10 +235,7 @@ def _run_kernel(
         cap = grants * rates[:, None]
         avail = backlog0[:, None] + (offered - dropped)
         served = np.minimum(avail, cap)
-        if n_tti:
-            backlog = (avail - served)[:, -1]
-        else:
-            backlog = backlog0.copy()
+        backlog = (avail - served)[:, -1]
         perf.count("sched.slab_tti", int(n_tti))
         return grants, dropped, served, backlog
 
@@ -293,47 +290,6 @@ def _run_kernel(
     return grants.T.copy(), dropped.T.copy(), served.T.copy(), backlog
 
 
-def _run_reference(
-    rates: np.ndarray,
-    offered: np.ndarray,
-    scheduler,
-    queues: QueueBank,
-    n_prb: int,
-    tti0: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pure-Python per-TTI replay of the exact kernel recurrence."""
-    n, n_tti = offered.shape
-    rate_list = [float(r) for r in rates]
-    limit = float(queues.limit_bytes)
-    grants = np.zeros((n, n_tti), dtype=np.int64)
-    dropped = np.zeros((n, n_tti), dtype=float)
-    served = np.zeros((n, n_tti), dtype=float)
-    backlog = [float(b) for b in queues.backlog_bytes]
-    for t in range(n_tti):
-        avail = [0.0] * n
-        schedulable = [False] * n
-        for i in range(n):
-            off = float(offered[i, t])
-            if limit > 0:
-                room = max(limit - backlog[i], 0.0)
-                accepted = min(off, room)
-                dropped[i, t] = off - accepted
-            else:
-                accepted = off
-            avail[i] = backlog[i] + accepted
-            schedulable[i] = avail[i] > 0.0 and rate_list[i] > 0.0
-        g = scheduler.grants_reference(schedulable, rate_list, n_prb, tti0 + t)
-        served_t = [0.0] * n
-        for i in range(n):
-            cap = g[i] * rate_list[i]
-            served_t[i] = min(avail[i], cap)
-            backlog[i] = avail[i] - served_t[i]
-            grants[i, t] = g[i]
-            served[i, t] = served_t[i]
-        scheduler.update_reference(served_t)
-    return grants, dropped, served, np.array(backlog, dtype=float)
-
-
 class MACSimulation:
     """Sources + queues + scheduler for one epoch's serving time.
 
@@ -382,7 +338,6 @@ class MACSimulation:
         n_tti: int,
         *,
         faults=None,
-        reference: bool = False,
     ) -> MACBatchResult:
         """Advance the MAC by ``n_tti`` TTIs at the given per-UE SNRs."""
         try:
@@ -398,7 +353,6 @@ class MACSimulation:
             queues=self.queues,
             n_prb=self.n_prb,
             tti0=self.tti,
-            reference=reference,
         )
         self.tti += int(n_tti)
         return result

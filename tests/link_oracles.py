@@ -14,12 +14,17 @@ by term for one UE, kept beside the tests that hold the kernels to it:
   (:func:`repro.flight.sampler.collect_snr_samples`);
 * :func:`obstructed_lengths_full` — the tracer with every sample of
   every ray traced, one ray at a time, no column pruning
-  (:func:`repro.channel.raytrace.obstructed_lengths`).
+  (:func:`repro.channel.raytrace.obstructed_lengths`);
+* :func:`sinr_db` / :func:`fleet_sinr_db_reference` — co-channel SINR
+  with one path-loss query per (UAV, UE) pair and interference summed
+  over UAV index in ascending order
+  (:func:`repro.channel.interference.fleet_sinr_db_stack`,
+  :func:`repro.channel.interference.fleet_sinr_db`).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,3 +114,53 @@ def obstructed_lengths_full(
         frac[i] = np.count_nonzero(zs < surface) / int(n_steps[i])
     effective = np.maximum(horiz, 0.15 * dist)
     return frac * effective * (1.0 - 2 * _ENDPOINT_MARGIN), int(n_steps.sum())
+
+
+def sinr_db(
+    channel,
+    uav_positions: Sequence[np.ndarray],
+    ue_xyz: np.ndarray,
+    serving_index: int,
+    activity: Optional[Sequence[float]] = None,
+    carriers: Optional[Sequence[int]] = None,
+) -> float:
+    """SINR (dB) of one UE served by UAV ``serving_index`` amid the fleet.
+
+    ``activity`` scales each interferer's power (default fully loaded);
+    only UAVs on the serving cell's carrier (default all on one)
+    interfere.
+    """
+    n = len(uav_positions)
+    act = np.ones(n) if activity is None else np.asarray(activity, dtype=float)
+    carr = np.zeros(n, dtype=int) if carriers is None else np.asarray(carriers, dtype=int)
+    link = channel.link
+    rx_dbm = np.array(
+        [
+            link.rx_power_dbm(float(channel.path_loss_db(np.asarray(p, dtype=float), ue_xyz)))
+            for p in uav_positions
+        ]
+    )
+    # dBm -> mW through the array kernel: numpy's scalar ``**`` can
+    # differ from the array ufunc by one ulp.
+    rx_mw = 10.0 ** (rx_dbm / 10.0)
+    noise_mw = 10.0 ** (link.noise_floor_dbm / 10.0)
+    interf_mw = 0.0
+    for j in range(n):
+        if j != serving_index and carr[j] == carr[serving_index]:
+            interf_mw += act[j] * rx_mw[j]
+    return float(10.0 * np.log10(rx_mw[serving_index] / (noise_mw + interf_mw)))
+
+
+def fleet_sinr_db_reference(
+    channel,
+    uav_positions: Sequence[np.ndarray],
+    ue_positions: Dict[int, np.ndarray],
+    serving: Dict[int, int],
+    activity: Optional[Sequence[float]] = None,
+    carriers: Optional[Sequence[int]] = None,
+) -> Dict[int, float]:
+    """:func:`sinr_db` for every UE of a fleet assignment (dict API)."""
+    return {
+        ue_id: sinr_db(channel, uav_positions, ue_xyz, serving[ue_id], activity, carriers)
+        for ue_id, ue_xyz in ue_positions.items()
+    }

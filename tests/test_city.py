@@ -23,8 +23,9 @@ from repro.city import (
 )
 from repro.city.mac import city_schedulable
 from repro.lte.linkadapt import OLLABank, OuterLoopLinkAdaptation
-from repro.terrain.generators import make_campus
+from repro.terrain.generators import make_campus, make_flat
 from repro.traffic import QueueBank, make_scheduler, run_tti_batch
+from tests import traffic_oracles as oracle
 
 pytestmark = pytest.mark.city
 
@@ -166,6 +167,24 @@ def test_sharded_mac_consecutive_epochs(terrain, rates):
     assert np.array_equal(b.backlog_end_bytes, ref.backlog_end_bytes)
 
 
+def test_sharded_mac_zero_ttis_with_idle_ues():
+    """A zero-TTI batch schedules nothing, idle UEs included."""
+    pop = UEPopulation.sample(make_flat(), 20, seed=1, cbr_rate_mbps=0.0)
+    assert (~pop.full_buffer).any()  # idle: no traffic, empty queue
+    rates = np.full(20, 100.0)
+    before = pop.backlog_bytes.copy()
+    ref = _unsharded_reference(pop, rates, 0)
+    city = run_city_mac(pop, rates, 0, shard_ues=7)
+
+    for totals in (city.served_bytes, city.offered_bytes, city.dropped_bytes, city.grants):
+        assert not totals.any()
+    assert np.array_equal(pop.backlog_bytes, before)
+    assert np.array_equal(city.backlog_end_bytes, before)
+    assert np.array_equal(city.backlog_end_bytes, ref.backlog_end_bytes)
+    assert np.array_equal(city.grants, ref.grants.sum(axis=1))
+    assert np.array_equal(city.served_bytes, ref.served_bytes.sum(axis=1))
+
+
 def test_shard_round_robin_matches_global_scheduler(rates):
     """ShardRoundRobin rows == global RoundRobinScheduler rows, per TTI."""
     rng = np.random.default_rng(2)
@@ -184,40 +203,29 @@ def test_shard_round_robin_matches_global_scheduler(rates):
         assert np.array_equal(slab[:, 0], got)
 
 
-class _ShardRoundRobinWithReference(ShardRoundRobin):
-    """:class:`ShardRoundRobin` plus the list hooks of the reference MAC loop."""
-
-    def grants_reference(self, schedulable, bytes_per_prb, n_prb, tti):
-        return [int(g) for g in self.grants(schedulable, bytes_per_prb, n_prb, tti)]
-
-    def update_reference(self, served_bytes):
-        pass
-
-
 def test_shard_round_robin_reference_loop_matches_kernel(rates):
-    """One shard's MAC batch: reference per-TTI loop == kernel, bit for bit."""
+    """One shard's MAC batch: the oracle's per-TTI replay == kernel, bit for bit."""
     schedulable = rates > 0.0  # full buffer: every live link is schedulable
     ranks = np.where(schedulable, np.cumsum(schedulable) - 1, -1).astype(np.int64)
+    n_active = int(schedulable.sum())
     sl = slice(40, 103)
     ids = tuple(range(sl.start, sl.stop))
-    runs = []
-    for reference in (False, True):
-        scheduler = _ShardRoundRobinWithReference(
-            ranks=ranks[sl], n_active_global=int(schedulable.sum())
-        )
-        queues = QueueBank(ids, limit_bytes=0.0, full_buffer=np.ones(len(ids), bool))
-        runs.append(
-            run_tti_batch(
-                bytes_per_prb=rates[sl],
-                offered_bytes=np.zeros((len(ids), 12)),
-                scheduler=scheduler,
-                queues=queues,
-                n_prb=50,
-                tti0=3,
-                reference=reference,
-            )
-        )
-    kernel, ref = runs
+    kernel = run_tti_batch(
+        bytes_per_prb=rates[sl],
+        offered_bytes=np.zeros((len(ids), 12)),
+        scheduler=ShardRoundRobin(ranks=ranks[sl], n_active_global=n_active),
+        queues=QueueBank(ids, limit_bytes=0.0, full_buffer=np.ones(len(ids), bool)),
+        n_prb=50,
+        tti0=3,
+    )
+    ref = oracle.replay(
+        oracle.ShardRoundRobin(ranks[sl], n_active),
+        rates[sl],
+        np.zeros((len(ids), 12)),
+        np.full(len(ids), np.inf),
+        n_prb=50,
+        tti0=3,
+    )
     assert np.array_equal(kernel.grants, ref.grants)
     assert np.array_equal(kernel.served_bytes, ref.served_bytes)
 

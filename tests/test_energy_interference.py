@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.channel.interference import fleet_sinr_db, sinr_db
+from repro.channel.interference import fleet_sinr_db, fleet_sinr_db_stack
 from repro.channel.model import ChannelModel
 from repro.flight.energy import EnergyBudget
 from repro.flight.uav import Battery
+from tests.link_oracles import sinr_db as sinr_db_oracle
 
 
 class TestEnergyBudget:
@@ -43,6 +44,15 @@ class TestEnergyBudget:
             EnergyBudget(reserve_fraction=1.0)
         with pytest.raises(ValueError):
             EnergyBudget(speed_mps=0.0)
+
+
+def sinr_db(channel, uav_positions, ue_xyz, serving_index, activity=None):
+    """One UE's SINR through the batched stack, held bit for bit to the oracle."""
+    got = float(
+        fleet_sinr_db_stack(channel, uav_positions, [ue_xyz], [serving_index], activity)[0]
+    )
+    assert got == sinr_db_oracle(channel, uav_positions, ue_xyz, serving_index, activity)
+    return got
 
 
 class TestInterference:
@@ -94,6 +104,6 @@ class TestInterference:
     def test_validation(self, channel):
         ue = np.array([50.0, 50.0, 1.5])
         with pytest.raises(ValueError):
-            sinr_db(channel, [np.zeros(3)], ue, 1)
+            fleet_sinr_db_stack(channel, [np.zeros(3)], [ue], [1])
         with pytest.raises(ValueError):
-            sinr_db(channel, [np.zeros(3)], ue, 0, activity=[2.0])
+            fleet_sinr_db_stack(channel, [np.zeros(3)], [ue], [0], activity=[2.0])

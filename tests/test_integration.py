@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.centroid import CentroidController
-from repro.baselines.random_placement import RandomPlacementController
 from repro.baselines.uniform import UniformController
 from repro.core.config import SkyRANConfig
 from repro.core.controller import SkyRANController
@@ -123,13 +122,6 @@ class TestBaselines:
             result.position.x - true_centroid[0], result.position.y - true_centroid[1]
         )
         assert d < 40.0  # centroid of estimates near true centroid
-
-    def test_random_placement(self):
-        from repro.geo.grid import GridSpec
-
-        ctrl = RandomPlacementController(GridSpec.from_extent(100, 100, 2.0), seed=4)
-        p = ctrl.run_epoch()
-        assert 0 <= p.x <= 100 and 0 <= p.y <= 100
 
 
 class TestRunner:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.channel.interference import fleet_sinr_db_reference
 from repro.core.config import SkyRANConfig
 from repro.core.fleet import FleetController
 from repro.lte.throughput import throughput_mbps
 from repro.sim.scenario import Scenario
+from tests.link_oracles import fleet_sinr_db_reference
 
 
 def snr_db_reference(fleet):

@@ -28,6 +28,7 @@ from repro.traffic import (
 )
 from repro.traffic.generators import BYTES_PER_TTI_PER_MBPS
 from repro.traffic.simulate import rate_per_prb_bytes
+from tests.traffic_oracles import ProportionalFair, RoundRobin, make_oracle, replay
 
 pytestmark = pytest.mark.traffic
 
@@ -139,11 +140,16 @@ class TestQueueBank:
     def test_tail_drop_admission(self):
         q = QueueBank((1, 2), limit_bytes=100.0)
         q.backlog_bytes[:] = [90.0, 0.0]
-        accepted, dropped = q.admit(np.array([50.0, 50.0]))
-        assert np.array_equal(accepted, [10.0, 50.0])
-        assert np.array_equal(dropped, [40.0, 0.0])
-        # Pure function: admit() must not mutate the backlog.
-        assert np.array_equal(q.backlog_bytes, [90.0, 0.0])
+        # Dead links: nothing drains, so the backlog is exactly what
+        # the tail drop admitted.
+        result = run_tti_batch(
+            bytes_per_prb=np.zeros(2),
+            offered_bytes=np.array([[50.0], [50.0]]),
+            scheduler=make_scheduler("round_robin"),
+            queues=q,
+        )
+        assert np.array_equal(result.dropped_bytes[:, 0], [40.0, 0.0])
+        assert np.array_equal(q.backlog_bytes, [100.0, 50.0])
 
     def test_full_buffer_seeds_infinite_backlog(self):
         q = QueueBank((1,), full_buffer=True)
@@ -151,7 +157,7 @@ class TestQueueBank:
         assert q.total_backlog_bytes() == np.inf
 
 
-# -- kernel vs reference --------------------------------------------------------
+# -- kernel vs the pure-Python oracle -------------------------------------------
 
 
 def _batch(
@@ -162,8 +168,8 @@ def _batch(
     n_tti=300,
     tti0=0,
     snr=(3.0, 8.0, 14.0, 20.0, -10.0),
-    reference=False,
 ):
+    """One kernel batch, its queues, and the oracle's replay of it."""
     ue_ids = tuple(range(1, len(snr) + 1))
     rates = rate_per_prb_bytes(np.array(snr))
     model = make_traffic_model("poisson", rate_mbps=5.0)
@@ -174,27 +180,33 @@ def _batch(
             [model.source(u, seed=9).offered_bytes(n_tti) for u in ue_ids]
         )
     queues = QueueBank(ue_ids, limit_bytes=limit, full_buffer=full_buffer)
+    reference = replay(
+        make_oracle(scheduler_name),
+        rates,
+        offered,
+        queues.backlog_bytes,
+        limit_bytes=limit,
+        tti0=tti0,
+    )
     result = run_tti_batch(
         bytes_per_prb=rates,
         offered_bytes=offered,
         scheduler=make_scheduler(scheduler_name),
         queues=queues,
         tti0=tti0,
-        reference=reference,
     )
-    return result, queues
+    return result, queues, reference
 
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("name", ["round_robin", "proportional_fair", "max_min"])
     @pytest.mark.parametrize("limit", [0.0, 4000.0])
     def test_kernel_bit_identical_to_reference(self, name, limit):
-        kernel, qk = _batch(name, limit=limit)
-        reference, qr = _batch(name, limit=limit, reference=True)
+        kernel, qk, reference = _batch(name, limit=limit)
         for f in RESULT_FIELDS:
             assert np.array_equal(getattr(kernel, f), getattr(reference, f)), f
-        assert np.array_equal(qk.backlog_bytes, qr.backlog_bytes)
-        assert np.array_equal(qk.dropped_bytes, qr.dropped_bytes)
+        assert np.array_equal(qk.backlog_bytes, reference.backlog_end_bytes)
+        assert np.array_equal(qk.dropped_bytes, reference.dropped_bytes.sum(axis=1))
 
     @pytest.mark.parametrize("name", ["round_robin", "max_min"])
     def test_full_buffer_slab_bit_identical(self, name):
@@ -207,18 +219,17 @@ class TestKernelEquivalence:
             {"n_tti": 0},
         )
         for case in cases:
-            kernel, _ = _batch(name, full_buffer=True, **case)
-            reference, _ = _batch(name, full_buffer=True, reference=True, **case)
+            kernel, _, reference = _batch(name, full_buffer=True, **case)
             for f in RESULT_FIELDS:
                 assert np.array_equal(getattr(kernel, f), getattr(reference, f)), (case, f)
 
     def test_zero_rate_ue_never_granted_or_served(self):
-        kernel, _ = _batch("round_robin")
+        kernel, _, _ = _batch("round_robin")
         assert kernel.grants[-1].sum() == 0  # UE 5 is at -10 dB
         assert kernel.served_bytes[-1].sum() == 0.0
 
     def test_finite_buffer_drops_are_counted(self):
-        kernel, queues = _batch("round_robin", limit=2000.0)
+        kernel, queues, _ = _batch("round_robin", limit=2000.0)
         assert kernel.total_dropped_bytes() > 0.0
         assert np.all(queues.backlog_bytes <= 2000.0 + 1e-9)
         # Conservation: arrivals = served + dropped + final backlog.
@@ -249,6 +260,14 @@ class TestKernelEquivalence:
             whole.served_bytes, np.concatenate([p.served_bytes for p in parts], axis=1)
         )
         assert np.array_equal(whole.backlog_end_bytes, parts[-1].backlog_end_bytes)
+        # The oracle's PF average carries across its chunks the same way.
+        rates = rate_per_prb_bytes([snr[u] for u in (1, 2, 3)])
+        oracle, backlog, tti0 = ProportionalFair(), np.zeros(3), 0
+        for part in parts:
+            ref = replay(oracle, rates, part.offered_bytes, backlog, tti0=tti0)
+            for f in RESULT_FIELDS:
+                assert np.array_equal(getattr(part, f), getattr(ref, f)), f
+            backlog, tti0 = ref.backlog_end_bytes, tti0 + part.n_tti
 
 
 # -- scheduler properties (hypothesis) ------------------------------------------
@@ -289,7 +308,7 @@ class TestRoundRobinSlab:
             lambda t: rr.grants(schedulable, rates, self.N_PRB, t), n_tti, tti0
         )
         ref = self._stacked(
-            lambda t: rr.grants_reference(schedulable.tolist(), rates, self.N_PRB, t),
+            lambda t: RoundRobin().grants(schedulable.tolist(), rates, self.N_PRB, t),
             n_tti,
             tti0,
         )
@@ -324,24 +343,24 @@ class TestProportionalFairShortcuts:
     def test_lone_or_no_ue_matches_reference(self, n_prb):
         rates = np.array([12.5, 0.0, 40.0, 300.0, 7.0])
         fast = make_scheduler("proportional_fair")
-        ref = make_scheduler("proportional_fair")
+        ref = ProportionalFair()
         masks = [np.zeros(5, dtype=bool)] + [np.eye(5, dtype=bool)[i] for i in range(5)]
         for t, mask in enumerate(masks * 3):
             g = fast.grants(mask, rates, n_prb, t)
             assert g.dtype == np.int64
-            assert g.tolist() == ref.grants_reference(mask.tolist(), rates, n_prb, t)
+            assert g.tolist() == ref.grants(mask.tolist(), rates, n_prb, t)
             served = g * rates
             fast.update(served)
-            ref.update_reference(served.tolist())
-            assert fast._avg_bytes.tobytes() == ref._avg_bytes.tobytes()
+            ref.update(served.tolist())
+            assert fast._avg_bytes.tobytes() == np.array(ref.avg).tobytes()
 
     def test_update_before_grants_starts_from_zero(self):
         fast = make_scheduler("proportional_fair")
-        ref = make_scheduler("proportional_fair")
+        ref = ProportionalFair()
         served = np.array([10.0, 0.0, 3.5])
         fast.update(served)
-        ref.update_reference(served.tolist())
-        assert fast._avg_bytes.tobytes() == ref._avg_bytes.tobytes()
+        ref.update(served.tolist())
+        assert fast._avg_bytes.tobytes() == np.array(ref.avg).tobytes()
 
     def test_sparse_traffic_kernel_matches_reference(self):
         # Light Poisson load: most TTIs have zero or one UE with data.
@@ -349,19 +368,13 @@ class TestProportionalFairShortcuts:
         rates = rate_per_prb_bytes(np.array([3.0, 8.0, 14.0, 20.0, 25.0]))
         model = make_traffic_model("poisson", rate_mbps=0.5)
         offered = np.stack([model.source(u, seed=4).offered_bytes(400) for u in ue_ids])
-        runs = []
-        for reference in (False, True):
-            queues = QueueBank(ue_ids, limit_bytes=0.0)
-            runs.append(
-                run_tti_batch(
-                    bytes_per_prb=rates,
-                    offered_bytes=offered,
-                    scheduler=make_scheduler("proportional_fair"),
-                    queues=queues,
-                    reference=reference,
-                )
-            )
-        kernel, reference = runs
+        kernel = run_tti_batch(
+            bytes_per_prb=rates,
+            offered_bytes=offered,
+            scheduler=make_scheduler("proportional_fair"),
+            queues=QueueBank(ue_ids, limit_bytes=0.0),
+        )
+        reference = replay(ProportionalFair(), rates, offered, np.zeros(len(ue_ids)))
         active = (kernel.grants > 0).sum(axis=0)
         assert (active <= 1).mean() > 0.5 and (active >= 2).any()
         for f in RESULT_FIELDS:
@@ -407,24 +420,24 @@ class TestSchedulerProperties:
             )
         )
         fast = make_scheduler(name)
-        ref = make_scheduler(name)
+        ref = make_oracle(name)
         if name == "proportional_fair":
             # A zero and a NaN average exercise the TINY_BYTES floor.
             avg = rates.copy()
             avg[0] = 0.0
             avg[-1] = np.nan
             fast._avg_bytes = avg.copy()
-            ref._avg_bytes = avg.copy()
+            ref.avg = avg.tolist()
         for t, mask in enumerate(masks, start=tti0):
             schedulable = np.array(mask)
             g = fast.grants(schedulable, rates, n_prb, t)
-            g_ref = ref.grants_reference(mask, rates.tolist(), n_prb, t)
+            g_ref = ref.grants(mask, rates.tolist(), n_prb, t)
             assert g.tolist() == g_ref, (t, mask)
             served = g * rates
             fast.update(served)
-            ref.update_reference(served.tolist())
+            ref.update(served.tolist())
             if name == "proportional_fair":
-                assert fast._avg_bytes.tobytes() == ref._avg_bytes.tobytes(), t
+                assert fast._avg_bytes.tobytes() == np.array(ref.avg).tobytes(), t
 
     @given(
         st.floats(min_value=-5.0, max_value=25.0, allow_nan=False),
