@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import Scenario
 from repro.channel.fspl import fspl_map
-from repro.rem.aggregate import aggregate_rem
+from repro.rem.aggregate import aggregate_rem_running
 from repro.rem.gradient import gradient_map
 from repro.trajectory.information import TrajectoryHistory
 from repro.trajectory.skyran import SkyRANPlanner
@@ -48,7 +48,7 @@ def main() -> None:
     scenario = Scenario.create("campus", n_ues=3, cell_size=2.0, seed=9)
     grid = scenario.grid
     ue = scenario.ues[0]
-    truth = scenario.channel.path_loss_map(ue.xyz, ALTITUDE_M)
+    truth = scenario.channel.path_loss_maps([ue.xyz], ALTITUDE_M)[0]
 
     print(f"Ground-truth path loss to UE {ue.ue_id} at {ALTITUDE_M:.0f} m altitude")
     print(f"(dark = low loss; UE at ({ue.position.x:.0f},{ue.position.y:.0f}))\n")
@@ -58,10 +58,11 @@ def main() -> None:
     prior_maps = [
         scenario.channel.link.snr_db(fspl_map(grid, u.xyz, ALTITUDE_M)) for u in scenario.ues
     ]
+    agg = aggregate_rem_running(prior_maps, grid.shape)
     planner = SkyRANPlanner(seed=0)
     plan = planner.plan(
         grid,
-        prior_maps,
+        agg,
         [u.xyz for u in scenario.ues],
         np.array([grid.width / 2, grid.height / 2]),
         ALTITUDE_M,
@@ -72,7 +73,6 @@ def main() -> None:
     print("A = Uniform corner sweep (800 m), B = SkyRAN plan (800 m):\n")
     render(grid, truth, [uniform, plan.trajectory])
 
-    agg = aggregate_rem(prior_maps)
     grad = gradient_map(agg)
     print("\nGradient map of the aggregate (FSPL-seeded) REM — the field")
     print("SkyRAN's planner clusters (bright = high gradient):\n")

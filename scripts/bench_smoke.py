@@ -4,7 +4,7 @@
 Runs two quick measurements and writes a ``BENCH_headline.json``
 artifact with wall times and :mod:`repro.perf` counters:
 
-1. **Oracle kernel speedup** — times :func:`ground_truth_stack` on a
+1. **Oracle kernel speedup** — times ``ChannelModel.snr_maps`` on a
    campus terrain with 10 UEs (serial workers) against a faithful
    re-implementation of the *seed* kernel (batch-wide sampling
    density, no ceiling pruning, per-UE Python loop), and checks the
@@ -39,7 +39,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))  # the MAC and SINR oracles live in tests/
 
 from repro.channel.fspl import fspl_db  # noqa: E402
-from repro.channel.groundtruth import ground_truth_stack  # noqa: E402
 from repro.perf import peak_rss_bytes, perf  # noqa: E402
 from repro.sim.scenario import Scenario  # noqa: E402
 
@@ -131,7 +130,7 @@ def bench_oracle(n_ues: int, repeats: int) -> dict:
 
     # Warm the shadowing fields so both sides time the map kernel, not
     # one-time field synthesis.
-    batched = ground_truth_stack(channel, ues, ALTITUDE_M, grid, use_cache=False)
+    batched = channel.snr_maps(ues, ALTITUDE_M, grid, use_cache=False)
     seed_stack = _seed_ground_truth_stack(channel, ues, ALTITUDE_M, grid)
 
     diff = np.abs(batched - seed_stack)
@@ -140,14 +139,14 @@ def bench_oracle(n_ues: int, repeats: int) -> dict:
     )
     perf.reset()
     t_batched = _time_min(
-        lambda: ground_truth_stack(channel, ues, ALTITUDE_M, grid, use_cache=False),
+        lambda: channel.snr_maps(ues, ALTITUDE_M, grid, use_cache=False),
         repeats,
     )
     oracle_counters = perf.counters()
     # Cached epoch re-query (what runner epochs actually pay after the
     # first truth computation).
     t_cached = _time_min(
-        lambda: ground_truth_stack(channel, ues, ALTITUDE_M, grid), repeats
+        lambda: channel.snr_maps(ues, ALTITUDE_M, grid), repeats
     )
     return {
         "terrain": "campus",

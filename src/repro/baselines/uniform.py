@@ -17,17 +17,14 @@ import numpy as np
 
 from repro.channel.model import ChannelModel
 from repro.core.config import SkyRANConfig
-from repro.core.placement import (
-    PlacementResult,
-    max_min_placement,
-    uncertainty_penalty_db,
-)
+from repro.core.placement import PlacementResult
 from repro.faults.injector import FaultInjector, as_injector
 from repro.flight.sampler import collect_snr_samples
 from repro.flight.uav import UAV
 from repro.geo.grid import GridSpec
 from repro.lte.enodeb import ENodeB
 from repro.rem.map import REM
+from repro.rem.streaming import streamed_discounted_max_min_placement
 from repro.trajectory.uniform import zigzag_trajectory
 
 
@@ -67,12 +64,8 @@ class UniformController:
     faults: Optional[FaultInjector] = None
 
     def __post_init__(self) -> None:
-        terrain_grid = self.channel.terrain.grid
         if self.rem_grid is None:
-            factor = max(
-                1, int(round(self.config.rem_cell_size_m / terrain_grid.cell_size))
-            )
-            self.rem_grid = terrain_grid.coarsen(factor)
+            self.rem_grid = self.config.rem_grid_for(self.channel.terrain.grid)
         if self.uav is None:
             self.uav = UAV(
                 position=np.array(
@@ -86,6 +79,7 @@ class UniformController:
             self.altitude = 60.0
         self.faults = as_injector(self.faults)
         self.rng = np.random.default_rng(self.seed)
+        self.interpolator = self.config.rem_interpolator()
         self._rems: Dict[int, REM] = {}
         self._epoch = 0
 
@@ -123,33 +117,23 @@ class UniformController:
             if len(snr):
                 rem.add_measurements(xy, snr)
 
-        maps = {
-            ue_id: rem.interpolated(
-                self.config.idw_power,
-                self.config.idw_neighbors,
-                method=self.config.interpolator,
-            )
-            for ue_id, rem in sorted(self._rems.items())
-        }
-        # Same uncertainty discount as SkyRAN's placement (fairness:
-        # both schemes suffer the same argmax-selects-optimism bias).
-        placement_maps = []
-        for ue_id in sorted(maps):
-            penalty = uncertainty_penalty_db(
-                self.rem_grid,
-                self._rems[ue_id].measured_mask,
-                self.config.uncertainty_penalty_db_per_m,
-                self.config.uncertainty_penalty_cap_db,
-            )
-            placement_maps.append(
-                maps[ue_id] if penalty is None else maps[ue_id] - penalty
-            )
-        placement = max_min_placement(self.rem_grid, placement_maps, self.altitude)
+        # SkyRAN's Step 8, discount included (fairness: both schemes
+        # suffer the same argmax-selects-optimism bias).
+        ids = sorted(self._rems)
+        placement, maps = streamed_discounted_max_min_placement(
+            self.rem_grid,
+            [self._rems[ue_id] for ue_id in ids],
+            self.interpolator,
+            self.altitude,
+            penalty_rate_db_per_m=self.config.uncertainty_penalty_db_per_m,
+            penalty_cap_db=self.config.uncertainty_penalty_cap_db,
+            collect_maps=True,
+        )
         move_log = self.uav.goto(placement.position.as_array(), self.rng, faults=self.faults)
         distance += move_log.distance_m
         return UniformEpochResult(
             placement=placement,
-            rem_maps=maps,
+            rem_maps=dict(zip(ids, maps)),
             flight_distance_m=distance,
             flight_time_s=self.uav.clock_s - t_start,
         )

@@ -16,9 +16,9 @@ implements that model plus the statistical layers around it:
   individual measurement samples.
 * :mod:`repro.channel.linkbudget` - Tx power / gains / noise floor and
   the path-loss -> SNR conversion.
-* :mod:`repro.channel.model` - :class:`ChannelModel` tying it together.
-* :mod:`repro.channel.groundtruth` - exhaustive ("ground truth") REM
-  construction used as the oracle all schemes are scored against.
+* :mod:`repro.channel.model` - :class:`ChannelModel` tying it together;
+  its batched map oracle (``snr_maps``) is the exhaustive ("ground
+  truth") REM all schemes are scored against.
 """
 
 from repro.channel.fspl import fspl_db, fspl_map
@@ -27,7 +27,6 @@ from repro.channel.shadowing import ShadowingField
 from repro.channel.fading import sample_fading_db
 from repro.channel.linkbudget import LinkBudget
 from repro.channel.model import ChannelModel
-from repro.channel.groundtruth import ground_truth_stack
 from repro.channel.interference import fleet_sinr_db
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "sample_fading_db",
     "LinkBudget",
     "ChannelModel",
-    "ground_truth_stack",
 ]

@@ -234,36 +234,6 @@ class ChannelModel:
         """Mean SNR (dB) from UAV position(s) to one UE."""
         return self.link.snr_db(self.path_loss_db(uav_xyz, ue_xyz))
 
-    # -- full-grid maps ----------------------------------------------------------
-
-    def path_loss_map(
-        self,
-        ue_xyz: np.ndarray,
-        altitude: float,
-        grid: Optional[GridSpec] = None,
-    ) -> np.ndarray:
-        """Mean path loss from every grid cell (at ``altitude``) to a UE.
-
-        ``grid`` defaults to the terrain grid; pass a coarsened grid to
-        trade resolution for speed in large scale-up runs.  This is the
-        direct serial reference path — it does not touch the map cache
-        (see :meth:`path_loss_maps` for the batched/cached oracle).
-        """
-        g = grid or self.terrain.grid
-        centers = g.centers_flat()
-        uav = np.column_stack([centers, np.full(len(centers), float(altitude))])
-        loss = self.path_loss_db(uav, ue_xyz)
-        return loss.reshape(g.shape)
-
-    def snr_map(
-        self,
-        ue_xyz: np.ndarray,
-        altitude: float,
-        grid: Optional[GridSpec] = None,
-    ) -> np.ndarray:
-        """Mean SNR map over the grid at ``altitude`` for one UE."""
-        return self.link.snr_db(self.path_loss_map(ue_xyz, altitude, grid))
-
     # -- batched / cached / streamed map oracle -----------------------------------
 
     def _map_key(self, kind: str, ue: np.ndarray, altitude: float, g: GridSpec) -> tuple:

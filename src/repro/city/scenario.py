@@ -194,8 +194,7 @@ class CityScenario:
         The eNodeB schedules at the OLLA-corrected SNR; the block
         decodes iff the true mean SNR covers the scheduled CQI's
         switching threshold minus ``fading_margin_db``.  UEs scheduled
-        at CQI 0 get no transport block and report nothing — matching
-        the scalar :func:`~repro.lte.linkadapt.simulate_link` loop.
+        at CQI 0 get no transport block and report nothing.
         Returns the effective (corrected) SNR used this round.
         """
         effective = self.olla.effective_snr_db(snr_db)

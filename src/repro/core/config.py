@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.rem.interpolate import available_interpolators
+from repro.geo.grid import GridSpec
+from repro.rem.interpolate import (
+    Interpolator,
+    available_interpolators,
+    make_interpolator,
+)
 from repro.traffic.generators import available_traffic_models
 from repro.traffic.schedulers import available_schedulers
 
@@ -70,8 +75,6 @@ class SkyRANConfig:
     idw_neighbors:
         Measured cells contributing to each interpolated cell (any
         interpolation scheme).
-    sample_spacing_m:
-        Probe-point spacing when sampling trajectories.
     uncertainty_penalty_db_per_m / uncertainty_penalty_cap_db:
         Robust-placement extension (not in the paper): before the
         max-min argmax, each cell's estimated SNR is discounted by
@@ -164,7 +167,6 @@ class SkyRANConfig:
     interpolator: str = "idw"
     idw_power: float = 2.0
     idw_neighbors: int = 12
-    sample_spacing_m: float = 1.0
     uncertainty_penalty_db_per_m: float = 0.1
     uncertainty_penalty_cap_db: float = 6.0
     epoch_debounce: int = 1
@@ -242,3 +244,18 @@ class SkyRANConfig:
             raise ValueError("pf_time_constant_tti must be >= 1")
         if self.rem_key_pitch_m is not None and self.rem_key_pitch_m <= 0:
             raise ValueError("rem_key_pitch_m must be positive")
+
+    def rem_grid_for(self, terrain_grid: GridSpec) -> GridSpec:
+        """The default REM grid: ``terrain_grid`` coarsened to
+        ``rem_cell_size_m`` (never finer than one terrain cell)."""
+        factor = max(1, int(round(self.rem_cell_size_m / terrain_grid.cell_size)))
+        return terrain_grid.coarsen(factor)
+
+    def rem_interpolator(self) -> Interpolator:
+        """The configured REM interpolator, built from its knobs."""
+        return make_interpolator(
+            self.interpolator,
+            power=self.idw_power,
+            k_neighbors=self.idw_neighbors,
+            model_path=self.learn_model_path,
+        )

@@ -36,7 +36,6 @@ from repro.lte.tof import ToFEstimator
 from repro.lte.ue import UE
 from repro.perf import perf
 from repro.rem.aggregate import aggregate_rem_running
-from repro.rem.interpolate import make_interpolator
 from repro.rem.streaming import shared_by_mask, streamed_discounted_max_min_placement
 from repro.traffic.simulate import MACBatchResult, MACSimulation
 from repro.trajectory.information import TrajectoryHistory
@@ -137,8 +136,7 @@ class SkyRANController:
     def __post_init__(self) -> None:
         terrain_grid = self.channel.terrain.grid
         if self.rem_grid is None:
-            factor = max(1, int(round(self.config.rem_cell_size_m / terrain_grid.cell_size)))
-            self.rem_grid = terrain_grid.coarsen(factor)
+            self.rem_grid = self.config.rem_grid_for(terrain_grid)
         if self.uav is None:
             cx = terrain_grid.origin_x + terrain_grid.width / 2
             cy = terrain_grid.origin_y + terrain_grid.height / 2
@@ -169,12 +167,7 @@ class SkyRANController:
                 self.config.epoch_margin,
                 self.faults,
             )
-        self.interpolator = make_interpolator(
-            self.config.interpolator,
-            power=self.config.idw_power,
-            k_neighbors=self.config.idw_neighbors,
-            model_path=self.config.learn_model_path,
-        )
+        self.interpolator = self.config.rem_interpolator()
         self.altitude: Optional[float] = None
         self.epoch_index = 0
         self._last_estimates: Dict[int, np.ndarray] = {}
@@ -558,7 +551,7 @@ class SkyRANController:
         # Step 6: plan over the running per-UE aggregate (group maps
         # broadcast to members) and the dedup waypoints.
         group_maps = {
-            rep: rem.interpolated(method=self.interpolator, plans=shared)
+            rep: rem.interpolated(self.interpolator, plans=shared)
             for rep, (rem, shared) in zip(rems, shared_by_mask(rems.values()))
         }
         agg = aggregate_rem_running(
@@ -568,13 +561,12 @@ class SkyRANController:
         del group_maps
         plan = self.planner.plan(
             self.rem_grid,
-            [],
+            agg,
             [estimates[rep] for rep in sorted(groups)],
             self.uav.position[:2],
             self.altitude,
             budget,
             self.history,
-            aggregate=agg,
         )
 
         # Step 7: fly it, measure, update each *group's* REM through

@@ -280,11 +280,7 @@ class FleetController:
             hysteresis_db=self.handover_hysteresis_db,
             load_penalty_db=self.load_penalty_db,
         )
-        terrain_grid = self.channel.terrain.grid
-        factor = max(
-            1, int(round(self.config.rem_cell_size_m / terrain_grid.cell_size))
-        )
-        self.rem_grid: GridSpec = terrain_grid.coarsen(factor)
+        self.rem_grid: GridSpec = self.config.rem_grid_for(self.channel.terrain.grid)
         self.controllers: List[SkyRANController] = []
         self._enodebs: List[ENodeB] = []
         for i in range(self.n_uavs):

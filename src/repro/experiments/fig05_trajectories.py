@@ -16,7 +16,7 @@ import numpy as np
 from repro.channel.fspl import fspl_map
 from repro.experiments.common import scenario_for
 from repro.experiments.registry import Claim, check, register
-from repro.rem.aggregate import aggregate_rem
+from repro.rem.aggregate import aggregate_rem_running
 from repro.rem.gradient import gradient_map, high_gradient_cells
 from repro.trajectory.information import TrajectoryHistory
 from repro.trajectory.skyran import SkyRANPlanner
@@ -58,8 +58,8 @@ def point(params: Dict, quick: bool = True) -> Dict:
     ue_positions = [u.xyz for u in scenario.ues]
 
     # The informative set: high-gradient cells of the true aggregate.
-    truth_maps = [scenario.channel.snr_map(p, ALTITUDE_M) for p in ue_positions]
-    grad = gradient_map(aggregate_rem(truth_maps))
+    truth = scenario.truth_maps(ALTITUDE_M, grid_)
+    grad = gradient_map(aggregate_rem_running(truth, grid_.shape))
     iy, ix = high_gradient_cells(grad, 0.5)
     hot_xy = np.column_stack(
         [
@@ -76,7 +76,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
     ]
     plan = SkyRANPlanner(seed=seed).plan(
         grid_,
-        prior_maps,
+        aggregate_rem_running(prior_maps, grid_.shape),
         ue_positions,
         np.array([grid_.width / 2, grid_.height / 2]),
         ALTITUDE_M,

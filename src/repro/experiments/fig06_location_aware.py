@@ -20,6 +20,7 @@ from repro.experiments.registry import Claim, check, register
 from repro.flight.sampler import collect_snr_samples
 from repro.flight.uav import UAV
 from repro.rem.accuracy import median_abs_error_db
+from repro.rem.aggregate import aggregate_rem_running
 from repro.rem.map import REM
 from repro.trajectory.information import TrajectoryHistory
 from repro.trajectory.skyran import SkyRANPlanner
@@ -41,9 +42,10 @@ def _measure(scenario, rem_grid, rems, traj, rng):
         rem.add_measurements(xy, snr)
 
 
-def _error_and_fraction(rems, truth):
+def _error_and_fraction(rems, truth, interpolator):
     errs = [
-        median_abs_error_db(rem.interpolated(), truth[i]) for i, rem in enumerate(rems)
+        median_abs_error_db(rem.interpolated(interpolator), truth[i])
+        for i, rem in enumerate(rems)
     ]
     fraction = float(np.mean([rem.n_measured_cells / rem.grid.num_cells for rem in rems]))
     return float(np.median(errs)), fraction
@@ -52,10 +54,9 @@ def _error_and_fraction(rems, truth):
 def _setup(seed: int, quick: bool):
     scenario = scenario_for("campus", n_ues=3, seed=seed, quick=quick)
     cfg = config_for(quick)
-    factor = max(1, int(round(cfg.rem_cell_size_m / scenario.grid.cell_size)))
-    rem_grid = scenario.grid.coarsen(factor)
+    rem_grid = cfg.rem_grid_for(scenario.grid)
     truth = scenario.truth_maps(ALTITUDE_M, rem_grid)
-    return scenario, rem_grid, truth
+    return scenario, rem_grid, truth, cfg.rem_interpolator()
 
 
 def grid(quick: bool = True, seed: int = 0, budgets=None) -> List[Dict]:
@@ -73,7 +74,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
     """The error-vs-fraction curve of one probing strategy."""
     seed = params["seed"]
     budgets = params["budgets"]
-    scenario, rem_grid, truth = _setup(seed, quick)
+    scenario, rem_grid, truth, interpolator = _setup(seed, quick)
     rng = np.random.default_rng(seed)
     curve = []
 
@@ -95,9 +96,12 @@ def point(params: Dict, quick: bool = True) -> Dict:
         spent = 0.0
         for budget in budgets:
             increment = budget - spent
+            agg = aggregate_rem_running(
+                (r.interpolated(interpolator) for r in rems), rem_grid.shape
+            )
             plan = planner.plan(
                 rem_grid,
-                [r.interpolated() for r in rems],
+                agg,
                 ue_positions,
                 start,
                 ALTITUDE_M,
@@ -109,7 +113,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
                 history.record(p, plan.trajectory)
             start = plan.trajectory.end()
             spent = budget
-            err, frac = _error_and_fraction(rems, truth)
+            err, frac = _error_and_fraction(rems, truth, interpolator)
             curve.append([frac, err])
     else:
         # Naive probing: a dense corner-start sweep truncated at each
@@ -119,7 +123,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
             naive_rems = [REM(rem_grid, ue.xyz, ALTITUDE_M) for ue in scenario.ues]
             traj = zigzag_trajectory(rem_grid, 15.0, ALTITUDE_M).truncated(budget)
             _measure(scenario, rem_grid, naive_rems, traj, rng)
-            err, frac = _error_and_fraction(naive_rems, truth)
+            err, frac = _error_and_fraction(naive_rems, truth, interpolator)
             curve.append([frac, err])
 
     return {"strategy": params["strategy"], "budgets": budgets, "curve": curve}

@@ -15,10 +15,11 @@ import numpy as np
 from repro.channel.fspl import fspl_map
 from repro.experiments.common import config_for, scenario_for
 from repro.experiments.registry import Claim, check, register
-from repro.core.placement import max_min_placement
 from repro.flight.sampler import collect_snr_samples
 from repro.flight.uav import UAV
+from repro.rem.aggregate import aggregate_rem_running
 from repro.rem.map import REM
+from repro.rem.streaming import streamed_discounted_max_min_placement
 from repro.trajectory.information import TrajectoryHistory
 from repro.trajectory.skyran import SkyRANPlanner
 
@@ -28,7 +29,7 @@ BUDGET_M = 600.0
 PAPER = "<=5 m error -> 0.9-0.95x optimal; 10 m -> ~10% loss; >=20 m -> >50% loss"
 
 
-def _placement_with_error(scenario, rem_grid, error_m, rng, seed):
+def _placement_with_error(scenario, rem_grid, interpolator, error_m, rng, seed):
     """REM pipeline fed positions displaced by ``error_m``."""
 
     def prior(ue_xyz):
@@ -50,9 +51,12 @@ def _placement_with_error(scenario, rem_grid, error_m, rng, seed):
     start = np.array(
         [rem_grid.origin_x + rem_grid.width / 2, rem_grid.origin_y + rem_grid.height / 2]
     )
+    agg = aggregate_rem_running(
+        (r.interpolated(interpolator) for r in rems), rem_grid.shape
+    )
     plan = planner.plan(
         rem_grid,
-        [r.interpolated() for r in rems],
+        agg,
         believed,
         start,
         ALTITUDE_M,
@@ -64,7 +68,10 @@ def _placement_with_error(scenario, rem_grid, error_m, rng, seed):
     samples = collect_snr_samples(log, scenario.ues, scenario.channel, rng)
     for rem, (xy, snr) in zip(rems, samples):
         rem.add_measurements(xy, snr)
-    placement = max_min_placement(rem_grid, [r.interpolated() for r in rems], ALTITUDE_M)
+    # Step 8 without the uncertainty discount (rate 0).
+    placement, _ = streamed_discounted_max_min_placement(
+        rem_grid, rems, interpolator, ALTITUDE_M
+    )
     return scenario.relative_throughput(placement.position)
 
 
@@ -78,10 +85,9 @@ def point(params: Dict, quick: bool = True) -> Dict:
     err = params["loc_error_m"]
     scenario = scenario_for("campus", n_ues=7, seed=seed, quick=quick)
     cfg = config_for(quick)
-    factor = max(1, int(round(cfg.rem_cell_size_m / scenario.grid.cell_size)))
-    rem_grid = scenario.grid.coarsen(factor)
+    rem_grid = cfg.rem_grid_for(scenario.grid)
     rng = np.random.default_rng([seed, int(round(10 * err))])
-    rel = _placement_with_error(scenario, rem_grid, err, rng, seed)
+    rel = _placement_with_error(scenario, rem_grid, cfg.rem_interpolator(), err, rng, seed)
     return {"loc_error_m": err, "relative_throughput": float(rel)}
 
 

@@ -35,8 +35,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
     seed = params["seed"]
     scenario = scenario_for("campus", n_ues=1, seed=seed, quick=quick)
     grid_ = scenario.grid.coarsen(2)
-    ue = scenario.ues[0]
-    snr_truth = scenario.channel.snr_map(ue.xyz, ALTITUDE_M, grid_)
+    snr_truth = scenario.truth_maps(ALTITUDE_M, grid_)[0]
     tput_truth = throughput_mbps(snr_truth)
 
     rng = np.random.default_rng(seed)

@@ -7,8 +7,8 @@ cross-correlation (paper Section 3.2, Eqs. 1-3).  This package
 implements that PHY end to end on synthetic signals — Zadoff-Chu SRS
 symbols, a delay + multipath + AWGN channel, the exact Eq. 1-3
 estimator — plus the MAC-level pieces an LTE RAN needs: an SNR -> CQI
--> MCS -> throughput mapping, an eNodeB with a round-robin PRB
-scheduler, and a minimal EPC (attach/bearer state machines).
+-> MCS -> throughput mapping, an eNodeB, vectorized outer-loop link
+adaptation, and a minimal EPC (attach/bearer state machines).
 """
 
 from repro.lte.srs import (
@@ -28,9 +28,9 @@ from repro.lte.throughput import (
     spectral_efficiency,
     throughput_mbps,
 )
-from repro.lte.linkadapt import OuterLoopLinkAdaptation, simulate_link
+from repro.lte.linkadapt import OLLABank
 from repro.lte.ue import UE, UEState
-from repro.lte.enodeb import ENodeB, SchedulerResult
+from repro.lte.enodeb import ENodeB
 from repro.lte.epc import EPC, BearerState, SessionRecord
 
 __all__ = [
@@ -47,10 +47,8 @@ __all__ = [
     "throughput_mbps",
     "UE",
     "UEState",
-    "OuterLoopLinkAdaptation",
-    "simulate_link",
+    "OLLABank",
     "ENodeB",
-    "SchedulerResult",
     "EPC",
     "BearerState",
     "SessionRecord",

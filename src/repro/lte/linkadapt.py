@@ -17,98 +17,23 @@ rate equal the target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
-
-from repro.lte.throughput import cqi_from_snr, throughput_mbps
-
-
-@dataclass
-class OuterLoopLinkAdaptation:
-    """Per-UE SNR-offset controller targeting a BLER.
-
-    Attributes
-    ----------
-    target_bler:
-        The block-error-rate setpoint (LTE convention: 0.1).
-    step_db:
-        Offset decrement on a NACK.
-    min_offset_db / max_offset_db:
-        Clamp on the accumulated offset.
-    """
-
-    target_bler: float = 0.1
-    step_db: float = 0.5
-    min_offset_db: float = -10.0
-    max_offset_db: float = 10.0
-    _offsets: Dict[int, float] = field(default_factory=dict)
-    _acks: Dict[int, int] = field(default_factory=dict)
-    _nacks: Dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.target_bler < 1.0:
-            raise ValueError(f"target_bler must be in (0, 1), got {self.target_bler}")
-        if self.step_db <= 0:
-            raise ValueError(f"step_db must be positive, got {self.step_db}")
-
-    def offset_db(self, ue_id: int) -> float:
-        """Current SNR correction for a UE (0 until feedback arrives)."""
-        return self._offsets.get(ue_id, 0.0)
-
-    def effective_snr_db(self, ue_id: int, reported_snr_db: float) -> float:
-        """Reported SNR plus the learned correction."""
-        return reported_snr_db + self.offset_db(ue_id)
-
-    def forget(self, ue_id: int) -> None:
-        """Drop all learned state for a UE (called on detach).
-
-        Without this, a UE id that detaches and later re-attaches —
-        possibly a different physical device — would inherit the old
-        device's offset and ACK/NACK history instead of starting from
-        a zero offset.
-        """
-        self._offsets.pop(ue_id, None)
-        self._acks.pop(ue_id, None)
-        self._nacks.pop(ue_id, None)
-
-    def report(self, ue_id: int, ack: bool) -> float:
-        """Fold one HARQ outcome in; returns the new offset."""
-        up = self.step_db * self.target_bler / (1.0 - self.target_bler)
-        offset = self._offsets.get(ue_id, 0.0)
-        if ack:
-            offset += up
-            self._acks[ue_id] = self._acks.get(ue_id, 0) + 1
-        else:
-            offset -= self.step_db
-            self._nacks[ue_id] = self._nacks.get(ue_id, 0) + 1
-        offset = float(np.clip(offset, self.min_offset_db, self.max_offset_db))
-        self._offsets[ue_id] = offset
-        return offset
-
-    def realized_bler(self, ue_id: int) -> Optional[float]:
-        """Observed BLER so far for a UE (None before any feedback)."""
-        acks = self._acks.get(ue_id, 0)
-        nacks = self._nacks.get(ue_id, 0)
-        total = acks + nacks
-        if total == 0:
-            return None
-        return nacks / total
 
 
 @dataclass
 class OLLABank:
     """Vectorized OLLA state for a flat UE population.
 
-    The struct-of-array counterpart of
-    :class:`OuterLoopLinkAdaptation`: offsets and ACK/NACK tallies live
-    in flat arrays indexed by population position, and one
-    :meth:`report_batch` call folds a whole population's (or shard's)
-    HARQ outcomes in at once.  The update is elementwise —
-    ``offset + up`` on ACK, ``offset - step_db`` on NACK, then the same
-    ``np.clip`` — so it is bit-identical to driving the scalar
-    controller once per UE, and trivially shardable (any partition of
-    the population folds to the same state).
+    Offsets and ACK/NACK tallies live in flat arrays indexed by
+    population position, and one :meth:`report_batch` call folds a
+    whole population's (or shard's) HARQ outcomes in at once.  The
+    update is elementwise — ``offset + up`` on ACK, ``offset - step_db``
+    on NACK, then ``np.clip`` to ``[min_offset_db, max_offset_db]`` —
+    so it is bit-identical to a per-UE controller driven once per UE,
+    and trivially shardable (any partition of the population folds to
+    the same state).
     """
 
     n_ues: int
@@ -168,43 +93,3 @@ class OLLABank:
         total = self.acks + self.nacks
         with np.errstate(invalid="ignore"):
             return np.where(total > 0, self.nacks / np.maximum(total, 1), np.nan)
-
-
-def simulate_link(
-    olla: OuterLoopLinkAdaptation,
-    ue_id: int,
-    mean_snr_db: float,
-    n_tti: int,
-    rng: np.random.Generator,
-    fading_std_db: float = 3.0,
-    decode_margin_db: float = 1.0,
-) -> Dict[str, float]:
-    """Drive a fading link through the outer loop for ``n_tti`` TTIs.
-
-    Per TTI: the UE reports a (stale, noisy) SNR; the eNodeB schedules
-    at the OLLA-corrected CQI; the transport block decodes iff the
-    *actual* SNR covers the scheduled CQI's threshold minus a margin.
-    Returns realized BLER and mean goodput.
-    """
-    if n_tti < 1:
-        raise ValueError(f"n_tti must be >= 1, got {n_tti}")
-    from repro.lte.throughput import _THRESHOLDS  # threshold table
-
-    goodput = 0.0
-    for _ in range(n_tti):
-        actual = mean_snr_db + rng.normal(0.0, fading_std_db)
-        reported = mean_snr_db + rng.normal(0.0, fading_std_db)  # stale sample
-        scheduled_snr = olla.effective_snr_db(ue_id, reported)
-        cqi = cqi_from_snr(scheduled_snr)
-        if cqi == 0:
-            continue  # nothing scheduled this TTI
-        needed = _THRESHOLDS[cqi - 1] - decode_margin_db
-        ack = actual >= needed
-        olla.report(ue_id, ack)
-        if ack:
-            goodput += throughput_mbps(scheduled_snr)
-    return {
-        "bler": olla.realized_bler(ue_id) or 0.0,
-        "mean_goodput_mbps": goodput / n_tti,
-        "final_offset_db": olla.offset_db(ue_id),
-    }

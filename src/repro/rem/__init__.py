@@ -21,7 +21,7 @@ from repro.rem.interpolate import (
     register_interpolator,
 )
 from repro.rem.gradient import gradient_map, high_gradient_cells
-from repro.rem.aggregate import aggregate_rem, min_snr_map
+from repro.rem.aggregate import aggregate_rem_running, min_snr_map
 from repro.rem.accuracy import median_abs_error_db, rem_error_map
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "available_interpolators",
     "gradient_map",
     "high_gradient_cells",
-    "aggregate_rem",
+    "aggregate_rem_running",
     "min_snr_map",
     "median_abs_error_db",
     "rem_error_map",

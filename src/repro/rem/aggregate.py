@@ -24,34 +24,22 @@ def _stack(maps: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(arrs)
 
 
-def aggregate_rem(maps: Sequence[np.ndarray]) -> np.ndarray:
-    """Cell-wise sum of per-UE SNR maps (paper Step 6.1).
-
-    NaN cells are treated as missing (ignored in the sum); a cell that
-    is NaN in *every* map stays NaN.
-    """
-    stack = _stack(maps)
-    all_nan = np.isnan(stack).all(axis=0)
-    with np.errstate(invalid="ignore"):
-        out = np.nansum(stack, axis=0)
-    out[all_nan] = np.nan
-    return out
-
-
 def aggregate_rem_running(
     maps: Iterable[np.ndarray], shape: Tuple[int, int]
 ) -> np.ndarray:
-    """Streaming counterpart of :func:`aggregate_rem` — O(grid) state.
+    """Cell-wise sum of per-UE SNR maps (paper Step 6.1), O(grid) state.
 
-    Consumes the maps one at a time instead of stacking them, so a
-    city-scale epoch can aggregate 10⁵ per-UE maps (shared references
-    under REM-key dedup) without an ``(n_ue, ny, nx)`` stack.
-    Bit-identical to :func:`aggregate_rem` over the same maps in the
-    same order: numpy's axis-0 nansum reduces the (strided) UE axis
-    sequentially in index order, which is exactly this running fold.
+    NaN cells are treated as missing (ignored in the sum); a cell that
+    is NaN in *every* map stays NaN.  Consumes the maps one at a time
+    instead of stacking them, so a city-scale epoch can aggregate 10⁵
+    per-UE maps (shared references under REM-key dedup) without an
+    ``(n_ue, ny, nx)`` stack.  Bit-identical to ``np.nansum`` over the
+    stacked maps in the same order: numpy's axis-0 nansum reduces the
+    (strided) UE axis sequentially in index order, which is exactly
+    this running fold.
 
-    Raises :class:`ValueError` on an empty iterable, like the stacked
-    path.
+    Raises :class:`ValueError` on an empty iterable or a map whose
+    shape is not ``shape``.
     """
     out = np.zeros(shape, dtype=float)
     all_nan = np.ones(shape, dtype=bool)

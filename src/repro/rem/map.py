@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.geo.grid import GridSpec
-from repro.rem.interpolate import Interpolator, make_interpolator, plan_kwargs
+from repro.rem.interpolate import Interpolator, plan_kwargs
 
 
 @dataclass
@@ -89,58 +89,21 @@ class REM:
     # -- full-map estimation ----------------------------------------------------
 
     def interpolated(
-        self,
-        power: float = 2.0,
-        k_neighbors: int = 12,
-        max_distance_m: Optional[float] = None,
-        method: "str | Interpolator" = "idw",
-        plans: Optional[dict] = None,
+        self, interpolator: Interpolator, plans: Optional[dict] = None
     ) -> np.ndarray:
         """Full SNR map: measured cells + interpolation (+ prior fallback).
 
-        ``method`` is either a registered interpolator name
-        (``"idw"`` — the paper's choice — or ``"kriging"``, the
-        footnote-3 alternative) or an :class:`~repro.rem.interpolate.
-        Interpolator` instance; names are resolved through the registry
-        with this call's ``power``/``k_neighbors``/``max_distance_m``
-        as construction parameters.  ``plans`` shares IDW neighbour
-        plans across maps (:func:`repro.rem.interpolate.plan_kwargs`).
+        ``interpolator`` is an :class:`~repro.rem.interpolate.Interpolator`
+        (the paper's IDW, the footnote-3 kriging, or a registered one
+        built by :func:`~repro.rem.interpolate.make_interpolator`).
+        ``plans`` shares IDW neighbour plans across maps
+        (:func:`repro.rem.interpolate.plan_kwargs`).
         """
-        if isinstance(method, str):
-            method = make_interpolator(
-                method,
-                power=power,
-                k_neighbors=k_neighbors,
-                max_distance_m=max_distance_m,
-            )
-        return method.interpolate(
+        return interpolator.interpolate(
             self.grid,
             self.measured_values(),
             fallback=self.prior,
-            **plan_kwargs(method, plans),
-        )
-
-    def interpolated_tile(
-        self,
-        rows: slice,
-        method: "str | Interpolator" = "idw",
-        **params,
-    ) -> np.ndarray:
-        """One row-band of :meth:`interpolated` (O(band) work/output).
-
-        Delegates to :func:`repro.rem.streaming.interpolate_tile`, so
-        interpolators exposing the tile protocol produce just the band
-        (bit-identical to slicing the full map) and anything else falls
-        back to full-map interpolation behind the ``rem.tile_fallback``
-        perf counter.  ``params`` resolve registry names exactly like
-        :meth:`interpolated`'s keyword arguments.
-        """
-        from repro.rem.streaming import interpolate_tile
-
-        if isinstance(method, str):
-            method = make_interpolator(method, **params)
-        return interpolate_tile(
-            method, self.grid, self.measured_values(), rows, fallback=self.prior
+            **plan_kwargs(interpolator, plans),
         )
 
     # -- lifecycle ---------------------------------------------------------------

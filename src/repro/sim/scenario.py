@@ -14,13 +14,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.channel.groundtruth import ground_truth_stack
 from repro.channel.model import ChannelModel
 from repro.geo.grid import GridSpec
 from repro.geo.points import Point3D
 from repro.lte.enodeb import ENodeB
 from repro.lte.throughput import throughput_mbps
 from repro.lte.ue import UE, UE_ANTENNA_HEIGHT_M
+from repro.perf import perf
 from repro.terrain.generators import make_terrain
 from repro.terrain.heightmap import Terrain
 
@@ -227,6 +227,11 @@ class Scenario:
     ) -> np.ndarray:
         """Ground-truth SNR maps, ``(n_ue, ny, nx)``, cached.
 
+        The paper scores every scheme against an exhaustive measurement
+        flight (testbed) or full ray tracing (scale-up study); here the
+        oracle is the channel's mean SNR on every grid cell — no
+        fading, no measurement noise — read from the batched map
+        oracle (:meth:`~repro.channel.model.ChannelModel.snr_maps`).
         The stack-level cache keys on altitude, grid and the UE
         positions so repeated queries return the identical array.
         When a UE moves the stack is rebuilt, but the heavy lifting is
@@ -239,9 +244,10 @@ class Scenario:
         )
         key = (round(altitude, 2), g, pos_key)
         if key not in self._truth_cache:
-            self._truth_cache[key] = ground_truth_stack(
-                self.channel, self.ue_positions(), altitude, g
-            )
+            with perf.span("groundtruth.stack"):
+                self._truth_cache[key] = self.channel.snr_maps(
+                    self.ue_positions(), altitude, g
+                )
             while len(self._truth_cache) > self._TRUTH_CACHE_MAX:
                 self._truth_cache.pop(next(iter(self._truth_cache)))
         return self._truth_cache[key]

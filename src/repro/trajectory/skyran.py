@@ -2,7 +2,8 @@
 
 Pipeline per candidate ``K``:
 
-1. **Aggregate** the current per-UE REM estimates (cell-wise sum).
+1. **Aggregate** the current per-UE REM estimates (cell-wise sum,
+   folded by the caller).
 2. **Gradient map**: per-cell max difference to adjacent cells.
 3. **Threshold** at the median gradient; keep high-gradient cells.
 4. **K-means** the high-gradient cells into ``K`` spatial clusters.
@@ -26,7 +27,6 @@ import numpy as np
 from repro.geo.grid import GridSpec
 from repro.geo.kmeans import kmeans
 from repro.geo.tsp import solve_tsp
-from repro.rem.aggregate import aggregate_rem
 from repro.rem.gradient import gradient_map, high_gradient_cells
 from repro.trajectory.base import Trajectory
 from repro.trajectory.information import TrajectoryHistory
@@ -94,13 +94,12 @@ class SkyRANPlanner:
     def plan(
         self,
         grid: GridSpec,
-        rem_maps: Sequence[np.ndarray],
+        aggregate: np.ndarray,
         ue_positions: Sequence[np.ndarray],
         uav_xy: np.ndarray,
         altitude: float,
         budget_m: float,
         history: Optional[TrajectoryHistory] = None,
-        aggregate: Optional[np.ndarray] = None,
     ) -> PlanResult:
         """Compute the epoch's measurement trajectory.
 
@@ -108,9 +107,11 @@ class SkyRANPlanner:
         ----------
         grid:
             Operating-area grid.
-        rem_maps:
-            Current full-map estimates (interpolated or FSPL-seeded),
-            one per UE.
+        aggregate:
+            The Step-6.1 aggregate REM, ``grid.shape``: the cell-wise
+            sum of the current per-UE map estimates (interpolated or
+            FSPL-seeded), folded by
+            :func:`repro.rem.aggregate.aggregate_rem_running`.
         ue_positions:
             Localized UE positions (keys for the trajectory history).
         uav_xy:
@@ -123,23 +124,17 @@ class SkyRANPlanner:
             Per-UE trajectory history for information gain; a fresh
             empty history (everything maximally informative) if
             omitted.
-        aggregate:
-            Precomputed aggregate REM (Step 6.1's cell-wise sum).  The
-            streamed epoch pipeline folds it incrementally
-            (:func:`repro.rem.aggregate.aggregate_rem_running`) instead
-            of materializing the per-UE stack; passing it here skips
-            the internal :func:`aggregate_rem` and lets ``rem_maps`` be
-            empty.  Identical planning when it equals
-            ``aggregate_rem(rem_maps)``.
         """
-        if aggregate is None and len(rem_maps) == 0:
-            raise ValueError("need at least one REM map")
+        agg = np.asarray(aggregate, dtype=float)
+        if agg.shape != grid.shape:
+            raise ValueError(
+                f"aggregate shape {agg.shape} != grid shape {grid.shape}"
+            )
         if budget_m <= 0:
             raise ValueError(f"budget_m must be positive, got {budget_m}")
         history = history or TrajectoryHistory()
         uav_xy = np.asarray(uav_xy, dtype=float).reshape(2)
 
-        agg = aggregate_rem(rem_maps) if aggregate is None else np.asarray(aggregate, dtype=float)
         grad = gradient_map(agg)
         iy, ix = high_gradient_cells(grad, self.gradient_quantile)
         if len(iy) == 0:

@@ -15,15 +15,23 @@ by term for one UE, kept beside the tests that hold the kernels to it:
 * :func:`obstructed_lengths_full` — the tracer with every sample of
   every ray traced, one ray at a time, no column pruning
   (:func:`repro.channel.raytrace.obstructed_lengths`);
+* :func:`path_loss_map` / :func:`snr_map` — one UE's map over a grid
+  through :func:`path_loss_and_los`, no cache
+  (:meth:`~repro.channel.model.ChannelModel.path_loss_maps`,
+  :meth:`~repro.channel.model.ChannelModel.snr_maps`);
 * :func:`sinr_db` / :func:`fleet_sinr_db_reference` — co-channel SINR
   with one path-loss query per (UAV, UE) pair and interference summed
   over UAV index in ascending order
   (:func:`repro.channel.interference.fleet_sinr_db_stack`,
-  :func:`repro.channel.interference.fleet_sinr_db`).
+  :func:`repro.channel.interference.fleet_sinr_db`);
+* :class:`OuterLoopLinkAdaptation` / :func:`simulate_link` — per-UE
+  outer-loop link adaptation, one HARQ report at a time
+  (:class:`repro.lte.linkadapt.OLLABank`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +45,8 @@ from repro.channel.raytrace import (
     obstructed_lengths,
 )
 from repro.flight.sampler import SRS_RATE_HZ
+from repro.geo.grid import GridSpec
+from repro.lte.throughput import _THRESHOLDS, cqi_from_snr, throughput_mbps
 
 #: The PHY instrument noise of :meth:`ChannelModel.sample_snr_db`.
 MEASUREMENT_NOISE_DB = 0.5
@@ -58,6 +68,27 @@ def path_loss_and_los(channel, uav_xyz, ue_xyz) -> Tuple[np.ndarray, np.ndarray]
     if channel.common_sigma_db > 0:
         loss = loss + channel._common_shadowing().at_many(uav[:, :2])
     return loss, obstructed <= 0.0
+
+
+def path_loss_map(
+    channel, ue_xyz, altitude: float, grid: Optional[GridSpec] = None
+) -> np.ndarray:
+    """Mean path loss from every grid cell (at ``altitude``) to one UE.
+
+    ``grid`` defaults to the terrain grid.
+    """
+    g = grid or channel.terrain.grid
+    centers = g.centers_flat()
+    uav = np.column_stack([centers, np.full(len(centers), float(altitude))])
+    loss, _ = path_loss_and_los(channel, uav, ue_xyz)
+    return loss.reshape(g.shape)
+
+
+def snr_map(
+    channel, ue_xyz, altitude: float, grid: Optional[GridSpec] = None
+) -> np.ndarray:
+    """Mean SNR map over the grid at ``altitude`` for one UE."""
+    return channel.link.snr_db(path_loss_map(channel, ue_xyz, altitude, grid))
 
 
 def _positions_at(log, times: np.ndarray, src: np.ndarray) -> np.ndarray:
@@ -163,4 +194,88 @@ def fleet_sinr_db_reference(
     return {
         ue_id: sinr_db(channel, uav_positions, ue_xyz, serving[ue_id], activity, carriers)
         for ue_id, ue_xyz in ue_positions.items()
+    }
+
+
+@dataclass
+class OuterLoopLinkAdaptation:
+    """Per-UE SNR-offset controller targeting a BLER.
+
+    On a NACK the offset drops by ``step_db``; on an ACK it rises by
+    ``step_db * target / (1 - target)``; then it is clamped to
+    ``[min_offset_db, max_offset_db]``.
+    """
+
+    target_bler: float = 0.1
+    step_db: float = 0.5
+    min_offset_db: float = -10.0
+    max_offset_db: float = 10.0
+    _offsets: Dict[int, float] = field(default_factory=dict)
+    _acks: Dict[int, int] = field(default_factory=dict)
+    _nacks: Dict[int, int] = field(default_factory=dict)
+
+    def offset_db(self, ue_id: int) -> float:
+        """Current SNR correction for a UE (0 until feedback arrives)."""
+        return self._offsets.get(ue_id, 0.0)
+
+    def effective_snr_db(self, ue_id: int, reported_snr_db: float) -> float:
+        """Reported SNR plus the learned correction."""
+        return reported_snr_db + self.offset_db(ue_id)
+
+    def report(self, ue_id: int, ack: bool) -> float:
+        """Fold one HARQ outcome in; returns the new offset."""
+        up = self.step_db * self.target_bler / (1.0 - self.target_bler)
+        offset = self._offsets.get(ue_id, 0.0)
+        if ack:
+            offset += up
+            self._acks[ue_id] = self._acks.get(ue_id, 0) + 1
+        else:
+            offset -= self.step_db
+            self._nacks[ue_id] = self._nacks.get(ue_id, 0) + 1
+        offset = float(np.clip(offset, self.min_offset_db, self.max_offset_db))
+        self._offsets[ue_id] = offset
+        return offset
+
+    def realized_bler(self, ue_id: int) -> Optional[float]:
+        """Observed BLER so far for a UE (None before any feedback)."""
+        acks = self._acks.get(ue_id, 0)
+        nacks = self._nacks.get(ue_id, 0)
+        total = acks + nacks
+        if total == 0:
+            return None
+        return nacks / total
+
+
+def simulate_link(
+    olla: OuterLoopLinkAdaptation,
+    ue_id: int,
+    mean_snr_db: float,
+    n_tti: int,
+    rng: np.random.Generator,
+    fading_std_db: float = 3.0,
+    decode_margin_db: float = 1.0,
+) -> Dict[str, float]:
+    """Drive a fading link through the outer loop for ``n_tti`` TTIs.
+
+    Per TTI: the UE reports a (stale, noisy) SNR; the eNodeB schedules
+    at the OLLA-corrected CQI; the transport block decodes iff the
+    *actual* SNR covers the scheduled CQI's threshold minus a margin.
+    Returns realized BLER, mean goodput and the final offset.
+    """
+    goodput = 0.0
+    for _ in range(n_tti):
+        actual = mean_snr_db + rng.normal(0.0, fading_std_db)
+        reported = mean_snr_db + rng.normal(0.0, fading_std_db)  # stale sample
+        scheduled_snr = olla.effective_snr_db(ue_id, reported)
+        cqi = cqi_from_snr(scheduled_snr)
+        if cqi == 0:
+            continue  # nothing scheduled this TTI
+        ack = actual >= _THRESHOLDS[cqi - 1] - decode_margin_db
+        olla.report(ue_id, ack)
+        if ack:
+            goodput += throughput_mbps(scheduled_snr)
+    return {
+        "bler": olla.realized_bler(ue_id) or 0.0,
+        "mean_goodput_mbps": goodput / n_tti,
+        "final_offset_db": olla.offset_db(ue_id),
     }

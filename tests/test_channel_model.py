@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.channel.fspl import fspl_db
-from repro.channel.groundtruth import ground_truth_stack
 from repro.channel.linkbudget import LinkBudget
 from repro.channel.model import ChannelModel
+from tests import link_oracles as oracle
 
 
 class TestLinkBudget:
@@ -71,7 +71,7 @@ class TestChannelModel:
 
     def test_snr_map_shape_and_peak(self, flat_channel):
         ue = np.array([50.0, 50.0, 1.5])
-        m = flat_channel.snr_map(ue, altitude=40.0)
+        m = oracle.snr_map(flat_channel, ue, altitude=40.0)
         assert m.shape == flat_channel.terrain.grid.shape
         iy, ix = np.unravel_index(np.argmax(m), m.shape)
         x, y = flat_channel.terrain.grid.center_of(ix, iy)
@@ -96,15 +96,15 @@ class TestChannelModel:
 class TestGroundTruth:
     def test_stack_shape(self, flat_channel):
         ues = [np.array([20.0, 20.0, 1.5]), np.array([80.0, 80.0, 1.5])]
-        stack = ground_truth_stack(flat_channel, ues, altitude=50.0)
+        stack = flat_channel.snr_maps(ues, altitude=50.0)
         assert stack.shape == (2,) + flat_channel.terrain.grid.shape
 
     def test_single_matches_stack(self, flat_channel):
         ue = np.array([20.0, 20.0, 1.5])
-        single = flat_channel.snr_map(ue, 50.0)
-        stack = ground_truth_stack(flat_channel, [ue], 50.0)
+        single = oracle.snr_map(flat_channel, ue, 50.0)
+        stack = flat_channel.snr_maps([ue], 50.0)
         np.testing.assert_allclose(single, stack[0])
 
     def test_empty_stack(self, flat_channel):
-        stack = ground_truth_stack(flat_channel, [], 50.0)
+        stack = flat_channel.snr_maps([], 50.0)
         assert stack.shape[0] == 0

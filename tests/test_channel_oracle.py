@@ -1,9 +1,9 @@
 """Golden-equivalence and structural tests for the batched map oracle.
 
 The batched/cached :meth:`ChannelModel.path_loss_maps` oracle must
-produce exactly the maps the direct serial per-UE reference
-(:meth:`ChannelModel.path_loss_map`) produces — bit-identical, across
-terrains, altitudes and chunk boundaries.  The perf
+produce exactly the maps the serial per-UE reference
+(:func:`tests.link_oracles.path_loss_map`) produces — bit-identical,
+across terrains, altitudes and chunk boundaries.  The perf
 counters additionally pin structural properties the timings cannot:
 one ray trace per sample batch, cache hits on re-query, and recompute
 limited to UEs that actually moved.
@@ -16,7 +16,6 @@ import pytest
 
 import repro.channel.model as model_mod
 import repro.channel.raytrace as raytrace_mod
-from repro.channel.groundtruth import ground_truth_stack
 from repro.channel.model import ChannelModel
 from repro.channel.raytrace import obstructed_lengths
 from repro.channel.shadowing import ShadowingField
@@ -24,6 +23,7 @@ from repro.core.config import SkyRANConfig
 from repro.core.controller import SkyRANController
 from repro.perf import perf
 from repro.sim.scenario import Scenario
+from tests import link_oracles as oracle
 
 
 def _ues_on(terrain, n=4, seed=0):
@@ -46,7 +46,7 @@ def test_batched_maps_match_serial_reference_box(box_channel, altitude):
     ues = _ues_on(box_channel.terrain)
     batched = box_channel.path_loss_maps(ues, altitude, use_cache=False)
     for i, ue in enumerate(ues):
-        reference = box_channel.path_loss_map(ue, altitude)
+        reference = oracle.path_loss_map(box_channel, ue, altitude)
         np.testing.assert_array_equal(batched[i], reference)
 
 
@@ -55,7 +55,7 @@ def test_batched_maps_match_serial_reference_flat(flat_channel):
     batched = flat_channel.path_loss_maps(ues, 60.0, use_cache=False)
     for i, ue in enumerate(ues):
         np.testing.assert_array_equal(
-            batched[i], flat_channel.path_loss_map(ue, 60.0)
+            batched[i], oracle.path_loss_map(flat_channel, ue, 60.0)
         )
 
 
@@ -66,7 +66,9 @@ def test_batched_maps_match_serial_reference_campus_with_shadowing(campus_terrai
     grid = campus_terrain.grid.coarsen(2)
     batched = channel.path_loss_maps(ues, 60.0, grid, use_cache=False)
     for i, ue in enumerate(ues):
-        np.testing.assert_array_equal(batched[i], channel.path_loss_map(ue, 60.0, grid))
+        np.testing.assert_array_equal(
+            batched[i], oracle.path_loss_map(channel, ue, 60.0, grid)
+        )
 
 
 def test_results_invariant_to_chunk_boundaries(box_channel, monkeypatch):
@@ -116,11 +118,11 @@ def test_obstructed_lengths_batch_invariant(box_channel):
         np.testing.assert_array_equal(obstructed_lengths(terrain, tx[sl], ue), full[sl])
 
 
-def test_ground_truth_stack_matches_per_ue_snr_maps(box_channel):
+def test_snr_maps_match_per_ue_snr_maps(box_channel):
     ues = _ues_on(box_channel.terrain, n=3)
-    stack = ground_truth_stack(box_channel, ues, 60.0)
+    stack = box_channel.snr_maps(ues, 60.0)
     for i, ue in enumerate(ues):
-        np.testing.assert_array_equal(stack[i], box_channel.snr_map(ue, 60.0))
+        np.testing.assert_array_equal(stack[i], oracle.snr_map(box_channel, ue, 60.0))
 
 
 # -- structural perf properties -------------------------------------------------

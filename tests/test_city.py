@@ -22,10 +22,11 @@ from repro.city import (
     shard_size,
 )
 from repro.city.mac import city_schedulable
-from repro.lte.linkadapt import OLLABank, OuterLoopLinkAdaptation
+from repro.lte.linkadapt import OLLABank
 from repro.terrain.generators import make_campus, make_flat
 from repro.traffic import QueueBank, make_scheduler, run_tti_batch
 from tests import traffic_oracles as oracle
+from tests.link_oracles import OuterLoopLinkAdaptation
 
 pytestmark = pytest.mark.city
 

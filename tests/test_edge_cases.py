@@ -10,6 +10,7 @@ from repro.core.placement import max_min_placement
 from repro.geo.grid import GridSpec
 from repro.lte.enodeb import ENodeB
 from repro.lte.ue import UE
+from repro.rem.interpolate import IDWInterpolator
 from repro.rem.map import REM
 from repro.sim.scenario import Scenario
 from repro.terrain.generators import make_flat
@@ -41,7 +42,7 @@ class TestDegenerateWorlds:
         g = GridSpec(0.0, 0.0, 5.0, 2, 2)
         rem = REM(g, np.array([5.0, 5.0, 1.5]), 50.0)
         rem.add_measurements(np.array([[2.0, 2.0]]), np.array([10.0]))
-        out = rem.interpolated()
+        out = rem.interpolated(IDWInterpolator())
         assert np.isfinite(out).all()
 
 
@@ -72,7 +73,7 @@ class TestSingleEntities:
         g = GridSpec.from_extent(100, 100, 4.0)
         m = np.random.default_rng(0).uniform(0, 20, g.shape)
         plan = SkyRANPlanner(seed=0).plan(
-            g, [m], [np.array([50.0, 50.0, 1.5])], np.array([50.0, 50.0]), 50.0, 200.0,
+            g, m, [np.array([50.0, 50.0, 1.5])], np.array([50.0, 50.0]), 50.0, 200.0,
             TrajectoryHistory(),
         )
         assert plan.trajectory.length_m <= 200.0 + 1e-6

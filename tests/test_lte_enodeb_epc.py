@@ -1,15 +1,27 @@
-"""Unit tests for the eNodeB scheduler and the minimal EPC."""
+"""Unit tests for the eNodeB, its round-robin PRB split and the minimal EPC."""
 
 import numpy as np
 import pytest
 
 from repro.lte.enodeb import ENodeB
 from repro.lte.epc import EPC, BearerState
+from repro.lte.throughput import throughput_mbps
 from repro.lte.ue import UE, UEState
+from repro.traffic import make_scheduler
 
 
 def _ue(i):
     return UE(ue_id=i)
+
+
+def _rr_grants(enb, snr_db_per_ue, tti=0):
+    """Round-robin PRBs over the connected UEs that reported an SNR."""
+    ids = [u.ue_id for u in enb.connected_ues()]
+    schedulable = np.array([i in snr_db_per_ue for i in ids])
+    grants = make_scheduler("round_robin").grants(
+        schedulable, np.ones(len(ids)), enb.n_prb, tti
+    )
+    return {i: int(g) for i, g in zip(ids, grants) if i in snr_db_per_ue}
 
 
 class TestEPC:
@@ -95,26 +107,27 @@ class TestENodeB:
         enb = ENodeB()
         for i in (1, 2, 3):
             enb.register_ue(_ue(i))
-        result = enb.schedule({1: 20.0, 2: 20.0, 3: 20.0})
-        assert sum(result.prb_share.values()) == enb.n_prb
-        shares = sorted(result.prb_share.values())
+        prb_share = _rr_grants(enb, {1: 20.0, 2: 20.0, 3: 20.0})
+        assert sum(prb_share.values()) == enb.n_prb
+        shares = sorted(prb_share.values())
         assert shares[-1] - shares[0] <= 1  # near-equal split
 
     def test_scheduler_skips_unreported_ues(self):
         enb = ENodeB()
         enb.register_ue(_ue(1))
         enb.register_ue(_ue(2))
-        result = enb.schedule({1: 15.0})
-        assert set(result.prb_share) == {1}
-        assert result.prb_share[1] == enb.n_prb
+        prb_share = _rr_grants(enb, {1: 15.0})
+        assert set(prb_share) == {1}
+        assert prb_share[1] == enb.n_prb
 
     def test_shared_vs_full_cell(self):
         enb = ENodeB()
         enb.register_ue(_ue(1))
         enb.register_ue(_ue(2))
-        shared = enb.schedule({1: 20.0, 2: 20.0}).throughput_mbps
-        full = enb.full_cell_throughput({1: 20.0, 2: 20.0})
-        assert shared[1] == pytest.approx(full[1] / 2, rel=0.1)
+        prb_share = _rr_grants(enb, {1: 20.0, 2: 20.0})
+        shared = throughput_mbps(20.0, n_prb=prb_share[1])
+        full = throughput_mbps(20.0, n_prb=enb.n_prb)
+        assert shared == pytest.approx(full / 2, rel=0.1)
 
     def test_srs_roundtrip(self, rng):
         enb = ENodeB()

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import SkyRANConfig
 from repro.core.controller import SkyRANController
 from repro.geo.grid import GridSpec
+from repro.rem.interpolate import make_interpolator
 from repro.rem.map import REM
 from repro.sim.runner import run_epochs
 from repro.sim.scenario import Scenario
@@ -19,16 +20,16 @@ class TestREMMethods:
         rem.add_measurements(
             np.array([[4.0, 4.0], [16.0, 16.0]]), np.array([5.0, 15.0])
         )
-        idw = rem.interpolated(method="idw")
-        krig = rem.interpolated(method="kriging")
+        idw = rem.interpolated(make_interpolator("idw"))
+        krig = rem.interpolated(make_interpolator("kriging"))
         assert np.isfinite(idw).all() and np.isfinite(krig).all()
         with pytest.raises(ValueError):
-            rem.interpolated(method="spline")
+            make_interpolator("spline")
 
     def test_kriging_respects_prior_when_empty(self):
         g = GridSpec.from_extent(10, 10, 1.0)
         rem = REM(g, np.zeros(3), 50.0, prior=np.full(g.shape, 2.5))
-        np.testing.assert_allclose(rem.interpolated(method="kriging"), 2.5)
+        np.testing.assert_allclose(rem.interpolated(make_interpolator("kriging")), 2.5)
 
 
 class TestRunnerCallbacks:

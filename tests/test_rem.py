@@ -5,10 +5,12 @@ import pytest
 
 from repro.geo.grid import GridSpec
 from repro.rem.accuracy import mean_abs_error_db, median_abs_error_db, rem_error_map
-from repro.rem.aggregate import aggregate_rem, argmax_cell, min_snr_map
+from repro.rem.aggregate import aggregate_rem_running, argmax_cell, min_snr_map
 from repro.rem.gradient import gradient_map, high_gradient_cells
 from repro.rem.idw import idw_interpolate
+from repro.rem.interpolate import IDWInterpolator
 from repro.rem.map import REM
+from tests import rem_oracles
 
 
 @pytest.fixture()
@@ -42,7 +44,7 @@ class TestREM:
     def test_interpolated_uses_prior_when_empty(self, grid10):
         prior = np.full(grid10.shape, 7.0)
         rem = REM(grid10, np.zeros(3), 50.0, prior=prior)
-        np.testing.assert_allclose(rem.interpolated(), 7.0)
+        np.testing.assert_allclose(rem.interpolated(IDWInterpolator()), 7.0)
 
     def test_rekeyed_shares_measurements(self, grid10):
         rem = REM(grid10, np.array([5.0, 5.0, 1.5]), 50.0)
@@ -158,15 +160,26 @@ class TestAggregate:
     def test_sum_and_min(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[4.0, 3.0], [2.0, 1.0]])
-        np.testing.assert_allclose(aggregate_rem([a, b]), [[5, 5], [5, 5]])
+        np.testing.assert_allclose(aggregate_rem_running([a, b], a.shape), [[5, 5], [5, 5]])
         np.testing.assert_allclose(min_snr_map([a, b]), [[1, 2], [2, 1]])
 
     def test_aggregate_ignores_nan(self):
         a = np.array([[1.0, np.nan]])
         b = np.array([[2.0, np.nan]])
-        out = aggregate_rem([a, b])
+        out = aggregate_rem_running([a, b], a.shape)
         assert out[0, 0] == 3.0
         assert np.isnan(out[0, 1])
+
+    def test_running_fold_matches_stacked_oracle(self):
+        rng = np.random.default_rng(5)
+        maps = [rng.normal(0.0, 10.0, (6, 7)) for _ in range(9)]
+        for m in maps[::2]:
+            m[rng.random(m.shape) < 0.3] = np.nan
+        for m in maps:
+            m[1, 1] = np.nan  # NaN in every map stays NaN
+        got = aggregate_rem_running(maps, (6, 7))
+        assert np.isnan(got[1, 1])
+        assert got.tobytes() == rem_oracles.aggregate_rem(maps).tobytes()
 
     def test_min_map_propagates_nan(self):
         a = np.array([[1.0, 2.0]])
@@ -176,9 +189,9 @@ class TestAggregate:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            aggregate_rem([np.zeros((2, 2)), np.zeros((3, 3))])
+            aggregate_rem_running([np.zeros((2, 2)), np.zeros((3, 3))], (2, 2))
         with pytest.raises(ValueError):
-            aggregate_rem([])
+            aggregate_rem_running([], (2, 2))
 
     def test_argmax_cell(self):
         m = np.array([[1.0, 2.0], [5.0, 0.0]])

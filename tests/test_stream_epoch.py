@@ -22,7 +22,9 @@ from repro.core.placement import max_min_placement, uncertainty_penalty_db
 from repro.core.rem_store import REMStore
 from repro.geo.grid import GridSpec
 from repro.lte.throughput import throughput_mbps
+from repro.rem.interpolate import IDWInterpolator, make_interpolator
 from repro.rem.map import REM
+from repro.rem.streaming import interpolate_tile
 from repro.sim.scenario import Scenario
 from tests import link_oracles as oracle
 
@@ -105,7 +107,7 @@ class TestStreamedBitIdentity:
         for ue_id, rem in self._rems_by_ue(ctrl, result).items():
             assert np.array_equal(
                 result.rem_maps[ue_id],
-                rem.interpolated(method=ctrl.interpolator),
+                rem.interpolated(ctrl.interpolator),
                 equal_nan=True,
             )
 
@@ -121,7 +123,7 @@ class TestStreamedBitIdentity:
                 cfg.uncertainty_penalty_db_per_m,
                 cfg.uncertainty_penalty_cap_db,
             )
-            snr_map = rem.interpolated(method=ctrl.interpolator)
+            snr_map = rem.interpolated(ctrl.interpolator)
             if penalty is not None:
                 snr_map = snr_map - penalty
                 discounted += 1
@@ -332,9 +334,13 @@ class TestInterpolatedTile:
         rem.add_measurements(
             rng.uniform(0.0, 40.0, (25, 2)), rng.normal(5.0, 4.0, 25)
         )
-        full = rem.interpolated()
+        idw = IDWInterpolator()
+        full = rem.interpolated(idw)
         for rows in (slice(0, 7), slice(7, 20), slice(13, 17)):
-            assert np.array_equal(rem.interpolated_tile(rows), full[rows])
+            band = interpolate_tile(
+                idw, grid, rem.measured_values(), rows, fallback=rem.prior
+            )
+            assert np.array_equal(band, full[rows])
 
     def test_band_resolves_registry_params(self):
         grid = GridSpec.from_extent(40.0, 40.0, cell_size=2.0)
@@ -343,6 +349,9 @@ class TestInterpolatedTile:
         rem.add_measurements(
             rng.uniform(0.0, 40.0, (25, 2)), rng.normal(5.0, 4.0, 25)
         )
-        full = rem.interpolated(method="kriging", k_neighbors=8)
-        band = rem.interpolated_tile(slice(3, 12), method="kriging", k_neighbors=8)
+        kriging = make_interpolator("kriging", k_neighbors=8)
+        full = rem.interpolated(kriging)
+        band = interpolate_tile(
+            kriging, grid, rem.measured_values(), slice(3, 12), fallback=rem.prior
+        )
         assert np.array_equal(band, full[slice(3, 12)])

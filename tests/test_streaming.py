@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel.groundtruth import ground_truth_stack
 from repro.core.placement import max_min_placement, uncertainty_penalty_db
 from repro.geo.grid import GridSpec
 from repro.rem.aggregate import min_snr_map
@@ -81,7 +80,7 @@ def test_snr_tiles_bit_identical_to_snr_maps(box_channel, ues, tile_rows, ue_chu
 
 
 def test_ground_truth_tiles_match_stack(box_channel, ues):
-    stack = ground_truth_stack(box_channel, ues, ALTITUDE, use_cache=False)
+    stack = box_channel.snr_maps(ues, ALTITUDE, use_cache=False)
     tiles = box_channel.iter_snr_map_tiles(ues, ALTITUDE, tile_rows=9)
     rebuilt = _reassemble(tiles, len(ues), box_channel.terrain.grid.shape)
     assert np.array_equal(rebuilt, stack)
@@ -433,15 +432,15 @@ class TestSharedPlans:
     def test_step6_maps_byte_equal_to_per_rem(self, rems, max_d):
         interp = IDWInterpolator(max_distance_m=max_d)
         shared = [
-            rem.interpolated(method=interp, plans=plans)
+            rem.interpolated(interp, plans=plans)
             for rem, plans in shared_by_mask(rems)
         ]
         one_dict: dict = {}  # plans keyed by mask: safe across masks too
         assert len(shared) == len(rems)
         for rem, got in zip(rems, shared):
-            want = rem.interpolated(method=interp).tobytes()
+            want = rem.interpolated(interp).tobytes()
             assert got.tobytes() == want
-            assert rem.interpolated(method=interp, plans=one_dict).tobytes() == want
+            assert rem.interpolated(interp, plans=one_dict).tobytes() == want
 
     def test_repeated_masks_share_one_dict(self):
         g = _PLAN_GRID
@@ -458,7 +457,7 @@ class TestSharedPlans:
         rem = REM(g, np.array([10.0, 10.0, 1.5]), _FOLD_ALT, prior=np.zeros(g.shape))
         rem.add_measurements(rng.uniform(0.5, 35.5, (20, 2)), rng.normal(5.0, 6.0, 20))
         plans: dict = {}
-        got = rem.interpolated(method=KrigingInterpolator(), plans=plans)
+        got = rem.interpolated(KrigingInterpolator(), plans=plans)
         want = kriging_interpolate(g, rem.measured_values(), fallback=rem.prior)
         assert got.tobytes() == want.tobytes()
         band = interpolate_tile(

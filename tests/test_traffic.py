@@ -13,7 +13,6 @@ from repro.core.config import SkyRANConfig
 from repro.core.epoch import EpochTrigger
 from repro.faults import FaultInjector, FaultPlan
 from repro.lte.enodeb import ENodeB
-from repro.lte.linkadapt import OuterLoopLinkAdaptation
 from repro.lte.throughput import _THRESHOLDS, throughput_mbps
 from repro.lte.ue import UE
 from repro.sim.metrics import jain_fairness
@@ -481,42 +480,20 @@ class TestSchedulerProperties:
         assert abs(cap[0] - cap[1]) <= rates.max()
 
 
-# -- eNodeB scheduler rotation and OLLA forget ----------------------------------
+# -- round-robin PRB rotation on the eNodeB's carrier ---------------------------
 
 
 class TestENodeBScheduling:
-    def _enodeb(self, n_ues):
-        enb = ENodeB()
-        for i in range(1, n_ues + 1):
-            enb.register_ue(UE(ue_id=i))
-        return enb
+    def _grants(self, n_ues, tti):
+        sched = make_scheduler("round_robin")
+        return sched.grants(np.ones(n_ues, dtype=bool), np.ones(n_ues), ENodeB().n_prb, tti)
 
-    def test_legacy_call_equals_tti_zero(self):
-        enb = self._enodeb(3)
-        snrs = {1: 10.0, 2: 12.0, 3: 14.0}
-        legacy = enb.schedule(snrs)
-        assert legacy.prb_share == enb.schedule(snrs, tti=0).prb_share
-        # The old bias: remainder PRBs land on the lowest ids.
-        assert legacy.prb_share == {1: 17, 2: 17, 3: 16}
+    def test_tti_zero_gives_remainder_to_lowest_ids(self):
+        assert self._grants(3, tti=0).tolist() == [17, 17, 16]
 
     def test_rotation_is_long_run_fair(self):
-        enb = self._enodeb(3)
-        snrs = {1: 10.0, 2: 12.0, 3: 14.0}
-        totals = {1: 0, 2: 0, 3: 0}
-        for tti in range(3 * 40):
-            for ue_id, prb in enb.schedule(snrs, tti=tti).prb_share.items():
-                totals[ue_id] += prb
-        assert len(set(totals.values())) == 1
-
-    def test_deregister_forgets_olla_state(self):
-        enb = ENodeB(olla=OuterLoopLinkAdaptation())
-        enb.register_ue(UE(ue_id=7))
-        for _ in range(5):
-            enb.olla.report(7, ack=False)
-        assert enb.olla.offset_db(7) < 0.0
-        enb.deregister_ue(7)
-        assert enb.olla.offset_db(7) == 0.0
-        assert enb.olla.realized_bler(7) is None
+        totals = sum(self._grants(3, tti) for tti in range(3 * 40))
+        assert len(set(totals.tolist())) == 1
 
 
 # -- config / trigger validation ------------------------------------------------
