@@ -19,14 +19,15 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.experiments.common import scenario_for, skyran_for
-from repro.experiments.placement_common import fresh_scenario
+from repro.core.controller import SkyRANController
+from repro.experiments.common import config_for, scenario_for
+from repro.experiments.placement_common import TESTBED_ALTITUDE_M
 from repro.experiments.registry import Claim, check, register
 from repro.lte.srs import apply_channel_batch, make_srs_symbol, pack_taps
 from repro.lte.tof import ToFEstimator, estimate_delays_batch
 from repro.rem.accuracy import median_abs_error_db
 from repro.rem.interpolate import available_interpolators, make_interpolator
-from repro.sim.runner import run_epochs
+from repro.sim.runner import run_epochs, run_simulation
 
 
 # -- ToF upsampling K ---------------------------------------------------------
@@ -162,20 +163,17 @@ def point_gradient(params: Dict, quick: bool = True) -> Dict:
     seed = params["seed"]
     quantile = params["quantile"]
     # Always quick: the ablation compares knob settings, not fidelity.
-    scenario = fresh_scenario("campus", 5, "uniform", seed, True)
-    ctrl = skyran_for(scenario, seed=seed, quick=True, gradient_quantile=quantile)
-    ctrl.altitude = 60.0
-    result = ctrl.run_epoch(budget_m=500.0)
-    rel = scenario.relative_throughput(result.placement.position)
-    truth = scenario.truth_maps(60.0, ctrl.rem_grid)
-    per_ue = [
-        median_abs_error_db(result.rem_maps[k], truth[i])
-        for i, k in enumerate(sorted(result.rem_maps))
-    ]
+    rec = run_simulation(
+        scenario_for("campus", 5, "uniform", seed, True),
+        config_for(True, gradient_quantile=quantile),
+        budget_per_epoch_m=500.0,
+        seed=seed,
+        altitude=TESTBED_ALTITUDE_M,
+    ).final
     return {
         "quantile": quantile,
-        "relative_throughput": float(rel),
-        "rem_err_db": float(np.median(per_ue)),
+        "relative_throughput": float(rec.relative_throughput),
+        "rem_err_db": float(rec.rem_error_db),
     }
 
 
@@ -222,9 +220,10 @@ def point_reuse_radius(params: Dict, quick: bool = True) -> Dict:
     """One (radius, seed) mobility run of the reuse-radius sweep."""
     seed = params["seed"]
     radius = params["radius_m"]
-    scenario = fresh_scenario("campus", 5, "uniform", seed, True)
-    ctrl = skyran_for(scenario, seed=seed, quick=True, reuse_radius_m=radius)
-    ctrl.altitude = 60.0
+    scenario = scenario_for("campus", 5, "uniform", seed, True)
+    cfg = config_for(True, reuse_radius_m=radius)
+    ctrl = SkyRANController(scenario.channel, scenario.enodeb, cfg, seed=seed)
+    ctrl.altitude = TESTBED_ALTITUDE_M
     records = run_epochs(
         scenario, ctrl, 3, budget_per_epoch_m=400.0, move_fraction=0.4, seed=seed
     )
@@ -289,10 +288,10 @@ def grid_k_window(quick: bool = True, seeds=(0, 1)) -> List[Dict]:
 def point_k_window(params: Dict, quick: bool = True) -> Dict:
     """One (window, seed) epoch of the planner-window sweep."""
     seed = params["seed"]
-    scenario = fresh_scenario("campus", 5, "uniform", seed, True)
-    ctrl = skyran_for(scenario, seed=seed, quick=True)
+    scenario = scenario_for("campus", 5, "uniform", seed, True)
+    ctrl = SkyRANController(scenario.channel, scenario.enodeb, config_for(True), seed=seed)
     ctrl.planner.k_window = params["k_window"]
-    ctrl.altitude = 60.0
+    ctrl.altitude = TESTBED_ALTITUDE_M
     result = ctrl.run_epoch(budget_m=K_WINDOW_BUDGET_M)
     rel = scenario.relative_throughput(result.placement.position)
     return {

@@ -3,8 +3,11 @@
 The experiments run at two fidelities: ``quick`` (coarse grids, few
 seeds — the CLI default, on which the paper claims are checked; the
 whole set finishes in minutes) and full (closer to the paper's
-scale).  All knobs funnel through :func:`scenario_for` /
-:func:`controller_for` so the figures stay consistent with each other.
+scale).  All knobs funnel through :func:`scenario_for` and
+:func:`config_for` so the figures stay consistent with each other:
+runs go through :func:`repro.sim.runner.run_simulation` with those
+two, and the few points that read controller state after an epoch
+build the controller from ``config_for(...)`` directly.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.config import SkyRANConfig
-from repro.core.controller import SkyRANController
-from repro.baselines.centroid import CentroidController
-from repro.baselines.uniform import UniformController
 from repro.channel.model import ChannelModel
 from repro.perf import perf
 from repro.sim.scenario import Scenario
@@ -99,60 +99,6 @@ def config_for(quick: bool = True, **overrides) -> SkyRANConfig:
     params = {"rem_cell_size_m": QUICK_REM_CELL_M if quick else 1.0}
     params.update(overrides)
     return SkyRANConfig(**params)
-
-
-def skyran_for(
-    scenario: Scenario,
-    seed: int = 0,
-    quick: bool = True,
-    faults=None,
-    **config_overrides,
-) -> SkyRANController:
-    """SkyRAN controller bound to a scenario.
-
-    Prefer :func:`repro.sim.runner.run_simulation` for whole runs; the
-    ``*_for`` constructors remain for experiments that drive epochs by
-    hand.  ``faults`` accepts a :class:`~repro.faults.plan.FaultPlan`.
-    """
-    cfg = config_for(quick, **config_overrides)
-    return SkyRANController(
-        scenario.channel, scenario.enodeb, cfg, seed=seed, faults=faults
-    )
-
-
-def uniform_for(
-    scenario: Scenario,
-    altitude: float,
-    seed: int = 0,
-    quick: bool = True,
-    faults=None,
-    **config_overrides,
-) -> UniformController:
-    """Uniform baseline bound to a scenario at a fixed altitude."""
-    cfg = config_for(quick, **config_overrides)
-    return UniformController(
-        scenario.channel, scenario.enodeb, cfg, altitude=altitude, seed=seed, faults=faults
-    )
-
-
-def centroid_for(
-    scenario: Scenario,
-    altitude: float,
-    seed: int = 0,
-    quick: bool = True,
-    faults=None,
-    **config_overrides,
-) -> CentroidController:
-    """Centroid baseline bound to a scenario at a fixed altitude."""
-    cfg = config_for(quick, **config_overrides)
-    return CentroidController(
-        scenario.channel, scenario.enodeb, cfg, altitude=altitude, seed=seed, faults=faults
-    )
-
-
-def budget_to_time_s(budget_m: float) -> float:
-    """Measurement budget in meters -> flight time in seconds."""
-    return budget_m / UAV_SPEED_MPS
 
 
 def print_rows(title: str, rows: List[Dict], paper_note: Optional[str] = None) -> None:

@@ -13,12 +13,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.experiments.common import skyran_for, uniform_for
-from repro.experiments.placement_common import fresh_scenario
+from repro.experiments.common import scenario_for
+from repro.experiments.placement_common import run_scheme
 from repro.experiments.registry import Claim, check, register
-from repro.sim.runner import run_epochs
 
-ALTITUDE_M = 60.0
 TOTAL_BUDGET_M = 5000.0
 N_EPOCHS = 5
 
@@ -27,34 +25,9 @@ TERRAINS = ("rural", "nyc", "large")
 PAPER = "parity on RURAL; SkyRAN ~1.4x Uniform throughput on NYC/LARGE at 5000 m"
 
 
-def run_scheme_terrain(terrain, scheme, seed, quick) -> Dict:
-    """Run one scheme on one terrain under the total budget."""
-    scenario = fresh_scenario(terrain, 6, "uniform", seed, quick)
-    if scheme == "skyran":
-        ctrl = skyran_for(scenario, seed=seed, quick=quick)
-        ctrl.altitude = ALTITUDE_M
-    else:
-        ctrl = uniform_for(scenario, altitude=ALTITUDE_M, seed=seed, quick=quick)
-    per_epoch = TOTAL_BUDGET_M / N_EPOCHS
-    records = run_epochs(
-        scenario,
-        ctrl,
-        N_EPOCHS,
-        budget_per_epoch_m=per_epoch,
-        move_fraction=0.5,
-        seed=seed,
-    )
-    # Score the steady state: mean over the post-first-epoch records.
-    tail = records[1:] if len(records) > 1 else records
-    return {
-        "relative_throughput": float(np.mean([r.relative_throughput for r in tail])),
-        "rem_error_db": float(np.nanmean([r.rem_error_db for r in tail])),
-    }
-
-
 def grid(quick: bool = True, seeds=(0, 1)) -> List[Dict]:
     return [
-        {"terrain": terrain, "scheme": scheme, "seed": int(seed)}
+        {"terrain": terrain, "n_ues": 6, "scheme": scheme, "seed": int(seed)}
         for terrain in TERRAINS
         for scheme in ("skyran", "uniform")
         for seed in seeds
@@ -62,16 +35,30 @@ def grid(quick: bool = True, seeds=(0, 1)) -> List[Dict]:
 
 
 def point(params: Dict, quick: bool = True) -> Dict:
-    """One (terrain, scheme, seed) run under the 5000 m budget.
+    """One (terrain, UE count, scheme, seed) run under the 5000 m budget.
 
-    Shared verbatim by Fig. 30, which registers this same function —
-    the artifact cache therefore serves both figures from one set of
-    point computations.
+    Half the UEs relocate before every epoch after the first.  Figs. 30
+    and 31 register this same function, so the artifact cache serves
+    all three figures from one set of point computations (Fig. 31's
+    6-UE NYC points are Fig. 29's).
     """
-    out = run_scheme_terrain(params["terrain"], params["scheme"], params["seed"], quick)
-    out["terrain"] = params["terrain"]
-    out["scheme"] = params["scheme"]
-    return out
+    scenario = scenario_for(params["terrain"], params["n_ues"], "uniform", params["seed"], quick)
+    records = run_scheme(
+        scenario,
+        params["scheme"],
+        TOTAL_BUDGET_M / N_EPOCHS,
+        seed=params["seed"],
+        quick=quick,
+        n_epochs=N_EPOCHS,
+        move_fraction=0.5,
+    ).records
+    # Score the steady state: mean over the post-first-epoch records.
+    tail = records[1:]
+    return {
+        **params,
+        "relative_throughput": float(np.mean([r.relative_throughput for r in tail])),
+        "rem_error_db": float(np.nanmean([r.rem_error_db for r in tail])),
+    }
 
 
 def aggregate(records: List[Dict], quick: bool = True) -> Dict:

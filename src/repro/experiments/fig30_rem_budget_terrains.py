@@ -2,8 +2,8 @@
 
 A focused view of the REM columns of the Fig. 29 run (same procedure:
 half the UEs move per epoch, 5000 m total across epochs).  Registers
-Fig. 29's point function, so both figures share one set of cached
-point computations in the artifact store.
+Fig. 29's point function, as Fig. 31 does, so the figures share one
+set of cached point computations in the artifact store.
 """
 
 from __future__ import annotations

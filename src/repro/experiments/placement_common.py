@@ -1,19 +1,23 @@
-"""Shared machinery for the placement/budget figures (20-24, 26-31)."""
+"""Shared machinery for the placement, budget and overhead figures.
+
+Every run of Figs. 20-31 and the headline goes through
+:func:`run_scheme`, a thin call into
+:func:`repro.sim.runner.run_simulation`: one-epoch figures (20-24,
+headline) score the final record via :func:`scheme_point`; the
+overhead figures (26-28) read the cumulative flight of up to
+:data:`OVERHEAD_MAX_EPOCHS` epochs via :func:`overhead_point`; Figs.
+29-31 average the epochs after the first (their shared point lives in
+:mod:`repro.experiments.fig29_budget_terrains`).
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from repro.experiments.common import (
-    UAV_SPEED_MPS,
-    config_for,
-    scenario_for,
-    skyran_for,
-    uniform_for,
-)
-from repro.sim.runner import overhead_to_target, run_epochs, run_simulation
+from repro.experiments.common import UAV_SPEED_MPS, config_for, scenario_for
+from repro.sim.runner import RunResult, overhead_to_target, run_simulation
 
 #: Fixed operating altitude for the testbed-style comparisons, so all
 #: schemes are scored on the same horizontal placement problem (the
@@ -31,41 +35,24 @@ def run_scheme(
     budget_m: float,
     seed: int = 0,
     quick: bool = True,
-    altitude: Optional[float] = TESTBED_ALTITUDE_M,
-    faults=None,
-) -> Dict:
-    """One epoch of a scheme at a budget; relative throughput + REM error.
+    n_epochs: int = 1,
+    move_fraction: float = 0.0,
+) -> RunResult:
+    """Run a scheme on a scenario for ``n_epochs`` epochs of ``budget_m``.
 
-    ``altitude=None`` lets SkyRAN run its own altitude search; a float
-    pins every scheme to that altitude.  All construction and
-    evaluation goes through :func:`repro.sim.runner.run_simulation`,
-    which is also where ``faults`` (an optional
-    :class:`~repro.faults.plan.FaultPlan`) is wired in.
+    Every scheme is pinned to :data:`TESTBED_ALTITUDE_M`.  Before every
+    epoch after the first, ``move_fraction`` of the UEs relocate.
     """
-    out = run_simulation(
+    return run_simulation(
         scenario,
         config_for(quick),
-        faults,
         scheme=scheme,
-        n_epochs=1,
+        n_epochs=n_epochs,
         budget_per_epoch_m=budget_m,
+        move_fraction=move_fraction,
         seed=seed,
-        altitude=altitude,
+        altitude=TESTBED_ALTITUDE_M,
     )
-    rec = out.final
-    return {
-        "scheme": scheme,
-        "budget_m": budget_m,
-        "relative_throughput": rec.relative_throughput,
-        "rem_error_db": rec.rem_error_db,
-        "flight_time_s": rec.flight_time_s,
-        "altitude_m": rec.altitude_m,
-    }
-
-
-def fresh_scenario(terrain: str, n_ues: int, layout: str, seed: int, quick: bool):
-    """A new scenario instance (controllers keep per-run state)."""
-    return scenario_for(terrain, n_ues=n_ues, layout=layout, seed=seed, quick=quick)
 
 
 def scheme_point(
@@ -76,20 +63,23 @@ def scheme_point(
     budget_m: float,
     seed: int,
     quick: bool = True,
-    altitude: Optional[float] = TESTBED_ALTITUDE_M,
-    faults=None,
 ) -> Dict:
-    """One (scheme, seed) grid point: fresh scenario + one epoch.
+    """One (scheme, seed) grid point: fresh scenario, one epoch, its scores.
 
     The unit of work the experiment registry caches and parallelizes
-    for every placement/budget figure.
+    for the one-epoch placement/budget figures.
     """
-    scenario = fresh_scenario(terrain, n_ues, layout, seed, quick)
-    out = run_scheme(
-        scenario, scheme, budget_m, seed=seed, quick=quick, altitude=altitude, faults=faults
-    )
-    out["seed"] = seed
-    return out
+    scenario = scenario_for(terrain, n_ues, layout, seed, quick)
+    rec = run_scheme(scenario, scheme, budget_m, seed=seed, quick=quick).final
+    return {
+        "scheme": scheme,
+        "budget_m": budget_m,
+        "relative_throughput": rec.relative_throughput,
+        "rem_error_db": rec.rem_error_db,
+        "flight_time_s": rec.flight_time_s,
+        "altitude_m": rec.altitude_m,
+        "seed": seed,
+    }
 
 
 def mean_of_records(records) -> Dict:
@@ -121,20 +111,15 @@ def overhead_point(
     the target is censored: ``reached`` is False and ``time_s`` is the
     whole run's flight, only a lower bound on the true overhead.
     """
-    scenario = fresh_scenario(terrain, 6, "uniform", seed, quick)
-    if scheme == "skyran":
-        ctrl = skyran_for(scenario, seed=seed, quick=quick)
-        ctrl.altitude = TESTBED_ALTITUDE_M
-    else:
-        ctrl = uniform_for(scenario, altitude=TESTBED_ALTITUDE_M, seed=seed, quick=quick)
-    records = run_epochs(
-        scenario,
-        ctrl,
-        OVERHEAD_MAX_EPOCHS,
-        budget_per_epoch_m=budget_per_epoch_m,
-        move_fraction=move_fraction,
+    records = run_scheme(
+        scenario_for(terrain, 6, "uniform", seed, quick),
+        scheme,
+        budget_per_epoch_m,
         seed=seed,
-    )
+        quick=quick,
+        n_epochs=OVERHEAD_MAX_EPOCHS,
+        move_fraction=move_fraction,
+    ).records
     distance = overhead_to_target(records, value="distance", **target)
     reached = distance is not None
     if not reached:

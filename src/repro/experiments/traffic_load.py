@@ -21,7 +21,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.common import scenario_for
+from repro.baselines.centroid import CentroidController
+from repro.core.controller import SkyRANController
+from repro.experiments.common import config_for, scenario_for
 from repro.experiments.placement_common import TESTBED_ALTITUDE_M
 from repro.experiments.registry import register
 from repro.sim.metrics import jain_fairness
@@ -55,17 +57,18 @@ def grid(
 
 def point(params: Dict, quick: bool = True) -> Dict:
     """MAC sweep at the SkyRAN and centroid placements for one seed."""
-    from repro.experiments.common import centroid_for, skyran_for
-
     seed = params["seed"]
     n_tti = 400 if quick else 2000
+    cfg = config_for(quick)
     scenario = scenario_for("campus", n_ues=5, layout="uniform", seed=seed, quick=quick)
-    sky = skyran_for(scenario, seed=seed, quick=quick)
+    sky = SkyRANController(scenario.channel, scenario.enodeb, cfg, seed=seed)
     sky.altitude = TESTBED_ALTITUDE_M
     sky_pos = sky.run_epoch().placement.position
     # Fresh scenario: controllers mutate UE/EPC state.
     scenario = scenario_for("campus", n_ues=5, layout="uniform", seed=seed, quick=quick)
-    cen = centroid_for(scenario, altitude=TESTBED_ALTITUDE_M, seed=seed, quick=quick)
+    cen = CentroidController(
+        scenario.channel, scenario.enodeb, cfg, altitude=TESTBED_ALTITUDE_M, seed=seed
+    )
     cen_pos = cen.run_epoch().position
 
     rows = []

@@ -44,6 +44,17 @@ class TestRegistry:
     def test_ablations_registered(self):
         assert {k for k in experiment_names() if k.startswith("ablation-")} == ABLATIONS
 
+    def test_budget_figures_share_cached_points(self):
+        # Figs. 29-31 register one point function, and every NYC point
+        # of Fig. 29 is also a Fig. 31 point, so the cache runs it once.
+        fig29, fig30, fig31 = (get_experiment(n) for n in ("fig29", "fig30", "fig31"))
+        assert fig29.point_id == fig30.point_id == fig31.point_id
+        nyc = [p for p in fig29.grid(quick=True) if p["terrain"] == "nyc"]
+        assert nyc
+        fig31_grid = fig31.grid(quick=True)
+        for params in nyc:
+            assert params in fig31_grid
+
 
 class TestLightExperiments:
     def test_fig01_contract(self):

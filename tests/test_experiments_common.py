@@ -3,24 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.experiments.common import (
-    UAV_SPEED_MPS,
-    budget_to_time_s,
-    centroid_for,
-    config_for,
-    empirical_cdf,
-    print_rows,
-    scenario_for,
-    skyran_for,
-    uniform_for,
-)
+from repro.experiments.common import config_for, empirical_cdf, print_rows, scenario_for
 from repro.experiments.placement_common import TESTBED_ALTITUDE_M, run_scheme
 
 
 class TestHelpers:
-    def test_budget_time_conversion(self):
-        assert budget_to_time_s(UAV_SPEED_MPS * 60.0) == pytest.approx(60.0)
-
     def test_empirical_cdf_monotone(self, rng):
         cdf = empirical_cdf(rng.uniform(0, 10, 50))
         assert np.all(np.diff(cdf["values"]) >= 0)
@@ -48,15 +35,6 @@ class TestFactories:
         assert sc.terrain.name == "campus"
         assert len(sc.ues) == 2
 
-    def test_controller_factories_bind_scenario(self):
-        sc = scenario_for("campus", n_ues=2, seed=0, quick=True)
-        ctrl = skyran_for(sc, seed=1, quick=True)
-        assert ctrl.channel is sc.channel
-        uni = uniform_for(sc, altitude=60.0, seed=1, quick=True)
-        assert uni.altitude == 60.0
-        cen = centroid_for(sc, altitude=55.0, seed=1, quick=True)
-        assert cen.altitude == 55.0
-
 
 class TestRunScheme:
     @pytest.fixture(scope="class")
@@ -65,14 +43,15 @@ class TestRunScheme:
 
     def test_skyran_contract(self, scenario):
         out = run_scheme(scenario, "skyran", budget_m=200.0, seed=0, quick=True)
-        assert out["scheme"] == "skyran"
-        assert out["altitude_m"] == TESTBED_ALTITUDE_M
-        assert 0.0 <= out["relative_throughput"] <= 1.5
-        assert np.isfinite(out["rem_error_db"])
+        assert out.scheme == "skyran"
+        assert len(out.records) == 1
+        assert out.final.altitude_m == TESTBED_ALTITUDE_M
+        assert 0.0 <= out.final.relative_throughput <= 1.5
+        assert np.isfinite(out.final.rem_error_db)
 
     def test_centroid_has_no_rem(self, scenario):
         out = run_scheme(scenario, "centroid", budget_m=0.0, seed=0, quick=True)
-        assert np.isnan(out["rem_error_db"])
+        assert np.isnan(out.final.rem_error_db)
 
     def test_unknown_scheme(self, scenario):
         with pytest.raises(ValueError):

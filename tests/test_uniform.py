@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import repro.baselines.uniform as uniform_mod
-from repro.experiments.common import config_for, scenario_for, uniform_for
+from repro.baselines.uniform import UniformController
+from repro.experiments.common import config_for, scenario_for
 from repro.faults import FaultPlan
 from repro.rem.interpolate import IDWInterpolator
 from tests.rem_oracles import materialized_step8
@@ -45,7 +46,14 @@ def _materialized(config):
 def _run(terrain, seed, drop, n_epochs=N_EPOCHS):
     scenario = scenario_for(terrain, n_ues=5, seed=seed, quick=True)
     faults = FaultPlan(seed=3, snr_drop_rate=0.5) if drop else None
-    ctrl = uniform_for(scenario, 60.0, seed=seed, faults=faults)
+    ctrl = UniformController(
+        scenario.channel,
+        scenario.enodeb,
+        config_for(quick=True),
+        altitude=60.0,
+        seed=seed,
+        faults=faults,
+    )
     epochs = []
     for _ in range(n_epochs):
         result = ctrl.run_epoch()
