@@ -237,69 +237,22 @@ def bench_mac(n_ues: int, repeats: int) -> dict:
     return {"n_ues": n_ues, "n_tti": n_tti, "cases": cases}
 
 
-def bench_city(ues_list, n_tti: int, shard_ues=None) -> dict:
-    """UEs-vs-runtime/peak-memory scaling curve for the city kernels.
-
-    One steady-state epoch (placement over unique REM cells, one-shot
-    OLLA convergence, sharded MAC) per population size on the "large"
-    terrain with the default half full-buffer / half CBR mix.  Each
-    point records wall time, the tracemalloc peak inside the epoch and
-    the process peak RSS — the numbers the ``--max-city-*`` gates
-    bound.  Placement cost saturates with the REM key grid while MAC
-    and serving-SNR cost grow linearly, so the curve flattens per UE
-    as the population grows.
-    """
-    from repro.city import CityScenario, shard_size  # noqa: E402
-
-    points = []
-    for n_ues in ues_list:
-        scenario = CityScenario.create(n_ues=n_ues, seed=0)
-        perf.reset()
-        t0 = time.perf_counter()
-        with perf.span("city.epoch", track_memory=True):
-            out = scenario.run_epoch(n_tti=n_tti)
-        wall = time.perf_counter() - t0
-        stat = perf.spans()["city.epoch"]
-        mac = out["mac"]
-        points.append(
-            {
-                "n_ues": n_ues,
-                "wall_s": wall,
-                "peak_alloc_bytes": stat.peak_alloc_bytes,
-                "max_rss_bytes": stat.max_rss_bytes,
-                "placement_rem_cells": perf.counter("city.placement_rem_cells"),
-                "mac_shards": perf.counter("city.mac_shards"),
-                "min_snr_db": float(out["min_snr_db"]),
-                "mean_snr_db": float(out["mean_snr_db"]),
-                "aggregate_served_mbps": float(out["aggregate_served_mbps"]),
-                "n_full_buffer": int(scenario.population.full_buffer.sum()),
-                "n_cbr": int((~scenario.population.full_buffer).sum()),
-                "total_grants": int(mac.grants.sum()),
-            }
-        )
-    return {
-        "terrain": "large",
-        "n_tti": n_tti,
-        "shard_ues": shard_size(shard_ues),
-        "olla_rounds": 4,
-        "points": points,
-    }
-
-
 def bench_epoch(ues_list, ref_ues: int, budget_m: float, n_tti: int) -> dict:
     """Full SkyRANController epochs over city populations.
 
-    Unlike :func:`bench_city` (steady-state placement + MAC), each
-    point drives the real controller end to end — localization on a
-    deduped sample, altitude search, REM seeding, trajectory planning
+    Each point runs :meth:`CityScenario.run_controller_epoch`, the
+    city's one epoch: the real controller end to end — localization on
+    a deduped sample, altitude search, REM seeding, trajectory planning
     over dedup waypoints, measurement flight, streamed
-    uncertainty-discounted placement — then serves the population
+    uncertainty-discounted placement — then serving the population
     through OLLA and the sharded MAC.  REM-key dedup points run at
     every population size (work saturates at the occupied REM-key
-    cells, so wall time and peak allocation stay flat); the per-UE
-    reference (dedup off: one REM group per UE) runs once at
-    ``ref_ues`` and anchors the ``--min-epoch-speedup`` gate.  Each
-    point's tracemalloc peak covers the whole epoch.
+    cells, so wall time and peak allocation stay flat) and before the
+    per-UE reference (dedup off: one REM group per UE), which runs once
+    at ``ref_ues`` and anchors the ``--min-epoch-speedup`` gate.  Each
+    point records its tracemalloc peak over the whole epoch and the
+    process peak RSS after it — the numbers ``--max-epoch-alloc-mb``
+    and ``--max-epoch-rss-mb`` bound.
     """
     from repro.city import CityScenario  # noqa: E402
 
@@ -327,11 +280,10 @@ def bench_epoch(ues_list, ref_ues: int, budget_m: float, n_tti: int) -> dict:
         }
 
     points = [run_point(n, per_ue=False) for n in ues_list]
+    if ref_ues not in ues_list:
+        points.append(run_point(ref_ues, per_ue=False))
     reference = run_point(ref_ues, per_ue=True)
-    dedup_at_ref = next((p for p in points if p["n_ues"] == ref_ues), None)
-    if dedup_at_ref is None:
-        dedup_at_ref = run_point(ref_ues, per_ue=False)
-        points.append(dedup_at_ref)
+    dedup_at_ref = next(p for p in points if p["n_ues"] == ref_ues)
     return {
         "terrain": "large",
         "budget_m": budget_m,
@@ -494,39 +446,11 @@ def main(argv=None) -> int:
         "loop (generous CI floor; 0 = report only)",
     )
     parser.add_argument(
-        "--city",
-        action="store_true",
-        help="also run the city-scale scaling curve and gate peak memory "
-        "with --max-city-alloc-mb / --max-city-rss-mb",
-    )
-    parser.add_argument(
-        "--city-ues",
-        type=str,
-        default="1000,10000,100000",
-        help="comma-separated population sizes for the city curve",
-    )
-    parser.add_argument(
-        "--city-tti", type=int, default=400, help="TTIs per city MAC epoch"
-    )
-    parser.add_argument(
-        "--max-city-alloc-mb",
-        type=float,
-        default=512.0,
-        help="with --city, fail if the largest point's tracemalloc peak "
-        "exceeds this many MB (generous CI bound; 0 = report only)",
-    )
-    parser.add_argument(
-        "--max-city-rss-mb",
-        type=float,
-        default=2048.0,
-        help="with --city, fail if peak RSS after the largest point "
-        "exceeds this many MB (generous CI bound; 0 = report only)",
-    )
-    parser.add_argument(
         "--epoch",
         action="store_true",
         help="also run full controller epochs over city populations and "
-        "gate with --min-epoch-speedup / --max-epoch-alloc-mb",
+        "gate with --min-epoch-speedup / --max-epoch-alloc-mb / "
+        "--max-epoch-rss-mb",
     )
     parser.add_argument(
         "--epoch-ues",
@@ -565,6 +489,14 @@ def main(argv=None) -> int:
         "tracemalloc peak exceeds this many MB (generous CI bound; "
         "0 = report only)",
     )
+    parser.add_argument(
+        "--max-epoch-rss-mb",
+        type=float,
+        default=2048.0,
+        help="with --epoch, fail if peak RSS after the largest dedup "
+        "point (run before the per-UE reference) exceeds this many MB "
+        "(generous CI bound; 0 = report only)",
+    )
     args = parser.parse_args(argv)
 
     payload = {"bench": "headline_smoke"}
@@ -602,21 +534,6 @@ def main(argv=None) -> int:
             f"mean SINR {fleet['mean_sinr_db']:.1f} dB)"
         )
 
-    city = None
-    if args.city:
-        ues_list = [int(x) for x in args.city_ues.split(",") if x.strip()]
-        city = bench_city(ues_list, args.city_tti)
-        payload["city"] = city
-        for pt in city["points"]:
-            print(
-                f"[city] {pt['n_ues']:>7d} UEs: {pt['wall_s']:.2f} s, "
-                f"peak alloc {pt['peak_alloc_bytes'] / 1e6:.1f} MB, "
-                f"peak RSS {pt['max_rss_bytes'] / 1e6:.1f} MB, "
-                f"{pt['placement_rem_cells']} REM cells, "
-                f"{pt['mac_shards']} shards, "
-                f"{pt['aggregate_served_mbps']:.1f} Mbps served"
-            )
-
     epoch = None
     if args.epoch:
         ues_list = [int(x) for x in args.epoch_ues.split(",") if x.strip()]
@@ -628,6 +545,7 @@ def main(argv=None) -> int:
             print(
                 f"[epoch] {pt['n_ues']:>7d} UEs dedup: {pt['wall_s']:.2f} s, "
                 f"peak alloc {pt['peak_alloc_bytes'] / 1e6:.1f} MB, "
+                f"peak RSS {pt['max_rss_bytes'] / 1e6:.1f} MB, "
                 f"{pt['n_rem_groups']} REM groups, "
                 f"min SNR {pt['min_snr_db']:.1f} dB, "
                 f"{pt['aggregate_served_mbps']:.1f} Mbps served"
@@ -703,24 +621,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-    if city is not None:
-        worst = max(city["points"], key=lambda p: p["n_ues"])
-        alloc_mb = worst["peak_alloc_bytes"] / 1e6
-        rss_mb = worst["max_rss_bytes"] / 1e6
-        if args.max_city_alloc_mb > 0 and alloc_mb > args.max_city_alloc_mb:
-            print(
-                f"FAIL: city peak allocation {alloc_mb:.1f} MB at "
-                f"{worst['n_ues']} UEs > bound {args.max_city_alloc_mb:.0f} MB",
-                file=sys.stderr,
-            )
-            return 1
-        if args.max_city_rss_mb > 0 and rss_mb > args.max_city_rss_mb:
-            print(
-                f"FAIL: city peak RSS {rss_mb:.1f} MB at "
-                f"{worst['n_ues']} UEs > bound {args.max_city_rss_mb:.0f} MB",
-                file=sys.stderr,
-            )
-            return 1
     if epoch is not None:
         not_deduped = [
             p["n_ues"] for p in epoch["points"] if p["n_rem_groups"] >= p["n_ues"]
@@ -753,6 +653,15 @@ def main(argv=None) -> int:
             print(
                 f"FAIL: dedup epoch peak allocation {alloc_mb:.1f} MB at "
                 f"{worst['n_ues']} UEs > bound {args.max_epoch_alloc_mb:.0f} MB",
+                file=sys.stderr,
+            )
+            return 1
+        largest = max(epoch["points"], key=lambda p: p["n_ues"])
+        rss_mb = largest["max_rss_bytes"] / 1e6
+        if args.max_epoch_rss_mb > 0 and rss_mb > args.max_epoch_rss_mb:
+            print(
+                f"FAIL: dedup epoch peak RSS {rss_mb:.1f} MB at "
+                f"{largest['n_ues']} UEs > bound {args.max_epoch_rss_mb:.0f} MB",
                 file=sys.stderr,
             )
             return 1

@@ -492,16 +492,3 @@ class ChannelModel:
                 noise = rng.normal(0.0, measurement_noise_db, size=mean.shape)
                 out.append(mean + fading + noise)
         return out
-
-    def sample_snr_db(
-        self,
-        uav_xyz: np.ndarray,
-        ue_xyz: np.ndarray,
-        rng: np.random.Generator,
-        measurement_noise_db: float = 0.5,
-    ) -> np.ndarray:
-        """:meth:`sample_snr_many` for one UE (a float for a single point)."""
-        [out] = self.sample_snr_many(uav_xyz, [ue_xyz], rng, measurement_noise_db)
-        if np.asarray(uav_xyz).ndim == 1:
-            return float(out[0])
-        return out

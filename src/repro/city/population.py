@@ -178,17 +178,20 @@ class UEPopulation:
         for lo in range(0, self.n_ues, width):
             yield slice(lo, min(lo + width, self.n_ues))
 
-    def unique_rem_cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def unique_rem_cells(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Deduplicate the population to its occupied REM key cells.
 
-        Returns ``(keys, representatives, inverse)``: the sorted unique
-        key values, one representative UE position per key (the first
-        population member holding it), and the per-UE index into
-        ``keys``.  Placement over the representatives covers every UE
-        in map-oracle resolution while the work saturates at the key
-        grid size instead of growing with the population.
+        Returns ``(keys, first, representatives, inverse)``: the sorted
+        unique key values, the population index of the first member
+        holding each key, that member's position (the key's
+        representative UE), and the per-UE index into ``keys``.
+        Serving the representatives covers every UE in map-oracle
+        resolution while the work saturates at the key grid size
+        instead of growing with the population.
         """
         keys, first, inverse = np.unique(
             self.rem_key, return_index=True, return_inverse=True
         )
-        return keys, self.xyz[first], inverse
+        return keys, first, self.xyz[first], inverse

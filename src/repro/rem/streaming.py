@@ -1,23 +1,20 @@
-"""Streaming folds over map tiles.
+"""Streaming fold of the controller's Step 8 over REM row-bands.
 
-City-scale populations make the ``(n_ue, ny, nx)`` stack the memory
-bottleneck of every map consumer, but the min-SNR surface behind
-max–min placement is a fold: it can consume the tiles of
-:meth:`~repro.channel.model.ChannelModel.iter_snr_map_tiles` as they
-arrive and keep only O(grid) state.  The controller's
-uncertainty-discounted Step 8 folds interpolated REM bands the same
-way.
+City-scale populations make the ``(n_ue, ny, nx)`` map stack the
+memory bottleneck of placement, but the min-SNR surface behind max–min
+placement is a fold: it can consume each REM's interpolated map one
+row-band at a time and keep only O(grid) state.  The controller's
+uncertainty-discounted Step 8 (:func:`streamed_discounted_max_min_placement`)
+folds that way, so no per-UE stack is ever materialized.
 
 Exactness
 ---------
 
-Tiles carry a ``(ue_slice, row_slice, block)`` triple and each cell
-value is bit-identical to the materialized stack (the tile generator's
-contract), so the only question is whether the *fold* commutes with
-chunking.  ``min`` does, under any chunking: the minimum of minima is
-the minimum, and NaN poisons a cell in both paths.  So does subtracting
-a per-UE constant from each tile first (the interference penalty of
-co-channel placement, ``block - penalty[ue_slice, None, None]``).
+Each band's interpolated values equal the same rows of the full
+interpolation (:func:`interpolate_tile`), and so do the bands of the
+uncertainty penalty, so the only question is whether the *fold*
+commutes with chunking.  ``min`` does, under any chunking: the minimum
+of minima is the minimum, and NaN poisons a cell in both paths.
 """
 
 from __future__ import annotations
@@ -35,45 +32,6 @@ from repro.core.placement import (
 from repro.geo.grid import GridSpec
 from repro.perf import perf
 from repro.rem.interpolate import plan_kwargs
-
-#: A streamed map tile: which UEs, which grid rows, and the
-#: ``(n_ue_chunk, n_rows, nx)`` block of values.
-Tile = Tuple[slice, slice, np.ndarray]
-
-
-def streamed_min_snr_map(tiles: Iterable[Tile], shape: Tuple[int, int]) -> np.ndarray:
-    """Cell-wise minimum over streamed per-UE map tiles.
-
-    Bit-identical to ``np.min(stack, axis=0)`` over the materialized
-    stack: min folds exactly under chunking, NaN poisons a cell in both
-    paths, and rows no tile covers stay ``+inf`` (a coverage bug the
-    caller's tile source should make impossible).
-    """
-    out = np.full(shape, np.inf)
-    seen = False
-    for _ue_sl, row_sl, block in tiles:
-        seen = True
-        np.minimum(out[row_sl], block.min(axis=0), out=out[row_sl])
-    if not seen:
-        raise ValueError("need at least one tile (empty UE population?)")
-    return out
-
-
-def streamed_max_min_placement(
-    grid: GridSpec,
-    tiles: Iterable[Tile],
-    altitude: float,
-) -> PlacementResult:
-    """Max–min placement folded from streamed tiles (Section 3.4).
-
-    The streamed counterpart of
-    :func:`repro.core.placement.max_min_placement`: the min-SNR surface
-    is folded tile-by-tile (O(grid) peak memory, never O(n_ue * grid))
-    and its argmax — same first-max row-major tie-break — is the
-    chosen cell.
-    """
-    mm = streamed_min_snr_map(tiles, grid.shape)
-    return place_at_max(grid, mm, float(altitude))
 
 
 def interpolate_tile(

@@ -47,9 +47,14 @@ class EpochRecord:
     cumulative_distance_m / cumulative_time_s:
         Overhead spent so far, across epochs.
     relative_throughput:
-        True mean-UE throughput at the chosen position over the
-        optimum at the same altitude (None for fleets: a fleet has no
-        single-cell optimum).
+        True mean-UE throughput at the chosen position over the true
+        mean-UE throughput at the max-min-SNR argmax of the
+        ground-truth maps at the same altitude
+        (:meth:`~repro.sim.scenario.Scenario.relative_throughput`).
+        The reference maximizes the worst UE's SNR, not the mean
+        throughput, so the ratio can exceed 1 (up to 107.48 on the
+        Fig. 29 NYC points).  None for fleets: a fleet has no
+        single-cell reference.
     rem_error_db:
         Median REM error vs ground truth (NaN for schemes without
         REMs, None for fleets).

@@ -48,7 +48,7 @@ from repro.flight.sampler import SRS_RATE_HZ
 from repro.geo.grid import GridSpec
 from repro.lte.throughput import _THRESHOLDS, cqi_from_snr, throughput_mbps
 
-#: The PHY instrument noise of :meth:`ChannelModel.sample_snr_db`.
+#: The PHY instrument noise of :meth:`ChannelModel.sample_snr_many`.
 MEASUREMENT_NOISE_DB = 0.5
 
 

@@ -81,7 +81,7 @@ class TestChannelModel:
         ue = np.array([50.0, 50.0, 1.5])
         uav = np.tile(np.array([30.0, 30.0, 50.0]), (4000, 1))
         mean = float(flat_channel.snr_db(np.array([30.0, 30.0, 50.0]), ue))
-        samples = flat_channel.sample_snr_db(uav, ue, rng)
+        samples = flat_channel.sample_snr_many(uav, [ue], rng)[0]
         # Rician K=12 LOS fading: small spread around the mean.
         assert abs(np.median(samples) - mean) < 1.0
         assert 0.3 < samples.std() < 4.0

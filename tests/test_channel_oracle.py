@@ -134,7 +134,7 @@ def test_sample_snr_db_traces_once_per_batch(box_channel, rng):
     )
     ue = np.array([50.0, 30.0, 1.5])
     before = perf.counter("raytrace.calls")
-    box_channel.sample_snr_db(uav, ue, rng)
+    box_channel.sample_snr_many(uav, [ue], rng)[0]
     assert perf.counter("raytrace.calls") == before + 1
 
 

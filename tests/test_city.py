@@ -1,11 +1,11 @@
 """City-scale kernels: sharded state bit-identical to the global kernels.
 
 The load-bearing claim of the city layer is decomposition exactness:
-running the population shard-by-shard (MAC, OLLA) or streaming the map
-oracle by REM cell must reproduce the unsharded reference **bit for
-bit**, for any shard size.  These tests pin that, plus the struct-of-
-array population contracts (deterministic sampling, key dedup, slab
-eligibility) the decomposition rests on.
+running the population shard-by-shard (MAC, OLLA) must reproduce the
+unsharded reference **bit for bit**, for any shard size, and so must
+the city's controller epoch that serves through them.  These tests pin
+that, plus the struct-of-array population contracts (deterministic
+sampling, key dedup, slab eligibility) the decomposition rests on.
 """
 
 from __future__ import annotations
@@ -100,9 +100,14 @@ def test_shard_iteration_covers_population(population):
 
 
 def test_unique_rem_cells_dedup(population):
-    keys, reps, inverse = population.unique_rem_cells()
+    keys, first, reps, inverse = population.unique_rem_cells()
     assert np.array_equal(keys, np.unique(population.rem_key))
     assert reps.shape == (len(keys), 3)
+    # Each representative is the first population member holding its key.
+    assert np.array_equal(population.rem_key[first], keys)
+    assert np.array_equal(reps, population.xyz[first])
+    for k, i in zip(keys, first):
+        assert i == np.flatnonzero(population.rem_key == k)[0]
     # inverse maps every UE back to its key.
     assert np.array_equal(keys[inverse], population.rem_key)
     # Representatives saturate: more UEs, not (proportionally) more cells.
@@ -303,20 +308,23 @@ def test_olla_bank_clamps_and_tallies():
 # -- the scenario end to end ----------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def city():
+def _fresh_city():
     return CityScenario.create(
         terrain_name="campus", cell_size_m=8.0, n_ues=120, seed=1, eval_cell_m=32.0
     )
 
 
-def test_city_epoch_runs_and_is_shard_invariant(city):
-    out_a = city.run_epoch(n_tti=20, shard_ues=7)
-    # Reset mutable state so the second run sees identical inputs.
-    fresh = CityScenario.create(
-        terrain_name="campus", cell_size_m=8.0, n_ues=120, seed=1, eval_cell_m=32.0
-    )
-    out_b = fresh.run_epoch(n_tti=20, shard_ues=120)
+@pytest.fixture(scope="module")
+def city():
+    return _fresh_city()
+
+
+def test_city_epoch_runs_and_is_shard_invariant():
+    # Two fresh scenarios, so both epochs see identical controller and
+    # OLLA state; only the MAC shard width differs.
+    epoch = dict(budget_m=120.0, n_tti=20, loc_sample=2)
+    out_a = _fresh_city().run_controller_epoch(shard_ues=7, **epoch)
+    out_b = _fresh_city().run_controller_epoch(shard_ues=120, **epoch)
     assert out_a["placement"].cell == out_b["placement"].cell
     assert out_a["min_snr_db"] == out_b["min_snr_db"]
     assert out_a["mean_snr_db"] == out_b["mean_snr_db"]
@@ -326,46 +334,15 @@ def test_city_epoch_runs_and_is_shard_invariant(city):
     )
 
 
-@pytest.mark.parametrize(
-    "interferer_positions",
-    [
-        pytest.param([], id="no_interferers"),
-        pytest.param([np.array([150.0, 150.0, 60.0])], id="one_co_channel_uav"),
-    ],
-)
-def test_city_placement_matches_materialized_max_min(city, interferer_positions):
-    """Streamed placement over REM reps == materialized max–min placement.
-
-    With a co-channel UAV the streamed fold debits each tile by the
-    per-UE interference penalty; the reference subtracts it from the
-    materialized stack.
-    """
-    from repro.channel.interference import interference_penalty_db
-    from repro.core.placement import max_min_placement
-
-    _keys, reps, _inv = city.population.unique_rem_cells()
-    placed = city.place(tile_rows=5, interferer_positions=interferer_positions)
-    stack = city.channel.snr_maps(
-        list(reps), city.altitude_m, city.eval_grid, use_cache=False
-    )
-    penalty = interference_penalty_db(city.channel, list(reps), interferer_positions)
-    reference = max_min_placement(
-        city.eval_grid, list(stack - penalty[:, None, None]), city.altitude_m
-    )
-    assert placed.cell == reference.cell
-    assert placed.min_snr_db == reference.min_snr_db
-    assert placed.position == reference.position
-
-
-def test_serving_snr_matches_per_ue_channel(city):
-    placed = city.place()
-    snr = city.serving_snr_db(placed.position.as_array())
+def test_serving_snr_matches_per_ue_channel():
+    city = _fresh_city()
+    out = city.run_controller_epoch(budget_m=120.0, n_tti=5, loc_sample=2)
+    uav = out["placement"].position.as_array()
+    snr = city.serving_snr_db(uav)
     assert snr.shape == (city.population.n_ues,)
     # Spot-check a few UEs against the scalar path.
     for i in (0, 57, 119):
-        want = city.channel.snr_db(
-            placed.position.as_array(), city.population.xyz[i]
-        )
+        want = city.channel.snr_db(uav, city.population.xyz[i])
         assert snr[i] == want
 
 
@@ -383,7 +360,7 @@ def test_population_validation(terrain):
 
 def test_controller_epoch_streams_and_serves(city):
     out = city.run_controller_epoch(budget_m=120.0, n_tti=10, loc_sample=2)
-    keys, _reps, _inv = city.population.unique_rem_cells()
+    keys, _first, _reps, _inv = city.population.unique_rem_cells()
     # One registered representative per occupied REM key cell; a
     # *localized* rep's estimate can stray into a neighbouring cell
     # (possibly colliding), so the group count is bounded, not pinned.
@@ -396,7 +373,7 @@ def test_controller_epoch_streams_and_serves(city):
 
 def test_controller_epoch_known_positions_cover_non_sampled_reps(city):
     ctrl = city._controller_for(per_ue=False, loc_sample=2, seed=0)
-    keys, _reps, _inv = city.population.unique_rem_cells()
+    keys, _first, _reps, _inv = city.population.unique_rem_cells()
     n_reps = len(keys)
     assert len(ctrl.enodeb.connected_ues()) == n_reps
     assert len(ctrl._ues_to_localize()) == 2

@@ -190,59 +190,6 @@ class TestCellOrderInvariance:
         assert np.array_equal(rx[perm[best_permuted], cols], rx[best, cols])
 
 
-# -- city-scale fleet SINR via REM-key dedup -----------------------------------
-
-
-class TestCityFleetSinr:
-    def test_fine_key_pitch_matches_exact_tracing(self):
-        from repro.channel.interference import (
-            fleet_rx_power_dbm,
-            sinr_db_from_rx_stack,
-        )
-        from repro.city import CityScenario
-
-        # Key pitch == terrain cell: every UE is its own representative,
-        # so the dedup path must be bit-identical to tracing all UEs.
-        city = CityScenario.create(
-            terrain_name="campus", cell_size_m=4.0, n_ues=30, seed=5,
-            rem_cell_m=4.0,
-        )
-        uavs = [np.array([80.0, 80.0, 60.0]), np.array([220.0, 220.0, 60.0])]
-        rng = np.random.default_rng(1)
-        serving = rng.integers(0, 2, size=city.population.n_ues)
-        dedup = city.fleet_sinr_db(uavs, serving)
-        rx = fleet_rx_power_dbm(city.channel, uavs, [p for p in city.population.xyz])
-        exact = sinr_db_from_rx_stack(city.channel.link, rx, serving)
-        assert np.array_equal(dedup, exact)
-
-    def test_interference_aware_place_costs_min_snr(self):
-        from repro.city import CityScenario
-
-        city = CityScenario.create(
-            terrain_name="campus", cell_size_m=4.0, n_ues=30, seed=5
-        )
-        plain = city.place()
-        jammed = city.place(
-            interferer_positions=[np.array([150.0, 150.0, 60.0])]
-        )
-        # The penalized surface can only be lower, and no interferers
-        # must take the exact SNR path.
-        assert jammed.min_snr_db <= plain.min_snr_db + 1e-12
-        assert city.place(interferer_positions=[]) == plain
-
-    def test_serving_validation(self):
-        from repro.city import CityScenario
-
-        city = CityScenario.create(
-            terrain_name="campus", cell_size_m=4.0, n_ues=10, seed=5
-        )
-        uavs = [np.array([80.0, 80.0, 60.0])]
-        with pytest.raises(ValueError):
-            city.fleet_sinr_db(uavs, np.zeros(3, dtype=int))
-        with pytest.raises(ValueError):
-            city.fleet_sinr_db(uavs, np.full(10, 2))
-
-
 # -- the degenerate fleet ------------------------------------------------------
 
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core.placement import max_min_placement, uncertainty_penalty_db
 from repro.geo.grid import GridSpec
-from repro.rem.aggregate import min_snr_map
 from repro.rem.idw import idw_interpolate, idw_interpolate_rows
 from repro.rem.interpolate import (
     IDWInterpolator,
@@ -34,8 +33,6 @@ from repro.rem.streaming import (
     shared_by_mask,
     streamed_discounted_max_min_placement,
     streamed_discounted_min_map,
-    streamed_max_min_placement,
-    streamed_min_snr_map,
 )
 
 ALTITUDE = 60.0
@@ -103,44 +100,6 @@ def test_tile_rows_validation(box_channel, ues):
         list(box_channel.iter_snr_map_tiles(ues, ALTITUDE, tile_rows=0))
     with pytest.raises(ValueError, match="ue_chunk"):
         list(box_channel.iter_snr_map_tiles(ues, ALTITUDE, ue_chunk=0))
-
-
-# -- streamed folds vs materialized aggregations --------------------------------
-
-
-@pytest.mark.parametrize("tile_rows,ue_chunk", [(7, None), (13, 1), (50, 2)])
-def test_streamed_min_map_and_placement(box_channel, ues, tile_rows, ue_chunk):
-    grid = box_channel.terrain.grid
-    stack = box_channel.snr_maps(ues, ALTITUDE, use_cache=False)
-
-    def tiles():
-        return box_channel.iter_snr_map_tiles(
-            ues, ALTITUDE, tile_rows=tile_rows, ue_chunk=ue_chunk
-        )
-
-    mm = streamed_min_snr_map(tiles(), grid.shape)
-    assert np.array_equal(mm, min_snr_map(stack))
-
-    placed = streamed_max_min_placement(grid, tiles(), ALTITUDE)
-    reference = max_min_placement(grid, list(stack), ALTITUDE)
-    assert placed.cell == reference.cell
-    assert placed.min_snr_db == reference.min_snr_db
-    assert np.array_equal(
-        placed.position.as_array(), reference.position.as_array()
-    )
-
-
-def test_streamed_folds_reject_empty():
-    with pytest.raises(ValueError, match="at least one tile"):
-        streamed_min_snr_map(iter([]), (4, 4))
-
-
-def test_streamed_min_map_nan_poisons_cell():
-    block = np.ones((2, 2, 3))
-    block[1, 0, 1] = np.nan
-    out = streamed_min_snr_map([(slice(0, 2), slice(0, 2), block)], (2, 3))
-    assert np.isnan(out[0, 1])
-    assert out[1, 2] == 1.0
 
 
 # -- row-band interpolation -----------------------------------------------------
@@ -324,6 +283,24 @@ class TestStreamedDiscountedFold:
     def test_row_bands_validation(self):
         with pytest.raises(ValueError, match="tile_rows"):
             row_bands(10, 0)
+
+
+def test_streamed_min_map_nan_poisons_cell():
+    """A NaN cell of one REM's map stays NaN in the folded surface."""
+    poisoned = np.full(_FOLD_GRID.shape, 1.0)
+    poisoned[0, 1] = np.nan
+    rems = [
+        REM(_FOLD_GRID, np.array([10.0, 10.0, 1.5]), _FOLD_ALT, prior=poisoned),
+        REM(_FOLD_GRID, np.array([30.0, 30.0, 1.5]), _FOLD_ALT,
+            prior=np.full(_FOLD_GRID.shape, 4.0)),
+    ]
+    for tile_rows in (1, 3, 64):
+        out, _ = streamed_discounted_min_map(
+            _FOLD_GRID, rems, IDWInterpolator(), tile_rows=tile_rows
+        )
+        assert np.isnan(out[0, 1])
+        assert np.isnan(out).sum() == 1
+        assert out[1, 2] == 1.0
 
 
 # -- shared neighbour plans vs the per-REM path ---------------------------------
