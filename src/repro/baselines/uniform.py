@@ -79,7 +79,6 @@ class UniformController:
             self.altitude = 60.0
         self.faults = as_injector(self.faults)
         self.rng = np.random.default_rng(self.seed)
-        self.interpolator = self.config.rem_interpolator()
         self._rems: Dict[int, REM] = {}
         self._epoch = 0
 
@@ -123,7 +122,6 @@ class UniformController:
         placement, maps = streamed_discounted_max_min_placement(
             self.rem_grid,
             [self._rems[ue_id] for ue_id in ids],
-            self.interpolator,
             self.altitude,
             penalty_rate_db_per_m=self.config.uncertainty_penalty_db_per_m,
             penalty_cap_db=self.config.uncertainty_penalty_cap_db,

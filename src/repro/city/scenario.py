@@ -105,23 +105,21 @@ class CityScenario:
         with perf.span("city.serving_snr"):
             return self.channel.snr_to_many(uav_xyz, self.population.xyz)
 
-    def olla_round(
-        self, snr_db: np.ndarray, *, fading_margin_db: float = 0.0
-    ) -> np.ndarray:
+    def olla_round(self, snr_db: np.ndarray) -> np.ndarray:
         """One deterministic HARQ feedback round through the OLLA bank.
 
         The eNodeB schedules at the OLLA-corrected SNR; the block
         decodes iff the true mean SNR covers the scheduled CQI's
-        switching threshold minus ``fading_margin_db``.  UEs scheduled
-        at CQI 0 get no transport block and report nothing.
-        Returns the effective (corrected) SNR used this round.
+        switching threshold.  UEs scheduled at CQI 0 get no transport
+        block and report nothing.  Returns the effective (corrected)
+        SNR used this round.
         """
         effective = self.olla.effective_snr_db(snr_db)
         cqi = cqi_from_snr(effective)
         sel = np.flatnonzero(cqi > 0)
         if len(sel):
-            needed = _THRESHOLDS[cqi[sel] - 1] - fading_margin_db
-            self.olla.report_batch(np.asarray(snr_db)[sel] >= needed, sel=sel)
+            acked = np.asarray(snr_db)[sel] >= _THRESHOLDS[cqi[sel] - 1]
+            self.olla.report_batch(acked, sel=sel)
         self.population.olla_offset_db[:] = self.olla.offsets_db
         return effective
 

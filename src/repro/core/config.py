@@ -3,7 +3,7 @@
 One dataclass holding every operational knob the paper exposes, with
 the paper's values as defaults (Sections 3-4).  Construction is
 keyword-only and validated: a misconfigured run — negative rates,
-inverted altitude bounds, an interpolator name nothing registered —
+inverted altitude bounds, a traffic model nothing registered —
 fails at config time with a clear message, not hours into a sweep.
 """
 
@@ -12,11 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.geo.grid import GridSpec
-from repro.rem.interpolate import (
-    Interpolator,
-    available_interpolators,
-    make_interpolator,
-)
 from repro.traffic.generators import available_traffic_models
 from repro.traffic.schedulers import available_schedulers
 
@@ -66,15 +61,6 @@ class SkyRANConfig:
         Gradient threshold quantile (0.5 = paper's median).
     tof_upsampling:
         SRS correlation upsampling ``K`` (4 in the paper).
-    interpolator:
-        Registered REM interpolation scheme (``"idw"`` — the paper's
-        choice — or ``"kriging"``); validated against
-        :func:`repro.rem.interpolate.available_interpolators`.
-    idw_power:
-        IDW distance exponent (2 = paper's squared inverse distance).
-    idw_neighbors:
-        Measured cells contributing to each interpolated cell (any
-        interpolation scheme).
     uncertainty_penalty_db_per_m / uncertainty_penalty_cap_db:
         Robust-placement extension (not in the paper): before the
         max-min argmax, each cell's estimated SNR is discounted by
@@ -123,19 +109,7 @@ class SkyRANConfig:
         ``"served"`` (aggregate *served* rate from the MAC simulation,
         which diverges from capacity exactly when the offered load
         does not saturate the cell — the paper's Section 3.5 signal
-        computed on real traffic), or ``"learned"`` (the capacity KPI
-        plus a :mod:`repro.learn` collapse predictor that can fire the
-        epoch trigger *before* the reactive 10% rule; falls back to
-        the reactive rule whenever the model or its input cannot be
-        trusted).
-    learn_model_path:
-        Path to a serialized REM-residual model for the ``"learned"``
-        interpolator (ignored by the analytic schemes).  None — the
-        default — leaves the learned interpolator bit-identical to
-        plain IDW.
-    learn_trigger_model_path:
-        Path to a serialized epoch-KPI model for the ``"learned"``
-        trigger metric.  None leaves the trigger purely reactive.
+        computed on real traffic).
     tti_batch:
         TTIs simulated per serving-time MAC batch (1000 = 1 s).
     pf_time_constant_tti:
@@ -164,9 +138,6 @@ class SkyRANConfig:
     k_max: int = 10
     gradient_quantile: float = 0.5
     tof_upsampling: int = 4
-    interpolator: str = "idw"
-    idw_power: float = 2.0
-    idw_neighbors: int = 12
     uncertainty_penalty_db_per_m: float = 0.1
     uncertainty_penalty_cap_db: float = 6.0
     epoch_debounce: int = 1
@@ -179,8 +150,6 @@ class SkyRANConfig:
     traffic_rate_mbps: float = 2.0
     traffic_buffer_bytes: float = 0.0
     epoch_trigger_metric: str = "capacity"
-    learn_model_path: "str | None" = None
-    learn_trigger_model_path: "str | None" = None
     tti_batch: int = 1000
     pf_time_constant_tti: int = 100
     rem_key_pitch_m: "float | None" = None
@@ -202,15 +171,6 @@ class SkyRANConfig:
             raise ValueError("epoch_margin must be in (0, 1)")
         if self.reuse_radius_m < 0:
             raise ValueError("reuse_radius_m must be >= 0")
-        if self.interpolator not in available_interpolators():
-            known = ", ".join(available_interpolators())
-            raise ValueError(
-                f"unknown interpolator {self.interpolator!r} (known: {known})"
-            )
-        if self.idw_power <= 0:
-            raise ValueError("idw_power must be positive")
-        if self.idw_neighbors < 1:
-            raise ValueError("idw_neighbors must be >= 1")
         if self.epoch_debounce < 1:
             raise ValueError("epoch_debounce must be >= 1")
         if self.localization_max_retries < 0:
@@ -233,10 +193,10 @@ class SkyRANConfig:
             raise ValueError("traffic_rate_mbps must be positive")
         if self.traffic_buffer_bytes < 0:
             raise ValueError("traffic_buffer_bytes must be >= 0")
-        if self.epoch_trigger_metric not in ("capacity", "served", "learned"):
+        if self.epoch_trigger_metric not in ("capacity", "served"):
             raise ValueError(
-                "epoch_trigger_metric must be 'capacity', 'served', or "
-                f"'learned', got {self.epoch_trigger_metric!r}"
+                "epoch_trigger_metric must be 'capacity' or 'served', "
+                f"got {self.epoch_trigger_metric!r}"
             )
         if self.tti_batch < 1:
             raise ValueError("tti_batch must be >= 1")
@@ -250,12 +210,3 @@ class SkyRANConfig:
         ``rem_cell_size_m`` (never finer than one terrain cell)."""
         factor = max(1, int(round(self.rem_cell_size_m / terrain_grid.cell_size)))
         return terrain_grid.coarsen(factor)
-
-    def rem_interpolator(self) -> Interpolator:
-        """The configured REM interpolator, built from its knobs."""
-        return make_interpolator(
-            self.interpolator,
-            power=self.idw_power,
-            k_neighbors=self.idw_neighbors,
-            model_path=self.learn_model_path,
-        )

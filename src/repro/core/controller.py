@@ -25,7 +25,6 @@ from repro.core.placement import PlacementResult, find_optimal_altitude
 from repro.core.placement import max_min_placement  # noqa: F401
 from repro.core.rem_store import REMStore
 from repro.faults.injector import FaultInjector, as_injector
-from repro.flight.energy import EnergyBudget
 from repro.flight.sampler import collect_snr_samples, localize_all_ues
 from repro.flight.uav import UAV
 from repro.geo.grid import GridSpec
@@ -157,17 +156,6 @@ class SkyRANController:
             debounce=self.config.epoch_debounce,
             metric=self.config.epoch_trigger_metric,
         )
-        if self.config.epoch_trigger_metric == "learned":
-            # Import inside the branch: the default path must never
-            # import repro.learn (byte-identity of default runs).
-            from repro.learn.trigger import make_predictor
-
-            self.trigger.predictor = make_predictor(
-                self.config.learn_trigger_model_path,
-                self.config.epoch_margin,
-                self.faults,
-            )
-        self.interpolator = self.config.rem_interpolator()
         self.altitude: Optional[float] = None
         self.epoch_index = 0
         self._last_estimates: Dict[int, np.ndarray] = {}
@@ -483,17 +471,8 @@ class SkyRANController:
                 rep_of[ue_id] = rep
         return members, rep_of
 
-    def run_epoch(
-        self,
-        budget_m: Optional[float] = None,
-        energy_budget: Optional["EnergyBudget"] = None,
-    ) -> EpochResult:
+    def run_epoch(self, budget_m: Optional[float] = None) -> EpochResult:
         """Execute one full SkyRAN epoch (Fig. 10, steps 1-8).
-
-        ``energy_budget`` (a :class:`~repro.flight.energy.EnergyBudget`)
-        caps the measurement budget by what the battery can fund while
-        still reserving service time — the Section 2.5 trade made
-        operational.
 
         Work is organized around REM-key dedup groups
         (:meth:`_rem_groups`), so city-scale populations cost O(groups)
@@ -519,8 +498,6 @@ class SkyRANController:
         if not self.enodeb.connected_ues():
             raise RuntimeError("no connected UEs to serve")
         budget = budget_m if budget_m is not None else self.config.measurement_budget_m
-        if energy_budget is not None:
-            budget = max(energy_budget.clamp(budget, self.uav.battery), 1.0)
         total_distance = 0.0
         t_start = self.uav.clock_s
 
@@ -551,7 +528,7 @@ class SkyRANController:
         # Step 6: plan over the running per-UE aggregate (group maps
         # broadcast to members) and the dedup waypoints.
         group_maps = {
-            rep: rem.interpolated(self.interpolator, plans=shared)
+            rep: rem.interpolated(plans=shared)
             for rep, (rem, shared) in zip(rems, shared_by_mask(rems.values()))
         }
         agg = aggregate_rem_running(
@@ -594,7 +571,6 @@ class SkyRANController:
         placement, group_final = streamed_discounted_max_min_placement(
             self.rem_grid,
             [rems[rep] for rep in sorted(rems)],
-            self.interpolator,
             self.altitude,
             penalty_rate_db_per_m=self.config.uncertainty_penalty_db_per_m,
             penalty_cap_db=self.config.uncertainty_penalty_cap_db,

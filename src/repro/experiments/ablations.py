@@ -95,10 +95,10 @@ def grid_interpolation(quick: bool = True, seed: int = 0) -> List[Dict]:
 def point_interpolation(params: Dict, quick: bool = True) -> Dict:
     """REM error for different interpolators on the same measurements.
 
-    Variants are resolved through the interpolator registry (the same
-    path :class:`~repro.core.config.SkyRANConfig` uses), and any scheme
-    registered beyond the named variants is swept at its defaults — a
-    new interpolator joins this ablation just by registering.
+    Variants are resolved through the interpolator registry, and any
+    scheme registered beyond the named variants is swept at its
+    defaults — a new interpolator joins this ablation just by
+    registering.
     """
     seed = params["seed"]
     scenario = scenario_for("campus", n_ues=3, seed=seed, quick=quick)

@@ -30,7 +30,7 @@ BUDGET_M = 2500.0
 PAPER = "model error grows with complexity to ~10 dB, up to ~4x the data-driven ~2-4 dB"
 
 
-def _data_driven_maps(scenario, rem_grid, interpolator, rng):
+def _data_driven_maps(scenario, rem_grid, rng):
     """Per-UE REMs from one budgeted measurement flight."""
     traj = zigzag_for_budget(rem_grid, BUDGET_M, ALTITUDE_M)
     uav = UAV(position=np.array([rem_grid.origin_x, rem_grid.origin_y, ALTITUDE_M]))
@@ -40,7 +40,7 @@ def _data_driven_maps(scenario, rem_grid, interpolator, rng):
     for ue, (xy, snr) in zip(scenario.ues, samples):
         rem = REM(rem_grid, ue.xyz, ALTITUDE_M)
         rem.add_measurements(xy, snr)
-        maps.append(rem.interpolated(interpolator))
+        maps.append(rem.interpolated())
     return maps
 
 
@@ -58,7 +58,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
     rem_grid = cfg.rem_grid_for(scenario.grid)
     truth = scenario.truth_maps(ALTITUDE_M, rem_grid)
 
-    data_maps = _data_driven_maps(scenario, rem_grid, cfg.rem_interpolator(), rng)
+    data_maps = _data_driven_maps(scenario, rem_grid, rng)
     data_err = float(
         np.median([median_abs_error_db(m, truth[i]) for i, m in enumerate(data_maps)])
     )

@@ -42,9 +42,9 @@ def _measure(scenario, rem_grid, rems, traj, rng):
         rem.add_measurements(xy, snr)
 
 
-def _error_and_fraction(rems, truth, interpolator):
+def _error_and_fraction(rems, truth):
     errs = [
-        median_abs_error_db(rem.interpolated(interpolator), truth[i])
+        median_abs_error_db(rem.interpolated(), truth[i])
         for i, rem in enumerate(rems)
     ]
     fraction = float(np.mean([rem.n_measured_cells / rem.grid.num_cells for rem in rems]))
@@ -56,7 +56,7 @@ def _setup(seed: int, quick: bool):
     cfg = config_for(quick)
     rem_grid = cfg.rem_grid_for(scenario.grid)
     truth = scenario.truth_maps(ALTITUDE_M, rem_grid)
-    return scenario, rem_grid, truth, cfg.rem_interpolator()
+    return scenario, rem_grid, truth
 
 
 def grid(quick: bool = True, seed: int = 0, budgets=None) -> List[Dict]:
@@ -74,7 +74,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
     """The error-vs-fraction curve of one probing strategy."""
     seed = params["seed"]
     budgets = params["budgets"]
-    scenario, rem_grid, truth, interpolator = _setup(seed, quick)
+    scenario, rem_grid, truth = _setup(seed, quick)
     rng = np.random.default_rng(seed)
     curve = []
 
@@ -97,7 +97,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
         for budget in budgets:
             increment = budget - spent
             agg = aggregate_rem_running(
-                (r.interpolated(interpolator) for r in rems), rem_grid.shape
+                (r.interpolated() for r in rems), rem_grid.shape
             )
             plan = planner.plan(
                 rem_grid,
@@ -113,7 +113,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
                 history.record(p, plan.trajectory)
             start = plan.trajectory.end()
             spent = budget
-            err, frac = _error_and_fraction(rems, truth, interpolator)
+            err, frac = _error_and_fraction(rems, truth)
             curve.append([frac, err])
     else:
         # Naive probing: a dense corner-start sweep truncated at each
@@ -123,7 +123,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
             naive_rems = [REM(rem_grid, ue.xyz, ALTITUDE_M) for ue in scenario.ues]
             traj = zigzag_trajectory(rem_grid, 15.0, ALTITUDE_M).truncated(budget)
             _measure(scenario, rem_grid, naive_rems, traj, rng)
-            err, frac = _error_and_fraction(naive_rems, truth, interpolator)
+            err, frac = _error_and_fraction(naive_rems, truth)
             curve.append([frac, err])
 
     return {"strategy": params["strategy"], "budgets": budgets, "curve": curve}

@@ -29,7 +29,7 @@ BUDGET_M = 600.0
 PAPER = "<=5 m error -> 0.9-0.95x optimal; 10 m -> ~10% loss; >=20 m -> >50% loss"
 
 
-def _placement_with_error(scenario, rem_grid, interpolator, error_m, rng, seed):
+def _placement_with_error(scenario, rem_grid, error_m, rng, seed):
     """REM pipeline fed positions displaced by ``error_m``."""
 
     def prior(ue_xyz):
@@ -52,7 +52,7 @@ def _placement_with_error(scenario, rem_grid, interpolator, error_m, rng, seed):
         [rem_grid.origin_x + rem_grid.width / 2, rem_grid.origin_y + rem_grid.height / 2]
     )
     agg = aggregate_rem_running(
-        (r.interpolated(interpolator) for r in rems), rem_grid.shape
+        (r.interpolated() for r in rems), rem_grid.shape
     )
     plan = planner.plan(
         rem_grid,
@@ -69,9 +69,7 @@ def _placement_with_error(scenario, rem_grid, interpolator, error_m, rng, seed):
     for rem, (xy, snr) in zip(rems, samples):
         rem.add_measurements(xy, snr)
     # Step 8 without the uncertainty discount (rate 0).
-    placement, _ = streamed_discounted_max_min_placement(
-        rem_grid, rems, interpolator, ALTITUDE_M
-    )
+    placement, _ = streamed_discounted_max_min_placement(rem_grid, rems, ALTITUDE_M)
     return scenario.relative_throughput(placement.position)
 
 
@@ -87,7 +85,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
     cfg = config_for(quick)
     rem_grid = cfg.rem_grid_for(scenario.grid)
     rng = np.random.default_rng([seed, int(round(10 * err))])
-    rel = _placement_with_error(scenario, rem_grid, cfg.rem_interpolator(), err, rng, seed)
+    rel = _placement_with_error(scenario, rem_grid, err, rng, seed)
     return {"loc_error_m": err, "relative_throughput": float(rel)}
 
 

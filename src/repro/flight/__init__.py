@@ -8,7 +8,6 @@ chain used by localization flights and the 100 Hz SNR reporter used by
 REM measurement flights.
 """
 
-from repro.flight.energy import EnergyBudget
 from repro.flight.uav import UAV, Battery, FlightLog
 from repro.flight.sampler import (
     collect_gps_ranges,
@@ -19,7 +18,6 @@ from repro.flight.sampler import (
 __all__ = [
     "UAV",
     "Battery",
-    "EnergyBudget",
     "FlightLog",
     "collect_gps_ranges",
     "collect_snr_samples",

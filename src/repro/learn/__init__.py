@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.learn.adapters import LearnedInterpolator, clear_model_cache
 from repro.learn.constants import FEATURE_SCHEMA_VERSION, LEARN_SPAWN_KEY
 from repro.learn.models import load_model, make_model, save_model, zero_model
-from repro.learn.trigger import CollapsePredictor, make_predictor
+from repro.learn.trigger import CollapsePredictor
 from repro.rem.interpolate import available_interpolators, register_interpolator
 
 if "learned" not in available_interpolators():
@@ -36,7 +36,6 @@ __all__ = [
     "clear_model_cache",
     "load_model",
     "make_model",
-    "make_predictor",
     "save_model",
     "zero_model",
 ]

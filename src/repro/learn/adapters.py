@@ -1,9 +1,11 @@
 """The ``learned`` interpolator: a model residual riding on plain IDW.
 
 Registered (by :mod:`repro.learn`) under the name ``"learned"`` in the
-same registry as ``"idw"`` and ``"kriging"``, so it threads through
-:class:`~repro.core.config.SkyRANConfig` and the interpolation ablation
-exactly like the analytic schemes.
+same registry as ``"idw"`` and ``"kriging"``, so the interpolation
+ablation and the offline learned-control evaluation
+(:func:`repro.learn.evaluate.rem_error_rows`) sweep it like the
+analytic schemes.  The SkyRAN epoch does not run it: the epoch
+interpolates with plain IDW.
 
 The degeneration contract, which the property tests pin bitwise: with
 no model (``model_path=None``), a model that fails to load, a zero
@@ -21,12 +23,6 @@ predictions are bias + noise; only confident ones act) and clipped to
 with non-finite predictions zeroed and counted.  Every refusal path
 bumps a ``learn.fallback.*`` perf counter so runs can prove how often
 the model actually spoke.
-
-There is deliberately **no** ``interpolate_tile``: per-tile matmuls can
-differ from the full-map matmul by an ulp across BLAS batch shapes,
-which would break the tile==slice contract the streaming path asserts.
-Streaming REM queries on a ``learned`` REM therefore take the existing
-``rem.tile_fallback`` full-map path.
 """
 
 from __future__ import annotations
@@ -81,10 +77,10 @@ def clear_model_cache() -> None:
 class LearnedInterpolator:
     """Residual-correction interpolation: IDW plus a learned term.
 
-    Carries the IDW knobs (same names as
-    :class:`~repro.rem.interpolate.IDWInterpolator`, so one config
-    serves both) plus ``model_path`` pointing at a serialized
-    REM-residual model from :mod:`repro.learn.models`.
+    Carries the IDW knobs (the same names as
+    :class:`~repro.rem.interpolate.IDWInterpolator`) plus
+    ``model_path`` pointing at a serialized REM-residual model from
+    :mod:`repro.learn.models`.
     """
 
     power: float = 2.0

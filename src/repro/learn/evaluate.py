@@ -69,7 +69,7 @@ def rem_error_rows(
     ``model_path``, and the learned interpolator with no model (the
     degeneration anchor — its row must equal IDW's exactly).  Every
     variant gets the FSPL prior as ``fallback``, matching how
-    :meth:`repro.rem.map.REM.interpolated` calls interpolators in the
+    :meth:`repro.rem.map.REM.interpolated` interpolates in the
     controller (and how the training tables were built — the
     ``prior_gap_db`` feature must mean the same thing at train and
     serve time).

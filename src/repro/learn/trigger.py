@@ -16,7 +16,7 @@ alone) whenever its input cannot be trusted, each refusal counted under
                    garbage predictions out, so chaos runs degrade to
                    exactly the reactive baseline (bit-identical — the
                    predictor touches nothing on this path)
-``no_model``       no model configured or it failed to load
+``no_model``       no model given
 ``cold_start``     fewer than ``TRIGGER_WINDOW`` samples this epoch
 ``untrusted``      a window ratio is non-finite, negative, or above
                    ``TRIGGER_TRUST_RATIO``
@@ -28,17 +28,12 @@ counts ``learn.trigger.predictive_fire``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.learn.constants import (
-    TRIGGER_FEATURE_NAMES,
-    TRIGGER_TRUST_RATIO,
-    TRIGGER_WINDOW,
-)
+from repro.learn.constants import TRIGGER_TRUST_RATIO, TRIGGER_WINDOW
 from repro.learn.features import trigger_features
 from repro.perf import perf
 
@@ -101,39 +96,3 @@ class CollapsePredictor:
         perf.count("learn.trigger.quiet")
         return False
 
-
-def make_predictor(
-    model_path: Optional[str], margin: float, faults: Optional[object]
-) -> CollapsePredictor:
-    """Build the predictor for a run (the controller's wiring point).
-
-    A missing/broken/mismatched model yields a predictor that always
-    refuses (``learn.fallback.no_model``) — the run proceeds on the
-    reactive rule alone rather than failing.
-    """
-    model = None
-    if model_path is not None:
-        from repro.learn.models import load_model
-
-        try:
-            model = load_model(model_path)
-        except Exception as exc:  # noqa: BLE001 - degrade, never crash a run
-            warnings.warn(
-                f"learned trigger: cannot load model {model_path!r} ({exc}); "
-                "running on the reactive rule alone",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            model = None
-        else:
-            names = getattr(model, "feature_names", None)
-            if names is not None and tuple(names) != TRIGGER_FEATURE_NAMES:
-                warnings.warn(
-                    f"learned trigger: model {model_path!r} has feature names "
-                    f"{tuple(names)!r}, expected {TRIGGER_FEATURE_NAMES!r}; "
-                    "running on the reactive rule alone",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                model = None
-    return CollapsePredictor(model=model, threshold=1.0 - margin, faults=faults)

@@ -12,8 +12,10 @@ cells (or ``measured_mask`` marking measured ones explicitly) and
 to interpolate from.
 
 Schemes register under a string name (``"idw"``, ``"kriging"``) so the
-choice threads through :class:`~repro.core.config.SkyRANConfig` and the
-interpolation ablation as configuration instead of call-site branching.
+interpolation ablation and the offline learned-control evaluation can
+sweep them by name.  The SkyRAN epoch itself runs the paper's IDW
+(power 2, 12 neighbours) directly: :meth:`repro.rem.map.REM.interpolated`
+and the streamed Step-8 fold call :mod:`repro.rem.idw`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 import numpy as np
 
 from repro.geo.grid import GridSpec
-from repro.rem.idw import idw_interpolate_rows
-from repro.rem.kriging import kriging_interpolate_rows
+from repro.rem.idw import idw_interpolate
+from repro.rem.kriging import kriging_interpolate
 
 
 @runtime_checkable
@@ -62,37 +64,20 @@ class IDWInterpolator:
     k_neighbors: int = 12
     max_distance_m: Optional[float] = None
 
-    def interpolate(self, grid, values, measured_mask=None, fallback=None, plans=None):
-        return self.interpolate_tile(
-            grid, values, slice(None), measured_mask, fallback, plans
-        )
-
-    def interpolate_tile(
+    def interpolate(
         self,
         grid: GridSpec,
         values: np.ndarray,
-        rows: slice,
         measured_mask: Optional[np.ndarray] = None,
         fallback: Optional[np.ndarray] = None,
-        plans: Optional[dict] = None,
     ) -> np.ndarray:
-        """One row-band of the interpolated map (O(band) work/output).
-
-        Optional protocol extension consumed by
-        :func:`repro.rem.streaming.interpolate_tile`; bit-identical to
-        slicing :meth:`interpolate`'s result because IDW estimates are
-        independent per-cell k-NN queries.  ``plans`` shares neighbour
-        plans across maps (:func:`plan_kwargs`).
-        """
-        return idw_interpolate_rows(
+        return idw_interpolate(
             grid,
             _masked_values(values, measured_mask),
-            rows,
             power=self.power,
             k_neighbors=self.k_neighbors,
             max_distance_m=self.max_distance_m,
             fallback=fallback,
-            plans=plans,
         )
 
 
@@ -103,41 +88,20 @@ class KrigingInterpolator:
     k_neighbors: int = 12
     variogram: Optional[Tuple[float, float, float]] = None
 
-    def interpolate(self, grid, values, measured_mask=None, fallback=None):
-        return self.interpolate_tile(grid, values, slice(None), measured_mask, fallback)
-
-    def interpolate_tile(
+    def interpolate(
         self,
         grid: GridSpec,
         values: np.ndarray,
-        rows: slice,
         measured_mask: Optional[np.ndarray] = None,
         fallback: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """One row-band of the interpolated map (O(band) solves/output).
-
-        Optional protocol extension consumed by
-        :func:`repro.rem.streaming.interpolate_tile`; bit-identical to
-        slicing :meth:`interpolate`'s result because local-OK solves
-        are independent per target cell and the variogram fit sees only
-        the global measured set.
-        """
-        return kriging_interpolate_rows(
+        return kriging_interpolate(
             grid,
             _masked_values(values, measured_mask),
-            rows,
             k_neighbors=self.k_neighbors,
             variogram=self.variogram,
             fallback=fallback,
         )
-
-
-def plan_kwargs(interpolator, plans: Optional[dict]) -> dict:
-    """``{"plans": plans}`` for IDW, the one interpolator that shares
-    neighbour plans; ``{}`` keeps kriging and custom ones per map."""
-    if plans is None or not isinstance(interpolator, IDWInterpolator):
-        return {}
-    return {"plans": plans}
 
 
 _REGISTRY: Dict[str, Callable[..., Interpolator]] = {}
@@ -170,18 +134,14 @@ def available_interpolators() -> Tuple[str, ...]:
 def make_interpolator(name: str, **params) -> Interpolator:
     """Instantiate a registered interpolator by name.
 
-    Unknown keyword parameters are ignored for dataclass factories (so
-    one config can carry the union of every scheme's knobs — e.g.
-    ``idw_power`` is meaningless to kriging and silently unused by it).
+    ``params`` go to the scheme's factory as they are: a keyword the
+    scheme does not take (``power`` for kriging) raises ``TypeError``.
     """
     try:
         factory = _REGISTRY[name]
     except KeyError:
         known = ", ".join(available_interpolators())
         raise ValueError(f"unknown interpolator {name!r} (known: {known})") from None
-    accepted = getattr(factory, "__dataclass_fields__", None)
-    if accepted is not None:
-        params = {k: v for k, v in params.items() if k in accepted}
     return factory(**params)
 
 

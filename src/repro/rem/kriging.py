@@ -141,8 +141,7 @@ def kriging_interpolate_rows(
     Local OK solves one ``(k+1)``-system per target cell against the
     *global* measured set, and the variogram (given or fitted) depends
     only on that global set — so a band is bit-identical to slicing the
-    full map while the work and output drop to O(band), letting the
-    streamed epoch pipeline keep kriging REMs tile-resident.
+    full map while the work and output drop to O(band).
 
     Parameters
     ----------

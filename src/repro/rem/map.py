@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.geo.grid import GridSpec
-from repro.rem.interpolate import Interpolator, plan_kwargs
+from repro.rem.idw import idw_interpolate
 
 
 @dataclass
@@ -88,22 +88,15 @@ class REM:
 
     # -- full-map estimation ----------------------------------------------------
 
-    def interpolated(
-        self, interpolator: Interpolator, plans: Optional[dict] = None
-    ) -> np.ndarray:
-        """Full SNR map: measured cells + interpolation (+ prior fallback).
+    def interpolated(self, plans: Optional[dict] = None) -> np.ndarray:
+        """Full SNR map: measured cells + IDW interpolation (+ prior fallback).
 
-        ``interpolator`` is an :class:`~repro.rem.interpolate.Interpolator`
-        (the paper's IDW, the footnote-3 kriging, or a registered one
-        built by :func:`~repro.rem.interpolate.make_interpolator`).
-        ``plans`` shares IDW neighbour plans across maps
-        (:func:`repro.rem.interpolate.plan_kwargs`).
+        The paper's IDW (inverse-square weights, 12 neighbours;
+        :func:`repro.rem.idw.idw_interpolate`).  ``plans`` shares IDW
+        neighbour plans across maps with the same measured cells.
         """
-        return interpolator.interpolate(
-            self.grid,
-            self.measured_values(),
-            fallback=self.prior,
-            **plan_kwargs(interpolator, plans),
+        return idw_interpolate(
+            self.grid, self.measured_values(), fallback=self.prior, plans=plans
         )
 
     # -- lifecycle ---------------------------------------------------------------

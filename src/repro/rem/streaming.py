@@ -10,8 +10,8 @@ folds that way, so no per-UE stack is ever materialized.
 Exactness
 ---------
 
-Each band's interpolated values equal the same rows of the full
-interpolation (:func:`interpolate_tile`), and so do the bands of the
+Each band's IDW values equal the same rows of the full interpolation
+(:func:`repro.rem.idw.idw_interpolate_rows`), and so do the bands of the
 uncertainty penalty, so the only question is whether the *fold*
 commutes with chunking.  ``min`` does, under any chunking: the minimum
 of minima is the minimum, and NaN poisons a cell in both paths.
@@ -30,39 +30,7 @@ from repro.core.placement import (
     uncertainty_penalty_db,
 )
 from repro.geo.grid import GridSpec
-from repro.perf import perf
-from repro.rem.interpolate import plan_kwargs
-
-
-def interpolate_tile(
-    interpolator,
-    grid: GridSpec,
-    values: np.ndarray,
-    rows: slice,
-    measured_mask: Optional[np.ndarray] = None,
-    fallback: Optional[np.ndarray] = None,
-    plans: Optional[dict] = None,
-) -> np.ndarray:
-    """One row-band of an interpolated map, via the cheapest exact path.
-
-    Interpolators that implement ``interpolate_tile`` (IDW and kriging
-    do — their estimates are per-cell queries/solves, so a band costs
-    O(band)) are asked for just the band; anything else falls back to
-    interpolating the full map and slicing, which is exact by
-    construction but silently rematerializes — the fallback bumps the
-    ``rem.tile_fallback`` perf counter so a streamed pipeline that is
-    secretly O(grid)-per-band shows up in BENCH artifacts.  ``plans``
-    shares IDW neighbour plans (:func:`repro.rem.interpolate.plan_kwargs`).
-    """
-    tile = getattr(interpolator, "interpolate_tile", None)
-    if tile is not None:
-        kw = plan_kwargs(interpolator, plans)
-        return tile(grid, values, rows, measured_mask=measured_mask, fallback=fallback, **kw)
-    perf.count("rem.tile_fallback")
-    full = interpolator.interpolate(
-        grid, values, measured_mask=measured_mask, fallback=fallback
-    )
-    return full[rows].copy()
+from repro.rem.idw import idw_interpolate_rows
 
 
 def shared_by_mask(rems: Iterable) -> Iterator[Tuple[object, dict]]:
@@ -94,7 +62,6 @@ def row_bands(ny: int, tile_rows: int) -> List[slice]:
 def streamed_discounted_min_map(
     grid: GridSpec,
     rems: Sequence,
-    interpolator,
     *,
     tile_rows: int = 64,
     penalty_rate_db_per_m: float = 0.0,
@@ -105,8 +72,8 @@ def streamed_discounted_min_map(
     """Uncertainty-discounted min-SNR surface folded REM-by-REM.
 
     The streamed heart of the controller's Step 8: for each REM the
-    interpolated map is produced one row-band at a time
-    (:func:`interpolate_tile`), discounted by the band of its
+    IDW map is produced one row-band at a time
+    (:func:`repro.rem.idw.idw_interpolate_rows`), discounted by the band of its
     distance-to-nearest-measurement penalty
     (:func:`repro.core.placement.uncertainty_penalty_db`), and folded
     into the running cell-wise minimum — the per-UE map *stack* is
@@ -142,8 +109,8 @@ def streamed_discounted_min_map(
         values = rem.measured_values()
         full = np.empty(grid.shape) if collect_maps else None
         for rows in bands:
-            block = interpolate_tile(
-                interpolator, grid, values, rows, fallback=rem.prior, plans=shared
+            block = idw_interpolate_rows(
+                grid, values, rows, fallback=rem.prior, plans=shared
             )
             if collect_maps:
                 full[rows] = block
@@ -170,7 +137,6 @@ def streamed_discounted_min_map(
 def streamed_discounted_max_min_placement(
     grid: GridSpec,
     rems: Sequence,
-    interpolator,
     altitude: float,
     *,
     tile_rows: int = 64,
@@ -190,7 +156,6 @@ def streamed_discounted_max_min_placement(
     mm, maps = streamed_discounted_min_map(
         grid,
         rems,
-        interpolator,
         tile_rows=tile_rows,
         penalty_rate_db_per_m=penalty_rate_db_per_m,
         penalty_cap_db=penalty_cap_db,

@@ -16,12 +16,7 @@ from repro.sim.runner import (
     run_epochs,
     run_simulation,
 )
-from repro.sim.metrics import (
-    median_rem_error,
-    relative_series,
-    summarize,
-)
-from repro.sim.records import load_records, save_records
+from repro.sim.metrics import median_rem_error
 
 __all__ = [
     "Scenario",
@@ -32,8 +27,4 @@ __all__ = [
     "run_simulation",
     "overhead_to_target",
     "median_rem_error",
-    "relative_series",
-    "summarize",
-    "load_records",
-    "save_records",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,13 +34,6 @@ def median_rem_error(
     return float(np.median(errors))
 
 
-def relative_series(values: Iterable[float], reference: float) -> List[float]:
-    """Normalize a series by a reference (0 if the reference is 0)."""
-    if reference <= 0:
-        return [0.0 for _ in values]
-    return [v / reference for v in values]
-
-
 def jain_fairness(values: Sequence[float]) -> float:
     """Jain's fairness index ``(sum x)^2 / (n * sum x^2)``.
 
@@ -56,17 +49,3 @@ def jain_fairness(values: Sequence[float]) -> float:
         return 1.0
     return float(np.sum(arr) ** 2 / denom)
 
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """Five-number-ish summary used in bench printouts."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sequence")
-    return {
-        "mean": float(np.mean(arr)),
-        "median": float(np.median(arr)),
-        "p10": float(np.percentile(arr, 10)),
-        "p90": float(np.percentile(arr, 90)),
-        "min": float(np.min(arr)),
-        "max": float(np.max(arr)),
-    }

@@ -61,17 +61,17 @@ class EpochRecord:
     moved_ues:
         UE ids relocated before this epoch.
     altitude_m:
-        Operating altitude served at after this epoch (None in traces
-        saved before the field existed).
+        Operating altitude served at after this epoch (None for
+        fleets).
     min_throughput_mbps:
         True worst-UE throughput at the served position — the KPI the
-        chaos smoke watches for graceful degradation (None in old
-        traces).  For fleets, the worst per-UE full-cell throughput
-        from the true-SINR evaluation of the final deployment.
+        chaos smoke watches for graceful degradation.  For fleets, the
+        worst per-UE full-cell throughput from the true-SINR evaluation
+        of the final deployment.
     offered_mbps / served_mbps:
         Aggregate offered and served rates from the epoch's traffic
-        MAC batch (None for legacy full-buffer/capacity configs and in
-        old traces — the controller builds no MAC simulation then).
+        MAC batch (None for legacy full-buffer/capacity configs — the
+        controller builds no MAC simulation then).
     backlog_bytes / dropped_bytes:
         End-of-batch aggregate RLC backlog (inf under full-buffer
         workloads) and cumulative tail-dropped bytes (None as above).
@@ -89,7 +89,7 @@ class EpochRecord:
     rem_groups:
         REM-key dedup groups the controller's epoch used (the number of
         UEs it served when dedup is off); None for controllers without
-        REM-key dedup and in old traces.
+        REM-key dedup.
     n_uavs / reuse_factor:
         Fleet size and frequency plan (None outside ``scheme="fleet"``,
         as are all the fleet columns below).
@@ -432,10 +432,6 @@ class RunResult:
     fault_counters / fallback_counters:
         ``faults.*`` / ``fallback.*`` perf-counter deltas accumulated
         over this run (empty for fault-free runs).
-    learn_counters:
-        ``learn.*`` perf-counter deltas (predictive fires,
-        ``learn.fallback.*`` refusals, residual applications) for runs
-        using :mod:`repro.learn` components; empty otherwise.
     event_counters:
         The attach/churn layer's control-plane counters (arrivals,
         attaches, collisions, barring, storms) for ``scheme="events"``
@@ -450,7 +446,6 @@ class RunResult:
     records: Tuple[EpochRecord, ...]
     fault_counters: Dict[str, int] = field(default_factory=dict)
     fallback_counters: Dict[str, int] = field(default_factory=dict)
-    learn_counters: Dict[str, int] = field(default_factory=dict)
     event_counters: Dict[str, int] = field(default_factory=dict)
     population: Dict[str, int] = field(default_factory=dict)
 
@@ -491,7 +486,6 @@ def _counter_deltas(before: Dict[str, int]) -> Dict[str, Dict[str, int]]:
         for name, prefix in (
             ("fault_counters", "faults."),
             ("fallback_counters", "fallback."),
-            ("learn_counters", "learn."),
         )
     }
 

@@ -233,8 +233,8 @@ def available_traffic_models() -> Tuple[str, ...]:
 def make_traffic_model(name: str, **params):
     """Instantiate a registered traffic model by name.
 
-    As with the interpolator registry, unknown keyword parameters are
-    ignored for dataclass factories so one config can carry the union
+    Unknown keyword parameters are ignored for dataclass factories so
+    one config can carry the union
     of every model's knobs (``packet_bytes`` means nothing to CBR and
     is silently unused by it).
     """

@@ -9,9 +9,11 @@ it in one numpy call, the way the paper states each step:
 
 * :func:`aggregate_rem` — ``np.nansum`` over the stack, NaN where every
   map is NaN;
-* :func:`materialized_step8` — interpolate each REM in full, subtract
-  its uncertainty penalty, ``np.min`` over the stack, first finite
-  maximum in row-major order.
+* :func:`materialized_discounted_min_map` — interpolate each REM in
+  full (IDW), subtract its uncertainty penalty, ``np.min`` over the
+  stack;
+* :func:`materialized_step8` — the first finite maximum of that
+  surface in row-major order.
 """
 
 from __future__ import annotations
@@ -33,10 +35,32 @@ def aggregate_rem(maps: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def materialized_discounted_min_map(
+    grid,
+    rems,
+    penalty_rate_db_per_m: float,
+    penalty_cap_db: float,
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """``np.min`` over the stack of fully interpolated, discounted maps.
+
+    Returns ``(min_map, maps)`` with the *undiscounted* full map of
+    each REM, like
+    :func:`~repro.rem.streaming.streamed_discounted_min_map` with
+    ``collect_maps=True``.
+    """
+    maps = [rem.interpolated() for rem in rems]
+    discounted = []
+    for rem, m in zip(rems, maps):
+        penalty = uncertainty_penalty_db(
+            grid, rem.measured_mask, penalty_rate_db_per_m, penalty_cap_db
+        )
+        discounted.append(m if penalty is None else m - penalty)
+    return np.min(np.stack(discounted), axis=0), maps
+
+
 def materialized_step8(
     grid,
     rems,
-    interpolator,
     altitude: float,
     penalty_rate_db_per_m: float,
     penalty_cap_db: float,
@@ -48,14 +72,9 @@ def materialized_step8(
     :func:`~repro.rem.streaming.streamed_discounted_max_min_placement`
     with ``collect_maps=True``.
     """
-    maps = [rem.interpolated(interpolator) for rem in rems]
-    discounted = []
-    for rem, m in zip(rems, maps):
-        penalty = uncertainty_penalty_db(
-            grid, rem.measured_mask, penalty_rate_db_per_m, penalty_cap_db
-        )
-        discounted.append(m if penalty is None else m - penalty)
-    min_map = np.min(np.stack(discounted), axis=0)
+    min_map, maps = materialized_discounted_min_map(
+        grid, rems, penalty_rate_db_per_m, penalty_cap_db
+    )
     flat = np.where(np.isfinite(min_map), min_map, -np.inf)
     iy, ix = np.unravel_index(int(np.argmax(flat)), min_map.shape)
     x, y = grid.center_of(ix, iy)

@@ -1,35 +1,8 @@
-"""Tests for controller options: energy-aware budgets, fleet SINR."""
-
-import numpy as np
-import pytest
+"""Tests for controller options: fleet SINR."""
 
 from repro.core.config import SkyRANConfig
-from repro.core.controller import SkyRANController
 from repro.core.fleet import FleetController
-from repro.flight.energy import EnergyBudget
 from repro.sim.scenario import Scenario
-
-
-class TestEnergyAwareEpoch:
-    def test_drained_battery_shrinks_flight(self):
-        scenario = Scenario.create("campus", n_ues=3, cell_size=4.0, seed=15)
-        cfg = SkyRANConfig(rem_cell_size_m=8.0)
-        ctrl = SkyRANController(scenario.channel, scenario.enodeb, cfg, seed=1)
-        ctrl.altitude = 60.0
-        # Nearly drained: only the landing reserve and a sliver left.
-        ctrl.uav.battery.used_wh = ctrl.uav.battery.capacity_wh * 0.80
-        eb = EnergyBudget(min_service_s=120.0)
-        affordable = eb.affordable_budget_m(ctrl.uav.battery)
-        result = ctrl.run_epoch(budget_m=2000.0, energy_budget=eb)
-        assert result.plan.trajectory.length_m <= max(affordable, 1.0) + 1e-6
-
-    def test_full_battery_unconstrained(self):
-        scenario = Scenario.create("campus", n_ues=3, cell_size=4.0, seed=15)
-        cfg = SkyRANConfig(rem_cell_size_m=8.0)
-        ctrl = SkyRANController(scenario.channel, scenario.enodeb, cfg, seed=1)
-        ctrl.altitude = 60.0
-        result = ctrl.run_epoch(budget_m=300.0, energy_budget=EnergyBudget())
-        assert result.plan.trajectory.length_m <= 300.0 + 1e-6
 
 
 class TestFleetSinr:

@@ -22,7 +22,6 @@ class TestConfig:
         assert cfg.reuse_radius_m == 10.0  # R from Fig. 9
         assert cfg.epoch_margin == 0.1
         assert cfg.tof_upsampling == 4
-        assert cfg.idw_power == 2.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from repro.core.placement import max_min_placement
 from repro.geo.grid import GridSpec
 from repro.lte.enodeb import ENodeB
 from repro.lte.ue import UE
-from repro.rem.interpolate import IDWInterpolator
 from repro.rem.map import REM
 from repro.sim.scenario import Scenario
 from repro.terrain.generators import make_flat
@@ -42,7 +41,7 @@ class TestDegenerateWorlds:
         g = GridSpec(0.0, 0.0, 5.0, 2, 2)
         rem = REM(g, np.array([5.0, 5.0, 1.5]), 50.0)
         rem.add_measurements(np.array([[2.0, 2.0]]), np.array([10.0]))
-        out = rem.interpolated(IDWInterpolator())
+        out = rem.interpolated()
         assert np.isfinite(out).all()
 
 

@@ -1,49 +1,11 @@
-"""Tests for energy budgeting and inter-cell interference."""
+"""Tests for inter-cell interference."""
 
 import numpy as np
 import pytest
 
 from repro.channel.interference import fleet_sinr_db, fleet_sinr_db_stack
 from repro.channel.model import ChannelModel
-from repro.flight.energy import EnergyBudget
-from repro.flight.uav import Battery
 from tests.link_oracles import sinr_db as sinr_db_oracle
-
-
-class TestEnergyBudget:
-    def test_full_battery_affords_plenty(self):
-        eb = EnergyBudget(min_service_s=600.0)
-        budget = eb.affordable_budget_m(Battery())
-        assert budget > 1000.0
-
-    def test_drained_battery_affords_nothing(self):
-        b = Battery()
-        b.used_wh = b.capacity_wh * 0.9
-        eb = EnergyBudget(min_service_s=600.0)
-        assert eb.affordable_budget_m(b) == 0.0
-
-    def test_service_reservation_reduces_budget(self):
-        b = Battery()
-        short = EnergyBudget(min_service_s=60.0).affordable_budget_m(b)
-        long = EnergyBudget(min_service_s=1200.0).affordable_budget_m(b)
-        assert long < short
-
-    def test_clamp(self):
-        eb = EnergyBudget()
-        b = Battery()
-        assert eb.clamp(10.0, b) == 10.0
-        b.used_wh = b.capacity_wh
-        assert eb.clamp(10.0, b) == 0.0
-        with pytest.raises(ValueError):
-            eb.clamp(-1.0, b)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EnergyBudget(min_service_s=-1.0)
-        with pytest.raises(ValueError):
-            EnergyBudget(reserve_fraction=1.0)
-        with pytest.raises(ValueError):
-            EnergyBudget(speed_mps=0.0)
 
 
 def sinr_db(channel, uav_positions, ue_xyz, serving_index, activity=None):

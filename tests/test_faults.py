@@ -96,7 +96,7 @@ class TestValidation:
             {"epoch_debounce": 0},
             {"localization_max_retries": -1},
             {"min_inlier_fraction": 1.5},
-            {"interpolator": "spline-of-mystery"},
+            {"epoch_trigger_metric": "learned"},
         ],
     )
     def test_config_rejects_bad_values(self, bad):
@@ -105,7 +105,7 @@ class TestValidation:
 
     def test_unknown_interpolator_message_lists_known(self):
         with pytest.raises(ValueError, match="idw"):
-            SkyRANConfig(interpolator="nope")
+            make_interpolator("nope")
 
     def test_as_injector_coercion(self):
         assert as_injector(None) is None
@@ -268,9 +268,9 @@ class TestInterpolatorRegistry:
         direct = idw_interpolate(grid, values, power=2.0, k_neighbors=8)
         assert np.array_equal(via_registry, direct)
 
-    def test_unknown_params_filtered(self):
-        interp = make_interpolator("kriging", power=2.0, k_neighbors=6)
-        assert interp.k_neighbors == 6  # power silently dropped
+    def test_unknown_params_rejected(self):
+        with pytest.raises(TypeError, match="power"):
+            make_interpolator("kriging", power=2.0)
 
     def test_register_and_resolve_custom(self):
         class Mean:
@@ -282,8 +282,9 @@ class TestInterpolatorRegistry:
         register_interpolator("mean-test", lambda **kw: Mean())
         try:
             assert "mean-test" in available_interpolators()
-            cfg = SkyRANConfig(interpolator="mean-test")
-            assert cfg.interpolator == "mean-test"
+            values = np.array([[1.0, np.nan], [3.0, 5.0]])
+            out = make_interpolator("mean-test").interpolate(None, values)
+            assert out.tolist() == [[1.0, 3.0], [3.0, 5.0]]
         finally:
             from repro.rem.interpolate import _REGISTRY
 

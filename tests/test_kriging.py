@@ -117,11 +117,12 @@ class TestKrigingRows:
         band = kriging_interpolate_rows(grid, values, rows, fallback=prior)
         assert np.array_equal(band, prior[rows])
 
-    def test_rows_via_interpolator_tile_protocol(self, grid, rng):
+    def test_rows_match_interpolator(self, grid, rng):
         from repro.rem.interpolate import KrigingInterpolator
+        from repro.rem.kriging import kriging_interpolate_rows
 
         values = self._sparse(grid, rng, n=20)
-        interp = KrigingInterpolator()
         rows = slice(4, 16)
-        band = interp.interpolate_tile(grid, values, rows)
-        assert np.array_equal(band, interp.interpolate(grid, values)[rows])
+        band = kriging_interpolate_rows(grid, values, rows)
+        full = KrigingInterpolator().interpolate(grid, values)
+        assert np.array_equal(band, full[rows])

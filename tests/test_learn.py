@@ -42,7 +42,7 @@ from repro.learn.models import (
     save_model,
     zero_model,
 )
-from repro.learn.trigger import CollapsePredictor, make_predictor
+from repro.learn.trigger import CollapsePredictor
 from repro.perf import perf
 from repro.rem.interpolate import (
     available_interpolators,
@@ -487,27 +487,12 @@ class TestLearnedTrigger:
         _run_trigger(ratios, predictor=pred)
         assert perf.counters_since(before).get("learn.fallback.untrusted", 0) > 0
 
-    def test_make_predictor_missing_model_refuses(self, tmp_path):
-        with pytest.warns(RuntimeWarning, match="cannot load model"):
-            pred = make_predictor(str(tmp_path / "absent.npz"), 0.1, None)
-        before = perf.counters()
-        assert not pred.should_fire(list(np.linspace(1.0, 0.9, TRIGGER_WINDOW)))
-        assert perf.counters_since(before).get("learn.fallback.no_model") == 1
-
     def test_predictive_fire_counts(self):
         ratios = np.linspace(1.0, 0.905, 20)
         pred = CollapsePredictor(model=_ConstantModel(0.5), threshold=0.9)
         before = perf.counters()
         _run_trigger(ratios, predictor=pred)
         assert perf.counters_since(before).get("learn.trigger.predictive_fire") == 1
-
-    def test_config_accepts_learned_metric(self):
-        from repro.core.config import SkyRANConfig
-
-        cfg = SkyRANConfig(epoch_trigger_metric="learned")
-        assert cfg.learn_trigger_model_path is None
-        with pytest.raises(ValueError, match="epoch_trigger_metric"):
-            SkyRANConfig(epoch_trigger_metric="psychic")
 
 
 # -- fingerprint coverage (satellite b) ---------------------------------------

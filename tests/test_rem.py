@@ -8,7 +8,6 @@ from repro.rem.accuracy import mean_abs_error_db, median_abs_error_db, rem_error
 from repro.rem.aggregate import aggregate_rem_running, argmax_cell, min_snr_map
 from repro.rem.gradient import gradient_map, high_gradient_cells
 from repro.rem.idw import idw_interpolate
-from repro.rem.interpolate import IDWInterpolator
 from repro.rem.map import REM
 from tests import rem_oracles
 
@@ -44,7 +43,18 @@ class TestREM:
     def test_interpolated_uses_prior_when_empty(self, grid10):
         prior = np.full(grid10.shape, 7.0)
         rem = REM(grid10, np.zeros(3), 50.0, prior=prior)
-        np.testing.assert_allclose(rem.interpolated(IDWInterpolator()), 7.0)
+        np.testing.assert_allclose(rem.interpolated(), 7.0)
+
+    def test_interpolated_is_paper_idw(self, grid10):
+        """Inverse-square weights over the 12 nearest measured cells."""
+        prior = np.full(grid10.shape, -2.0)
+        rem = REM(grid10, np.zeros(3), 50.0, prior=prior)
+        rng = np.random.default_rng(4)
+        rem.add_measurements(rng.uniform(0.0, 10.0, (20, 2)), rng.normal(5.0, 3.0, 20))
+        want = idw_interpolate(
+            grid10, rem.measured_values(), power=2.0, k_neighbors=12, fallback=prior
+        )
+        assert rem.interpolated().tobytes() == want.tobytes()
 
     def test_rekeyed_shares_measurements(self, grid10):
         rem = REM(grid10, np.array([5.0, 5.0, 1.5]), 50.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geo.points import Point3D
-from repro.sim.metrics import median_rem_error, relative_series, summarize
+from repro.sim.metrics import median_rem_error
 from repro.sim.scenario import Scenario
 
 
@@ -73,14 +73,3 @@ class TestMetrics:
     def test_median_rem_error_validates(self):
         with pytest.raises(ValueError):
             median_rem_error({1: np.zeros((2, 2))}, np.zeros((2, 2, 2)))
-
-    def test_relative_series(self):
-        assert relative_series([5.0, 10.0], 10.0) == [0.5, 1.0]
-        assert relative_series([5.0], 0.0) == [0.0]
-
-    def test_summarize(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert s["median"] == 3.0
-        assert s["min"] == 1.0 and s["max"] == 5.0
-        with pytest.raises(ValueError):
-            summarize([])

@@ -22,9 +22,10 @@ from repro.core.placement import max_min_placement, uncertainty_penalty_db
 from repro.core.rem_store import REMStore
 from repro.geo.grid import GridSpec
 from repro.lte.throughput import throughput_mbps
-from repro.rem.interpolate import IDWInterpolator, make_interpolator
+from repro.rem.idw import idw_interpolate_rows
+from repro.rem.interpolate import make_interpolator
+from repro.rem.kriging import kriging_interpolate_rows
 from repro.rem.map import REM
-from repro.rem.streaming import interpolate_tile
 from repro.sim.scenario import Scenario
 from tests import link_oracles as oracle
 
@@ -107,7 +108,7 @@ class TestStreamedBitIdentity:
         for ue_id, rem in self._rems_by_ue(ctrl, result).items():
             assert np.array_equal(
                 result.rem_maps[ue_id],
-                rem.interpolated(ctrl.interpolator),
+                rem.interpolated(),
                 equal_nan=True,
             )
 
@@ -123,7 +124,7 @@ class TestStreamedBitIdentity:
                 cfg.uncertainty_penalty_db_per_m,
                 cfg.uncertainty_penalty_cap_db,
             )
-            snr_map = rem.interpolated(ctrl.interpolator)
+            snr_map = rem.interpolated()
             if penalty is not None:
                 snr_map = snr_map - penalty
                 discounted += 1
@@ -334,11 +335,10 @@ class TestInterpolatedTile:
         rem.add_measurements(
             rng.uniform(0.0, 40.0, (25, 2)), rng.normal(5.0, 4.0, 25)
         )
-        idw = IDWInterpolator()
-        full = rem.interpolated(idw)
+        full = rem.interpolated()
         for rows in (slice(0, 7), slice(7, 20), slice(13, 17)):
-            band = interpolate_tile(
-                idw, grid, rem.measured_values(), rows, fallback=rem.prior
+            band = idw_interpolate_rows(
+                grid, rem.measured_values(), rows, fallback=rem.prior
             )
             assert np.array_equal(band, full[rows])
 
@@ -349,9 +349,7 @@ class TestInterpolatedTile:
         rem.add_measurements(
             rng.uniform(0.0, 40.0, (25, 2)), rng.normal(5.0, 4.0, 25)
         )
-        kriging = make_interpolator("kriging", k_neighbors=8)
-        full = rem.interpolated(kriging)
-        band = interpolate_tile(
-            kriging, grid, rem.measured_values(), slice(3, 12), fallback=rem.prior
-        )
+        values = rem.measured_values()
+        full = make_interpolator("kriging", k_neighbors=8).interpolate(grid, values)
+        band = kriging_interpolate_rows(grid, values, slice(3, 12), k_neighbors=8)
         assert np.array_equal(band, full[slice(3, 12)])

@@ -6,7 +6,8 @@ materialized ``(n_ue, ny, nx)`` stack, for every tiling — including
 row counts that do not divide the grid height and UE chunks that do
 not divide the population.  The folds (min, placement) must then
 commute with the tiling, and the IDW row-band interpolation must equal
-the sliced full interpolation.
+the sliced full interpolation.  The streamed fold must equal the
+materialized oracles of :mod:`tests.rem_oracles` bit for bit.
 """
 
 from __future__ import annotations
@@ -16,24 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.placement import max_min_placement, uncertainty_penalty_db
+from repro.core.placement import uncertainty_penalty_db
 from repro.geo.grid import GridSpec
 from repro.rem.idw import idw_interpolate, idw_interpolate_rows
-from repro.rem.interpolate import (
-    IDWInterpolator,
-    KrigingInterpolator,
-    available_interpolators,
-    make_interpolator,
-)
-from repro.rem.kriging import kriging_interpolate
+from repro.rem.interpolate import make_interpolator
 from repro.rem.map import REM
 from repro.rem.streaming import (
-    interpolate_tile,
     row_bands,
     shared_by_mask,
     streamed_discounted_max_min_placement,
     streamed_discounted_min_map,
 )
+from tests.rem_oracles import materialized_discounted_min_map, materialized_step8
 
 ALTITUDE = 60.0
 
@@ -134,31 +129,18 @@ def test_idw_rows_with_max_distance_and_fallback(small_grid):
     assert np.array_equal(band, full[rows])
 
 
-def test_interpolate_tile_uses_idw_fast_path(small_grid):
+def test_idw_rows_match_registry_idw(small_grid):
+    """The epoch's IDW bands equal the registry's ``"idw"`` at defaults."""
     values = _sparse_map(small_grid, seed=5)
-    interp = IDWInterpolator()
     rows = slice(11, 29)
-    band = interpolate_tile(interp, small_grid, values, rows)
-    assert np.array_equal(band, interp.interpolate(small_grid, values)[rows])
-
-
-def test_interpolate_tile_generic_fallback(small_grid):
-    """Interpolators without a tile method get the slice-of-full path."""
-
-    class Nearest:
-        def interpolate(self, grid, values, measured_mask=None, fallback=None):
-            return np.nan_to_num(values, nan=-1.0)
-
-    values = _sparse_map(small_grid, seed=11)
-    rows = slice(2, 9)
-    band = interpolate_tile(Nearest(), small_grid, values, rows)
-    assert np.array_equal(band, np.nan_to_num(values, nan=-1.0)[rows])
+    band = idw_interpolate_rows(small_grid, values, rows)
+    full = make_interpolator("idw").interpolate(small_grid, values)
+    assert np.array_equal(band, full[rows])
 
 
 # -- streamed uncertainty-discounted fold vs the materialized path --------------
 
-#: A 10x10 grid keeps every registry interpolator (kriging included)
-#: fast enough for the property sweep.
+#: A 10x10 grid keeps the property sweep fast.
 _FOLD_GRID = GridSpec.from_extent(40.0, 40.0, cell_size=4.0)
 _FOLD_ALT = 60.0
 
@@ -191,69 +173,49 @@ def _ragged_bands(draw):
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _materialized_discounted(rems, interp, rate, cap):
-    """The controller's materialized Step 8: interpolate, discount, min."""
-    maps, discounted = [], []
-    for rem in rems:
-        full = interp.interpolate(
-            _FOLD_GRID, rem.measured_values(), fallback=rem.prior
-        )
-        maps.append(full)
-        penalty = uncertainty_penalty_db(_FOLD_GRID, rem.measured_mask, rate, cap)
-        discounted.append(full if penalty is None else full - penalty)
-    return np.min(np.stack(discounted), axis=0), maps, discounted
-
-
 class TestStreamedDiscountedFold:
     @given(
         _rem_sets(),
         _ragged_bands(),
-        st.sampled_from(available_interpolators()),
         st.sampled_from([0.0, 0.4]),
         st.sampled_from([float("inf"), 3.0]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_min_map_matches_materialized_bitwise(self, rems, bands, name, rate, cap):
-        interp = make_interpolator(name)
+    def test_min_map_matches_materialized_bitwise(self, rems, bands, rate, cap):
         mm, maps = streamed_discounted_min_map(
             _FOLD_GRID,
             rems,
-            interp,
             penalty_rate_db_per_m=rate,
             penalty_cap_db=cap,
             row_slices=bands,
             collect_maps=True,
         )
-        ref_mm, ref_maps, _ = _materialized_discounted(rems, interp, rate, cap)
-        assert np.array_equal(mm, ref_mm, equal_nan=True)
+        ref_mm, ref_maps = materialized_discounted_min_map(_FOLD_GRID, rems, rate, cap)
+        assert mm.tobytes() == ref_mm.tobytes()
         assert len(maps) == len(ref_maps)
         for got, want in zip(maps, ref_maps):
-            assert np.array_equal(got, want, equal_nan=True)
+            assert got.tobytes() == want.tobytes()
 
-    @given(
-        _rem_sets(),
-        _ragged_bands(),
-        st.sampled_from(available_interpolators()),
-    )
+    @given(_rem_sets(), _ragged_bands())
     @settings(max_examples=15, deadline=None)
-    def test_placement_matches_materialized(self, rems, bands, name):
-        interp = make_interpolator(name)
-        placed, _ = streamed_discounted_max_min_placement(
+    def test_placement_matches_materialized(self, rems, bands):
+        placed, maps = streamed_discounted_max_min_placement(
             _FOLD_GRID,
             rems,
-            interp,
             _FOLD_ALT,
             penalty_rate_db_per_m=0.4,
             penalty_cap_db=3.0,
             row_slices=bands,
+            collect_maps=True,
         )
-        _, _, discounted = _materialized_discounted(rems, interp, 0.4, 3.0)
-        reference = max_min_placement(_FOLD_GRID, discounted, _FOLD_ALT)
+        reference, ref_maps = materialized_step8(_FOLD_GRID, rems, _FOLD_ALT, 0.4, 3.0)
         assert placed.cell == reference.cell
         assert placed.min_snr_db == reference.min_snr_db
         assert np.array_equal(
             placed.position.as_array(), reference.position.as_array()
         )
+        for got, want in zip(maps, ref_maps):
+            assert got.tobytes() == want.tobytes()
 
     def test_empty_measurement_rem_uses_prior(self):
         prior = np.full(_FOLD_GRID.shape, -7.5)
@@ -261,7 +223,6 @@ class TestStreamedDiscountedFold:
         mm, maps = streamed_discounted_min_map(
             _FOLD_GRID,
             [rem],
-            IDWInterpolator(),
             penalty_rate_db_per_m=0.5,
             collect_maps=True,
         )
@@ -271,7 +232,7 @@ class TestStreamedDiscountedFold:
 
     def test_rejects_empty_rem_sequence(self):
         with pytest.raises(ValueError, match="at least one REM"):
-            streamed_discounted_min_map(_FOLD_GRID, [], IDWInterpolator())
+            streamed_discounted_min_map(_FOLD_GRID, [])
 
     @pytest.mark.parametrize("tile_rows,n_bands", [(1, 10), (3, 4), (10, 1), (64, 1)])
     def test_row_bands_cover_exactly(self, tile_rows, n_bands):
@@ -295,9 +256,7 @@ def test_streamed_min_map_nan_poisons_cell():
             prior=np.full(_FOLD_GRID.shape, 4.0)),
     ]
     for tile_rows in (1, 3, 64):
-        out, _ = streamed_discounted_min_map(
-            _FOLD_GRID, rems, IDWInterpolator(), tile_rows=tile_rows
-        )
+        out, _ = streamed_discounted_min_map(_FOLD_GRID, rems, tile_rows=tile_rows)
         assert np.isnan(out[0, 1])
         assert np.isnan(out).sum() == 1
         assert out[1, 2] == 1.0
@@ -359,7 +318,7 @@ def _plan_bands(draw):
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _per_rem_fold(rems, interp, bands, rate, cap):
+def _per_rem_fold(rems, bands, rate, cap):
     """Step 8 without sharing: every REM builds its own plans and penalty."""
     g = _PLAN_GRID
     out = np.full(g.shape, np.inf)
@@ -367,7 +326,7 @@ def _per_rem_fold(rems, interp, bands, rate, cap):
     for rem in rems:
         full = np.empty(g.shape)
         for rows in bands:
-            block = interp.interpolate_tile(
+            block = idw_interpolate_rows(
                 g, rem.measured_values(), rows, fallback=rem.prior
             )
             full[rows] = block
@@ -380,44 +339,33 @@ def _per_rem_fold(rems, interp, bands, rate, cap):
 
 
 class TestSharedPlans:
-    @given(
-        _mask_groups(),
-        _plan_bands(),
-        st.sampled_from([None, 6.0]),
-        st.sampled_from([0.0, 0.4]),
-    )
+    @given(_mask_groups(), _plan_bands(), st.sampled_from([0.0, 0.4]))
     @settings(max_examples=40, deadline=None)
-    def test_step8_fold_byte_equal_to_per_rem(self, rems, bands, max_d, rate):
-        interp = IDWInterpolator(max_distance_m=max_d)
+    def test_step8_fold_byte_equal_to_per_rem(self, rems, bands, rate):
         mm, maps = streamed_discounted_min_map(
             _PLAN_GRID,
             rems,
-            interp,
             penalty_rate_db_per_m=rate,
             penalty_cap_db=3.0,
             row_slices=bands,
             collect_maps=True,
         )
-        ref_mm, ref_maps = _per_rem_fold(rems, interp, bands, rate, 3.0)
+        ref_mm, ref_maps = _per_rem_fold(rems, bands, rate, 3.0)
         assert mm.tobytes() == ref_mm.tobytes()
         assert len(maps) == len(ref_maps)
         for got, want in zip(maps, ref_maps):
             assert got.tobytes() == want.tobytes()
 
-    @given(_mask_groups(), st.sampled_from([None, 6.0]))
+    @given(_mask_groups())
     @settings(max_examples=40, deadline=None)
-    def test_step6_maps_byte_equal_to_per_rem(self, rems, max_d):
-        interp = IDWInterpolator(max_distance_m=max_d)
-        shared = [
-            rem.interpolated(interp, plans=plans)
-            for rem, plans in shared_by_mask(rems)
-        ]
+    def test_step6_maps_byte_equal_to_per_rem(self, rems):
+        shared = [rem.interpolated(plans=plans) for rem, plans in shared_by_mask(rems)]
         one_dict: dict = {}  # plans keyed by mask: safe across masks too
         assert len(shared) == len(rems)
         for rem, got in zip(rems, shared):
-            want = rem.interpolated(interp).tobytes()
+            want = rem.interpolated().tobytes()
             assert got.tobytes() == want
-            assert rem.interpolated(interp, plans=one_dict).tobytes() == want
+            assert rem.interpolated(plans=one_dict).tobytes() == want
 
     def test_repeated_masks_share_one_dict(self):
         g = _PLAN_GRID
@@ -427,18 +375,3 @@ class TestSharedPlans:
         dicts = [d for _, d in shared_by_mask(rems)]
         assert dicts[0] is dicts[2] is dicts[3]
         assert dicts[1] is not dicts[0]
-
-    def test_kriging_keeps_the_per_rem_path(self):
-        g = _PLAN_GRID
-        rng = np.random.default_rng(3)
-        rem = REM(g, np.array([10.0, 10.0, 1.5]), _FOLD_ALT, prior=np.zeros(g.shape))
-        rem.add_measurements(rng.uniform(0.5, 35.5, (20, 2)), rng.normal(5.0, 6.0, 20))
-        plans: dict = {}
-        got = rem.interpolated(KrigingInterpolator(), plans=plans)
-        want = kriging_interpolate(g, rem.measured_values(), fallback=rem.prior)
-        assert got.tobytes() == want.tobytes()
-        band = interpolate_tile(
-            KrigingInterpolator(), g, rem.measured_values(), slice(2, 7), plans=plans
-        )
-        assert band.tobytes() == want[2:7].tobytes()
-        assert plans == {}

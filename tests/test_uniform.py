@@ -16,25 +16,19 @@ import repro.baselines.uniform as uniform_mod
 from repro.baselines.uniform import UniformController
 from repro.experiments.common import config_for, scenario_for
 from repro.faults import FaultPlan
-from repro.rem.interpolate import IDWInterpolator
 from tests.rem_oracles import materialized_step8
 
 N_EPOCHS = 3
 
 
 def _materialized(config):
-    """Step 8 from the oracle, with the config's own interpolator and
-    discount, whatever arguments the controller passes."""
-    assert config.interpolator == "idw"
-    interpolator = IDWInterpolator(
-        power=config.idw_power, k_neighbors=config.idw_neighbors
-    )
+    """Step 8 from the oracle, with the config's own discount, whatever
+    arguments the controller passes."""
 
-    def step8(grid, rems, _interpolator, altitude, **_kwargs):
+    def step8(grid, rems, altitude, **_kwargs):
         return materialized_step8(
             grid,
             rems,
-            interpolator,
             altitude,
             config.uncertainty_penalty_db_per_m,
             config.uncertainty_penalty_cap_db,
