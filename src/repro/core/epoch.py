@@ -47,11 +47,9 @@ class EpochTrigger:
         throughput at the current position — the legacy KPI, blind to
         load), ``"served"`` (aggregate served rate from the traffic
         MAC simulation, which only drops when users actually lose
-        throughput), or ``"learned"`` (the capacity KPI, with a
-        collapse predictor consulted on top of the reactive rule).
-        The reactive arithmetic is identical; the field exists so
-        records and logs can say which signal armed it and so the
-        controller knows which KPI to feed in.
+        throughput).  The reactive arithmetic is identical; the field
+        exists so records and logs can say which signal armed it and
+        so the controller knows which KPI to feed in.
     predictor:
         Optional :class:`repro.learn.trigger.CollapsePredictor` (duck
         typed: anything with ``should_fire(ratios) -> bool``).
@@ -75,10 +73,9 @@ class EpochTrigger:
             raise ValueError(f"margin must be in (0, 1), got {self.margin}")
         if self.debounce < 1:
             raise ValueError(f"debounce must be >= 1, got {self.debounce}")
-        if self.metric not in ("capacity", "served", "learned"):
+        if self.metric not in ("capacity", "served"):
             raise ValueError(
-                f"metric must be 'capacity', 'served', or 'learned', "
-                f"got {self.metric!r}"
+                f"metric must be 'capacity' or 'served', got {self.metric!r}"
             )
         if self.history_maxlen < 1:
             raise ValueError(

@@ -33,7 +33,7 @@ from repro.localization.joint import (
     solve_joint_multilateration,
 )
 from repro.localization.ranging import GpsRange, aggregate_tof_to_gps, mad_filter
-from repro.flight.uav import FlightLog
+from repro.flight.uav import FlightLog, sample_count
 
 #: SRS / PHY SNR reporting rate (paper Section 3.2.1: every 10 ms).
 SRS_RATE_HZ = 100.0
@@ -110,7 +110,7 @@ def collect_gps_ranges(
     """
     with perf.span("loc.collect_ranges"):
         cfg = enodeb.srs_config
-        n_srs = max(2, int(log.duration_s * srs_rate_hz) + 1)
+        n_srs = sample_count(log.duration_s, srs_rate_hz)
         srs_times = np.linspace(log.t_s[0], log.t_s[-1], n_srs)
         if faults is not None:
             srs_keep, srs_delivered = faults.srs_faults(srs_times)
@@ -256,7 +256,7 @@ def collect_snr_samples(
         binning believes — and the ``(n,)`` SNR samples the PHY
         reported at the corresponding *true* positions.
     """
-    n = max(2, int(log.duration_s * rate_hz) + 1)
+    n = sample_count(log.duration_s, rate_hz)
     times = np.linspace(log.t_s[0], log.t_s[-1], n)
     true_pos = _positions_at(log, times, "true")
     gps_xy = _positions_at(log, times, "gps")[:, :2]

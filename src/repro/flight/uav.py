@@ -71,6 +71,18 @@ class Battery:
         return self.remaining_wh / self.hover_power_w * 3600.0
 
 
+def sample_count(duration_s: float, rate_hz: float) -> int:
+    """Samples in ``[0, duration_s]`` at ``rate_hz``, both ends included.
+
+    ``duration_s * rate_hz`` is floored after a one-microsample slack,
+    so a flight whose duration is a whole number of periods (a tour
+    truncated to its budget is) gets its end sample whichever way the
+    product rounds.  Without the slack a 1e-13 m change in where the
+    flight starts can drop that sample and shift every later draw.
+    """
+    return max(2, int(duration_s * rate_hz + 1e-6) + 1)
+
+
 @dataclass(frozen=True)
 class FlightLog:
     """Time-stamped record of one flight.
@@ -186,7 +198,7 @@ class UAV:
         seg_len = np.linalg.norm(seg, axis=1)
         total = float(seg_len.sum())
         duration = total / self.speed_mps
-        n_fix = max(2, int(duration * GPS_RATE_HZ) + 1)
+        n_fix = sample_count(duration, GPS_RATE_HZ)
         t = np.linspace(0.0, duration, n_fix)
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
         arc = t * self.speed_mps

@@ -85,7 +85,6 @@ class LearnedInterpolator:
 
     power: float = 2.0
     k_neighbors: int = 12
-    max_distance_m: Optional[float] = None
     model_path: Optional[str] = None
 
     def interpolate(
@@ -101,7 +100,6 @@ class LearnedInterpolator:
             masked,
             power=self.power,
             k_neighbors=self.k_neighbors,
-            max_distance_m=self.max_distance_m,
             fallback=fallback,
         )
         if self.model_path is None:

@@ -133,12 +133,7 @@ def trigger_trace_metrics(
     """
     from repro.core.epoch import EpochTrigger
 
-    trig = EpochTrigger(
-        margin,
-        debounce=debounce,
-        metric="learned" if predictor is not None else "capacity",
-    )
-    trig.predictor = predictor
+    trig = EpochTrigger(margin, debounce=debounce, predictor=predictor)
     trig.reset(1.0)
     ratios = np.asarray(ratios, dtype=float)
     for i, r in enumerate(ratios):

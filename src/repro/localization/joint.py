@@ -12,9 +12,15 @@ flights: to first order a small aperture only determines the
 *direction* to a UE, while range and offset separate only through the
 second-order curvature of ``||p - a_i||`` along the flight (noise
 amplified by ~range/aperture).  Plain gradient descent crawls in that
-valley, so the solver is SciPy's trust-region least squares with a
-Huber loss against heavy-tailed NLOS outliers, plus restarts because
-the robust objective is non-convex.
+valley, so the solver is a bounded trust-region reflective least
+squares with a Huber loss against heavy-tailed NLOS outliers, plus
+restarts because the robust objective is non-convex.  It is SciPy's
+``least_squares`` TRF iteration, ported
+(:mod:`repro.localization._trf`) so that each step solves the
+trust-region subproblem from the ``(2U + 1)``-square normal matrix:
+every range row touches only its own UE's ``(x, y)`` and the offset,
+so that matrix and the step's products are per-UE sums over the rows,
+never a dense ``m x (2U + 1)`` Jacobian.
 
 The offset is a property of the eNodeB receive chain, not of any UE —
 every UE ranged in the same flight shares it.  Estimating one offset
@@ -35,8 +41,8 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from repro.localization._trf import least_squares_huber
 from repro.localization.ranging import GpsRange
 from repro.perf import perf
 
@@ -113,23 +119,85 @@ def _flatten(data):
     return anchors, ranges, ue_idx
 
 
+class _JointJacobian:
+    """The joint problem's Jacobian, one row per residual, never dense.
+
+    Row ``i`` holds ``jx[i]``, ``jy[i]`` on its UE's columns ``xi[i] =
+    2u``, ``yi[i] = 2u + 1`` and ``jb[i]`` on the offset column
+    ``n - 1``; every other entry is zero.  Rows come in contiguous
+    per-UE blocks starting at ``starts`` (the layout :func:`_flatten`
+    gives); the offset-prior row closes the last block with
+    ``jx = jy = 0``.  This is the interface
+    :func:`repro.localization._trf.least_squares_huber` steps on: ``J p``
+    is one gather, and ``J^T f`` with ``J^T J`` is one block sum, O(m).
+    """
+
+    __slots__ = ("jx", "jy", "jb", "xi", "yi", "starts")
+
+    def __init__(self, jx, jy, jb, xi, yi, starts):
+        self.jx, self.jy, self.jb = jx, jy, jb
+        self.xi, self.yi, self.starts = xi, yi, starts
+
+    def scale_rows(self, w: np.ndarray) -> "_JointJacobian":
+        """``diag(w) J``."""
+        return _JointJacobian(
+            self.jx * w, self.jy * w, self.jb * w, self.xi, self.yi, self.starts
+        )
+
+    def matvec(self, p: np.ndarray) -> np.ndarray:
+        """``J p``."""
+        return self.jx * p[self.xi] + self.jy * p[self.yi] + self.jb * p[-1]
+
+    def normal(self, f: np.ndarray):
+        """``(J^T f, J^T J)``.
+
+        ``J^T J`` is per-UE 2x2 blocks, their couplings to the offset
+        and the offset's diagonal; each is a per-UE sum of row products.
+        """
+        jx, jy, jb = self.jx, self.jy, self.jb
+        sums = np.add.reduceat(
+            np.stack([jx * f, jy * f, jx * jx, jy * jy, jx * jy, jx * jb, jy * jb]),
+            self.starts,
+            axis=1,
+        )
+        n = 2 * len(self.starts) + 1
+        xs, ys = np.arange(0, n - 1, 2), np.arange(1, n - 1, 2)
+        g = np.empty(n)
+        g[xs], g[ys], g[-1] = sums[0], sums[1], np.dot(jb, f)
+        G = np.zeros((n, n))
+        G[xs, xs] = sums[2]
+        G[ys, ys] = sums[3]
+        G[xs, ys] = G[ys, xs] = sums[4]
+        G[xs, -1] = G[-1, xs] = sums[5]
+        G[ys, -1] = G[-1, ys] = sums[6]
+        G[-1, -1] = np.dot(jb, jb)
+        return g, G
+
+
 def _joint_model(data, ue_z: float, prior_b: float, prior_w: float):
     """``(residuals, jac)`` of the joint problem over ``data``.
 
     ``data`` maps UE id to ``(anchors (m, 3), ranges (m,))``.  The
     residuals are ``||p_u - a_i|| + b - r_i`` over every UE's rows in
     one flat pass, plus one ``sqrt(prior_w) * (b - prior_b)`` row when
-    ``prior_w > 0``.  The Jacobian is closed-form: ``(p_xy - a_xy) /
-    dist`` on the row's own UE columns and 1 on the offset column, so
-    each trust-region step is one vectorized evaluation.
+    ``prior_w > 0``.  ``jac`` returns the closed-form Jacobian as a
+    :class:`_JointJacobian`: ``(p_xy - a_xy) / dist`` on the row's own
+    UE columns and 1 on the offset column (``sqrt(prior_w)`` on the
+    prior row).
     """
     anchors, ranges, ue_idx = _flatten(data)
     ax, ay = anchors[:, 0], anchors[:, 1]
     dz2 = (anchors[:, 2] - ue_z) ** 2
     m = len(ranges)
-    rows = m + (1 if prior_w > 0 else 0)
-    n_params = 2 * len(data) + 1
+    has_prior = prior_w > 0
+    rows = m + (1 if has_prior else 0)
     xi, yi = 2 * ue_idx, 2 * ue_idx + 1
+    row_xi = np.append(xi, xi[-1]) if has_prior else xi
+    row_yi = row_xi + 1
+    starts = np.flatnonzero(np.diff(ue_idx, prepend=-1))
+    jb = np.ones(rows)
+    if has_prior:
+        jb[m] = np.sqrt(prior_w)
 
     def residuals(theta: np.ndarray) -> np.ndarray:
         dx = ax - theta[xi]
@@ -137,22 +205,19 @@ def _joint_model(data, ue_z: float, prior_b: float, prior_w: float):
         dist = np.sqrt(dx * dx + dy * dy + dz2)
         out = np.empty(rows)
         out[:m] = dist + theta[-1] - ranges
-        if prior_w > 0:
+        if has_prior:
             out[m] = np.sqrt(prior_w) * (theta[-1] - prior_b)
         return out
 
-    def jac(theta: np.ndarray) -> np.ndarray:
+    def jac(theta: np.ndarray) -> _JointJacobian:
         dx = theta[xi] - ax
         dy = theta[yi] - ay
         dist = np.maximum(np.sqrt(dx * dx + dy * dy + dz2), 1e-12)
-        J = np.zeros((rows, n_params))
-        obs_rows = np.arange(m)
-        J[obs_rows, xi] = dx / dist
-        J[obs_rows, yi] = dy / dist
-        J[:m, -1] = 1.0
-        if prior_w > 0:
-            J[m, -1] = np.sqrt(prior_w)
-        return J
+        jx = np.zeros(rows)
+        jy = np.zeros(rows)
+        jx[:m] = dx / dist
+        jy[:m] = dy / dist
+        return _JointJacobian(jx, jy, jb, row_xi, row_yi, starts)
 
     return residuals, jac
 
@@ -228,14 +293,23 @@ def solve_joint_multilateration(
         (x_lo, x_hi), (y_lo, y_hi) = bounds_xy
         lower = np.array([x_lo, y_lo] * len(ue_ids) + [-2000.0])
         upper = np.array([x_hi, y_hi] * len(ue_ids) + [2000.0])
-        solver_bounds = (lower, upper)
     else:
-        solver_bounds = (-np.inf, np.inf)
+        lower = np.full(2 * len(ue_ids) + 1, -np.inf)
+        upper = np.full(2 * len(ue_ids) + 1, np.inf)
 
     def _clip_theta(theta: np.ndarray) -> np.ndarray:
         if bounds_xy is None:
             return theta
-        return np.clip(theta, solver_bounds[0] + 1e-6, solver_bounds[1] - 1e-6)
+        return np.clip(theta, lower + 1e-6, upper - 1e-6)
+
+    def _solve(residuals, jac, x0: np.ndarray):
+        sol = least_squares_huber(
+            residuals, jac, x0, lower, upper, f_scale=huber_delta_m, max_nfev=max_iter, tol=tol
+        )
+        perf.count("loc.joint.nfev", sol.nfev)
+        if sol.status == 0:
+            perf.count("loc.joint.max_nfev_stops")
+        return sol
 
     def initial_theta(jitter: float) -> np.ndarray:
         theta = []
@@ -254,18 +328,7 @@ def solve_joint_multilateration(
     with perf.span("loc.joint_solve"):
         for attempt in range(max(1, restarts)):
             jitter = 0.0 if attempt == 0 else 3.0 * spread
-            sol = least_squares(
-                residuals,
-                x0=initial_theta(jitter),
-                loss="huber",
-                f_scale=huber_delta_m,
-                max_nfev=max_iter,
-                xtol=tol,
-                ftol=tol,
-                gtol=tol,
-                bounds=solver_bounds,
-                jac=jac,
-            )
+            sol = _solve(residuals, jac, initial_theta(jitter))
             if best is None or sol.cost < best.cost:
                 best = sol
 
@@ -297,18 +360,7 @@ def solve_joint_multilateration(
                 for i, ue_id in enumerate(ue_ids)
             }
             residuals, jac = _joint_model(data, ue_z, prior_b, prior_w)
-            best = least_squares(
-                residuals,
-                x0=_clip_theta(best.x),
-                loss="huber",
-                f_scale=huber_delta_m,
-                max_nfev=max_iter,
-                xtol=tol,
-                ftol=tol,
-                gtol=tol,
-                bounds=solver_bounds,
-                jac=jac,
-            )
+            best = _solve(residuals, jac, _clip_theta(best.x))
 
     theta = best.x
     b = float(theta[-1])

@@ -30,9 +30,8 @@ def _neighbour_plan(
     rows: slice,
     power: float,
     k_neighbors: int,
-    max_distance_m: Optional[float],
 ) -> tuple:
-    """``(missing, idx, weights, wsum, too_far)`` for one row band.
+    """``(missing, idx, weights, wsum)`` for one row band.
 
     ``idx`` holds flat grid indices of each missing cell's neighbours;
     it (and everything after it) is None when the band has nothing to
@@ -40,7 +39,7 @@ def _neighbour_plan(
     """
     missing = ~measured[rows]
     if not missing.any() or not measured.any():
-        return missing, None, None, None, None
+        return missing, None, None, None
     centers = grid.centers_flat()  # row-major (iy, ix) order
     measured_flat = measured.ravel()
     tree = cKDTree(centers[measured_flat])
@@ -53,9 +52,8 @@ def _neighbour_plan(
     # Guard exact hits (shouldn't happen for NaN cells, but cheap).
     dist = np.maximum(dist, 1e-9)
     weights = 1.0 / dist**power
-    too_far = None if max_distance_m is None else dist[:, 0] > max_distance_m
     idx = np.flatnonzero(measured_flat)[idx]
-    return missing, idx, weights, np.sum(weights, axis=1), too_far
+    return missing, idx, weights, np.sum(weights, axis=1)
 
 
 def idw_interpolate_rows(
@@ -64,7 +62,6 @@ def idw_interpolate_rows(
     rows: slice,
     power: float = 2.0,
     k_neighbors: int = 12,
-    max_distance_m: Optional[float] = None,
     fallback: Optional[np.ndarray] = None,
     plans: Optional[dict] = None,
 ) -> np.ndarray:
@@ -87,12 +84,9 @@ def idw_interpolate_rows(
         Distance exponent (2 = paper's inverse-square weights).
     k_neighbors:
         Number of nearest measured cells contributing to each estimate.
-    max_distance_m:
-        If set, cells farther than this from every measurement are not
-        extrapolated; they take ``fallback`` (or stay NaN).
     fallback:
-        Optional full map of prior values (e.g. an FSPL seed) used
-        where IDW declines to extrapolate or no measurements exist.
+        Optional full map of prior values (e.g. an FSPL seed) returned
+        for the band when no cell is measured.
     plans:
         Optional dict owned by the caller (one fold over a set of
         REMs): the neighbour plan of each (measured mask, band,
@@ -112,15 +106,15 @@ def idw_interpolate_rows(
         raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
 
     measured = ~np.isnan(values)
-    args = (grid, measured, rows, power, k_neighbors, max_distance_m)
+    args = (grid, measured, rows, power, k_neighbors)
     if plans is None:
         plan = _neighbour_plan(*args)
     else:
-        key = (measured.tobytes(), rows.indices(grid.ny), power, k_neighbors, max_distance_m)
+        key = (measured.tobytes(), rows.indices(grid.ny), power, k_neighbors)
         plan = plans.get(key)
         if plan is None:
             plan = plans[key] = _neighbour_plan(*args)
-    missing, idx, weights, wsum, too_far = plan
+    missing, idx, weights, wsum = plan
 
     out = values[rows].copy()
     if not missing.any():
@@ -129,14 +123,7 @@ def idw_interpolate_rows(
         if fallback is not None:
             return np.asarray(fallback, dtype=float)[rows].copy()
         return out
-    est = np.sum(weights * values.ravel()[idx], axis=1) / wsum
-    if too_far is not None:
-        if fallback is not None:
-            fb = np.asarray(fallback, dtype=float)[rows].ravel()[missing.ravel()]
-            est[too_far] = fb[too_far]
-        else:
-            est[too_far] = np.nan
-    out[missing] = est
+    out[missing] = np.sum(weights * values.ravel()[idx], axis=1) / wsum
     return out
 
 

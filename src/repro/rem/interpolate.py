@@ -62,7 +62,6 @@ class IDWInterpolator:
 
     power: float = 2.0
     k_neighbors: int = 12
-    max_distance_m: Optional[float] = None
 
     def interpolate(
         self,
@@ -76,7 +75,6 @@ class IDWInterpolator:
             _masked_values(values, measured_mask),
             power=self.power,
             k_neighbors=self.k_neighbors,
-            max_distance_m=self.max_distance_m,
             fallback=fallback,
         )
 

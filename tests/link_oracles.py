@@ -99,7 +99,7 @@ def collect_snr_samples(
     log, ue, channel, rng, rate_hz: float = SRS_RATE_HZ, faults=None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One UE's ``(gps_xy, snr_db)`` reports along a measurement flight."""
-    n = max(2, int(log.duration_s * rate_hz) + 1)
+    n = max(2, int(log.duration_s * rate_hz + 1e-6) + 1)
     times = np.linspace(log.t_s[0], log.t_s[-1], n)
     true_pos = _positions_at(log, times, log.true_xyz)
     gps_pos = _positions_at(log, times, log.gps_xyz)

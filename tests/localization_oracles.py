@@ -15,14 +15,21 @@ bit, kept beside the tests that hold the kernel to it:
   and per-point moving-median loops
   (:mod:`repro.localization.ranging`);
 * :func:`joint_residuals` — the per-UE residual loop of the joint solve
-  (:func:`repro.localization.joint._joint_model`).
+  (:func:`repro.localization.joint._joint_model`);
+* :func:`joint_model` and :func:`joint_solve_scipy` — the joint solve on
+  SciPy's ``least_squares`` with a dense Jacobian.  Its answers, not its
+  bits, are what :func:`repro.localization.solve_joint_multilateration`
+  must reproduce: that solve takes each trust-region step from a small
+  normal matrix instead of the SVD of the dense Jacobian, so the two
+  agree only to the solver's tolerance.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from repro.flight.sampler import (
     DEFAULT_PROCESSING_OFFSET_M,
@@ -31,6 +38,12 @@ from repro.flight.sampler import (
     TOF_JITTER_NLOS_S,
     UPLINK_BUDGET,
     _positions_at,
+)
+from repro.localization.joint import (
+    JointLocalizationResult,
+    MultilaterationResult,
+    _flatten,
+    _stack_observations,
 )
 from repro.localization.ranging import GpsRange
 from repro.perf import perf
@@ -168,7 +181,7 @@ def collect_gps_ranges(
     above aggregate the ranges.
     """
     cfg = enodeb.srs_config
-    n_srs = max(2, int(log.duration_s * srs_rate_hz) + 1)
+    n_srs = max(2, int(log.duration_s * srs_rate_hz + 1e-6) + 1)
     srs_times = np.linspace(log.t_s[0], log.t_s[-1], n_srs)
     if faults is not None:
         srs_keep, srs_delivered = faults.srs_faults(srs_times)
@@ -215,3 +228,198 @@ def joint_residuals(data, theta, ue_z: float, prior_b: float, prior_w: float) ->
     if prior_w > 0:
         out.append(np.array([np.sqrt(prior_w) * (b - prior_b)]))
     return np.concatenate(out)
+
+
+def joint_model(data, ue_z: float, prior_b: float, prior_w: float):
+    """Dense ``(residuals, jac)`` of the joint problem over ``data``.
+
+    ``data`` maps UE id to ``(anchors (m, 3), ranges (m,))``.  The
+    residuals are ``||p_u - a_i|| + b - r_i`` over every UE's rows in
+    one flat pass, plus one ``sqrt(prior_w) * (b - prior_b)`` row when
+    ``prior_w > 0``.  The Jacobian is closed-form: ``(p_xy - a_xy) /
+    dist`` on the row's own UE columns and 1 on the offset column, so
+    ``jac`` returns the full ``m x (2U + 1)`` array.
+    """
+    anchors, ranges, ue_idx = _flatten(data)
+    ax, ay = anchors[:, 0], anchors[:, 1]
+    dz2 = (anchors[:, 2] - ue_z) ** 2
+    m = len(ranges)
+    rows = m + (1 if prior_w > 0 else 0)
+    n_params = 2 * len(data) + 1
+    xi, yi = 2 * ue_idx, 2 * ue_idx + 1
+
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        dx = ax - theta[xi]
+        dy = ay - theta[yi]
+        dist = np.sqrt(dx * dx + dy * dy + dz2)
+        out = np.empty(rows)
+        out[:m] = dist + theta[-1] - ranges
+        if prior_w > 0:
+            out[m] = np.sqrt(prior_w) * (theta[-1] - prior_b)
+        return out
+
+    def jac(theta: np.ndarray) -> np.ndarray:
+        dx = theta[xi] - ax
+        dy = theta[yi] - ay
+        dist = np.maximum(np.sqrt(dx * dx + dy * dy + dz2), 1e-12)
+        J = np.zeros((rows, n_params))
+        obs_rows = np.arange(m)
+        J[obs_rows, xi] = dx / dist
+        J[obs_rows, yi] = dy / dist
+        J[:m, -1] = 1.0
+        if prior_w > 0:
+            J[m, -1] = np.sqrt(prior_w)
+        return J
+
+    return residuals, jac
+
+
+def joint_solve_scipy(
+    observations_by_ue: Mapping[int, Sequence[GpsRange]],
+    ue_z: float = 1.5,
+    huber_delta_m: float = 5.0,
+    max_iter: int = 1000,
+    tol: float = 1e-8,
+    restarts: int = 3,
+    seed: Optional[int] = 0,
+    bounds_xy: Optional[tuple] = None,
+    offset_prior: Optional[tuple] = None,
+) -> JointLocalizationResult:
+    """:func:`repro.localization.solve_joint_multilateration` on SciPy.
+
+    The restarts, jitter draws and one-sided NLOS trims are the
+    production solve's, verbatim; each solve is
+    ``scipy.optimize.least_squares`` on the dense Jacobian of
+    :func:`joint_model` (SVD trust-region steps).
+    """
+    ue_ids = sorted(observations_by_ue)
+    if not ue_ids:
+        raise ValueError("need observations for at least one UE")
+    data = {}
+    for ue_id in ue_ids:
+        obs = list(observations_by_ue[ue_id])
+        if len(obs) < 3:
+            raise ValueError(f"UE {ue_id}: need at least 3 observations, got {len(obs)}")
+        data[ue_id] = _stack_observations(obs)
+    orig_counts = {ue_id: len(data[ue_id][1]) for ue_id in ue_ids}
+
+    if offset_prior is not None:
+        prior_b, prior_w = float(offset_prior[0]), float(offset_prior[1])
+        if prior_w < 0:
+            raise ValueError(f"offset prior weight must be >= 0, got {prior_w}")
+    else:
+        prior_b, prior_w = 0.0, 0.0
+
+    residuals, jac = joint_model(data, ue_z, prior_b, prior_w)
+
+    rng = np.random.default_rng(seed)
+    first_anchors = data[ue_ids[0]][0]
+    spread = max(float(first_anchors[:, :2].std()), 10.0)
+
+    if bounds_xy is not None:
+        (x_lo, x_hi), (y_lo, y_hi) = bounds_xy
+        lower = np.array([x_lo, y_lo] * len(ue_ids) + [-2000.0])
+        upper = np.array([x_hi, y_hi] * len(ue_ids) + [2000.0])
+        solver_bounds = (lower, upper)
+    else:
+        solver_bounds = (-np.inf, np.inf)
+
+    def _clip_theta(theta: np.ndarray) -> np.ndarray:
+        if bounds_xy is None:
+            return theta
+        return np.clip(theta, solver_bounds[0] + 1e-6, solver_bounds[1] - 1e-6)
+
+    def initial_theta(jitter: float) -> np.ndarray:
+        theta = []
+        b_guesses = []
+        for ue_id in ue_ids:
+            anchors, ranges = data[ue_id]
+            c = anchors[:, :2].mean(axis=0) + rng.normal(0.0, jitter, 2)
+            theta.extend([c[0], c[1]])
+            dz = ue_z - anchors[:, 2]
+            dist0 = np.sqrt(np.sum((c[None, :] - anchors[:, :2]) ** 2, axis=1) + dz * dz)
+            b_guesses.append(np.median(ranges - dist0))
+        theta.append(float(np.median(b_guesses)))
+        return _clip_theta(np.array(theta))
+
+    best = None
+    with perf.span("loc.joint_solve"):
+        for attempt in range(max(1, restarts)):
+            jitter = 0.0 if attempt == 0 else 3.0 * spread
+            sol = least_squares(
+                residuals,
+                x0=initial_theta(jitter),
+                loss="huber",
+                f_scale=huber_delta_m,
+                max_nfev=max_iter,
+                xtol=tol,
+                ftol=tol,
+                gtol=tol,
+                bounds=solver_bounds,
+                jac=jac,
+            )
+            if best is None or sol.cost < best.cost:
+                best = sol
+
+        # NLOS multipath only ever *delays* the correlation peak, so
+        # large positive residuals are delay spikes, not information.
+        # Trim them one-sidedly against the first fit and re-solve:
+        # classic ToF NLOS mitigation, and what keeps one obstructed UE
+        # from dragging the shared offset (and with it every other UE's
+        # position).
+        for _ in range(2):
+            res = residuals(best.x)
+            scale = 1.4826 * float(np.median(np.abs(res - np.median(res))))
+            cut = max(2.5, 2.0 * scale)
+            anchors_f, ranges_f, ue_idx_f = _flatten(data)
+            m = len(ranges_f)
+            keep = res[:m] <= cut
+            counts = np.bincount(ue_idx_f, minlength=len(ue_ids))
+            kept_counts = np.bincount(ue_idx_f[keep], minlength=len(ue_ids))
+            forced = kept_counts < 3  # too few survivors: keep all rows
+            trimmed_any = bool(np.any(~forced & (kept_counts < counts)))
+            if not trimmed_any:
+                break
+            keep |= forced[ue_idx_f]
+            data = {
+                ue_id: (
+                    anchors_f[keep & (ue_idx_f == i)],
+                    ranges_f[keep & (ue_idx_f == i)],
+                )
+                for i, ue_id in enumerate(ue_ids)
+            }
+            residuals, jac = joint_model(data, ue_z, prior_b, prior_w)
+            best = least_squares(
+                residuals,
+                x0=_clip_theta(best.x),
+                loss="huber",
+                f_scale=huber_delta_m,
+                max_nfev=max_iter,
+                xtol=tol,
+                ftol=tol,
+                gtol=tol,
+                bounds=solver_bounds,
+                jac=jac,
+            )
+
+    theta = best.x
+    b = float(theta[-1])
+    per_ue: Dict[int, MultilaterationResult] = {}
+    for i, ue_id in enumerate(ue_ids):
+        anchors, ranges = data[ue_id]
+        position = np.array([theta[2 * i], theta[2 * i + 1], ue_z])
+        dist = np.linalg.norm(anchors - position[None, :], axis=1)
+        res = dist + b - ranges
+        per_ue[ue_id] = MultilaterationResult(
+            position=position,
+            offset_m=b,
+            residual_rms_m=float(np.sqrt(np.mean(res**2))),
+            n_iter=int(best.nfev),
+            converged=bool(best.success),
+            # How much of this UE's data the NLOS trimming kept — the
+            # per-UE quality score degraded-mode fallbacks key on.
+            inlier_fraction=len(ranges) / orig_counts[ue_id],
+        )
+    return JointLocalizationResult(
+        per_ue=per_ue, offset_m=b, converged=bool(best.success)
+    )

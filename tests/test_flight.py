@@ -12,7 +12,7 @@ from repro.flight.sampler import (
     collect_snr_samples,
     localize_all_ues,
 )
-from repro.flight.uav import UAV, Battery, GPS_ERROR_TAU_S, GPS_RATE_HZ
+from repro.flight.uav import UAV, Battery, GPS_ERROR_TAU_S, GPS_RATE_HZ, sample_count
 from repro.lte.enodeb import ENodeB
 from repro.lte.tof import ToFEstimator
 from repro.lte.ue import UE
@@ -87,6 +87,15 @@ class TestUAV:
         traj = Trajectory(np.array([[100.0, 0.0]]), altitude=50.0)
         log = uav.fly(traj, rng)
         assert len(log) == pytest.approx(10.0 * GPS_RATE_HZ, rel=0.05)
+
+    def test_whole_period_flight_keeps_its_end_sample(self):
+        # A duration that is a whole number of periods gets both end
+        # samples whichever way its product with the rate rounds.
+        below = np.nextafter(3.0, 0.0)
+        assert below * 100.0 < 300.0
+        assert sample_count(below, 100.0) == sample_count(3.0, 100.0) == 301
+        assert sample_count(3.0049, 100.0) == 301
+        assert sample_count(0.0, 100.0) == 2
 
     def test_clock_and_battery_advance(self, rng):
         uav = UAV(position=np.array([0.0, 0.0, 50.0]), speed_mps=10.0)

@@ -409,12 +409,7 @@ class TestFeatures:
 
 
 def _run_trigger(ratios, predictor=None, margin=0.1, debounce=1):
-    trig = EpochTrigger(
-        margin,
-        debounce=debounce,
-        metric="learned" if predictor is not None else "capacity",
-    )
-    trig.predictor = predictor
+    trig = EpochTrigger(margin, debounce=debounce, predictor=predictor)
     trig.reset(1.0)
     for i, r in enumerate(ratios):
         if trig.update(float(r), t_s=float(i)):

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from repro.faults import FaultInjector, FaultPlan
 from repro.flight.sampler import collect_gps_ranges
 from repro.flight.uav import UAV
-from repro.localization.joint import _joint_model, _stack_observations
+from repro.localization._trf import _normal_decomposition, _solve_lsq_trust_region
+from repro.localization.joint import _joint_model, _stack_observations, solve_joint_multilateration
 from repro.localization.ranging import GpsRange, aggregate_tof_to_gps, mad_filter
 from repro import _rowblocks
 from repro.lte import tof as tof_module
@@ -476,15 +477,70 @@ class TestJointSolver:
         ]
 
     def test_analytic_matches_finite_difference(self, campus_data, rng):
-        # The analytic Jacobian of the joint residuals (with and without
-        # an offset-prior row) against central differences on a real
-        # campus flight.
+        # The oracle's dense analytic Jacobian of the joint residuals
+        # (with and without an offset-prior row) against central
+        # differences on a real campus flight.
         for prior_w in (0.0, 4.0):
-            residuals, jac = _joint_model(campus_data, 1.5, 137.0, prior_w)
+            residuals, jac = oracle.joint_model(campus_data, 1.5, 137.0, prior_w)
             for theta in self._thetas(campus_data, rng):
                 np.testing.assert_allclose(
                     jac(theta), _central_jacobian(residuals, theta), rtol=0, atol=1e-6
                 )
+
+    @staticmethod
+    def _assert_structured_matches_dense(data, theta, prior_w, rng):
+        # The solver's structured Jacobian, scaled by row weights (the
+        # Huber reweighting) and column scales (the Coleman-Li ``d``),
+        # against the dense products: J_h p, J_h^T f and J_h^T J_h.
+        residuals, jac = _joint_model(data, 1.5, 137.0, prior_w)
+        _, dense_jac = oracle.joint_model(data, 1.5, 137.0, prior_w)
+        f = residuals(theta)
+        w = rng.uniform(1e-4, 1.0, len(f))
+        d = rng.uniform(0.1, 2.0, len(theta))
+        J = jac(theta).scale_rows(w)
+        Jh = dense_jac(theta) * w[:, None] * d[None, :]
+        g, gram = J.normal(f)
+        np.testing.assert_allclose(d * g, Jh.T @ f, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(gram * np.outer(d, d), Jh.T @ Jh, rtol=0, atol=1e-9)
+        p = rng.normal(size=len(theta))
+        np.testing.assert_allclose(J.matvec(d * p), Jh @ p, rtol=0, atol=1e-9)
+
+    def test_structured_normal_matches_dense(self, campus_data, rng):
+        for prior_w in (0.0, 4.0):
+            for theta in self._thetas(campus_data, rng):
+                self._assert_structured_matches_dense(campus_data, theta, prior_w, rng)
+
+    def test_normal_decomposition_steps_like_svd(self, campus_data, rng):
+        # (s, V, uf) from eigh of the normal matrix give the trust-region
+        # steps the SVD of the dense augmented Jacobian gives.
+        residuals, jac = _joint_model(campus_data, 1.5, 137.0, 4.0)
+        _, dense_jac = oracle.joint_model(campus_data, 1.5, 137.0, 4.0)
+        for theta in self._thetas(campus_data, rng, n=2):
+            f = residuals(theta)
+            n, m = len(theta), len(f)
+            g, gram = jac(theta).normal(f)
+            d = rng.uniform(0.5, 1.5, n)
+            diag_h = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
+            s, V, uf = _normal_decomposition(gram, d, diag_h, d * g)
+            aug = np.vstack([dense_jac(theta) * d, np.diag(diag_h**0.5)])
+            U2, s2, VT2 = np.linalg.svd(aug, full_matrices=False)
+            uf2 = U2.T @ np.append(f, np.zeros(n))
+            np.testing.assert_allclose(s, s2, rtol=0, atol=1e-7 * s2[0])
+            for delta in (0.1, 1.0, 10.0, 1e3):
+                p = _solve_lsq_trust_region(n, m, uf, s, V, delta)[0]
+                p2 = _solve_lsq_trust_region(n, m, uf2, s2, VT2.T, delta)[0]
+                np.testing.assert_allclose(p, p2, rtol=0, atol=1e-6 * max(1.0, np.linalg.norm(p2)))
+
+    def test_normal_decomposition_zero_singular_values(self):
+        # Where the normal matrix is singular, uf is exactly 0, not NaN.
+        s, V, uf = _normal_decomposition(np.zeros((3, 3)), np.ones(3), np.zeros(3), np.zeros(3))
+        assert np.array_equal(s, np.zeros(3)) and np.array_equal(uf, np.zeros(3))
+        s, V, uf = _normal_decomposition(
+            np.diag([4.0, 0.0, 1.0]), np.ones(3), np.zeros(3), np.array([2.0, 0.0, 1.0])
+        )
+        np.testing.assert_allclose(s, [2.0, 1.0, 0.0])
+        np.testing.assert_allclose(np.abs(uf), [1.0, 1.0, 0.0])
+        assert uf[2] == 0.0
 
     def test_reference_model_matches_vectorized(self, campus_data, rng):
         # The flat residual pass is bit-identical to the per-UE loop.
@@ -497,14 +553,178 @@ class TestJointSolver:
     def test_single_ue_jac_modes_agree(self, rng):
         ue = np.array([30.0, -20.0, 1.5])
         data = {7: _stack_observations(_circle_obs(ue, 100.0, 60, 50.0, 137.0, 0.0, rng))}
-        residuals, jac = _joint_model(data, 1.5, 0.0, 0.0)
+        residuals, jac = oracle.joint_model(data, 1.5, 0.0, 0.0)
         for theta in self._thetas(data, rng):
             assert np.array_equal(
-                residuals(theta), oracle.joint_residuals(data, theta, 1.5, 0.0, 0.0)
+                _joint_model(data, 1.5, 0.0, 0.0)[0](theta),
+                oracle.joint_residuals(data, theta, 1.5, 0.0, 0.0),
             )
             np.testing.assert_allclose(
                 jac(theta), _central_jacobian(residuals, theta), rtol=0, atol=1e-6
             )
+            for prior_w in (0.0, 4.0):
+                self._assert_structured_matches_dense(data, theta, prior_w, rng)
+
+
+def _as_observations(data):
+    return {
+        u: [GpsRange(a, float(r), float(i)) for i, (a, r) in enumerate(zip(*data[u]))]
+        for u in data
+    }
+
+
+def _assert_matches_scipy(obs, **kw):
+    """The structured solve lands where the SciPy oracle does."""
+    want = oracle.joint_solve_scipy(obs, **kw)
+    got = solve_joint_multilateration(obs, **kw)
+    assert sorted(got.per_ue) == sorted(want.per_ue)
+    for u, w in want.per_ue.items():
+        g = got.per_ue[u]
+        assert np.all(np.isfinite(g.position))
+        np.testing.assert_allclose(g.position, w.position, rtol=0, atol=0.05)
+        assert g.inlier_fraction == w.inlier_fraction
+        assert g.converged == w.converged
+    assert abs(got.offset_m - want.offset_m) < 0.05
+    assert got.converged == want.converged
+    return got
+
+
+def _stall_case():
+    """A bounded 7-UE solve whose two jittered restarts stop at ``max_iter``.
+
+    A 23 m flight at 100 m altitude ranges seven UEs in a 340 m box;
+    two of them are half NLOS.  The unjittered start converges; the
+    jittered starts land near the box edges and crawl toward a phantom
+    optimum until ``max_iter`` stops them, as the second-epoch solves of
+    three-UAV campus fleets do.
+    """
+    rng = np.random.default_rng(38)
+    n = 120
+    t = np.linspace(0.0, 1.0, n)
+    anchors = np.column_stack(
+        [33.0 + 20.0 * t, 113.0 + 12.0 * np.sin(np.pi * t), np.full(n, 100.0)]
+    )
+    ues = {1: (85, 138), 3: (208, 16), 5: (17, 305), 6: (240, 195), 7: (23, 226),
+           9: (111, 119), 10: (123, 118)}
+    obs = {}
+    for u, (x, y) in ues.items():
+        r = np.linalg.norm(anchors - np.array([x, y, 1.5]), axis=1) + 134.5
+        r += rng.normal(0.0, 1.0, n)
+        if u in (5, 6):
+            hit = rng.random(n) < 0.5
+            r[hit] += rng.exponential(30.0, hit.sum())
+        obs[u] = [GpsRange(a, float(ri), float(i)) for i, (a, ri) in enumerate(zip(anchors, r))]
+    return obs, dict(bounds_xy=((-20.0, 320.0), (-20.0, 320.0)), offset_prior=(134.5, 200.0))
+
+
+class TestJointSolverMatchesScipy:
+    """The structured trust-region solve against SciPy's ``least_squares``.
+
+    Bits may differ at rounding level (the steps come from ``eigh`` of
+    the normal matrix, not the SVD of the dense Jacobian); every answer
+    the epoch reads must not.
+    """
+
+    @pytest.fixture()
+    def campus_obs(self, campus_flight):
+        scenario, log, estimator, bounds = campus_flight
+        obs = {}
+        for ue in scenario.ues:
+            o = mad_filter(
+                collect_gps_ranges(
+                    log, ue, scenario.channel, scenario.enodeb, estimator,
+                    np.random.default_rng(1),
+                )
+            )
+            if len(o) >= 3:
+                obs[ue.ue_id] = o
+        assert len(obs) >= 3
+        return obs, bounds
+
+    def test_campus(self, campus_obs):
+        obs, bounds = campus_obs
+        _assert_matches_scipy(obs)
+        _assert_matches_scipy(obs, bounds_xy=bounds)
+
+    def test_offset_prior(self, campus_obs):
+        obs, bounds = campus_obs
+        _assert_matches_scipy(obs, bounds_xy=bounds, offset_prior=(137.0, 200.0))
+
+    def test_one_ue(self, rng):
+        ue = np.array([30.0, -20.0, 1.5])
+        obs = {4: _circle_obs(ue, 20.0, 80, 60.0, 137.0, 1.0, rng)}
+        _assert_matches_scipy(obs)
+        _assert_matches_scipy(obs, bounds_xy=((-100.0, 100.0), (-100.0, 100.0)))
+
+    def test_nlos_trim_resolves(self):
+        # One UE's ranges fall 40 m short of the fit on every fourth
+        # row: large positive residuals, which the one-sided trim drops
+        # before it re-solves.  Both solvers must trim the same rows.
+        rng = np.random.default_rng(5)
+        obs = {}
+        for u, xy in enumerate([(40.0, 10.0), (-30.0, 25.0), (5.0, -45.0)]):
+            rows = _circle_obs(np.array([*xy, 1.5]), 30.0, 60, 80.0, 137.0, 0.5, rng)
+            if u == 1:
+                rows = [
+                    GpsRange(o.gps_xyz, o.range_m - (40.0 if i % 4 == 0 else 0.0), o.t_s)
+                    for i, o in enumerate(rows)
+                ]
+            obs[u] = rows
+        got = _assert_matches_scipy(obs)
+        assert got.per_ue[1].inlier_fraction < 1.0
+
+    def test_stalled_restarts(self):
+        obs, kw = _stall_case()
+        before = perf.counters()
+        _assert_matches_scipy(obs, **kw)
+        counted = perf.counters_since(before)
+        assert counted.get("loc.joint.max_nfev_stops", 0) == 2
+
+    def test_rank_deficient_single_ue_line(self):
+        # One UE under a straight flight: at the anchor centroid the
+        # cross-track column of the Jacobian is exactly zero, so the
+        # normal matrix is singular.  The unjittered solve stays on the
+        # flight line, converged, where SciPy's does; no solve returns
+        # NaN.
+        n = 40
+        anchors = np.column_stack(
+            [np.linspace(-20.0, 20.0, n), np.zeros(n), np.full(n, 60.0)]
+        )
+        ue = np.array([5.0, 30.0, 1.5])
+        ranges = np.linalg.norm(anchors - ue, axis=1) + 137.0
+        obs = {0: [GpsRange(a, float(r), float(i)) for i, (a, r) in enumerate(zip(anchors, ranges))]}
+        _assert_matches_scipy(obs, restarts=1)
+        for kw in ({}, {"bounds_xy": ((-100.0, 100.0), (-100.0, 100.0))}):
+            for restarts in (1, 3):
+                res = solve_joint_multilateration(obs, restarts=restarts, **kw)
+                assert res.converged
+                assert np.all(np.isfinite(res.per_ue[0].position))
+                assert np.isfinite(res.offset_m)
+                assert np.isfinite(res.per_ue[0].residual_rms_m)
+
+
+class TestJointSolverWork:
+    def test_counts_evaluations_and_max_nfev_stops(self, rng):
+        ue = np.array([30.0, -20.0, 1.5])
+        obs = {7: _circle_obs(ue, 40.0, 60, 50.0, 137.0, 0.5, rng)}
+        before = perf.counters()
+        res = solve_joint_multilateration(obs, restarts=3)
+        counted = perf.counters_since(before)
+        assert res.converged
+        assert counted["loc.joint.nfev"] >= 3 * 2
+        assert counted["loc.joint.nfev"] >= res.per_ue[7].n_iter
+        assert "loc.joint.max_nfev_stops" not in counted
+        # With a budget of 4 evaluations every solve of the 7-UE case
+        # stops at max_iter: each counts one stop and exactly 4
+        # evaluations.
+        obs, kw = _stall_case()
+        before = perf.counters()
+        res = solve_joint_multilateration(obs, restarts=3, max_iter=4, **kw)
+        counted = perf.counters_since(before)
+        assert not res.converged
+        stops = counted["loc.joint.max_nfev_stops"]
+        assert stops >= 3
+        assert counted["loc.joint.nfev"] == 4 * stops
 
 
 def _circle_obs(ue, radius, n, alt, offset, noise, rng):

@@ -101,13 +101,14 @@ class TestIDW:
         # inverse-square weights give exactly (100/1 + 0/4)/(1 + 1/4).
         assert out[0, 2] == pytest.approx(80.0)
 
-    def test_max_distance_falls_back_to_prior(self, grid10):
+    def test_no_measurements_falls_back_to_prior(self, grid10):
         values = np.full(grid10.shape, np.nan)
-        values[0, 0] = 5.0
         prior = np.full(grid10.shape, -3.0)
-        out = idw_interpolate(grid10, values, max_distance_m=2.0, fallback=prior)
-        assert out[9, 9] == pytest.approx(-3.0)
-        assert out[0, 1] != pytest.approx(-3.0)
+        assert np.array_equal(idw_interpolate(grid10, values, fallback=prior), prior)
+        # With one measured cell the prior is not used anywhere.
+        values[0, 0] = 5.0
+        out = idw_interpolate(grid10, values, fallback=prior)
+        np.testing.assert_allclose(out, 5.0)
 
     def test_no_measurements_no_prior_stays_nan(self, grid10):
         values = np.full(grid10.shape, np.nan)

@@ -119,14 +119,14 @@ def test_idw_rows_match_full_interpolation(small_grid, rows):
     assert np.array_equal(band, full[rows])
 
 
-def test_idw_rows_with_max_distance_and_fallback(small_grid):
-    values = _sparse_map(small_grid, seed=9)
+def test_idw_rows_with_fallback(small_grid):
     fallback = np.full(small_grid.shape, -3.25)
-    kw = dict(max_distance_m=6.0, fallback=fallback)
-    full = idw_interpolate(small_grid, values, **kw)
     rows = slice(3, 31)
-    band = idw_interpolate_rows(small_grid, values, rows, **kw)
-    assert np.array_equal(band, full[rows])
+    for values in (_sparse_map(small_grid, seed=9), np.full(small_grid.shape, np.nan)):
+        full = idw_interpolate(small_grid, values, fallback=fallback)
+        band = idw_interpolate_rows(small_grid, values, rows, fallback=fallback)
+        assert np.array_equal(band, full[rows])
+    assert np.array_equal(band, fallback[rows])
 
 
 def test_idw_rows_match_registry_idw(small_grid):

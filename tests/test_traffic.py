@@ -513,6 +513,8 @@ class TestConfigValidation:
             SkyRANConfig(epoch_trigger_metric="bogus")
         with pytest.raises(ValueError):
             EpochTrigger(metric="bogus")
+        with pytest.raises(ValueError):
+            EpochTrigger(metric="learned")
 
     def test_positive_knobs_enforced(self):
         with pytest.raises(ValueError):
