@@ -97,11 +97,22 @@ class TRFResult:
 # -- the Huber loss (least_squares.py: huber, construct_loss_function) --------
 
 
+def _huber_rho(f, f_scale):
+    """``(rho, out, z_out)``: the Huber loss of ``z = (f / f_scale)**2``.
+
+    ``out`` marks the outlier rows (``z > 1``) and ``z_out`` holds
+    their ``z``.
+    """
+    rho = (f / f_scale) ** 2
+    out = rho > 1
+    zo = rho[out]
+    rho[out] = 2 * zo**0.5 - 1
+    return rho, out, zo
+
+
 def _huber_cost(f, f_scale):
-    z = (f / f_scale) ** 2
-    out = z > 1
-    z[out] = 2 * z[out] ** 0.5 - 1
-    return 0.5 * f_scale**2 * np.sum(z)
+    rho, _, _ = _huber_rho(f, f_scale)
+    return 0.5 * f_scale**2 * np.sum(rho)
 
 
 def _huber_scaled(f, f_scale):
@@ -110,12 +121,9 @@ def _huber_scaled(f, f_scale):
     Inlier rows (``|f| <= f_scale``) keep weight 1 and their residual;
     only the outlier rows are reweighted.  ``f`` is scaled in place.
     """
-    z = (f / f_scale) ** 2
-    out = z > 1
-    zo = z[out]
-    z[out] = 2 * zo**0.5 - 1
-    z *= f_scale**2
-    cost = 0.5 * np.sum(z)
+    rho, out, zo = _huber_rho(f, f_scale)
+    rho *= f_scale**2
+    cost = 0.5 * np.sum(rho)
     scale = np.ones_like(f)
     if zo.size:
         fo = f[out]
@@ -202,8 +210,11 @@ def _intersect_trust_region(x, s, Delta):
     return (t1, t2) if t1 < t2 else (t2, t1)
 
 
-def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha=None, rtol=0.01, max_iter=10):
-    """More's secular-equation solve of ``min ||J p + f||, ||p|| <= Delta``."""
+def _solve_lsq_trust_region(m, uf, s, V, Delta, initial_alpha=None, rtol=0.01, max_iter=10):
+    """More's secular-equation solve of ``min ||J p + f||, ||p|| <= Delta``.
+
+    ``J`` has ``m >= len(s)`` rows, so only ``s`` decides its rank.
+    """
 
     def phi_and_derivative(alpha):
         denom = s**2 + alpha
@@ -213,12 +224,7 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha=None, rtol=0.01
         return phi, phi_prime
 
     suf = s * uf
-
-    if m >= n:
-        threshold = EPS * m * s[0]
-        full_rank = s[-1] > threshold
-    else:
-        full_rank = False
+    full_rank = s[-1] > EPS * m * s[0]
 
     if full_rank:
         p = -V.dot(uf / s)
@@ -413,7 +419,7 @@ def least_squares_huber(fun, jac, x0, lb, ub, f_scale, max_nfev, tol) -> TRFResu
 
     ``ftol = xtol = gtol = tol``.  ``lb``/``ub`` are arrays the size of
     ``x0`` (``-inf``/``inf`` where unbounded); ``x0`` must lie within
-    them.
+    them.  ``fun`` must return at least ``len(x0)`` residuals.
     """
     x0 = _make_strictly_feasible(np.asarray(x0, dtype=float), lb, ub)
     x = x0.copy()
@@ -421,7 +427,7 @@ def least_squares_huber(fun, jac, x0, lb, ub, f_scale, max_nfev, tol) -> TRFResu
     if not np.all(np.isfinite(f)):
         raise ValueError("Residuals are not finite in the initial point.")
     nfev = 1
-    m, n = len(f), len(x)
+    m = len(f)
 
     cost, row_scale, f = _huber_scaled(f, f_scale)
     J = jac(x).scale_rows(row_scale)
@@ -455,7 +461,7 @@ def least_squares_huber(fun, jac, x0, lb, ub, f_scale, max_nfev, tol) -> TRFResu
 
         actual_reduction = -1
         while actual_reduction <= 0 and nfev < max_nfev:
-            p_h, alpha, _ = _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha=alpha)
+            p_h, alpha, _ = _solve_lsq_trust_region(m, uf, s, V, Delta, initial_alpha=alpha)
             p = d * p_h
             step, step_h, predicted_reduction = _select_step(
                 x, jh, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta

@@ -527,8 +527,8 @@ class TestJointSolver:
             uf2 = U2.T @ np.append(f, np.zeros(n))
             np.testing.assert_allclose(s, s2, rtol=0, atol=1e-7 * s2[0])
             for delta in (0.1, 1.0, 10.0, 1e3):
-                p = _solve_lsq_trust_region(n, m, uf, s, V, delta)[0]
-                p2 = _solve_lsq_trust_region(n, m, uf2, s2, VT2.T, delta)[0]
+                p = _solve_lsq_trust_region(m, uf, s, V, delta)[0]
+                p2 = _solve_lsq_trust_region(m, uf2, s2, VT2.T, delta)[0]
                 np.testing.assert_allclose(p, p2, rtol=0, atol=1e-6 * max(1.0, np.linalg.norm(p2)))
 
     def test_normal_decomposition_zero_singular_values(self):
