@@ -15,7 +15,11 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.channel.model import ChannelModel
-from repro.core.config import SkyRANConfig
+from repro.core.config import (
+    LOCALIZATION_FLIGHT_M,
+    LOCALIZATION_SPEED_MPS,
+    SkyRANConfig,
+)
 from repro.faults.injector import FaultInjector, as_injector
 from repro.flight.sampler import localize_all_ues
 from repro.perf import perf
@@ -60,9 +64,7 @@ class CentroidController:
             self.uav = UAV(position=np.array([cx, cy, self.altitude]))
         self.faults = as_injector(self.faults)
         self.rng = np.random.default_rng(self.seed)
-        self.estimator = ToFEstimator(
-            self.enodeb.srs_config, self.config.tof_upsampling
-        )
+        self.estimator = ToFEstimator(self.enodeb.srs_config)
         self._last_estimates: Dict[int, np.ndarray] = {}
 
     def run_epoch(self, budget_m: Optional[float] = None) -> CentroidEpochResult:
@@ -76,12 +78,12 @@ class CentroidController:
         traj = random_flight(
             self.rem_grid,
             self.uav.position[:2],
-            self.config.localization_flight_m,
+            LOCALIZATION_FLIGHT_M,
             altitude=float(self.uav.position[2]),
             rng=self.rng,
         )
         cruise = self.uav.speed_mps
-        self.uav.speed_mps = self.config.localization_speed_mps
+        self.uav.speed_mps = LOCALIZATION_SPEED_MPS
         try:
             log = self.uav.fly(traj, self.rng, faults=self.faults)
         finally:

@@ -16,7 +16,11 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.channel.model import ChannelModel
-from repro.core.config import SkyRANConfig
+from repro.core.config import (
+    UNCERTAINTY_PENALTY_CAP_DB,
+    UNCERTAINTY_PENALTY_DB_PER_M,
+    SkyRANConfig,
+)
 from repro.core.placement import PlacementResult
 from repro.faults.injector import FaultInjector, as_injector
 from repro.flight.sampler import collect_snr_samples
@@ -123,8 +127,8 @@ class UniformController:
             self.rem_grid,
             [self._rems[ue_id] for ue_id in ids],
             self.altitude,
-            penalty_rate_db_per_m=self.config.uncertainty_penalty_db_per_m,
-            penalty_cap_db=self.config.uncertainty_penalty_cap_db,
+            penalty_rate_db_per_m=UNCERTAINTY_PENALTY_DB_PER_M,
+            penalty_cap_db=UNCERTAINTY_PENALTY_CAP_DB,
             collect_maps=True,
         )
         move_log = self.uav.goto(placement.position.as_array(), self.rng, faults=self.faults)

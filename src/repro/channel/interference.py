@@ -3,8 +3,8 @@
 A single SkyRAN UAV owns its carrier; a fleet sharing one LTE channel
 does not.  This module computes per-UE SINR given every UAV's
 position: the serving cell's signal over (noise + the sum of the
-co-channel cells' received powers, scaled by their activity).  The
-fleet controller uses it to score associations and sectorizations
+co-channel cells' received powers, every cell transmitting at full
+load).  The fleet controller uses it to score associations and sectorizations
 honestly — two UAVs parked next to each other *hurt* each other,
 which pure-SNR scoring cannot see.
 
@@ -47,17 +47,6 @@ def reuse_carriers(n_cells: int, reuse_factor: int) -> np.ndarray:
     return np.arange(n_cells) % reuse_factor
 
 
-def _activity(n: int, activity: Optional[Sequence[float]]) -> np.ndarray:
-    if activity is None:
-        return np.ones(n)
-    act = np.asarray(list(activity), dtype=float)
-    if act.shape != (n,):
-        raise ValueError(f"activity must have length {n}")
-    if np.any((act < 0) | (act > 1)):
-        raise ValueError("activity factors must be in [0, 1]")
-    return act
-
-
 def _carriers(n: int, carriers: Optional[Sequence[int]]) -> np.ndarray:
     if carriers is None:
         return np.zeros(n, dtype=int)
@@ -91,7 +80,6 @@ def sinr_db_from_rx_stack(
     link: LinkBudget,
     rx_dbm: np.ndarray,
     serving: np.ndarray,
-    activity: Optional[Sequence[float]] = None,
     carriers: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Per-UE SINR (dB) from a precomputed ``(n_uav, n_ue)`` rx stack.
@@ -109,7 +97,6 @@ def sinr_db_from_rx_stack(
         raise ValueError(f"serving must have shape ({n_ue},), got {serving.shape}")
     if n_ue and (serving.min() < 0 or serving.max() >= n_uav):
         raise ValueError("serving indices out of range")
-    act = _activity(n_uav, activity)
     carr = _carriers(n_uav, carriers)
 
     rx_mw = 10.0 ** (rx_dbm / 10.0)
@@ -119,7 +106,7 @@ def sinr_db_from_rx_stack(
     interf_mw = np.zeros(n_ue, dtype=float)
     for j in range(n_uav):
         excluded = (serving == j) | (serving_carrier != carr[j])
-        interf_mw += np.where(excluded, 0.0, act[j] * rx_mw[j])
+        interf_mw += np.where(excluded, 0.0, rx_mw[j])
     return 10.0 * np.log10(signal_mw / (noise_mw + interf_mw))
 
 
@@ -128,7 +115,6 @@ def fleet_sinr_db_stack(
     uav_positions: Sequence[np.ndarray],
     ue_positions: Sequence,
     serving: Sequence[int],
-    activity: Optional[Sequence[float]] = None,
     carriers: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Per-UE SINR (dB), batched — bit-identical to the scalar loop.
@@ -138,7 +124,7 @@ def fleet_sinr_db_stack(
     """
     rx_dbm = fleet_rx_power_dbm(channel, uav_positions, ue_positions)
     return sinr_db_from_rx_stack(
-        channel.link, rx_dbm, np.asarray(serving, dtype=int), activity, carriers
+        channel.link, rx_dbm, np.asarray(serving, dtype=int), carriers
     )
 
 
@@ -147,7 +133,6 @@ def fleet_sinr_db(
     uav_positions: Sequence[np.ndarray],
     ue_positions: Dict[int, np.ndarray],
     serving: Dict[int, int],
-    activity: Optional[Sequence[float]] = None,
     carriers: Optional[Sequence[int]] = None,
 ) -> Dict[int, float]:
     """Per-UE SINR for a whole fleet assignment (dict API).
@@ -160,7 +145,7 @@ def fleet_sinr_db(
         return {}
     xyz = np.array([ue_positions[u] for u in ue_ids], dtype=float)
     srv = np.array([serving[u] for u in ue_ids], dtype=int)
-    out = fleet_sinr_db_stack(channel, uav_positions, xyz, srv, activity, carriers)
+    out = fleet_sinr_db_stack(channel, uav_positions, xyz, srv, carriers)
     return {u: float(s) for u, s in zip(ue_ids, out)}
 
 
@@ -168,7 +153,6 @@ def interference_penalty_db(
     channel: ChannelModel,
     ue_positions: Sequence,
     interferer_positions: Sequence,
-    activity: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
     """Per-UE dB penalty converting an SNR map into an SINR map.
 
@@ -185,12 +169,11 @@ def interference_penalty_db(
     ues = np.atleast_2d(np.asarray(ue_positions, dtype=float))
     if len(interferer_positions) == 0:
         return np.zeros(ues.shape[0], dtype=float)
-    act = _activity(len(interferer_positions), activity)
     # Accumulate interferers in ascending index order, term for term
     # like :func:`sinr_db_from_rx_stack`.
     interf_mw = np.zeros(ues.shape[0], dtype=float)
-    for a, pos in zip(act, interferer_positions):
+    for pos in interferer_positions:
         rx_dbm = channel.link.rx_power_dbm(channel.path_loss_to_many(pos, ues))
-        interf_mw += a * 10.0 ** (rx_dbm / 10.0)
+        interf_mw += 10.0 ** (rx_dbm / 10.0)
     noise_mw = 10.0 ** (channel.link.noise_floor_dbm / 10.0)
     return 10.0 * np.log10((noise_mw + interf_mw) / noise_mw)

@@ -16,11 +16,6 @@ from repro.core.placement import (
 from repro.core.rem_store import REMStore
 from repro.core.epoch import EpochTrigger
 from repro.core.controller import EpochResult, SkyRANController
-from repro.core.association import (
-    AssociationPolicy,
-    available_associations,
-    make_association,
-)
 from repro.core.fleet import (
     FleetController,
     FleetEpochResult,
@@ -29,9 +24,6 @@ from repro.core.fleet import (
 )
 
 __all__ = [
-    "AssociationPolicy",
-    "available_associations",
-    "make_association",
     "FleetController",
     "FleetEpochResult",
     "FleetEvaluation",

@@ -1,63 +1,44 @@
-"""UE → sky-cell association policies.
+"""UE → sky-cell association.
 
-Every epoch the fleet must decide which UAV cell serves each UE.  A
-policy consumes the candidate-SINR matrix — ``candidate_db[c, k]`` is
-UE ``k``'s SINR *if cell c served it* (interference from the rest of
-the fleet included) — plus the current serving assignment, and returns
-the new assignment.  Policies register under a string name so the
-choice threads through :class:`~repro.core.fleet.FleetController` as
-configuration, mirroring the interpolator / traffic / scheduler
-registries.
-
-Built-in policies
------------------
-
-``best_sinr``
-    Hysteresis-gated argmax — the LTE A3 event in miniature.  A UE
-    hands over only when some cell beats its serving cell by more than
-    ``hysteresis_db``; this is what keeps boundary UEs from
-    ping-ponging under SINR jitter.
-``sticky``
-    Never hands over while the serving cell is valid; unattached UEs
-    take the best cell.  The degenerate lower bound for handover-count
-    comparisons.
-``load_aware``
-    ``best_sinr`` on a load-discounted score: each cell's candidate
-    SINR is reduced by ``load_penalty_db`` × its load fraction, so a
-    congested cell must win by more.  Ties into the MAC's per-cell UE
-    counts.
+Every epoch the fleet must decide which UAV cell serves each UE.
+:func:`hysteresis_pick` consumes the candidate-SINR matrix —
+``candidate_db[c, k]`` is UE ``k``'s SINR *if cell c served it*
+(interference from the rest of the fleet included) — plus the current
+serving assignment, and returns the new assignment: the LTE A3 event
+in miniature.  A UE hands over only when some cell beats its serving
+cell by more than the hysteresis; this is what keeps boundary UEs from
+ping-ponging under SINR jitter.
 
 Handover *counting* lives in the fleet controller (``perf`` counters
-``fleet.handover`` / ``fleet.attach``), not here: a policy is a pure
+``fleet.handover`` / ``fleet.attach``), not here: the pick is a pure
 function of its inputs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
 #: Marker for a UE with no serving cell yet.
 UNATTACHED = -1
 
-
-@runtime_checkable
-class AssociationPolicy(Protocol):
-    """Anything that can map candidate SINRs to a serving assignment."""
-
-    def associate(
-        self,
-        candidate_db: np.ndarray,
-        serving: np.ndarray,
-        loads: Optional[np.ndarray] = None,
-    ) -> np.ndarray: ...
+#: Margin (dB) another cell must beat the serving cell by before an
+#: attached UE hands over.
+HANDOVER_HYSTERESIS_DB = 3.0
 
 
-def _validated(
-    candidate_db: np.ndarray, serving: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+def hysteresis_pick(
+    candidate_db: np.ndarray,
+    serving: np.ndarray,
+    hysteresis_db: float = HANDOVER_HYSTERESIS_DB,
+) -> np.ndarray:
+    """Strongest-cell association gated by hysteresis.
+
+    Unattached UEs take the argmax unconditionally; attached UEs move
+    only when the best candidate beats the serving cell's score by
+    *strictly more* than ``hysteresis_db`` (ties keep the serving
+    cell, so a zero hysteresis is still ping-pong-free under exactly
+    equal scores).
+    """
     candidate_db = np.asarray(candidate_db, dtype=float)
     if candidate_db.ndim != 2:
         raise ValueError(f"candidate_db must be (n_cell, n_ue), got {candidate_db.shape}")
@@ -67,139 +48,11 @@ def _validated(
         raise ValueError(f"serving must have shape ({n_ue},), got {serving.shape}")
     if n_ue and (serving.min() < UNATTACHED or serving.max() >= n_cell):
         raise ValueError("serving indices out of range")
-    return candidate_db, serving
-
-
-def _hysteresis_pick(
-    score_db: np.ndarray, serving: np.ndarray, hysteresis_db: float
-) -> np.ndarray:
-    """Argmax gated by hysteresis against the current serving cell.
-
-    Unattached UEs take the argmax unconditionally; attached UEs move
-    only when the best candidate beats the serving cell's score by
-    *strictly more* than ``hysteresis_db`` (ties keep the serving
-    cell, so a zero-hysteresis policy is still ping-pong-free under
-    exactly equal scores).
-    """
-    n_ue = serving.shape[0]
-    best = np.argmax(score_db, axis=0)
-    attached = serving != UNATTACHED
+    best = np.argmax(candidate_db, axis=0)
     out = best.copy()
-    if np.any(attached):
-        idx = np.flatnonzero(attached)
-        current = score_db[serving[idx], idx]
-        gain = score_db[best[idx], idx] - current
+    idx = np.flatnonzero(serving != UNATTACHED)
+    if len(idx):
+        gain = candidate_db[best[idx], idx] - candidate_db[serving[idx], idx]
         keep = gain <= hysteresis_db
         out[idx[keep]] = serving[idx[keep]]
     return out.astype(int)
-
-
-@dataclass(frozen=True, kw_only=True)
-class BestSinrAssociation:
-    """Hysteresis-gated strongest-cell association (LTE A3 analogue)."""
-
-    hysteresis_db: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.hysteresis_db < 0:
-            raise ValueError(f"hysteresis_db must be >= 0, got {self.hysteresis_db}")
-
-    def associate(
-        self,
-        candidate_db: np.ndarray,
-        serving: np.ndarray,
-        loads: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        candidate_db, serving = _validated(candidate_db, serving)
-        return _hysteresis_pick(candidate_db, serving, self.hysteresis_db)
-
-
-@dataclass(frozen=True, kw_only=True)
-class StickyAssociation:
-    """Keep the serving cell forever; only unattached UEs associate."""
-
-    def associate(
-        self,
-        candidate_db: np.ndarray,
-        serving: np.ndarray,
-        loads: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        candidate_db, serving = _validated(candidate_db, serving)
-        best = np.argmax(candidate_db, axis=0)
-        return np.where(serving == UNATTACHED, best, serving).astype(int)
-
-
-@dataclass(frozen=True, kw_only=True)
-class LoadAwareAssociation:
-    """Strongest-cell association discounted by per-cell load.
-
-    ``score[c] = candidate_db[c] - load_penalty_db * loads[c]`` where
-    ``loads[c]`` is the cell's load fraction (UEs served / total UEs
-    when driven by the fleet controller).  With no load information
-    the policy is exactly :class:`BestSinrAssociation`.
-    """
-
-    hysteresis_db: float = 3.0
-    load_penalty_db: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.hysteresis_db < 0:
-            raise ValueError(f"hysteresis_db must be >= 0, got {self.hysteresis_db}")
-        if self.load_penalty_db < 0:
-            raise ValueError(
-                f"load_penalty_db must be >= 0, got {self.load_penalty_db}"
-            )
-
-    def associate(
-        self,
-        candidate_db: np.ndarray,
-        serving: np.ndarray,
-        loads: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        candidate_db, serving = _validated(candidate_db, serving)
-        score = candidate_db
-        if loads is not None:
-            loads = np.asarray(loads, dtype=float)
-            if loads.shape != (candidate_db.shape[0],):
-                raise ValueError(
-                    f"loads must have shape ({candidate_db.shape[0]},), got {loads.shape}"
-                )
-            score = candidate_db - self.load_penalty_db * loads[:, None]
-        return _hysteresis_pick(score, serving, self.hysteresis_db)
-
-
-_REGISTRY: Dict[str, Callable[..., AssociationPolicy]] = {}
-
-
-def register_association(name: str, factory: Callable[..., AssociationPolicy]) -> None:
-    """Register an association-policy factory under a string name."""
-    if not name:
-        raise ValueError("association policy name must be non-empty")
-    _REGISTRY[name] = factory
-
-
-def available_associations() -> Tuple[str, ...]:
-    """Registered names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def make_association(name: str, **params) -> AssociationPolicy:
-    """Instantiate a registered association policy by name.
-
-    Unknown keyword parameters are ignored for dataclass factories, so
-    one config can carry the union of every policy's knobs.
-    """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(available_associations())
-        raise ValueError(f"unknown association policy {name!r} (known: {known})") from None
-    accepted = getattr(factory, "__dataclass_fields__", None)
-    if accepted is not None:
-        params = {k: v for k, v in params.items() if k in accepted}
-    return factory(**params)
-
-
-register_association("best_sinr", BestSinrAssociation)
-register_association("sticky", StickyAssociation)
-register_association("load_aware", LoadAwareAssociation)

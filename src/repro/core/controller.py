@@ -16,7 +16,19 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.channel.model import ChannelModel
-from repro.core.config import SkyRANConfig
+from repro.core.config import (
+    K_MAX,
+    LOCALIZATION_ALTITUDE_M,
+    LOCALIZATION_FLIGHT_M,
+    LOCALIZATION_MAX_RETRIES,
+    LOCALIZATION_RESIDUAL_LIMIT_M,
+    LOCALIZATION_SPEED_MPS,
+    MIN_INLIER_FRACTION,
+    TOF_QUALITY_FLOOR,
+    UNCERTAINTY_PENALTY_CAP_DB,
+    UNCERTAINTY_PENALTY_DB_PER_M,
+    SkyRANConfig,
+)
 from repro.core.epoch import EpochTrigger
 from repro.core.placement import PlacementResult, find_optimal_altitude
 
@@ -142,10 +154,9 @@ class SkyRANController:
             self.uav = UAV(position=np.array([cx, cy, self.config.max_altitude_m]))
         self.faults = as_injector(self.faults)
         self.rng = np.random.default_rng(self.seed)
-        self.estimator = ToFEstimator(self.enodeb.srs_config, self.config.tof_upsampling)
+        self.estimator = ToFEstimator(self.enodeb.srs_config)
         self.planner = SkyRANPlanner(
-            k_min=self.config.k_min,
-            k_max=self.config.k_max,
+            k_max=K_MAX,
             gradient_quantile=self.config.gradient_quantile,
             seed=self.seed,
         )
@@ -232,7 +243,6 @@ class SkyRANController:
         degraded-mode quality gates (all of them in fault-free runs).
         """
         extra_distance = 0.0
-        loc_alt = self.config.localization_altitude_m
         # Fly from above the last-known UE centroid: ranging geometry
         # degrades sharply when all UEs sit far to one side, and after
         # the first epoch the controller knows roughly where they are.
@@ -242,19 +252,19 @@ class SkyRANController:
             )
         else:
             cx, cy = self.uav.position[0], self.uav.position[1]
-        target = np.array([cx, cy, loc_alt])
+        target = np.array([cx, cy, LOCALIZATION_ALTITUDE_M])
         if np.linalg.norm(self.uav.position - target) > 1.0:
             move = self.uav.goto(target, self.rng, faults=self.faults)
             extra_distance += move.distance_m
         traj = random_flight(
             self.rem_grid,
             self.uav.position[:2],
-            self.config.localization_flight_m,
+            LOCALIZATION_FLIGHT_M,
             altitude=float(self.uav.position[2]),
             rng=self.rng,
         )
         cruise = self.uav.speed_mps
-        self.uav.speed_mps = self.config.localization_speed_mps
+        self.uav.speed_mps = LOCALIZATION_SPEED_MPS
         try:
             log = self.uav.fly(traj, self.rng, faults=self.faults)
         finally:
@@ -265,9 +275,6 @@ class SkyRANController:
             (self.rem_grid.origin_x - margin, self.rem_grid.max_x + margin),
             (self.rem_grid.origin_y - margin, self.rem_grid.max_y + margin),
         )
-        min_quality = None
-        if self._chaos and self.config.tof_quality_floor > 0:
-            min_quality = self.config.tof_quality_floor
         joint = localize_all_ues(
             log,
             ues,
@@ -278,7 +285,7 @@ class SkyRANController:
             bounds_xy=bounds,
             offset_prior=self.offset_calibrator.prior(),
             faults=self.faults,
-            min_quality=min_quality,
+            min_quality=TOF_QUALITY_FLOOR if self._chaos else None,
         )
         # The offset is a chain constant: feed this epoch's estimate
         # back into the running calibration for the next epoch — but a
@@ -302,8 +309,8 @@ class SkyRANController:
             if not self._chaos:
                 trusted.add(ue.ue_id)
             elif (
-                result.residual_rms_m <= self.config.localization_residual_limit_m
-                and result.inlier_fraction >= self.config.min_inlier_fraction
+                result.residual_rms_m <= LOCALIZATION_RESIDUAL_LIMIT_M
+                and result.inlier_fraction >= MIN_INLIER_FRACTION
             ):
                 trusted.add(ue.ue_id)
         return estimates, errors, trusted, extra_distance + log.distance_m, log.duration_s
@@ -323,7 +330,7 @@ class SkyRANController:
 
         Fault-free, this is exactly one leg.  Under an active injector:
         if a leg leaves any UE without a *trusted* fresh estimate, the
-        leg is re-flown up to ``config.localization_max_retries`` times
+        leg is re-flown up to ``LOCALIZATION_MAX_RETRIES`` times
         (``fallback.localization_retry``); whatever is still missing or
         untrusted after that falls back to the last-good estimate
         (``fallback.reuse_last_estimate``) or, with no history, a blind
@@ -340,10 +347,7 @@ class SkyRANController:
             return estimates, errors, distance, duration
         ues = self._ues_to_localize()
         retries = 0
-        while (
-            len(trusted) < len(ues)
-            and retries < self.config.localization_max_retries
-        ):
+        while len(trusted) < len(ues) and retries < LOCALIZATION_MAX_RETRIES:
             retries += 1
             perf.count("fallback.localization_retry")
             est2, err2, trusted2, d2, t2 = self._fly_localization_leg()
@@ -409,10 +413,7 @@ class SkyRANController:
             return float(np.mean(losses) + self.rng.normal(0.0, probe_noise))
 
         altitude = find_optimal_altitude(
-            path_loss_at,
-            self.config.max_altitude_m,
-            self.config.min_altitude_m,
-            self.config.altitude_step_m,
+            path_loss_at, self.config.max_altitude_m, self.config.min_altitude_m
         )
         # Climb back from wherever the search stopped to the optimum.
         log2 = self.uav.goto(
@@ -572,8 +573,8 @@ class SkyRANController:
             self.rem_grid,
             [rems[rep] for rep in sorted(rems)],
             self.altitude,
-            penalty_rate_db_per_m=self.config.uncertainty_penalty_db_per_m,
-            penalty_cap_db=self.config.uncertainty_penalty_cap_db,
+            penalty_rate_db_per_m=UNCERTAINTY_PENALTY_DB_PER_M,
+            penalty_cap_db=UNCERTAINTY_PENALTY_CAP_DB,
             collect_maps=True,
         )
         by_rep = dict(zip(sorted(rems), group_final))
@@ -629,11 +630,7 @@ class SkyRANController:
             scheduler=self.config.scheduler,
             seed=self.seed,
             n_prb=self.enodeb.n_prb,
-            buffer_bytes=self.config.traffic_buffer_bytes,
             traffic_params={"rate_mbps": self.config.traffic_rate_mbps},
-            scheduler_params={
-                "time_constant_tti": self.config.pf_time_constant_tti
-            },
         )
 
     def refresh_population(self) -> None:

@@ -15,10 +15,9 @@ first-class abstraction:
   wandering between sectors keeps its map; no UAV re-probes airspace
   another has covered);
 * every epoch it runs a UE → cell **association** step over the
-  candidate-SINR matrix through the policy registry of
-  :mod:`repro.core.association` (``best_sinr`` / ``sticky`` /
-  ``load_aware``), counting sky-cell handovers under ``perf``
-  (``fleet.handover`` / ``fleet.attach``);
+  candidate-SINR matrix (:func:`~repro.core.association.hysteresis_pick`,
+  a hysteresis-gated argmax), counting sky-cell handovers under
+  ``perf`` (``fleet.handover`` / ``fleet.attach``);
 * each cell then runs the standard single-UAV epoch inside its
   sector, followed by an interference-aware **joint placement**
   refinement that re-scores each cell's estimated REM stack by the
@@ -42,7 +41,7 @@ abstraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from repro.channel.interference import (
     sinr_db_from_rx_stack,
 )
 from repro.channel.model import ChannelModel
-from repro.core.association import UNATTACHED, available_associations, make_association
+from repro.core.association import UNATTACHED, hysteresis_pick
 from repro.core.config import SkyRANConfig
 from repro.core.controller import EpochResult, SkyRANController
 from repro.core.placement import max_min_placement
@@ -217,21 +216,10 @@ class FleetController:
         Per-cell SkyRAN configuration.
     seed:
         Base seed; cell ``i`` runs with ``seed + i``.
-    association:
-        Association-policy name from the
-        :mod:`repro.core.association` registry.
-    handover_hysteresis_db:
-        Hysteresis passed to policies that take it — a UE hands over
-        only when another cell beats its serving cell by more than
-        this.
-    load_penalty_db:
-        Load discount passed to the ``load_aware`` policy.
     reuse_factor:
         Frequency reuse factor; cell ``i`` transmits on carrier
-        ``i % reuse_factor``.
-    activity:
-        Per-cell downlink activity factors in [0, 1]; defaults to
-        fully loaded (the conservative busy-hour assumption).
+        ``i % reuse_factor``.  Every cell transmits at full load (the
+        conservative busy-hour assumption).
     faults:
         Optional fault injector shared by every cell.
     """
@@ -241,11 +229,7 @@ class FleetController:
     n_uavs: int = 1
     config: SkyRANConfig = field(default_factory=SkyRANConfig)
     seed: int = 0
-    association: str = "best_sinr"
-    handover_hysteresis_db: float = 3.0
-    load_penalty_db: float = 3.0
     reuse_factor: int = 1
-    activity: Optional[Sequence[float]] = None
     faults: Optional[FaultInjector] = None
 
     def __post_init__(self) -> None:
@@ -257,29 +241,11 @@ class FleetController:
             )
         if self.reuse_factor < 1:
             raise ValueError(f"reuse_factor must be >= 1, got {self.reuse_factor}")
-        if self.handover_hysteresis_db < 0:
-            raise ValueError(
-                f"handover_hysteresis_db must be >= 0, got {self.handover_hysteresis_db}"
-            )
-        if self.association not in available_associations():
-            known = ", ".join(available_associations())
-            raise ValueError(
-                f"unknown association policy {self.association!r} (known: {known})"
-            )
-        if self.activity is not None and len(list(self.activity)) != self.n_uavs:
-            raise ValueError(
-                f"activity must have length {self.n_uavs}, got {len(list(self.activity))}"
-            )
         seen = set()
         for ue in self.ues:
             if ue.ue_id in seen:
                 raise ValueError(f"duplicate UE id {ue.ue_id}")
             seen.add(ue.ue_id)
-        self.policy = make_association(
-            self.association,
-            hysteresis_db=self.handover_hysteresis_db,
-            load_penalty_db=self.load_penalty_db,
-        )
         self.rem_grid: GridSpec = self.config.rem_grid_for(self.channel.terrain.grid)
         self.controllers: List[SkyRANController] = []
         self._enodebs: List[ENodeB] = []
@@ -388,19 +354,15 @@ class FleetController:
         out = np.empty((self.n_uavs, len(ids)), dtype=float)
         for c in range(self.n_uavs):
             out[c] = sinr_db_from_rx_stack(
-                self.channel.link,
-                rx,
-                np.full(len(ids), c, dtype=int),
-                self.activity,
-                carr,
+                self.channel.link, rx, np.full(len(ids), c, dtype=int), carr
             )
         return out
 
     def _associate(self, positions: Dict[int, np.ndarray]) -> SectorAssignment:
         """One association step over the candidate-SINR matrix.
 
-        Applies the configured policy with per-cell load fractions from
-        the previous assignment, rescues empty cells (stealing the
+        Applies :func:`hysteresis_pick` to the previous assignment,
+        rescues empty cells (stealing the
         best-candidate UE from the largest cell so every UAV has work,
         matching the K-means bootstrap's behaviour), counts handovers
         and attaches under ``perf``, and updates the serving state.
@@ -409,12 +371,7 @@ class FleetController:
         if ids != self._ue_ids:
             raise ValueError("association positions must cover exactly the fleet's UEs")
         candidate = self.candidate_sinr_db(positions)
-        loads = np.zeros(self.n_uavs, dtype=float)
-        attached = self._serving != UNATTACHED
-        if np.any(attached):
-            counts = np.bincount(self._serving[attached], minlength=self.n_uavs)
-            loads = counts / len(self._ue_ids)
-        new = self.policy.associate(candidate, self._serving, loads=loads)
+        new = hysteresis_pick(candidate, self._serving)
         # Empty-cell rescue: a parked cell serves nobody forever under
         # hysteresis, so give it the UE it would serve best.
         for c in range(self.n_uavs):
@@ -502,14 +459,8 @@ class FleetController:
                 continue
             ue_ids = sorted(res.rem_maps)
             est = np.array([res.ue_estimates[u] for u in ue_ids])
-            act = None
-            if self.activity is not None:
-                act = [list(self.activity)[j] for j in co]
             penalty = interference_penalty_db(
-                self.channel,
-                est,
-                [self.controllers[j].uav.position for j in co],
-                act,
+                self.channel, est, [self.controllers[j].uav.position for j in co]
             )
             stack = np.stack([res.rem_maps[u] for u in ue_ids])
             placement = max_min_placement(
@@ -604,7 +555,6 @@ class FleetController:
     def per_ue_sinr_db(
         self,
         serving: Optional[Dict[int, int]] = None,
-        activity: Optional[Sequence[float]] = None,
         reuse_factor: Optional[int] = None,
     ) -> Dict[int, float]:
         """Per-UE SINR under co-channel operation of the whole fleet.
@@ -620,15 +570,10 @@ class FleetController:
             self.uav_positions(),
             ue_positions,
             serving,
-            self.activity if activity is None else activity,
             self.carriers(reuse_factor),
         )
 
-    def evaluate(
-        self,
-        reuse_factor: Optional[int] = None,
-        activity: Optional[Sequence[float]] = None,
-    ) -> FleetEvaluation:
+    def evaluate(self, reuse_factor: Optional[int] = None) -> FleetEvaluation:
         """Score the *current* deployment under a frequency plan.
 
         Pure evaluation — no flights, no RNG, no state change — so a
@@ -641,6 +586,6 @@ class FleetController:
         serving = self.serving_dict()
         return FleetEvaluation(
             serving=serving,
-            sinr_db=self.per_ue_sinr_db(serving, activity, rf),
+            sinr_db=self.per_ue_sinr_db(serving, rf),
             reuse_factor=rf,
         )

@@ -120,7 +120,7 @@ def overhead_point(
         n_epochs=OVERHEAD_MAX_EPOCHS,
         move_fraction=move_fraction,
     ).records
-    distance = overhead_to_target(records, value="distance", **target)
+    distance = overhead_to_target(records, **target)
     reached = distance is not None
     if not reached:
         distance = records[-1].cumulative_distance_m

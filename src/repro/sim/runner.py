@@ -12,7 +12,7 @@ in :func:`_run_event_epochs` — and both record every epoch through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -232,7 +232,6 @@ def _run_recorded_epoch(
     controller,
     budget_m: Optional[float],
     records: List[EpochRecord],
-    on_epoch: Optional[Callable[[EpochRecord], None]],
     moved_ues: tuple = (),
     **event_fields,
 ) -> None:
@@ -252,17 +251,16 @@ def _run_recorded_epoch(
     previous = records[-1] if records else None
     cum_d = previous.cumulative_distance_m if previous is not None else 0.0
     cum_t = previous.cumulative_time_s if previous is not None else 0.0
-    record = EpochRecord(
-        epoch=len(records),
-        cumulative_distance_m=cum_d + scored["flight_distance_m"],
-        cumulative_time_s=cum_t + scored["flight_time_s"],
-        moved_ues=moved_ues,
-        **scored,
-        **event_fields,
+    records.append(
+        EpochRecord(
+            epoch=len(records),
+            cumulative_distance_m=cum_d + scored["flight_distance_m"],
+            cumulative_time_s=cum_t + scored["flight_time_s"],
+            moved_ues=moved_ues,
+            **scored,
+            **event_fields,
+        )
     )
-    records.append(record)
-    if on_epoch is not None:
-        on_epoch(record)
 
 
 def run_epochs(
@@ -272,7 +270,6 @@ def run_epochs(
     budget_per_epoch_m: Optional[float] = None,
     move_fraction: float = 0.0,
     seed: int = 0,
-    on_epoch: Optional[Callable[[EpochRecord], None]] = None,
 ) -> List[EpochRecord]:
     """Run a controller for several epochs with optional UE dynamics.
 
@@ -288,9 +285,7 @@ def run_epochs(
         moved: tuple = ()
         if epoch > 0 and move_fraction > 0:
             moved = _relocate_ues(scenario, move_fraction, rng)
-        _run_recorded_epoch(
-            scenario, controller, budget_per_epoch_m, records, on_epoch, moved
-        )
+        _run_recorded_epoch(scenario, controller, budget_per_epoch_m, records, moved)
     return records
 
 
@@ -303,7 +298,6 @@ def _run_event_epochs(
     budget_per_epoch_m: Optional[float] = None,
     arrival_params: Optional[Dict] = None,
     seed: int = 0,
-    on_epoch: Optional[Callable[[EpochRecord], None]] = None,
     faults=None,
 ):
     """Drive a controller from the event-driven attach/churn layer.
@@ -343,7 +337,6 @@ def _run_event_epochs(
             controller,
             budget_per_epoch_m,
             records,
-            on_epoch,
             attached_ues=len(scenario.enodeb.connected_ues()),
             attaches=delta["attaches"],
             detaches=delta["detaches"],
@@ -387,28 +380,22 @@ def overhead_to_target(
     target_relative: float = 0.9,
     metric: str = "throughput",
     target_rem_db: float = 5.0,
-    value: str = "time",
 ) -> Optional[float]:
-    """Cumulative overhead when a target was first met.
+    """Cumulative meters flown when a target was first met.
 
     ``metric="throughput"``: first epoch with relative throughput >=
     ``target_relative``.  ``metric="rem"``: first epoch with REM error
-    <= ``target_rem_db``.  None if never met.
-
-    ``value`` selects the overhead unit: ``"time"`` returns cumulative
-    flight seconds (wall clock, including slow localization flights);
-    ``"distance"`` returns cumulative meters flown — the paper's
-    overhead axes are measurement-flight time at cruise speed, which
-    distance/cruise-speed matches more faithfully than wall clock.
+    <= ``target_rem_db``.  None if never met.  The paper's overhead
+    axes are measurement-flight time at cruise speed, which distance
+    over cruise speed matches more faithfully than the wall clock
+    (that includes the slow localization flights).
     """
-    if value not in ("time", "distance"):
-        raise ValueError(f"unknown value kind {value!r}")
     for rec in records:
         hit = (
             metric == "throughput" and rec.relative_throughput >= target_relative
         ) or (metric == "rem" and rec.rem_error_db <= target_rem_db)
         if hit:
-            return rec.cumulative_time_s if value == "time" else rec.cumulative_distance_m
+            return rec.cumulative_distance_m
     return None
 
 
@@ -501,11 +488,8 @@ def run_simulation(
     move_fraction: float = 0.0,
     seed: int = 0,
     altitude: Optional[float] = None,
-    on_epoch: Optional[Callable[[EpochRecord], None]] = None,
     n_uavs: int = 1,
-    association: str = "best_sinr",
     reuse_factor: int = 1,
-    handover_hysteresis_db: float = 3.0,
     events=None,
     arrival_params: Optional[Dict] = None,
     serve_time_s: float = 120.0,
@@ -536,12 +520,9 @@ def run_simulation(
         Pin the operating altitude (required semantics for the
         fixed-altitude baselines, optional for SkyRAN, which otherwise
         runs its own first-epoch search).
-    n_uavs / association / reuse_factor / handover_hysteresis_db:
-        Fleet knobs, used by ``scheme="fleet"`` only: fleet size,
-        association-policy name
-        (:func:`repro.core.association.available_associations`),
-        frequency reuse factor and handover hysteresis.  The fleet
-        scheme takes over cell attachment — UEs are moved off the
+    n_uavs / reuse_factor:
+        Fleet knobs, used by ``scheme="fleet"`` only: fleet size and
+        frequency reuse factor.  The fleet scheme takes over cell attachment — UEs are moved off the
         scenario's eNodeB onto per-cell eNodeBs — runs through the
         same epoch loop as the single-cell schemes, and scores its
         records from SINR (the fleet columns of :class:`EpochRecord`;
@@ -597,9 +578,7 @@ def run_simulation(
             n_uavs=n_uavs,
             config=cfg,
             seed=seed,
-            association=association,
             reuse_factor=reuse_factor,
-            handover_hysteresis_db=handover_hysteresis_db,
             faults=injector,
         )
         if altitude is not None:
@@ -624,7 +603,6 @@ def run_simulation(
             budget_per_epoch_m=budget_per_epoch_m,
             arrival_params=arrival_params,
             seed=seed,
-            on_epoch=on_epoch,
             faults=injector,
         )
         extra = {"event_counters": dict(sim.counters), "population": sim.population()}
@@ -636,7 +614,6 @@ def run_simulation(
             budget_per_epoch_m=budget_per_epoch_m,
             move_fraction=move_fraction,
             seed=seed,
-            on_epoch=on_epoch,
         )
     return RunResult(
         scheme=scheme,

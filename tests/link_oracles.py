@@ -152,17 +152,14 @@ def sinr_db(
     uav_positions: Sequence[np.ndarray],
     ue_xyz: np.ndarray,
     serving_index: int,
-    activity: Optional[Sequence[float]] = None,
     carriers: Optional[Sequence[int]] = None,
 ) -> float:
     """SINR (dB) of one UE served by UAV ``serving_index`` amid the fleet.
 
-    ``activity`` scales each interferer's power (default fully loaded);
-    only UAVs on the serving cell's carrier (default all on one)
-    interfere.
+    Every interferer transmits at full load; only UAVs on the serving
+    cell's carrier (default all on one) interfere.
     """
     n = len(uav_positions)
-    act = np.ones(n) if activity is None else np.asarray(activity, dtype=float)
     carr = np.zeros(n, dtype=int) if carriers is None else np.asarray(carriers, dtype=int)
     link = channel.link
     rx_dbm = np.array(
@@ -178,7 +175,7 @@ def sinr_db(
     interf_mw = 0.0
     for j in range(n):
         if j != serving_index and carr[j] == carr[serving_index]:
-            interf_mw += act[j] * rx_mw[j]
+            interf_mw += rx_mw[j]
     return float(10.0 * np.log10(rx_mw[serving_index] / (noise_mw + interf_mw)))
 
 
@@ -187,12 +184,11 @@ def fleet_sinr_db_reference(
     uav_positions: Sequence[np.ndarray],
     ue_positions: Dict[int, np.ndarray],
     serving: Dict[int, int],
-    activity: Optional[Sequence[float]] = None,
     carriers: Optional[Sequence[int]] = None,
 ) -> Dict[int, float]:
     """:func:`sinr_db` for every UE of a fleet assignment (dict API)."""
     return {
-        ue_id: sinr_db(channel, uav_positions, ue_xyz, serving[ue_id], activity, carriers)
+        ue_id: sinr_db(channel, uav_positions, ue_xyz, serving[ue_id], carriers)
         for ue_id, ue_xyz in ue_positions.items()
     }
 

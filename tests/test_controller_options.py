@@ -37,6 +37,7 @@ class TestFleetSinr:
             seed=2,
         )
         result = coord.run_epoch(budget_per_uav_m=200.0)
-        busy = coord.per_ue_sinr_db(result.serving, activity=[1.0, 1.0])
-        idle = coord.per_ue_sinr_db(result.serving, activity=[0.0, 0.0])
+        busy = coord.per_ue_sinr_db(result.serving)
+        # reuse_factor=2 gives each cell a private carrier: no interferer.
+        idle = coord.per_ue_sinr_db(result.serving, reuse_factor=2)
         assert all(idle[k] >= busy[k] for k in busy)

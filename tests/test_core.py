@@ -8,6 +8,8 @@ from repro.core.epoch import EpochTrigger
 from repro.core.placement import find_optimal_altitude, max_min_placement
 from repro.core.rem_store import REMStore
 from repro.geo.grid import GridSpec
+from repro.lte.enodeb import ENodeB
+from repro.lte.tof import ToFEstimator
 
 
 @pytest.fixture()
@@ -21,11 +23,10 @@ class TestConfig:
         assert cfg.max_altitude_m == 120.0  # FAA ceiling
         assert cfg.reuse_radius_m == 10.0  # R from Fig. 9
         assert cfg.epoch_margin == 0.1
-        assert cfg.tof_upsampling == 4
+        # The controller's ToF estimator runs the paper's K = 4.
+        assert ToFEstimator(ENodeB().srs_config).upsampling == 4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SkyRANConfig(localization_flight_m=0.0)
         with pytest.raises(ValueError):
             SkyRANConfig(min_altitude_m=200.0)
         with pytest.raises(ValueError):

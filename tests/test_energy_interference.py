@@ -8,12 +8,12 @@ from repro.channel.model import ChannelModel
 from tests.link_oracles import sinr_db as sinr_db_oracle
 
 
-def sinr_db(channel, uav_positions, ue_xyz, serving_index, activity=None):
+def sinr_db(channel, uav_positions, ue_xyz, serving_index, carriers=None):
     """One UE's SINR through the batched stack, held bit for bit to the oracle."""
     got = float(
-        fleet_sinr_db_stack(channel, uav_positions, [ue_xyz], [serving_index], activity)[0]
+        fleet_sinr_db_stack(channel, uav_positions, [ue_xyz], [serving_index], carriers)[0]
     )
-    assert got == sinr_db_oracle(channel, uav_positions, ue_xyz, serving_index, activity)
+    assert got == sinr_db_oracle(channel, uav_positions, ue_xyz, serving_index, carriers)
     return got
 
 
@@ -37,14 +37,14 @@ class TestInterference:
         crowded = sinr_db(channel, [serving, interferer], ue, 0)
         assert crowded < alone - 3.0
 
-    def test_activity_scales_interference(self, channel):
+    def test_off_carrier_interferer_is_silent(self, channel):
         serving = np.array([45.0, 50.0, 50.0])
         interferer = np.array([60.0, 50.0, 50.0])
         ue = np.array([50.0, 50.0, 1.5])
-        idle = sinr_db(channel, [serving, interferer], ue, 0, activity=[1.0, 0.0])
-        busy = sinr_db(channel, [serving, interferer], ue, 0, activity=[1.0, 1.0])
-        assert idle > busy
-        assert idle == pytest.approx(sinr_db(channel, [serving], ue, 0), abs=1e-6)
+        apart = sinr_db(channel, [serving, interferer], ue, 0, carriers=[0, 1])
+        shared = sinr_db(channel, [serving, interferer], ue, 0, carriers=[0, 0])
+        assert apart > shared
+        assert apart == sinr_db(channel, [serving], ue, 0)
 
     def test_farther_interferer_hurts_less(self, channel):
         serving = np.array([45.0, 50.0, 50.0])
@@ -68,4 +68,4 @@ class TestInterference:
         with pytest.raises(ValueError):
             fleet_sinr_db_stack(channel, [np.zeros(3)], [ue], [1])
         with pytest.raises(ValueError):
-            fleet_sinr_db_stack(channel, [np.zeros(3)], [ue], [0], activity=[2.0])
+            fleet_sinr_db_stack(channel, [np.zeros(3)], [ue], [0], carriers=[0, 1])

@@ -94,8 +94,8 @@ class TestValidation:
             {"rem_cell_size_m": 0.0},
             {"reuse_radius_m": -1.0},
             {"epoch_debounce": 0},
-            {"localization_max_retries": -1},
-            {"min_inlier_fraction": 1.5},
+            {"min_altitude_m": 0.0},
+            {"epoch_margin": 1.0},
             {"epoch_trigger_metric": "learned"},
         ],
     )

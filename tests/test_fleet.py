@@ -17,11 +17,7 @@ from hypothesis import strategies as st
 
 from repro.channel.interference import interference_penalty_db, sinr_db_from_rx_stack
 from repro.channel.linkbudget import LinkBudget
-from repro.core.association import (
-    UNATTACHED,
-    available_associations,
-    make_association,
-)
+from repro.core.association import UNATTACHED, hysteresis_pick
 from repro.core.config import SkyRANConfig
 from repro.core.controller import SkyRANController
 from repro.core.fleet import FleetController
@@ -44,11 +40,10 @@ class TestHandoverHysteresis:
         return scores
 
     def test_no_ping_pong_with_hysteresis(self):
-        policy = make_association("best_sinr", hysteresis_db=3.0)
         serving = np.array([UNATTACHED])
         handovers = 0
         for candidate in self._jittered_scores():
-            new = policy.associate(candidate, serving)
+            new = hysteresis_pick(candidate, serving, 3.0)
             handovers += int(serving[0] != UNATTACHED and new[0] != serving[0])
             serving = new
         # Attach once, then hold: 2 dB of jitter never clears 3 dB.
@@ -56,31 +51,19 @@ class TestHandoverHysteresis:
         assert serving[0] == 0  # the first epoch's best cell
 
     def test_zero_hysteresis_ping_pongs(self):
-        policy = make_association("best_sinr", hysteresis_db=0.0)
         serving = np.array([UNATTACHED])
         handovers = 0
         for candidate in self._jittered_scores():
-            new = policy.associate(candidate, serving)
+            new = hysteresis_pick(candidate, serving, 0.0)
             handovers += int(serving[0] != UNATTACHED and new[0] != serving[0])
             serving = new
         # Without the margin the same jitter flips the UE every epoch.
         assert handovers == 19
 
     def test_large_gain_still_hands_over(self):
-        policy = make_association("best_sinr", hysteresis_db=3.0)
         serving = np.array([0])
         candidate = np.array([[5.0], [15.0]])  # 10 dB gain clears 3 dB
-        assert policy.associate(candidate, serving)[0] == 1
-
-    def test_sticky_never_hands_over(self):
-        policy = make_association("sticky")
-        serving = np.array([0])
-        candidate = np.array([[5.0], [50.0]])
-        assert policy.associate(candidate, serving)[0] == 0
-
-    def test_registry_lists_policies(self):
-        names = available_associations()
-        assert {"best_sinr", "sticky", "load_aware"} <= set(names)
+        assert hysteresis_pick(candidate, serving, 3.0)[0] == 1
 
 
 # -- penalised SNR tiles (SINR ~ SNR - penalty) vs the materialized stack ------
@@ -127,10 +110,6 @@ class TestSinrTiles:
         ues = scenario.ue_positions()
         penalty = interference_penalty_db(scenario.channel, ues, interferers)
         assert (penalty > 0.0).all()
-        half = interference_penalty_db(
-            scenario.channel, ues, interferers, activity=[0.5, 0.5]
-        )
-        assert (half < penalty).all()
 
 
 # -- cell-order invariance -----------------------------------------------------

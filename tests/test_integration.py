@@ -146,6 +146,6 @@ class TestRunner:
             EpochRecord(0, 100, 10, 100, 10, 0.5, 8.0, ()),
             EpochRecord(1, 100, 10, 200, 20, 0.95, 4.0, ()),
         ]
-        assert overhead_to_target(recs, 0.9) == 20
+        assert overhead_to_target(recs, 0.9) == 200
         assert overhead_to_target(recs, 0.99) is None
-        assert overhead_to_target(recs, metric="rem", target_rem_db=5.0) == 20
+        assert overhead_to_target(recs, metric="rem", target_rem_db=5.0) == 200

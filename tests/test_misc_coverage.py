@@ -8,7 +8,6 @@ from repro.core.controller import SkyRANController
 from repro.geo.grid import GridSpec
 from repro.rem.interpolate import make_interpolator
 from repro.rem.map import REM
-from repro.sim.runner import run_epochs
 from repro.sim.scenario import Scenario
 from repro.trajectory.base import Trajectory
 
@@ -35,23 +34,6 @@ class TestREMMethods:
             g, rem.measured_values(), fallback=rem.prior
         )
         np.testing.assert_allclose(krig, 2.5)
-
-
-class TestRunnerCallbacks:
-    def test_on_epoch_called_in_order(self):
-        scenario = Scenario.create("campus", n_ues=3, cell_size=4.0, seed=7)
-        cfg = SkyRANConfig(rem_cell_size_m=8.0)
-        ctrl = SkyRANController(scenario.channel, scenario.enodeb, cfg, seed=1)
-        ctrl.altitude = 60.0
-        seen = []
-        run_epochs(
-            scenario,
-            ctrl,
-            2,
-            budget_per_epoch_m=150.0,
-            on_epoch=lambda rec: seen.append(rec.epoch),
-        )
-        assert seen == [0, 1]
 
 
 class TestTrajectoryAltitude:

@@ -30,7 +30,6 @@ def sinr_db_reference(fleet):
         fleet.uav_positions(),
         ue_positions,
         serving,
-        fleet.activity,
         fleet.carriers(),
     )
 
@@ -78,21 +77,6 @@ class TestSectorization:
         with pytest.raises(ValueError):
             FleetController(
                 channel=world.channel, ues=world.ues, n_uavs=2, reuse_factor=0
-            )
-        with pytest.raises(ValueError):
-            FleetController(
-                channel=world.channel,
-                ues=world.ues,
-                n_uavs=2,
-                handover_hysteresis_db=-1.0,
-            )
-        with pytest.raises(ValueError):
-            FleetController(
-                channel=world.channel, ues=world.ues, n_uavs=2, association="nope"
-            )
-        with pytest.raises(ValueError):
-            FleetController(
-                channel=world.channel, ues=world.ues, n_uavs=2, activity=[1.0]
             )
 
 

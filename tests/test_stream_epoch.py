@@ -16,7 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import SkyRANConfig
+from repro.core.config import (
+    UNCERTAINTY_PENALTY_CAP_DB,
+    UNCERTAINTY_PENALTY_DB_PER_M,
+    SkyRANConfig,
+)
 from repro.core.controller import SkyRANController
 from repro.core.placement import max_min_placement, uncertainty_penalty_db
 from repro.core.rem_store import REMStore
@@ -115,14 +119,13 @@ class TestStreamedBitIdentity:
     def test_placement_matches_materialized_step8(self, pair):
         """The streamed fold equals discount-then-max-min over full maps."""
         ctrl, result = pair[0]
-        cfg = ctrl.config
         maps, discounted = [], 0
         for rem in self._rems_by_ue(ctrl, result).values():
             penalty = uncertainty_penalty_db(
                 ctrl.rem_grid,
                 rem.measured_mask,
-                cfg.uncertainty_penalty_db_per_m,
-                cfg.uncertainty_penalty_cap_db,
+                UNCERTAINTY_PENALTY_DB_PER_M,
+                UNCERTAINTY_PENALTY_CAP_DB,
             )
             snr_map = rem.interpolated()
             if penalty is not None:

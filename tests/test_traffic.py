@@ -521,10 +521,6 @@ class TestConfigValidation:
             SkyRANConfig(tti_batch=0)
         with pytest.raises(ValueError):
             SkyRANConfig(traffic_rate_mbps=0.0)
-        with pytest.raises(ValueError):
-            SkyRANConfig(traffic_buffer_bytes=-1.0)
-        with pytest.raises(ValueError):
-            SkyRANConfig(pf_time_constant_tti=0)
 
 
 # -- traffic-burst fault channel ------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 import repro.baselines.uniform as uniform_mod
 from repro.baselines.uniform import UniformController
+from repro.core.config import UNCERTAINTY_PENALTY_CAP_DB, UNCERTAINTY_PENALTY_DB_PER_M
 from repro.experiments.common import config_for, scenario_for
 from repro.faults import FaultPlan
 from tests.rem_oracles import materialized_step8
@@ -21,20 +22,16 @@ from tests.rem_oracles import materialized_step8
 N_EPOCHS = 3
 
 
-def _materialized(config):
-    """Step 8 from the oracle, with the config's own discount, whatever
+def _materialized_step8(grid, rems, altitude, **_kwargs):
+    """Step 8 from the oracle, with the epoch's own discount, whatever
     arguments the controller passes."""
-
-    def step8(grid, rems, altitude, **_kwargs):
-        return materialized_step8(
-            grid,
-            rems,
-            altitude,
-            config.uncertainty_penalty_db_per_m,
-            config.uncertainty_penalty_cap_db,
-        )
-
-    return step8
+    return materialized_step8(
+        grid,
+        rems,
+        altitude,
+        UNCERTAINTY_PENALTY_DB_PER_M,
+        UNCERTAINTY_PENALTY_CAP_DB,
+    )
 
 
 def _run(terrain, seed, drop, n_epochs=N_EPOCHS):
@@ -65,7 +62,7 @@ def test_uniform_matches_materialized_step8(monkeypatch, terrain, seed, drop):
     monkeypatch.setattr(
         uniform_mod,
         "streamed_discounted_max_min_placement",
-        _materialized(config_for(quick=True)),
+        _materialized_step8,
     )
     materialized = _run(terrain, seed, drop)
 
