@@ -232,17 +232,18 @@ class Scenario:
         oracle is the channel's mean SNR on every grid cell — no
         fading, no measurement noise — read from the batched map
         oracle (:meth:`~repro.channel.model.ChannelModel.snr_maps`).
-        The stack-level cache keys on altitude, grid and the UE
-        positions so repeated queries return the identical array.
-        When a UE moves the stack is rebuilt, but the heavy lifting is
-        per-UE memoized inside the channel's map oracle — only the
-        moved UEs are actually re-traced.
+        The stack-level cache keys on altitude, grid and every UE's
+        (x, y, z) to 1 µm, like the channel's per-UE map cache, so
+        repeated queries return the identical array and any move — a
+        few millimetres, or vertical only — rebuilds the stack.  The
+        heavy lifting is per-UE memoized inside the channel's map
+        oracle, so only the moved UEs are actually re-traced.
         """
         g = grid or self.eval_grid
         pos_key = tuple(
-            (round(ue.position.x, 2), round(ue.position.y, 2)) for ue in self.ues
+            tuple(round(float(c), 6) for c in ue.xyz) for ue in self.ues
         )
-        key = (round(altitude, 2), g, pos_key)
+        key = (round(float(altitude), 6), g, pos_key)
         if key not in self._truth_cache:
             with perf.span("groundtruth.stack"):
                 self._truth_cache[key] = self.channel.snr_maps(

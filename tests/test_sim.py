@@ -44,6 +44,19 @@ class TestScenario:
         c = small_scenario.truth_maps(60.0)
         assert c is not a  # UE moved: fresh oracle
 
+    def test_truth_maps_follow_small_and_vertical_moves(self):
+        # A move below the old key's 1 cm rounding, and one in z only,
+        # must both rebuild the stack from the channel.
+        scenario = Scenario.create("campus", n_ues=3, cell_size=8.0, seed=3)
+        ue = scenario.ues[0]
+        scenario.truth_maps(60.0)
+        for dx, dz in ((0.004, 0.0), (0.0, 3.0)):
+            ue.move_to(ue.position.x + dx, ue.position.y, ue.position.z + dz)
+            fresh = scenario.channel.snr_maps(
+                scenario.ue_positions(), 60.0, scenario.eval_grid
+            )
+            assert np.array_equal(scenario.truth_maps(60.0), fresh)
+
     def test_evaluate_aggregates(self, small_scenario):
         ev = small_scenario.evaluate(Point3D(60.0, 60.0, 60.0))
         assert set(ev.snr_db) == {u.ue_id for u in small_scenario.ues}
