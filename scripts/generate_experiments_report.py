@@ -43,13 +43,17 @@ Regenerate with `python scripts/generate_experiments_report.py`.
 
 ## Known deltas vs. the paper
 
-* **Headline budget (known-failing).** At the paper's "about 30 s" of
-  measurement flight (250 m at 30 km/h) SkyRAN reaches 0.702x of
-  optimal and Uniform 0.734x, so `sky_over_uniform` is 0.955: SkyRAN
-  loses to Uniform on the headline grid (seeds 0-3).  Against
-  Centroid it gains 1.006x, not the paper's ~1.5x.  The Fig. 23
-  budget curves show SkyRAN pulling ahead on the clustered topology
-  from the smallest budget.
+* **Headline budget (two known-failing, one FAIL).** At the paper's
+  "about 30 s" of measurement flight (250 m at 30 km/h) SkyRAN reaches
+  0.686x of optimal and Uniform 0.734x, so `sky_over_uniform` is
+  0.934: SkyRAN loses to Uniform on the headline grid (seeds 0-3).
+  Centroid reaches 0.693x, so `sky_over_centroid` is 0.990, not the
+  paper's ~1.5x, and its `> 1.0` claim FAILs.  These margins are
+  within the noise of one flight: one extra SNR report in one SkyRAN
+  flight moves seed 1 from 0.864x to 0.802x, because the controller
+  draws all of its noise from one RNG stream.  The Fig. 23 budget
+  curves show SkyRAN pulling ahead on the clustered topology from the
+  smallest budget.
 * **Localization (Figs. 17-19).** Ranging is metre-scale (all-UE
   median 0.9 m), but UE 6 alone has a 5.3 m ranging median, which
   looks like NLOS excess delay.  The all-UE localization median is
@@ -63,16 +67,20 @@ Regenerate with `python scripts/generate_experiments_report.py`.
   never meets its target within 8 epochs reports its whole flight, a
   lower bound on the overhead.  `skyran_reached` / `uniform_reached`
   count the runs that did meet it, and any claim on a row with a
-  censored run fails.  Fig. 26: STATIC 2/3 for both schemes (seed 1
-  never reaches 0.9x), DYNAMIC 3/3.  Fig. 27: RURAL SkyRAN 2/2 but
-  Uniform 0/2, NYC and LARGE 1/2 for both.  Fig. 28: 0/3 in every
-  row, so no run reaches a 5 dB REM and the table compares caps.
-  All six overhead claims are known-failing.
-* **Relative throughput above 1 (Figs. 29, 31).** `skyran_rel` reads
-  14.3 on NYC in Fig. 29 and 5.1 at 4 UEs in Fig. 31: the metric
-  divides mean throughput by the mean throughput at the max-min-SNR
-  optimum, which mixes two objectives and is unbounded.  Their claims
-  pass, but on that metric.
+  censored run fails.  Fig. 26: STATIC SkyRAN 3/3 but Uniform 2/3,
+  DYNAMIC 3/3 for both.  Fig. 27: SkyRAN 2/2 on every terrain,
+  Uniform 0/2 on RURAL and 1/2 on NYC and LARGE.  Fig. 28: 0/3 in
+  every row, so no run reaches a 5 dB REM and the table compares
+  caps.  All six overhead claims are known-failing.
+* **Relative throughput above 1 (Figs. 29, 31; two FAILs).** On NYC
+  in Fig. 29 `skyran_rel` reads 4.023 and `uniform_rel` 5.192, so
+  `nyc skyran_over_uniform > 0.95` FAILs at 0.775.  Fig. 31's 6-UE
+  row is that same point, and at 4 UEs Uniform reads 4.469; mean
+  `skyran_rel` is 1.655 against a bound of 2.420 (mean `uniform_rel`
+  minus 0.1), so that claim FAILs too.  The metric divides mean
+  throughput by the mean throughput at the max-min-SNR optimum, which
+  mixes two objectives and is unbounded: a few rows far above 1 decide
+  both claims.
 * **Fig. 6 naive curve.** Our naive sweep interpolates better than the
   paper's at high coverage, because the synthetic shadowing field is
   smoother than campus reality.  The low-coverage contrast, which is
