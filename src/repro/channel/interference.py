@@ -4,9 +4,9 @@ A single SkyRAN UAV owns its carrier; a fleet sharing one LTE channel
 does not.  This module computes per-UE SINR given every UAV's
 position: the serving cell's signal over (noise + the sum of the
 co-channel cells' received powers, every cell transmitting at full
-load).  The fleet controller uses it to score associations and sectorizations
-honestly — two UAVs parked next to each other *hurt* each other,
-which pure-SNR scoring cannot see.
+load).  The fleet controller uses it to score associations and
+sectorizations honestly — two UAVs parked next to each other *hurt*
+each other, which pure-SNR scoring cannot see.
 
 :func:`fleet_rx_power_dbm` / :func:`fleet_sinr_db_stack` trace one
 vectorized ray batch per UAV via

@@ -362,10 +362,10 @@ class FleetController:
         """One association step over the candidate-SINR matrix.
 
         Applies :func:`hysteresis_pick` to the previous assignment,
-        rescues empty cells (stealing the
-        best-candidate UE from the largest cell so every UAV has work,
-        matching the K-means bootstrap's behaviour), counts handovers
-        and attaches under ``perf``, and updates the serving state.
+        rescues empty cells (stealing the best-candidate UE from the
+        largest cell so every UAV has work, matching the K-means
+        bootstrap's behaviour), counts handovers and attaches under
+        ``perf``, and updates the serving state.
         """
         ids = sorted(positions)
         if ids != self._ue_ids:
