@@ -4,16 +4,15 @@
 Four checks, all hard failures:
 
 1. **Kernel == oracle** — a loaded Poisson TTI batch through each
-   registered scheduler must be *bit-identical* between the vectorized
-   kernel and the pure-Python per-TTI replay of
-   ``tests/traffic_oracles.py`` (grants, served, dropped bytes and
-   final backlogs).
+   scheduler must be *bit-identical* between the vectorized kernel
+   and the pure-Python per-TTI replay of ``tests/traffic_oracles.py``
+   (grants, served bytes and final backlogs).
 2. **Conservation** — every TTI with any schedulable UE grants exactly
    ``n_prb`` PRBs; zero-rate UEs never receive a grant; served bytes
    never exceed offered + initial backlog.
 3. **Determinism** — a short loaded epoch per scheduler through
    :func:`repro.sim.runner.run_simulation` twice produces identical
-   offered/served/backlog/drop records.
+   offered/served/backlog records.
 4. **Zero fault-free RNG divergence** — a default-config run with an
    inert :class:`~repro.faults.plan.FaultPlan` wired in is record-
    identical to one with no plan at all, and its records carry no
@@ -83,7 +82,7 @@ def check_kernel_vs_reference(n_ues: int, n_tti: int, seed: int) -> dict:
         t_reference = time.perf_counter() - t0
         identical = all(
             np.array_equal(getattr(res_k, f), getattr(res_r, f))
-            for f in ("grants", "served_bytes", "dropped_bytes", "backlog_end_bytes")
+            for f in ("grants", "served_bytes", "backlog_end_bytes")
         )
         granted = res_k.grants.sum(axis=0)
         schedulable_ttis = granted > 0
@@ -125,7 +124,6 @@ def _loaded_run(scheduler: str, seed: int):
         scheduler=scheduler,
         traffic_rate_mbps=4.0,
         epoch_trigger_metric="served",
-        tti_batch=500,
     )
     return run_simulation(
         scenario, cfg, scheme="skyran", n_epochs=1,
@@ -143,14 +141,12 @@ def check_loaded_epochs(seed: int) -> dict:
         wall = time.perf_counter() - t0
         rec = first[-1]
         populated = all(
-            rec[k] is not None
-            for k in ("offered_mbps", "served_mbps", "backlog_bytes", "dropped_bytes")
+            rec[k] is not None for k in ("offered_mbps", "served_mbps", "backlog_bytes")
         )
         sane = (
             populated
             and rec["served_mbps"] <= rec["offered_mbps"] + 1e-9
             and rec["backlog_bytes"] >= 0.0
-            and rec["dropped_bytes"] >= 0.0
         )
         out[name] = {
             "deterministic": first == second,
@@ -183,7 +179,7 @@ def check_fault_free_divergence(seed: int) -> dict:
     no_traffic_state = all(
         rec[k] is None
         for rec in bare
-        for k in ("offered_mbps", "served_mbps", "backlog_bytes", "dropped_bytes")
+        for k in ("offered_mbps", "served_mbps", "backlog_bytes")
     )
     out = {
         "inert_plan_identical": bare == inert,

@@ -107,7 +107,6 @@ class CityMACResult:
     n_prb: int
     served_bytes: np.ndarray
     offered_bytes: np.ndarray
-    dropped_bytes: np.ndarray
     grants: np.ndarray
     backlog_end_bytes: np.ndarray
 
@@ -149,7 +148,6 @@ def run_city_mac(
     n_prb: int = PRB_PER_10MHZ,
     shard_ues: int | None = None,
     tti0: int = 0,
-    limit_bytes: float = 0.0,
 ) -> CityMACResult:
     """Run the TTI-batch MAC over a sharded city population.
 
@@ -176,7 +174,6 @@ def run_city_mac(
 
     served = np.zeros(n, dtype=float)
     offered_total = np.zeros(n, dtype=float)
-    dropped = np.zeros(n, dtype=float)
     grants = np.zeros(n, dtype=np.int64)
     backlog_end = np.empty(n, dtype=float)
 
@@ -185,9 +182,7 @@ def run_city_mac(
     with perf.span("city.mac"):
         for sl in pop.iter_shards(width):
             ids = tuple(int(u) for u in pop.ue_ids[sl])
-            queues = QueueBank(
-                ids, limit_bytes=limit_bytes, full_buffer=pop.full_buffer[sl]
-            )
+            queues = QueueBank(ids, full_buffer=pop.full_buffer[sl])
             # Carry finite backlogs across batches (full-buffer rows
             # are already seeded with inf by the bank).
             carry = ~pop.full_buffer[sl]
@@ -206,7 +201,6 @@ def run_city_mac(
             )
             served[sl] = res.served_bytes.sum(axis=1)
             offered_total[sl] = res.offered_bytes.sum(axis=1)
-            dropped[sl] = res.dropped_bytes.sum(axis=1)
             grants[sl] = res.grants.sum(axis=1)
             backlog_end[sl] = res.backlog_end_bytes
             pop.backlog_bytes[sl] = res.backlog_end_bytes
@@ -217,7 +211,6 @@ def run_city_mac(
         n_prb=int(n_prb),
         served_bytes=served,
         offered_bytes=offered_total,
-        dropped_bytes=dropped,
         grants=grants,
         backlog_end_bytes=backlog_end,
     )

@@ -3,8 +3,8 @@
 The paper's fixed operating values are module constants; the knobs
 that runs do change live in one dataclass, with the paper's values as
 defaults (Sections 3-4).  Construction is keyword-only and validated:
-a misconfigured run — negative rates, inverted altitude bounds, a
-traffic model nothing registered — fails at config time with a clear
+a misconfigured run — negative rates, inverted altitude bounds, an
+unknown traffic model — fails at config time with a clear
 message, not hours into a sweep.
 """
 
@@ -56,6 +56,9 @@ LOCALIZATION_RESIDUAL_LIMIT_M = 60.0
 MIN_INLIER_FRACTION = 0.35
 TOF_QUALITY_FLOOR = 2.0
 
+#: TTIs simulated per serving-time MAC batch (1000 = 1 s).
+TTI_BATCH = 1000
+
 
 @dataclass(kw_only=True)
 class SkyRANConfig:
@@ -87,16 +90,15 @@ class SkyRANConfig:
         real degradation; debouncing keeps transient faults from
         thrashing epochs.
     traffic_model:
-        Registered per-UE workload (``"full_buffer"`` — the legacy
-        idealization — ``"cbr"``, ``"poisson"``, ``"onoff_video"``);
-        validated against
+        Per-UE workload: ``"full_buffer"`` (the legacy idealization)
+        or ``"poisson"``; validated against
         :func:`repro.traffic.generators.available_traffic_models`.
     scheduler:
-        Registered TTI scheduler (``"round_robin"``,
-        ``"proportional_fair"``, ``"max_min"``); validated against
+        TTI scheduler (``"round_robin"``, ``"proportional_fair"``,
+        ``"max_min"``); validated against
         :func:`repro.traffic.schedulers.available_schedulers`.
     traffic_rate_mbps:
-        Mean offered rate per UE for the rate-driven workloads.
+        Mean offered rate per UE of the ``"poisson"`` workload.
     epoch_trigger_metric:
         What the epoch trigger watches while serving: ``"capacity"``
         (the legacy full-cell mean throughput, load-independent),
@@ -104,8 +106,6 @@ class SkyRANConfig:
         which diverges from capacity exactly when the offered load
         does not saturate the cell — the paper's Section 3.5 signal
         computed on real traffic).
-    tti_batch:
-        TTIs simulated per serving-time MAC batch (1000 = 1 s).
     rem_key_pitch_m:
         Quantization pitch of the epoch's REM-key dedup: UE estimates
         in the same pitch cell share one REM and one interpolated map,
@@ -128,7 +128,6 @@ class SkyRANConfig:
     scheduler: str = "round_robin"
     traffic_rate_mbps: float = 2.0
     epoch_trigger_metric: str = "capacity"
-    tti_batch: int = 1000
     rem_key_pitch_m: "float | None" = None
 
     def __post_init__(self) -> None:
@@ -159,8 +158,6 @@ class SkyRANConfig:
                 "epoch_trigger_metric must be 'capacity' or 'served', "
                 f"got {self.epoch_trigger_metric!r}"
             )
-        if self.tti_batch < 1:
-            raise ValueError("tti_batch must be >= 1")
         if self.rem_key_pitch_m is not None and self.rem_key_pitch_m <= 0:
             raise ValueError("rem_key_pitch_m must be positive")
 

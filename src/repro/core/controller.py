@@ -25,6 +25,7 @@ from repro.core.config import (
     LOCALIZATION_SPEED_MPS,
     MIN_INLIER_FRACTION,
     TOF_QUALITY_FLOOR,
+    TTI_BATCH,
     UNCERTAINTY_PENALTY_CAP_DB,
     UNCERTAINTY_PENALTY_DB_PER_M,
     SkyRANConfig,
@@ -630,7 +631,7 @@ class SkyRANController:
             scheduler=self.config.scheduler,
             seed=self.seed,
             n_prb=self.enodeb.n_prb,
-            traffic_params={"rate_mbps": self.config.traffic_rate_mbps},
+            rate_mbps=self.config.traffic_rate_mbps,
         )
 
     def refresh_population(self) -> None:
@@ -680,7 +681,7 @@ class SkyRANController:
         snrs = self.channel.snr_to_many(self.uav.position, [ue.xyz for ue in ues])
         return self._mac.run(
             {ue.ue_id: float(s) for ue, s in zip(ues, snrs)},
-            self.config.tti_batch,
+            TTI_BATCH,
             faults=self.faults,
         )
 
@@ -691,8 +692,6 @@ class SkyRANController:
             "offered_mbps": batch.aggregate_offered_mbps(),
             "served_mbps": batch.aggregate_served_mbps(),
             "backlog_bytes": backlog if np.isfinite(backlog) else float("inf"),
-            "dropped_bytes": batch.total_dropped_bytes(),
-            "fairness": batch.fairness(),
         }
 
     def served_throughput_mbps(self) -> float:

@@ -82,7 +82,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
                     traffic_model="poisson",
                     scheduler=sched,
                     seed=seed,
-                    traffic_params={"rate_mbps": load},
+                    rate_mbps=load,
                 )
                 batch = sim.run(snr, n_tti)
                 served = batch.served_mbps()

@@ -72,9 +72,9 @@ class EpochRecord:
         Aggregate offered and served rates from the epoch's traffic
         MAC batch (None for legacy full-buffer/capacity configs — the
         controller builds no MAC simulation then).
-    backlog_bytes / dropped_bytes:
+    backlog_bytes:
         End-of-batch aggregate RLC backlog (inf under full-buffer
-        workloads) and cumulative tail-dropped bytes (None as above).
+        workloads; None as above).
     attached_ues:
         UEs attached when this epoch was planned (None outside
         ``scheme="events"`` — the epoch loop then serves a fixed
@@ -120,7 +120,6 @@ class EpochRecord:
     offered_mbps: Optional[float] = None
     served_mbps: Optional[float] = None
     backlog_bytes: Optional[float] = None
-    dropped_bytes: Optional[float] = None
     attached_ues: Optional[int] = None
     attaches: Optional[int] = None
     detaches: Optional[int] = None
@@ -222,7 +221,6 @@ def _score_epoch(scenario: Scenario, controller, result) -> Dict:
         offered_mbps=mac.get("offered_mbps"),
         served_mbps=mac.get("served_mbps"),
         backlog_bytes=mac.get("backlog_bytes"),
-        dropped_bytes=mac.get("dropped_bytes"),
         rem_groups=getattr(result, "n_rem_groups", None),
     )
 

@@ -2,15 +2,12 @@
 
 from repro.traffic.generators import (
     BYTES_PER_TTI_PER_MBPS,
-    CBRTraffic,
     FullBufferTraffic,
-    OnOffVideoTraffic,
     PoissonTraffic,
     TRAFFIC_SPAWN_KEY,
     TrafficSource,
     available_traffic_models,
     make_traffic_model,
-    register_traffic_model,
 )
 from repro.traffic.queueing import QueueBank
 from repro.traffic.schedulers import (
@@ -19,7 +16,6 @@ from repro.traffic.schedulers import (
     RoundRobinScheduler,
     available_schedulers,
     make_scheduler,
-    register_scheduler,
 )
 from repro.traffic.simulate import (
     MACBatchResult,
@@ -31,12 +27,10 @@ from repro.traffic.simulate import (
 
 __all__ = [
     "BYTES_PER_TTI_PER_MBPS",
-    "CBRTraffic",
     "FullBufferTraffic",
     "MACBatchResult",
     "MACSimulation",
     "MaxMinScheduler",
-    "OnOffVideoTraffic",
     "PoissonTraffic",
     "ProportionalFairScheduler",
     "QueueBank",
@@ -49,7 +43,5 @@ __all__ = [
     "make_scheduler",
     "make_traffic_model",
     "rate_per_prb_bytes",
-    "register_scheduler",
-    "register_traffic_model",
     "run_tti_batch",
 ]

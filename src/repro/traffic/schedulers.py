@@ -1,4 +1,4 @@
-"""Pluggable TTI schedulers behind a string-keyed registry.
+"""The three TTI schedulers, looked up by string name.
 
 Each scheduler answers one question per TTI: how are the carrier's
 ``n_prb`` PRBs split across the UEs that currently have data and a
@@ -52,6 +52,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 #: Denominator floor for the PF metric when a UE's EWMA average is
 #: still zero (or NaN).
 TINY_BYTES = 1e-12
+
+#: EWMA horizon of PF's per-UE average served rate (TTIs): the
+#: canonical PF ``T`` of the metric ``r / T``.
+PF_TIME_CONSTANT_TTI = 100
 
 
 def rotated_schedulable(schedulable: np.ndarray, tti: int) -> np.ndarray:
@@ -153,7 +157,7 @@ class RoundRobinScheduler:
         pass
 
 
-@dataclass(kw_only=True)
+@dataclass
 class ProportionalFairScheduler:
     """Per-PRB greedy PF with an EWMA served-rate average.
 
@@ -161,24 +165,12 @@ class ProportionalFairScheduler:
     position)``; each PRB goes to the top, whose key alone is
     recomputed and ``heapreplace``-d, so a TTI costs O(n + n_prb log
     n).  Negating the metric is exact, so the heap's first-minimum is
-    the first maximum in rotated order, ties included.
-
-    Attributes
-    ----------
-    time_constant_tti:
-        EWMA horizon of the per-UE average served rate (TTIs); the
-        canonical PF ``T`` of the metric ``r / T``.
+    the first maximum in rotated order, ties included.  The average
+    is an EWMA over :data:`PF_TIME_CONSTANT_TTI` TTIs.
     """
 
-    time_constant_tti: int = 100
     name: str = field(default="proportional_fair", init=False)
     _avg_bytes: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.time_constant_tti < 1:
-            raise ValueError(
-                f"time_constant_tti must be >= 1, got {self.time_constant_tti}"
-            )
 
     def reset(self, n_ues: int) -> None:
         self._avg_bytes = None
@@ -232,7 +224,7 @@ class ProportionalFairScheduler:
         served = np.asarray(served_bytes, dtype=float)
         if self._avg_bytes is None:
             self._avg_bytes = np.zeros_like(served)
-        alpha = 1.0 / float(self.time_constant_tti)
+        alpha = 1.0 / float(PF_TIME_CONSTANT_TTI)
         self._avg_bytes = (1.0 - alpha) * self._avg_bytes + alpha * served
 
 
@@ -298,55 +290,24 @@ class MaxMinScheduler:
         pass
 
 
-_REGISTRY: Dict[str, Callable[..., object]] = {}
-
-
-def register_scheduler(
-    name: str, factory: Callable[..., object], *, override: bool = False
-) -> None:
-    """Register a scheduler factory under a string name.
-
-    Registering a name that already exists raises unless
-    ``override=True`` — a silently clobbered registration is a config
-    that quietly runs the wrong discipline.
-    """
-    if not name:
-        raise ValueError("scheduler name must be non-empty")
-    if name in _REGISTRY and not override:
-        raise ValueError(
-            f"scheduler {name!r} is already registered "
-            "(pass override=True to replace it)"
-        )
-    _REGISTRY[name] = factory
+#: Scheduler name -> class.
+_SCHEDULERS: Dict[str, Callable[[], object]] = {
+    "round_robin": RoundRobinScheduler,
+    "proportional_fair": ProportionalFairScheduler,
+    "max_min": MaxMinScheduler,
+}
 
 
 def available_schedulers() -> Tuple[str, ...]:
-    """Registered scheduler names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Scheduler names, sorted."""
+    return tuple(sorted(_SCHEDULERS))
 
 
-def make_scheduler(name: str, **params):
-    """Instantiate a registered scheduler by name.
-
-    Unknown keyword parameters are ignored for dataclass factories so
-    one config can carry the union of every discipline's knobs
-    (``time_constant_tti`` means nothing to round-robin).
-    """
+def make_scheduler(name: str):
+    """A fresh scheduler of the named discipline."""
     try:
-        factory = _REGISTRY[name]
+        factory = _SCHEDULERS[name]
     except KeyError:
         known = ", ".join(available_schedulers())
         raise ValueError(f"unknown scheduler {name!r} (known: {known})") from None
-    accepted = getattr(factory, "__dataclass_fields__", None)
-    if accepted is not None:
-        params = {
-            k: v
-            for k, v in params.items()
-            if k in accepted and accepted[k].init
-        }
-    return factory(**params)
-
-
-register_scheduler("round_robin", RoundRobinScheduler)
-register_scheduler("proportional_fair", ProportionalFairScheduler)
-register_scheduler("max_min", MaxMinScheduler)
+    return factory()

@@ -2,14 +2,14 @@
 
 :func:`run_tti_batch` evolves every UE's RLC queue through a batch of
 TTIs under a pluggable scheduler, producing full (n_ues, n_tti)
-matrices of offered / dropped / granted / served bytes.  Each TTI's
+matrices of offered / granted / served bytes.  Each TTI's
 admit/grant/drain is elementwise numpy over UEs, and — when the
 schedulable set cannot change within the batch (full-buffer traffic)
 — the scheduler hands over a whole-batch grant *slab* so thousands of
 TTIs collapse into a handful of array ops.
 
 Every path performs the same IEEE-754 operations in the same order
-(``avail = backlog + accepted``, ``served = min(avail, cap)``,
+(``avail = backlog + offered``, ``served = min(avail, cap)``,
 ``backlog = avail - served``; no cumsum/prefix tricks anywhere), so
 the outputs are **bit-identical** to a pure-Python per-UE, per-TTI
 replay of the recurrence — the oracle in ``tests/traffic_oracles.py``
@@ -40,9 +40,8 @@ from repro.traffic.schedulers import make_scheduler
 
 def rate_per_prb_bytes(snr_db: Sequence[float]) -> np.ndarray:
     """Per-UE deliverable bytes per PRB per TTI at the given SNRs."""
-    snr = np.asarray(list(snr_db), dtype=float)
-    mbps = np.array([throughput_mbps(s, n_prb=1) for s in snr], dtype=float)
-    return mbps * BYTES_PER_TTI_PER_MBPS
+    snr = np.asarray(snr_db, dtype=float)
+    return throughput_mbps(snr, n_prb=1) * BYTES_PER_TTI_PER_MBPS
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class MACBatchResult:
     n_prb: int
     grants: np.ndarray
     offered_bytes: np.ndarray
-    dropped_bytes: np.ndarray
     served_bytes: np.ndarray
     backlog_end_bytes: np.ndarray
 
@@ -77,18 +75,9 @@ class MACBatchResult:
     def aggregate_served_mbps(self) -> float:
         return float(self.served_mbps().sum())
 
-    def total_dropped_bytes(self) -> float:
-        return float(self.dropped_bytes.sum())
-
     def total_backlog_bytes(self) -> float:
         """End-of-batch aggregate backlog (inf under full buffer)."""
         return float(self.backlog_end_bytes.sum())
-
-    def fairness(self) -> float:
-        """Jain's index over per-UE served rates."""
-        from repro.sim.metrics import jain_fairness
-
-        return jain_fairness(self.served_mbps())
 
 
 def draw_offered_bytes(
@@ -126,8 +115,8 @@ def run_tti_batch(
 
     The per-TTI recurrence, identical in every path:
 
-    1. admit: tail-drop ``offered`` against the queue limit;
-    2. schedulable = (backlog + accepted > 0) and (rate > 0);
+    1. admit: ``avail = backlog + offered`` (queues are unbounded);
+    2. schedulable = (avail > 0) and (rate > 0);
     3. grant: scheduler splits ``n_prb`` PRBs over schedulable UEs;
     4. drain: ``served = min(avail, grants * bytes_per_prb)``;
     5. ``backlog = avail - served``; scheduler observes ``served``.
@@ -144,16 +133,12 @@ def run_tti_batch(
     n_tti = offered.shape[1]
 
     with perf.span("sched.kernel"):
-        grants, dropped, served, backlog = _run_kernel(
+        grants, served, backlog = _run_kernel(
             rates, offered, scheduler, queues, int(n_prb), int(tti0)
         )
 
-    queues.account_batch(offered, dropped, served, backlog)
+    queues.backlog_bytes = backlog.copy()
     perf.count("sched.tti", int(n_tti))
-    perf.count("traffic.dropped_bytes", int(dropped.sum()))
-    served_total = served.sum()
-    if np.isfinite(served_total):
-        perf.count("traffic.served_bytes", int(served_total))
     return MACBatchResult(
         ue_ids=queues.ue_ids,
         tti0=int(tti0),
@@ -161,7 +146,6 @@ def run_tti_batch(
         n_prb=int(n_prb),
         grants=grants,
         offered_bytes=offered,
-        dropped_bytes=dropped,
         served_bytes=served,
         backlog_end_bytes=backlog,
     )
@@ -176,8 +160,7 @@ def _constant_schedulable(
     positive.  That predicate is time-invariant when every UE falls in
     one of three classes: full buffer (``avail`` stays infinite),
     offering bytes *every* TTI (``avail >= backlog >= 0`` plus a
-    positive arrival, or a backlog pinned at a positive limit), or
-    never schedulable (zero rate, or nothing offered over an empty
+    positive arrival), or never schedulable (zero rate, or nothing offered over an empty
     queue).  Any UE outside these classes — e.g. a finite backlog
     draining with no arrivals — couples the set to the queue dynamics,
     and the caller must fall back to the per-TTI scheduler loop.
@@ -198,20 +181,17 @@ def _run_kernel(
     queues: QueueBank,
     n_prb: int,
     tti0: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, n_tti = offered.shape
     if n_tti == 0:
         # No TTI to schedule: over zero TTIs every UE vacuously
         # "offers every TTI", a set no scheduler should be asked about.
-        empty = np.zeros((n, 0), dtype=float)
         return (
             np.zeros((n, 0), dtype=np.int64),
-            empty,
-            empty.copy(),
+            np.zeros((n, 0), dtype=float),
             queues.backlog_bytes.copy(),
         )
     rate_ok = rates > 0.0
-    limit = float(queues.limit_bytes)
 
     schedulable = _constant_schedulable(rate_ok, offered, queues)
     if schedulable is not None:
@@ -223,21 +203,14 @@ def _run_kernel(
 
     if slab is not None and queues.full_buffer:
         grants = slab
-        # room over an infinite backlog is 0, so a finite limit
-        # drops every offered byte; unbounded queues accept all.
-        if limit > 0:
-            dropped = offered.copy()
-        else:
-            dropped = np.zeros_like(offered)
         # An infinite backlog never changes, so every TTI drains
-        # independently: served = min(backlog + accepted, grants * rate).
-        backlog0 = queues.backlog_bytes
+        # independently: served = min(backlog + offered, grants * rate).
         cap = grants * rates[:, None]
-        avail = backlog0[:, None] + (offered - dropped)
+        avail = queues.backlog_bytes[:, None] + offered
         served = np.minimum(avail, cap)
         backlog = (avail - served)[:, -1]
         perf.count("sched.slab_tti", int(n_tti))
-        return grants, dropped, served, backlog
+        return grants, served, backlog
 
     if slab is not None:
         # Mixed full-buffer/always-offering population: grants are
@@ -246,40 +219,24 @@ def _run_kernel(
         # stays per-TTI — elementwise numpy, no scheduler calls.
         grants = slab
         caps = grants * rates[:, None]
-        dropped = np.zeros((n, n_tti), dtype=float)
         served = np.zeros((n, n_tti), dtype=float)
         backlog = queues.backlog_bytes.copy()
         for t in range(n_tti):
-            off_t = offered[:, t]
-            if limit > 0:
-                room = np.maximum(limit - backlog, 0.0)
-                accepted = np.minimum(off_t, room)
-                dropped[:, t] = off_t - accepted
-            else:
-                accepted = off_t
-            avail = backlog + accepted
+            avail = backlog + offered[:, t]
             served_t = np.minimum(avail, caps[:, t])
             backlog = avail - served_t
             served[:, t] = served_t
         perf.count("sched.slab_tti", int(n_tti))
-        return grants, dropped, served, backlog
+        return grants, served, backlog
 
     # The scheduler loop keeps TTI-major (n_tti, n) buffers, so each
     # TTI reads and writes one contiguous row.
     offered_rows = np.ascontiguousarray(offered.T)
     grants = np.zeros((n_tti, n), dtype=np.int64)
-    dropped = np.zeros((n_tti, n), dtype=float)
     served = np.zeros((n_tti, n), dtype=float)
     backlog = queues.backlog_bytes.copy()
     for t in range(n_tti):
-        off_t = offered_rows[t]
-        if limit > 0:
-            room = np.maximum(limit - backlog, 0.0)
-            accepted = np.minimum(off_t, room)
-            dropped[t] = off_t - accepted
-        else:
-            accepted = off_t
-        avail = backlog + accepted
+        avail = backlog + offered_rows[t]
         schedulable = (avail > 0.0) & rate_ok
         g = scheduler.grants(schedulable, rates, n_prb, tti0 + t)
         served_t = np.minimum(avail, g * rates)
@@ -287,7 +244,7 @@ def _run_kernel(
         scheduler.update(served_t)
         grants[t] = g
         served[t] = served_t
-    return grants.T.copy(), dropped.T.copy(), served.T.copy(), backlog
+    return grants.T.copy(), served.T.copy(), backlog
 
 
 class MACSimulation:
@@ -297,6 +254,8 @@ class MACSimulation:
     MAC by a batch of TTIs against the epoch's per-UE SNRs.  The TTI
     clock, queue backlogs, generator streams and scheduler state all
     persist across calls, so chunked runs match one long run exactly.
+    ``rate_mbps`` is the per-UE mean offered rate of a workload given
+    by name (a full buffer has none).
     """
 
     def __init__(
@@ -307,22 +266,18 @@ class MACSimulation:
         scheduler: str | object = "round_robin",
         seed: int = 0,
         n_prb: int = PRB_PER_10MHZ,
-        buffer_bytes: float = 0.0,
-        traffic_params: Optional[Mapping[str, object]] = None,
-        scheduler_params: Optional[Mapping[str, object]] = None,
+        rate_mbps: float = 2.0,
     ) -> None:
         ids = tuple(sorted(int(u) for u in ue_ids))
         if isinstance(traffic_model, str):
-            traffic_model = make_traffic_model(
-                traffic_model, **dict(traffic_params or {})
-            )
+            traffic_model = make_traffic_model(traffic_model, rate_mbps)
         if isinstance(scheduler, str):
-            scheduler = make_scheduler(scheduler, **dict(scheduler_params or {}))
+            scheduler = make_scheduler(scheduler)
         self.sources: List[TrafficSource] = [
             traffic_model.source(u, seed=seed) for u in ids
         ]
         full_buffer = bool(self.sources and self.sources[0].full_buffer)
-        self.queues = QueueBank(ids, limit_bytes=buffer_bytes, full_buffer=full_buffer)
+        self.queues = QueueBank(ids, full_buffer=full_buffer)
         self.scheduler = scheduler
         self.scheduler.reset(len(ids))
         self.n_prb = int(n_prb)

@@ -119,9 +119,7 @@ def test_unique_rem_cells_dedup(population):
 
 def _unsharded_reference(pop, rates, n_tti, n_prb=50):
     queues = QueueBank(
-        tuple(int(u) for u in pop.ue_ids),
-        limit_bytes=0.0,
-        full_buffer=pop.full_buffer,
+        tuple(int(u) for u in pop.ue_ids), full_buffer=pop.full_buffer
     )
     carry = ~pop.full_buffer
     queues.backlog_bytes[carry] = pop.backlog_bytes[carry]
@@ -150,7 +148,6 @@ def test_sharded_mac_bit_identical_to_global(terrain, rates, shard_ues):
 
     assert np.array_equal(city.served_bytes, ref.served_bytes.sum(axis=1))
     assert np.array_equal(city.offered_bytes, ref.offered_bytes.sum(axis=1))
-    assert np.array_equal(city.dropped_bytes, ref.dropped_bytes.sum(axis=1))
     assert np.array_equal(city.grants, ref.grants.sum(axis=1))
     assert np.array_equal(city.backlog_end_bytes, ref.backlog_end_bytes)
     # The population carries the post-epoch backlogs.
@@ -182,7 +179,7 @@ def test_sharded_mac_zero_ttis_with_idle_ues():
     ref = _unsharded_reference(pop, rates, 0)
     city = run_city_mac(pop, rates, 0, shard_ues=7)
 
-    for totals in (city.served_bytes, city.offered_bytes, city.dropped_bytes, city.grants):
+    for totals in (city.served_bytes, city.offered_bytes, city.grants):
         assert not totals.any()
     assert np.array_equal(pop.backlog_bytes, before)
     assert np.array_equal(city.backlog_end_bytes, before)
@@ -220,7 +217,7 @@ def test_shard_round_robin_reference_loop_matches_kernel(rates):
         bytes_per_prb=rates[sl],
         offered_bytes=np.zeros((len(ids), 12)),
         scheduler=ShardRoundRobin(ranks=ranks[sl], n_active_global=n_active),
-        queues=QueueBank(ids, limit_bytes=0.0, full_buffer=np.ones(len(ids), bool)),
+        queues=QueueBank(ids, full_buffer=np.ones(len(ids), bool)),
         n_prb=50,
         tti0=3,
     )

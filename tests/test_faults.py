@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import SkyRANConfig
+from repro.core.config import LOCALIZATION_MAX_RETRIES, SkyRANConfig
+from repro.core.controller import SkyRANController
 from repro.core.epoch import EpochTrigger
 from repro.faults import FaultInjector, FaultPlan, as_injector
 from repro.perf import perf
@@ -32,6 +33,13 @@ from repro.sim.runner import RunResult, run_simulation
 from repro.sim.scenario import Scenario
 
 pytestmark = pytest.mark.chaos
+
+#: The controller's degraded-mode localization counters.
+LOCALIZATION_FALLBACKS = (
+    "fallback.localization_retry",
+    "fallback.reuse_last_estimate",
+    "fallback.blind_estimate",
+)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +221,60 @@ class TestChaosMatrix:
         out = _run(chaos_scenario, plan, n_epochs=1)
         assert np.isfinite(out.final.relative_throughput)
         assert out.total_fallbacks > 0
+
+
+# -- degraded localization, driven on the controller ---------------------------------
+
+
+class TestDegradedLocalization:
+    """Retry, then blind seeding, then last-good reuse, epoch by epoch."""
+
+    @staticmethod
+    def _epoch(ctrl):
+        before = perf.counters()
+        result = ctrl.run_epoch(250.0)
+        fallbacks = {
+            name: n
+            for name, n in perf.counters_since(before).items()
+            if name in LOCALIZATION_FALLBACKS
+        }
+        return result, fallbacks
+
+    def test_retry_blind_then_reuse_last_estimate(self):
+        scenario = Scenario.create("campus", n_ues=3, cell_size=8.0, seed=3)
+        ctrl = SkyRANController(
+            scenario.channel,
+            scenario.enodeb,
+            _cfg(),
+            seed=7,
+            faults=FaultPlan(seed=7, srs_drop_rate=1.0),
+        )
+        ctrl.altitude = 60.0
+
+        # No SRS at all and no history: one re-flown leg, then every UE
+        # is seeded blind.
+        _, fallbacks = self._epoch(ctrl)
+        assert fallbacks == {
+            "fallback.localization_retry": LOCALIZATION_MAX_RETRIES,
+            "fallback.blind_estimate": 3,
+        }
+
+        # A mild active plan: every UE localizes, no fallback.
+        ctrl.faults = FaultInjector(FaultPlan(seed=7, wind_speed_mps=0.5))
+        good, fallbacks = self._epoch(ctrl)
+        assert fallbacks == {}
+
+        # Total loss again: the retry fails, and the last-good
+        # estimates stand in for every UE.
+        ctrl.faults = FaultInjector(FaultPlan(seed=7, srs_drop_rate=1.0))
+        starved, fallbacks = self._epoch(ctrl)
+        assert fallbacks == {
+            "fallback.localization_retry": LOCALIZATION_MAX_RETRIES,
+            "fallback.reuse_last_estimate": 3,
+        }
+        assert sorted(starved.ue_estimates) == sorted(good.ue_estimates)
+        for ue_id, pos in good.ue_estimates.items():
+            assert np.array_equal(starved.ue_estimates[ue_id], pos)
 
 
 # -- determinism and bit-identity -------------------------------------------------

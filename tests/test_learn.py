@@ -50,8 +50,6 @@ from repro.rem.interpolate import (
     register_interpolator,
 )
 from repro.rem.interpolate import _REGISTRY as _INTERP_REGISTRY
-from repro.traffic.schedulers import _REGISTRY as _SCHED_REGISTRY
-from repro.traffic.schedulers import register_scheduler
 
 pytestmark = pytest.mark.learn
 
@@ -72,18 +70,6 @@ class TestRegistryOverride:
         finally:
             register_interpolator("idw", original, override=True)
         assert _INTERP_REGISTRY["idw"] is original
-
-    def test_scheduler_duplicate_raises(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scheduler("round_robin", lambda **kw: None)
-
-    def test_scheduler_override_replaces_and_restores(self):
-        original = _SCHED_REGISTRY["round_robin"]
-        try:
-            register_scheduler("round_robin", lambda **kw: None, override=True)
-        finally:
-            register_scheduler("round_robin", original, override=True)
-        assert _SCHED_REGISTRY["round_robin"] is original
 
     def test_learned_is_registered(self):
         assert "learned" in available_interpolators()

@@ -15,6 +15,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.lte.enodeb import ENodeB
 from repro.lte.throughput import _THRESHOLDS, throughput_mbps
 from repro.lte.ue import UE
+from repro.perf import perf
 from repro.sim.metrics import jain_fairness
 from repro.traffic import (
     MACSimulation,
@@ -31,7 +32,7 @@ from tests.traffic_oracles import ProportionalFair, RoundRobin, make_oracle, rep
 
 pytestmark = pytest.mark.traffic
 
-RESULT_FIELDS = ("grants", "served_bytes", "dropped_bytes", "backlog_end_bytes")
+RESULT_FIELDS = ("grants", "served_bytes", "backlog_end_bytes")
 
 
 # -- registries -----------------------------------------------------------------
@@ -39,12 +40,7 @@ RESULT_FIELDS = ("grants", "served_bytes", "dropped_bytes", "backlog_end_bytes")
 
 class TestRegistries:
     def test_traffic_models_registered(self):
-        assert set(available_traffic_models()) >= {
-            "full_buffer",
-            "cbr",
-            "poisson",
-            "onoff_video",
-        }
+        assert available_traffic_models() == ("full_buffer", "poisson")
 
     def test_schedulers_registered(self):
         assert set(available_schedulers()) == {
@@ -59,14 +55,12 @@ class TestRegistries:
         with pytest.raises(ValueError, match="unknown scheduler"):
             make_scheduler("nope")
 
-    def test_kwargs_filtered_like_interpolator_registry(self):
-        # One config can carry the union of every model's knobs.
-        cbr = make_traffic_model("cbr", rate_mbps=3.0, packet_bytes=100.0)
-        assert cbr.rate_mbps == 3.0
-        rr = make_scheduler("round_robin", time_constant_tti=7)
-        assert rr.name == "round_robin"
-        pf = make_scheduler("proportional_fair", time_constant_tti=7)
-        assert pf.time_constant_tti == 7
+    def test_factories_take_no_other_settings(self):
+        assert make_traffic_model("poisson", rate_mbps=3.0).rate_mbps == 3.0
+        with pytest.raises(TypeError):
+            make_traffic_model("poisson", packet_bytes=100.0)
+        with pytest.raises(TypeError):
+            make_scheduler("proportional_fair", time_constant_tti=7)
 
 
 # -- generators -----------------------------------------------------------------
@@ -83,7 +77,7 @@ class TestGenerators:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
-    @pytest.mark.parametrize("name", ["poisson", "onoff_video"])
+    @pytest.mark.parametrize("name", ["poisson"])
     def test_chunked_draws_continue_the_stream(self, name):
         model = make_traffic_model(name)
         chunked = model.source(2, seed=3)
@@ -92,13 +86,9 @@ class TestGenerators:
         assert np.array_equal(parts, whole)
 
     def test_deterministic_sources_draw_no_entropy(self):
-        # full_buffer and cbr must not even own a generator.
-        for name in ("full_buffer", "cbr"):
-            src = make_traffic_model(name).source(1, seed=0)
-            assert not hasattr(src, "_rng")
-        cbr = make_traffic_model("cbr", rate_mbps=2.0).source(1)
-        assert np.all(cbr.offered_bytes(10) == 2.0 * BYTES_PER_TTI_PER_MBPS)
-        fb = make_traffic_model("full_buffer").source(1)
+        # full_buffer must not even own a generator.
+        fb = make_traffic_model("full_buffer").source(1, seed=0)
+        assert not hasattr(fb, "_rng")
         assert fb.full_buffer
         assert np.all(fb.offered_bytes(10) == 0.0)
 
@@ -107,21 +97,11 @@ class TestGenerators:
         bytes_per_tti = src.offered_bytes(20000).mean()
         assert bytes_per_tti == pytest.approx(4.0 * BYTES_PER_TTI_PER_MBPS, rel=0.05)
 
-    def test_onoff_duty_cycle(self):
-        src = make_traffic_model(
-            "onoff_video", rate_mbps=4.0, mean_on_s=2.0, mean_off_s=2.0
-        ).source(1, seed=0)
-        offered = src.offered_bytes(60000)
-        duty = (offered > 0).mean()
-        assert 0.3 < duty < 0.7
-
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            make_traffic_model("cbr", rate_mbps=0.0)
+            make_traffic_model("poisson", rate_mbps=0.0)
         with pytest.raises(ValueError):
             make_traffic_model("poisson", rate_mbps=-1.0)
-        with pytest.raises(ValueError):
-            make_traffic_model("onoff_video", mean_on_s=0.0)
 
 
 # -- queues ---------------------------------------------------------------------
@@ -136,20 +116,6 @@ class TestQueueBank:
         with pytest.raises(ValueError):
             QueueBank(())
 
-    def test_tail_drop_admission(self):
-        q = QueueBank((1, 2), limit_bytes=100.0)
-        q.backlog_bytes[:] = [90.0, 0.0]
-        # Dead links: nothing drains, so the backlog is exactly what
-        # the tail drop admitted.
-        result = run_tti_batch(
-            bytes_per_prb=np.zeros(2),
-            offered_bytes=np.array([[50.0], [50.0]]),
-            scheduler=make_scheduler("round_robin"),
-            queues=q,
-        )
-        assert np.array_equal(result.dropped_bytes[:, 0], [40.0, 0.0])
-        assert np.array_equal(q.backlog_bytes, [100.0, 50.0])
-
     def test_full_buffer_seeds_infinite_backlog(self):
         q = QueueBank((1,), full_buffer=True)
         assert np.isinf(q.backlog_bytes[0])
@@ -162,29 +128,33 @@ class TestQueueBank:
 def _batch(
     scheduler_name,
     *,
-    limit=0.0,
+    backlog0=0.0,
     full_buffer=False,
+    offered=None,
     n_tti=300,
     tti0=0,
     snr=(3.0, 8.0, 14.0, 20.0, -10.0),
 ):
-    """One kernel batch, its queues, and the oracle's replay of it."""
+    """One kernel batch, its queues, and the oracle's replay of it.
+
+    Without ``offered``, full-buffer UEs offer nothing and the rest
+    Poisson arrivals; ``backlog0`` is every finite queue's start.
+    """
     ue_ids = tuple(range(1, len(snr) + 1))
     rates = rate_per_prb_bytes(np.array(snr))
     model = make_traffic_model("poisson", rate_mbps=5.0)
-    if full_buffer:
-        offered = np.zeros((len(ue_ids), n_tti))
-    else:
+    queues = QueueBank(ue_ids, full_buffer=full_buffer)
+    if offered is None:
         offered = np.stack(
             [model.source(u, seed=9).offered_bytes(n_tti) for u in ue_ids]
         )
-    queues = QueueBank(ue_ids, limit_bytes=limit, full_buffer=full_buffer)
+        offered[queues.full_buffer_mask] = 0.0
+    queues.backlog_bytes[~queues.full_buffer_mask] = backlog0
     reference = replay(
         make_oracle(scheduler_name),
         rates,
         offered,
         queues.backlog_bytes,
-        limit_bytes=limit,
         tti0=tti0,
     )
     result = run_tti_batch(
@@ -198,16 +168,18 @@ def _batch(
 
 
 class TestKernelEquivalence:
+    # The per-TTI scheduler loop, from empty queues and from a carried
+    # 4000-byte backlog (which the zero-rate UE can never drain).
     @pytest.mark.parametrize("name", ["round_robin", "proportional_fair", "max_min"])
-    @pytest.mark.parametrize("limit", [0.0, 4000.0])
-    def test_kernel_bit_identical_to_reference(self, name, limit):
-        kernel, qk, reference = _batch(name, limit=limit)
+    @pytest.mark.parametrize("backlog0", [0.0, 4000.0])
+    def test_kernel_bit_identical_to_reference(self, name, backlog0):
+        kernel, qk, reference = _batch(name, backlog0=backlog0)
         for f in RESULT_FIELDS:
             assert np.array_equal(getattr(kernel, f), getattr(reference, f)), f
         assert np.array_equal(qk.backlog_bytes, reference.backlog_end_bytes)
-        assert np.array_equal(qk.dropped_bytes, reference.dropped_bytes.sum(axis=1))
 
-    @pytest.mark.parametrize("name", ["round_robin", "max_min"])
+    # PF answers no slab, so under full buffer it runs the loop.
+    @pytest.mark.parametrize("name", ["round_robin", "proportional_fair", "max_min"])
     def test_full_buffer_slab_bit_identical(self, name):
         cases = (
             {},
@@ -222,23 +194,31 @@ class TestKernelEquivalence:
             for f in RESULT_FIELDS:
                 assert np.array_equal(getattr(kernel, f), getattr(reference, f)), (case, f)
 
+    @pytest.mark.parametrize("name", ["round_robin", "proportional_fair", "max_min"])
+    def test_mixed_slab_bit_identical(self, name):
+        # Full-buffer UEs beside UEs that offer every TTI, a zero-rate
+        # UE and an idle one: the schedulable set is frozen, so the
+        # stateless disciplines take the mixed slab while finite
+        # backlogs still evolve per TTI.
+        snr = (3.0, 8.0, 14.0, 20.0, -10.0, 12.0)
+        full_buffer = np.array([True, False, False, True, False, False])
+        n_tti = 200
+        per_tti = np.array([0.0, 600.0, 2500.0, 0.0, 300.0, 0.0])
+        offered = np.repeat(per_tti[:, None], n_tti, axis=1)
+        before = perf.counter("sched.slab_tti")
+        kernel, qk, reference = _batch(
+            name, full_buffer=full_buffer, offered=offered, tti0=3, snr=snr
+        )
+        slab_ttis = perf.counter("sched.slab_tti") - before
+        assert slab_ttis == (0 if name == "proportional_fair" else n_tti)
+        for f in RESULT_FIELDS:
+            assert np.array_equal(getattr(kernel, f), getattr(reference, f)), f
+        assert np.array_equal(qk.backlog_bytes, reference.backlog_end_bytes)
+
     def test_zero_rate_ue_never_granted_or_served(self):
         kernel, _, _ = _batch("round_robin")
         assert kernel.grants[-1].sum() == 0  # UE 5 is at -10 dB
         assert kernel.served_bytes[-1].sum() == 0.0
-
-    def test_finite_buffer_drops_are_counted(self):
-        kernel, queues, _ = _batch("round_robin", limit=2000.0)
-        assert kernel.total_dropped_bytes() > 0.0
-        assert np.all(queues.backlog_bytes <= 2000.0 + 1e-9)
-        # Conservation: arrivals = served + dropped + final backlog.
-        total_in = kernel.offered_bytes.sum()
-        total_out = (
-            kernel.served_bytes.sum()
-            + kernel.dropped_bytes.sum()
-            + queues.backlog_bytes.sum()
-        )
-        assert total_in == pytest.approx(total_out)
 
     def test_chunked_run_matches_single_batch(self):
         snr = {1: 6.0, 2: 12.0, 3: 18.0}
@@ -249,7 +229,7 @@ class TestKernelEquivalence:
                 traffic_model="poisson",
                 scheduler="proportional_fair",
                 seed=11,
-                traffic_params={"rate_mbps": 6.0},
+                rate_mbps=6.0,
             )
             return [sim.run(snr, n) for n in chunks]
 
@@ -371,7 +351,7 @@ class TestProportionalFairShortcuts:
             bytes_per_prb=rates,
             offered_bytes=offered,
             scheduler=make_scheduler("proportional_fair"),
-            queues=QueueBank(ue_ids, limit_bytes=0.0),
+            queues=QueueBank(ue_ids),
         )
         reference = replay(ProportionalFair(), rates, offered, np.zeros(len(ue_ids)))
         active = (kernel.grants > 0).sum(axis=0)
@@ -471,6 +451,25 @@ class TestSchedulerProperties:
     def test_cqi_thresholds_strictly_increasing(self):
         assert np.all(np.diff(_THRESHOLDS) > 0)
 
+    def test_rate_per_prb_matches_scalar_loop(self):
+        # At, one ulp either side of, and a little off every CQI
+        # switching point, plus out-of-table SNRs.
+        snr = np.concatenate(
+            [
+                _THRESHOLDS,
+                np.nextafter(_THRESHOLDS, -np.inf),
+                np.nextafter(_THRESHOLDS, np.inf),
+                _THRESHOLDS - 0.05,
+                _THRESHOLDS + 0.05,
+                [-40.0, 0.0, 60.0],
+            ]
+        )
+        loop = np.array([throughput_mbps(s, n_prb=1) for s in snr])
+        want = loop * BYTES_PER_TTI_PER_MBPS
+        got = rate_per_prb_bytes(snr)
+        assert got.tobytes() == want.tobytes()
+        assert rate_per_prb_bytes(snr.tolist()).tobytes() == want.tobytes()
+
     def test_max_min_favors_weak_ue(self):
         rates = rate_per_prb_bytes(np.array([2.0, 22.0]))
         grants = make_scheduler("max_min").grants(rates > 0, rates, 50, 0)
@@ -517,8 +516,6 @@ class TestConfigValidation:
             EpochTrigger(metric="learned")
 
     def test_positive_knobs_enforced(self):
-        with pytest.raises(ValueError):
-            SkyRANConfig(tti_batch=0)
         with pytest.raises(ValueError):
             SkyRANConfig(traffic_rate_mbps=0.0)
 
@@ -595,7 +592,6 @@ class TestRunnerIntegration:
         assert rec.offered_mbps is None
         assert rec.served_mbps is None
         assert rec.backlog_bytes is None
-        assert rec.dropped_bytes is None
 
     def test_traffic_config_populates_records(self):
         rec = self._run(
@@ -603,10 +599,8 @@ class TestRunnerIntegration:
             scheduler="proportional_fair",
             traffic_rate_mbps=3.0,
             epoch_trigger_metric="served",
-            tti_batch=300,
         ).records[-1]
         assert rec.offered_mbps is not None and rec.offered_mbps > 0.0
         assert rec.served_mbps is not None
         assert rec.served_mbps <= rec.offered_mbps + 1e-9
         assert rec.backlog_bytes >= 0.0
-        assert rec.dropped_bytes >= 0.0

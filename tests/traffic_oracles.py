@@ -9,14 +9,14 @@ floats, with its own grant rule per discipline:
 * :class:`RoundRobin` — equal split, remainder PRBs to the first UEs
   in rotated order;
 * :class:`ProportionalFair` — per-PRB linear-scan argmax of
-  ``rate / (avg + pending)``, EWMA ``avg`` kept here, initialized
-  lazily to the rates on the first grant;
+  ``rate / (avg + pending)``, 100-TTI EWMA ``avg`` kept here,
+  initialized lazily to the rates on the first grant;
 * :class:`MaxMin` — per-PRB linear-scan argmin of bytes granted so far;
 * :class:`ShardRoundRobin` — round-robin by precomputed global ranks.
 
 Ties go to the first UE in rotated schedulable order (rotation =
 ``tti mod n_active``).  Every float operation happens in the kernel's
-order (``avail = backlog + accepted``, ``served = min(avail, cap)``,
+order (``avail = backlog + offered``, ``served = min(avail, cap)``,
 ``backlog = avail - served``), so a correct kernel is bit-identical to
 the replay.  Nothing here calls into :mod:`repro.traffic`: an oracle
 object carries all of its own state across :func:`replay` calls, so
@@ -85,8 +85,8 @@ class ShardRoundRobin(RoundRobin):
 class ProportionalFair:
     """Per-PRB greedy ``rate / (avg + pending)`` with an EWMA ``avg``."""
 
-    def __init__(self, time_constant_tti: int = 100) -> None:
-        self.alpha = 1.0 / float(time_constant_tti)
+    def __init__(self) -> None:
+        self.alpha = 1.0 / 100.0
         self.avg: Optional[List[float]] = None
 
     def grants(self, schedulable, rates, n_prb: int, tti: int) -> List[int]:
@@ -132,18 +132,19 @@ class MaxMin:
         pass
 
 
-def make_oracle(name: str, time_constant_tti: int = 100):
-    """The oracle of a registered scheduler name."""
-    if name == "proportional_fair":
-        return ProportionalFair(time_constant_tti)
-    return {"round_robin": RoundRobin, "max_min": MaxMin}[name]()
+def make_oracle(name: str):
+    """The oracle of a scheduler name."""
+    return {
+        "round_robin": RoundRobin,
+        "proportional_fair": ProportionalFair,
+        "max_min": MaxMin,
+    }[name]()
 
 
 class Replay(NamedTuple):
     """One replayed batch; fields named as on ``MACBatchResult``."""
 
     grants: np.ndarray
-    dropped_bytes: np.ndarray
     served_bytes: np.ndarray
     backlog_end_bytes: np.ndarray
 
@@ -154,33 +155,23 @@ def replay(
     offered: np.ndarray,
     backlog: Sequence[float],
     *,
-    limit_bytes: float = 0.0,
     n_prb: int = 50,
     tti0: int = 0,
 ) -> Replay:
     """Replay one batch: admit, grant, drain, observe, per TTI.
 
     ``backlog`` is every UE's backlog before the batch (``inf`` for a
-    full-buffer UE); ``limit_bytes`` the tail-drop bound (0 =
-    unbounded).  Returns (n_ues, n_tti) matrices and the end backlog.
+    full-buffer UE).  Returns (n_ues, n_tti) matrices and the end
+    backlog.
     """
     offered = np.asarray(offered, dtype=float)
     n, n_tti = offered.shape
     r = [float(x) for x in rates]
     q = [float(b) for b in backlog]
-    limit = float(limit_bytes)
     grants = np.zeros((n, n_tti), dtype=np.int64)
-    dropped = np.zeros((n, n_tti), dtype=float)
     served = np.zeros((n, n_tti), dtype=float)
     for t in range(n_tti):
-        avail = [0.0] * n
-        for i in range(n):
-            off = float(offered[i, t])
-            accepted = off
-            if limit > 0:
-                accepted = min(off, max(limit - q[i], 0.0))
-                dropped[i, t] = off - accepted
-            avail[i] = q[i] + accepted
+        avail = [q[i] + float(offered[i, t]) for i in range(n)]
         schedulable = [avail[i] > 0.0 and r[i] > 0.0 for i in range(n)]
         g = oracle.grants(schedulable, r, n_prb, tti0 + t)
         served_t = [min(avail[i], g[i] * r[i]) for i in range(n)]
@@ -189,4 +180,4 @@ def replay(
             grants[i, t] = g[i]
             served[i, t] = served_t[i]
         oracle.update(served_t)
-    return Replay(grants, dropped, served, np.array(q, dtype=float))
+    return Replay(grants, served, np.array(q, dtype=float))
