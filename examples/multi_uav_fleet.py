@@ -26,8 +26,7 @@ def main() -> None:
                                channel_kwargs={"ray_step_m": 16.0})
     # Detach UEs from the scenario's default cell; the fleet re-homes
     # them onto per-cell eNodeBs.
-    for ue in list(scenario.enodeb.ues):
-        scenario.enodeb.deregister_ue(ue.ue_id)
+    scenario.enodeb.deregister_all()
 
     cfg = SkyRANConfig(rem_cell_size_m=16.0)
     fleet = FleetController(

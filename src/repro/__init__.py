@@ -23,8 +23,8 @@ from repro.core import (
     max_min_placement,
 )
 from repro.baselines import CentroidController, UniformController
-from repro.geo import GridSpec, Point2D, Point3D
-from repro.lte import ENodeB, EPC, SRSConfig, ToFEstimator, UE, throughput_mbps
+from repro.geo import GridSpec, Point3D
+from repro.lte import ENodeB, SRSConfig, ToFEstimator, UE, throughput_mbps
 from repro.rem import REM, idw_interpolate, median_abs_error_db
 from repro.sim import Scenario, overhead_to_target, run_epochs
 from repro.terrain import Terrain, make_terrain
@@ -44,10 +44,8 @@ __all__ = [
     "CentroidController",
     "UniformController",
     "GridSpec",
-    "Point2D",
     "Point3D",
     "ENodeB",
-    "EPC",
     "SRSConfig",
     "ToFEstimator",
     "UE",

@@ -1,6 +1,6 @@
 """The SkyRAN epoch controller (paper Fig. 10).
 
-:class:`SkyRANController` owns the UAV, the eNodeB/EPC, the REM store
+:class:`SkyRANController` owns the UAV, the eNodeB, the REM store
 and the trajectory history, and executes epochs against a
 :class:`~repro.channel.model.ChannelModel` standing in for the real
 radio environment.  Everything the controller *knows* comes from

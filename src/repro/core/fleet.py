@@ -424,8 +424,7 @@ class FleetController:
         """Move every UE onto its cell's eNodeB (idempotent)."""
         ue_by_id = {ue.ue_id: ue for ue in self.ues}
         for enodeb in self._enodebs:
-            for ue in list(enodeb.ues):
-                enodeb.deregister_ue(ue.ue_id)
+            enodeb.deregister_all()
         for uav_idx, ue_ids in assignment.ue_ids_by_uav.items():
             for ue_id in ue_ids:
                 self._enodebs[uav_idx].register_ue(ue_by_id[ue_id])

@@ -138,8 +138,5 @@ class REMStore:
         """(Re)store a REM under its key position."""
         self._put(_key_of(rem.ue_xyz), rem)
 
-    def all_rems(self) -> List[REM]:
-        return list(self._store.values())
-
     def __len__(self) -> int:
         return len(self._store)

@@ -9,10 +9,8 @@ the controller's epoch trigger.
 
 from repro.events.arrivals import (
     EVENTS_SPAWN_KEY,
-    ArrivalProcess,
     available_arrival_processes,
     make_arrival_process,
-    register_arrival_process,
 )
 from repro.events.heap import Event, EventQueue
 from repro.events.rach import (
@@ -27,10 +25,8 @@ from repro.events.simulate import AttachSimulation, EventConfig
 
 __all__ = [
     "EVENTS_SPAWN_KEY",
-    "ArrivalProcess",
     "available_arrival_processes",
     "make_arrival_process",
-    "register_arrival_process",
     "Event",
     "EventQueue",
     "DEFAULT_N_PREAMBLES",

@@ -1,10 +1,9 @@
 """Arrival processes for the attach/churn event layer.
 
 An arrival process decides *when* each UE first shows up and asks for
-service.  The registry mirrors :mod:`repro.traffic.generators`: frozen
-keyword-only dataclass factories under string names, so experiment
-configs carry the choice as plain data and unknown knobs are silently
-unused by models they don't apply to.
+service.  Each is a frozen keyword-only dataclass under a fixed string
+name, so experiment configs carry the choice as plain data; a knob the
+named process does not have raises.
 
 Four processes cover the paper's deployment stories:
 
@@ -30,7 +29,7 @@ Deterministic processes (``uniform``) draw nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Protocol, Tuple, runtime_checkable
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -38,15 +37,6 @@ import numpy as np
 #: consumer of the run seed (traffic uses 0x7452, faults use the plan
 #: seed's own spawn tree).
 EVENTS_SPAWN_KEY = 0x7261  # "ra" — random access
-
-
-@runtime_checkable
-class ArrivalProcess(Protocol):
-    """When each of ``n_ues`` UEs first requests attach."""
-
-    def times(
-        self, n_ues: int, duration_s: float, rng: np.random.Generator
-    ) -> np.ndarray: ...
 
 
 def _check_window(n_ues: int, duration_s: float) -> None:
@@ -147,41 +137,30 @@ class FlashCrowdArrivals:
         return np.sort(start + rng.uniform(0.0, width, n_ues))
 
 
-_REGISTRY: Dict[str, Callable[..., object]] = {}
-
-
-def register_arrival_process(name: str, factory: Callable[..., object]) -> None:
-    """Register an arrival-process factory under a string name."""
-    if not name:
-        raise ValueError("arrival process name must be non-empty")
-    _REGISTRY[name] = factory
+#: Arrival-process name -> class.
+_PROCESSES: Dict[str, type] = {
+    "uniform": UniformArrivals,
+    "poisson": PoissonArrivals,
+    "stadium": StadiumArrivals,
+    "flash_crowd": FlashCrowdArrivals,
+}
 
 
 def available_arrival_processes() -> Tuple[str, ...]:
-    """Registered arrival-process names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Arrival-process names, sorted."""
+    return tuple(sorted(_PROCESSES))
 
 
 def make_arrival_process(name: str, **params):
-    """Instantiate a registered arrival process by name.
+    """The named arrival process with ``params`` as its settings.
 
-    Unknown keyword parameters are dropped for dataclass factories, so
-    one experiment config can carry the union of every process's knobs.
+    A keyword the process does not take raises ``TypeError``.
     """
     try:
-        factory = _REGISTRY[name]
+        factory = _PROCESSES[name]
     except KeyError:
         known = ", ".join(available_arrival_processes())
         raise ValueError(
             f"unknown arrival process {name!r} (known: {known})"
         ) from None
-    accepted = getattr(factory, "__dataclass_fields__", None)
-    if accepted is not None:
-        params = {k: v for k, v in params.items() if k in accepted}
     return factory(**params)
-
-
-register_arrival_process("uniform", UniformArrivals)
-register_arrival_process("poisson", PoissonArrivals)
-register_arrival_process("stadium", StadiumArrivals)
-register_arrival_process("flash_crowd", FlashCrowdArrivals)

@@ -335,7 +335,7 @@ class AttachSimulation:
             return
         self.state[ue_id] = AccessState.ATTACHED
         self._attempts[ue_id] = 0
-        self.enodeb.register_ue(self.ues[ue_id], provision=True, now_s=self.now_s)
+        self.enodeb.register_ue(self.ues[ue_id])
         self._count("attaches")
         if self.config.session_mean_s > 0:
             session = float(

@@ -62,8 +62,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
     scenario = scenario_for(terrain, n_ues=n_ues, layout="uniform", seed=seed,
                             quick=quick)
     # The fleet re-homes UEs onto per-cell eNodeBs.
-    for ue in list(scenario.enodeb.ues):
-        scenario.enodeb.deregister_ue(ue.ue_id)
+    scenario.enodeb.deregister_all()
     fleet = FleetController(
         channel=scenario.channel,
         ues=list(scenario.ues),

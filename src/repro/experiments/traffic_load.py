@@ -64,7 +64,7 @@ def point(params: Dict, quick: bool = True) -> Dict:
     sky = SkyRANController(scenario.channel, scenario.enodeb, cfg, seed=seed)
     sky.altitude = TESTBED_ALTITUDE_M
     sky_pos = sky.run_epoch().placement.position
-    # Fresh scenario: controllers mutate UE/EPC state.
+    # Fresh scenario: a controller run may mutate UE and eNodeB state.
     scenario = scenario_for("campus", n_ues=5, layout="uniform", seed=seed, quick=quick)
     cen = CentroidController(
         scenario.channel, scenario.enodeb, cfg, altitude=TESTBED_ALTITUDE_M, seed=seed

@@ -1,10 +1,9 @@
-"""UAV kinematics, GPS and battery.
+"""UAV kinematics and GPS.
 
 The model is deliberately simple — constant-speed waypoint following —
 because SkyRAN's algorithms only consume (time, position) streams and
 a cost structure where flight time is proportional to trajectory
-length and motion drains the battery faster than hovering.  Those are
-the properties the paper's overhead arguments rest on.
+length.  That is the property the paper's overhead arguments rest on.
 """
 
 from __future__ import annotations
@@ -37,38 +36,6 @@ GPS_RATE_HZ = 50.0
 #: with only decimeter-scale drift across its aperture, matching the
 #: relative/absolute accuracy split of fused GNSS+IMU estimators.
 GPS_ERROR_TAU_S = 300.0
-
-
-@dataclass
-class Battery:
-    """Energy accounting for the flight platform.
-
-    DJI M600Pro-class numbers: ~600 Wh of usable battery, ~1500 W to
-    hover with the SkyRAN payload, noticeably more in forward flight.
-    """
-
-    capacity_wh: float = 600.0
-    hover_power_w: float = 1500.0
-    forward_power_w: float = 1900.0
-    used_wh: float = 0.0
-
-    def drain_hover(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {seconds}")
-        self.used_wh += self.hover_power_w * seconds / 3600.0
-
-    def drain_forward(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {seconds}")
-        self.used_wh += self.forward_power_w * seconds / 3600.0
-
-    @property
-    def remaining_wh(self) -> float:
-        return max(0.0, self.capacity_wh - self.used_wh)
-
-    def endurance_hover_s(self) -> float:
-        """Hover time the remaining charge buys."""
-        return self.remaining_wh / self.hover_power_w * 3600.0
 
 
 def sample_count(duration_s: float, rate_hz: float) -> int:
@@ -128,16 +95,13 @@ class UAV:
         Cruise speed for waypoint legs.
     gps_noise_std_m:
         Std of the horizontal GPS error (vertical error is half).
-    battery:
-        Energy model, drained by :meth:`fly` and :meth:`hover`.
     clock_s:
-        Mission clock; advances with every flight/hover.
+        Mission clock; advances with every flight.
     """
 
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     speed_mps: float = DEFAULT_SPEED_MPS
     gps_noise_std_m: float = DEFAULT_GPS_NOISE_STD_M
-    battery: Battery = field(default_factory=Battery)
     clock_s: float = 0.0
 
     def __post_init__(self) -> None:
@@ -170,7 +134,7 @@ class UAV:
     def fly(
         self,
         trajectory: Trajectory,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
         faults: Optional["FaultInjector"] = None,
     ) -> FlightLog:
         """Fly a trajectory from the current position; return the log.
@@ -186,7 +150,6 @@ class UAV:
         ``faults=None`` the flight is bit-identical to the fault-free
         model.
         """
-        rng = rng or np.random.default_rng()
         wp = np.column_stack(
             [
                 trajectory.waypoints,
@@ -233,18 +196,12 @@ class UAV:
         )
         self.position = true[-1].copy()
         self.clock_s += duration
-        self.battery.drain_forward(duration)
         return log
-
-    def hover(self, seconds: float) -> None:
-        """Hold position (serving LTE) for a while."""
-        self.clock_s += seconds
-        self.battery.drain_hover(seconds)
 
     def goto(
         self,
         xyz: Sequence[float],
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
         faults: Optional["FaultInjector"] = None,
     ) -> FlightLog:
         """Straight-line reposition to a 3D point."""

@@ -9,7 +9,6 @@ polyline utilities used by every flight trajectory.
 
 from repro.geo.grid import GridSpec
 from repro.geo.points import (
-    Point2D,
     Point3D,
     as_xy_array,
     as_xyz_array,
@@ -27,7 +26,6 @@ from repro.geo.paths import (
 
 __all__ = [
     "GridSpec",
-    "Point2D",
     "Point3D",
     "as_xy_array",
     "as_xyz_array",

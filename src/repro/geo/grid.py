@@ -11,7 +11,7 @@ heightmaps, REMs, gradient maps, min-SNR maps) is a 2D array indexed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -133,12 +133,6 @@ class GridSpec:
         """All cell centers as an ``(nx * ny, 2)`` array, row-major ``[iy, ix]``."""
         gx, gy = self.centers()
         return np.column_stack([gx.ravel(), gy.ravel()])
-
-    def iter_cells(self) -> Iterator[Tuple[int, int]]:
-        """Iterate all cell indices ``(ix, iy)`` row by row."""
-        for iy in range(self.ny):
-            for ix in range(self.nx):
-                yield ix, iy
 
     # -- resampling -------------------------------------------------------------
 

@@ -15,36 +15,12 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class Point2D:
-    """A ground-plane position in meters (east, north)."""
-
-    x: float
-    y: float
-
-    def distance_to(self, other: "Point2D") -> float:
-        """Euclidean distance to ``other`` in meters."""
-        return float(np.hypot(self.x - other.x, self.y - other.y))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-
-@dataclass(frozen=True)
 class Point3D:
     """A 3D position in meters (east, north, up)."""
 
     x: float
     y: float
     z: float
-
-    def distance_to(self, other: "Point3D") -> float:
-        """Euclidean distance to ``other`` in meters."""
-        dx, dy, dz = self.x - other.x, self.y - other.y, self.z - other.z
-        return float(np.sqrt(dx * dx + dy * dy + dz * dz))
-
-    def ground(self) -> Point2D:
-        """Projection onto the ground plane."""
-        return Point2D(self.x, self.y)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -53,12 +29,12 @@ class Point3D:
 def as_xy_array(points: Iterable) -> np.ndarray:
     """Convert an iterable of 2D/3D points into an ``(n, 2)`` float array.
 
-    Accepts :class:`Point2D`, :class:`Point3D`, tuples or array rows;
-    only the first two coordinates are kept.
+    Accepts :class:`Point3D`, tuples or array rows; only the first two
+    coordinates are kept.
     """
     rows = []
     for p in points:
-        if isinstance(p, (Point2D, Point3D)):
+        if isinstance(p, Point3D):
             rows.append((p.x, p.y))
         else:
             seq = tuple(p)
@@ -77,8 +53,6 @@ def as_xyz_array(points: Iterable) -> np.ndarray:
     for p in points:
         if isinstance(p, Point3D):
             rows.append((p.x, p.y, p.z))
-        elif isinstance(p, Point2D):
-            rows.append((p.x, p.y, 0.0))
         else:
             seq = tuple(p)
             if len(seq) == 2:

@@ -7,8 +7,9 @@ cross-correlation (paper Section 3.2, Eqs. 1-3).  This package
 implements that PHY end to end on synthetic signals — Zadoff-Chu SRS
 symbols, a delay + multipath + AWGN channel, the exact Eq. 1-3
 estimator — plus the MAC-level pieces an LTE RAN needs: an SNR -> CQI
--> MCS -> throughput mapping, an eNodeB, vectorized outer-loop link
-adaptation, and a minimal EPC (attach/bearer state machines).
+-> MCS -> throughput mapping, an eNodeB whose registered set is the
+record of which UEs are attached, and vectorized outer-loop link
+adaptation.
 """
 
 from repro.lte.srs import (
@@ -29,9 +30,8 @@ from repro.lte.throughput import (
     throughput_mbps,
 )
 from repro.lte.linkadapt import OLLABank
-from repro.lte.ue import UE, UEState
+from repro.lte.ue import UE
 from repro.lte.enodeb import ENodeB
-from repro.lte.epc import EPC, BearerState, SessionRecord
 
 __all__ = [
     "SRSConfig",
@@ -46,10 +46,6 @@ __all__ = [
     "spectral_efficiency",
     "throughput_mbps",
     "UE",
-    "UEState",
     "OLLABank",
     "ENodeB",
-    "EPC",
-    "BearerState",
-    "SessionRecord",
 ]

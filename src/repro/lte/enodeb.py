@@ -1,11 +1,12 @@
 """The airborne eNodeB.
 
 It does two things the reproduction needs: (1) maintain the set of
-attached UEs and (2) expose the SRS receive path the localization
-flight consumes.  Serving — PRB sharing under a scheduler — runs in
-:class:`repro.traffic.simulate.MACSimulation`; full-cell (unshared)
-throughput — what the paper's "average throughput per UE" figures
-report — comes straight from
+attached UEs, the one record of attachment (a UE is attached exactly
+while it is registered here), and (2) expose the SRS receive path the
+localization flight consumes.  Serving — PRB sharing under a
+scheduler — runs in :class:`repro.traffic.simulate.MACSimulation`;
+full-cell (unshared) throughput — what the paper's "average
+throughput per UE" figures report — comes straight from
 :func:`repro.lte.throughput.throughput_mbps`.
 """
 
@@ -19,10 +20,9 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (mobility uses lte.ue)
     from repro.mobility.models import MobilityModel
 
-from repro.lte.epc import EPC
 from repro.lte.srs import SRSConfig, apply_channel_batch, make_srs_symbol
 from repro.lte.throughput import PRB_PER_10MHZ
-from repro.lte.ue import UE, UEState
+from repro.lte.ue import UE
 
 
 @dataclass
@@ -31,9 +31,6 @@ class ENodeB:
 
     Attributes
     ----------
-    epc:
-        Core network handling attach; the eNodeB forwards attach
-        requests to it.
     srs_config:
         Numerology for the SRS receive path.
     n_prb:
@@ -45,7 +42,6 @@ class ENodeB:
         state.
     """
 
-    epc: EPC = field(default_factory=EPC)
     srs_config: SRSConfig = field(default_factory=SRSConfig)
     n_prb: int = PRB_PER_10MHZ
     mobility: Optional["MobilityModel"] = None
@@ -53,29 +49,25 @@ class ENodeB:
 
     # -- attachment ---------------------------------------------------------------
 
-    def register_ue(self, ue: UE, provision: bool = True, now_s: float = 0.0) -> None:
-        """Attach a UE to this cell (provisioning it in the EPC first)."""
+    def register_ue(self, ue: UE) -> None:
+        """Attach a UE to this cell."""
         if ue.ue_id in self._ues:
             raise ValueError(f"UE id {ue.ue_id} already registered")
-        if provision:
-            self.epc.provision(ue.imsi)
-        self.epc.attach(ue, now_s)
         self._ues[ue.ue_id] = ue
 
     def deregister_ue(self, ue_id: int) -> None:
-        ue = self._ues.pop(ue_id, None)
-        if ue is not None:
-            self.epc.detach(ue)
-            if self.mobility is not None:
-                self.mobility.forget(ue_id)
+        if self._ues.pop(ue_id, None) is not None and self.mobility is not None:
+            self.mobility.forget(ue_id)
 
-    @property
-    def ues(self) -> List[UE]:
-        """Attached UEs, ordered by id."""
-        return [self._ues[k] for k in sorted(self._ues)]
+    def deregister_all(self) -> None:
+        """Detach every UE (the fleet and the event layer take over
+        attachment this way)."""
+        for ue_id in sorted(self._ues):
+            self.deregister_ue(ue_id)
 
     def connected_ues(self) -> List[UE]:
-        return [u for u in self.ues if u.state is UEState.CONNECTED]
+        """Attached UEs, ordered by id."""
+        return [self._ues[k] for k in sorted(self._ues)]
 
     # -- SRS receive path --------------------------------------------------------------
 

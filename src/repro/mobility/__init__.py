@@ -1,7 +1,7 @@
 """UE mobility models.
 
 The paper exercises three kinds of UE dynamics: static testbed UEs
-(Section 4), scripted pedestrian-like routes for the epoch-length study
+(Section 4; a cell with no mobility model), scripted pedestrian-like routes for the epoch-length study
 (Fig. 12), and per-epoch random relocation of a fraction of UEs in the
 scale-up simulations (Section 5.2).  All models share one interface:
 ``step(ue, dt_s, rng)`` advances a UE's position in simulated time.
@@ -12,13 +12,11 @@ from repro.mobility.models import (
     MobilityModel,
     RandomWaypoint,
     ScriptedRoute,
-    Static,
     relocate_fraction,
 )
 
 __all__ = [
     "MobilityModel",
-    "Static",
     "RandomWaypoint",
     "ScriptedRoute",
     "ClusterMobility",

@@ -34,13 +34,6 @@ class MobilityModel(ABC):
         """
 
 
-class Static(MobilityModel):
-    """UEs that never move (the testbed setting, Section 4.2)."""
-
-    def step(self, ue: UE, dt_s: float, rng: np.random.Generator) -> None:
-        del ue, dt_s, rng  # nothing to do
-
-
 @dataclass
 class RandomWaypoint(MobilityModel):
     """Classic random-waypoint motion inside the operating area.

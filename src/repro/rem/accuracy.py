@@ -30,12 +30,3 @@ def median_abs_error_db(estimated: np.ndarray, truth: np.ndarray) -> float:
     if finite.size == 0:
         return float("inf")
     return float(np.median(finite))
-
-
-def mean_abs_error_db(estimated: np.ndarray, truth: np.ndarray) -> float:
-    """Mean absolute per-cell error in dB, ignoring NaN cells."""
-    err = rem_error_map(estimated, truth)
-    finite = err[np.isfinite(err)]
-    if finite.size == 0:
-        return float("inf")
-    return float(np.mean(finite))

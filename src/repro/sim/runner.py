@@ -316,8 +316,7 @@ def _run_event_epochs(
 
     # The event layer owns attachment for the run: UEs start detached
     # and must earn their registration through the RACH.
-    for ue in list(scenario.enodeb.ues):
-        scenario.enodeb.deregister_ue(ue.ue_id)
+    scenario.enodeb.deregister_all()
 
     records: List[EpochRecord] = []
     counter_mark: Dict[str, int] = {}
@@ -568,8 +567,7 @@ def run_simulation(
         # The fleet owns cell attachment: detach every UE from the
         # scenario's (single-cell) eNodeB so association can hand them
         # to per-cell eNodeBs.
-        for ue in list(scenario.enodeb.ues):
-            scenario.enodeb.deregister_ue(ue.ue_id)
+        scenario.enodeb.deregister_all()
         controller = FleetController(
             channel=scenario.channel,
             ues=list(scenario.ues),

@@ -3,11 +3,11 @@
 The paper's scale-up study drives its ray-tracing channel model with
 USGS LiDAR point clouds rasterized to a 1 m heightmap (Section 5.1).
 Those datasets are not redistributable here, so this package provides
-(a) the same heightmap abstraction (:class:`Terrain`), (b) procedural
+(a) the same heightmap abstraction (:class:`Terrain`) and (b) procedural
 generators that reproduce the *statistical features* of each terrain
 the paper evaluates (campus testbed, RURAL, NYC, LARGE, and the four
-Fig. 4 terrains), and (c) a synthetic LiDAR point-cloud pipeline so the
-point-cloud -> heightmap preprocessing step is exercised end to end.
+Fig. 4 terrains).  Every terrain a run uses is procedural; no
+point-cloud stage is modelled.
 """
 
 from repro.terrain.heightmap import Terrain
@@ -21,11 +21,6 @@ from repro.terrain.generators import (
     make_terrain,
     make_fig4_terrain,
 )
-from repro.terrain.lidar import (
-    PointCloud,
-    rasterize_point_cloud,
-    synthesize_point_cloud,
-)
 
 __all__ = [
     "Terrain",
@@ -37,7 +32,4 @@ __all__ = [
     "make_rural",
     "make_terrain",
     "make_fig4_terrain",
-    "PointCloud",
-    "rasterize_point_cloud",
-    "synthesize_point_cloud",
 ]

@@ -7,8 +7,7 @@ resampling for probe points, truncation for measurement budgets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,33 +46,14 @@ class Trajectory:
         """Total arc length (the paper's trajectory *cost*)."""
         return polyline_length(self.waypoints)
 
-    def duration_s(self, speed_mps: float) -> float:
-        """Flight time at a constant ground speed."""
-        if speed_mps <= 0:
-            raise ValueError(f"speed must be positive, got {speed_mps}")
-        return self.length_m / speed_mps
-
     def sample(self, spacing_m: float) -> np.ndarray:
         """Evenly spaced probe points along the path, ``(m, 2)``."""
         return resample_polyline(self.waypoints, spacing_m)
-
-    def sample_xyz(self, spacing_m: float) -> np.ndarray:
-        """Probe points lifted to the flight altitude, ``(m, 3)``."""
-        xy = self.sample(spacing_m)
-        return np.column_stack([xy, np.full(len(xy), self.altitude)])
 
     def truncated(self, budget_m: float) -> "Trajectory":
         """The prefix of this path with at most ``budget_m`` length."""
         wp = truncate_polyline(self.waypoints, budget_m)
         return Trajectory(wp, self.altitude, self.label)
 
-    def start(self) -> np.ndarray:
-        return self.waypoints[0].copy()
-
     def end(self) -> np.ndarray:
         return self.waypoints[-1].copy()
-
-    def with_prefix(self, point: Sequence[float]) -> "Trajectory":
-        """Prepend a waypoint (e.g. the UAV's current position)."""
-        p = np.asarray(point, dtype=float).reshape(1, 2)
-        return Trajectory(np.vstack([p, self.waypoints]), self.altitude, self.label)

@@ -10,7 +10,7 @@ point until the requested length is reached.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ def random_flight(
     start_xy: Sequence[float],
     length_m: float,
     altitude: float,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     leg_m: float = 5.0,
     box_m: float = 40.0,
     label: str = "localization",
@@ -42,7 +42,7 @@ def random_flight(
     altitude:
         Flight altitude.
     rng:
-        Random generator (a fresh default if omitted).
+        Random generator the waypoints are drawn from.
     leg_m:
         Mean leg length between direction changes.
     box_m:
@@ -53,7 +53,6 @@ def random_flight(
         raise ValueError(f"length_m must be positive, got {length_m}")
     if leg_m <= 0:
         raise ValueError(f"leg_m must be positive, got {leg_m}")
-    rng = rng or np.random.default_rng()
     start = np.asarray(start_xy, dtype=float).reshape(2)
     lo = np.array(
         [max(grid.origin_x, start[0] - box_m), max(grid.origin_y, start[1] - box_m)]

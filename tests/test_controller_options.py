@@ -8,8 +8,7 @@ from repro.sim.scenario import Scenario
 class TestFleetSinr:
     def test_sinr_leq_snr(self):
         scenario = Scenario.create("campus", n_ues=4, cell_size=4.0, seed=16)
-        for ue in list(scenario.enodeb.ues):
-            scenario.enodeb.deregister_ue(ue.ue_id)
+        scenario.enodeb.deregister_all()
         coord = FleetController(
             channel=scenario.channel,
             ues=scenario.ues,
@@ -27,8 +26,7 @@ class TestFleetSinr:
 
     def test_idle_interferers_recover_snr(self):
         scenario = Scenario.create("campus", n_ues=4, cell_size=4.0, seed=16)
-        for ue in list(scenario.enodeb.ues):
-            scenario.enodeb.deregister_ue(ue.ue_id)
+        scenario.enodeb.deregister_all()
         coord = FleetController(
             channel=scenario.channel,
             ues=scenario.ues,

@@ -79,9 +79,11 @@ class TestArrivals:
         with pytest.raises(ValueError, match="unknown arrival process"):
             make_arrival_process("nope")
 
-    def test_unknown_params_ignored(self):
-        p = make_arrival_process("uniform", burst_s=99.0)
-        assert p is not None
+    def test_unknown_params_raise(self):
+        with pytest.raises(TypeError):
+            make_arrival_process("uniform", burst_s=99.0)
+        with pytest.raises(TypeError):
+            make_arrival_process("stadium", burst_s=0.5)
 
     @pytest.mark.parametrize("name", ["uniform", "poisson", "stadium", "flash_crowd"])
     def test_times_in_window_and_sorted(self, name, rng):
@@ -236,6 +238,17 @@ class TestAttachSimulation:
         # Knocked-off UEs re-ran the RACH: more attaches than arrivals.
         assert counters["attaches"] > counters["arrivals"]
         assert sum(sim.population().values()) == 6
+
+    def test_registered_set_tracks_attached_ids_under_storms(self):
+        # The eNodeB's registered set is the one record of attachment:
+        # storms, churn and re-attaches leave it equal to the UEs the
+        # lifecycle has in ATTACHED.
+        plan = FaultPlan(seed=5, storm_rate_per_s=0.2, storm_burst_ues=3)
+        sim = _sim(8, seed=6, faults=plan, session_mean_s=25.0)
+        counters = sim.run(60.0)
+        assert counters["storm_knockoffs"] > 0
+        registered = [u.ue_id for u in sim.enodeb.connected_ues()]
+        assert registered == sim.attached_ids()
 
     def test_stale_detach_is_dropped_after_storm(self):
         # With churn AND storms, a knocked-off UE's old session detach

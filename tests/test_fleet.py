@@ -181,8 +181,7 @@ class TestDegenerateFleet:
         solo_results = [solo.run_epoch(budget_m=250.0) for _ in range(2)]
 
         scenario2 = Scenario.create("campus", n_ues=4, cell_size=4.0, seed=9)
-        for ue in list(scenario2.enodeb.ues):
-            scenario2.enodeb.deregister_ue(ue.ue_id)
+        scenario2.enodeb.deregister_all()
         fleet = FleetController(
             channel=scenario2.channel,
             ues=list(scenario2.ues),

@@ -1,4 +1,4 @@
-"""Unit tests for UAV kinematics, GPS, battery and samplers."""
+"""Unit tests for UAV kinematics, GPS and samplers."""
 
 import copy
 
@@ -12,36 +12,12 @@ from repro.flight.sampler import (
     collect_snr_samples,
     localize_all_ues,
 )
-from repro.flight.uav import UAV, Battery, GPS_ERROR_TAU_S, GPS_RATE_HZ, sample_count
+from repro.flight.uav import UAV, GPS_ERROR_TAU_S, GPS_RATE_HZ, sample_count
 from repro.lte.enodeb import ENodeB
 from repro.lte.tof import ToFEstimator
 from repro.lte.ue import UE
 from repro.trajectory.base import Trajectory
 from tests import link_oracles as oracle
-
-
-class TestBattery:
-    def test_hover_drain(self):
-        b = Battery(capacity_wh=600.0, hover_power_w=1500.0)
-        b.drain_hover(600.0)
-        assert b.remaining_wh == pytest.approx(600.0 - 250.0)
-        b.drain_hover(3600.0)
-        assert b.remaining_wh == 0.0  # clamped at empty
-
-    def test_forward_costs_more(self):
-        a = Battery()
-        b = Battery()
-        a.drain_hover(600.0)
-        b.drain_forward(600.0)
-        assert b.used_wh > a.used_wh
-
-    def test_endurance(self):
-        b = Battery(capacity_wh=300.0, hover_power_w=1500.0)
-        assert b.endurance_hover_s() == pytest.approx(720.0)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            Battery().drain_hover(-1.0)
 
 
 def _gps_loop(uav, true_xyz, t_s, rng):
@@ -97,13 +73,22 @@ class TestUAV:
         assert sample_count(3.0049, 100.0) == 301
         assert sample_count(0.0, 100.0) == 2
 
-    def test_clock_and_battery_advance(self, rng):
+    def test_clock_advances(self, rng):
         uav = UAV(position=np.array([0.0, 0.0, 50.0]), speed_mps=10.0)
-        uav.fly(Trajectory(np.array([[100.0, 0.0]]), 50.0), rng)
+        log = uav.fly(Trajectory(np.array([[100.0, 0.0]]), 50.0), rng)
         assert uav.clock_s == pytest.approx(10.0)
-        assert uav.battery.used_wh > 0
-        uav.hover(60.0)
-        assert uav.clock_s == pytest.approx(70.0)
+        log2 = uav.goto(np.array([100.0, 50.0, 50.0]), rng)
+        assert uav.clock_s == pytest.approx(15.0)
+        assert log2.t_s[0] == pytest.approx(log.t_s[-1])
+
+    def test_rng_is_required(self):
+        # No unseeded fallback: a flight without a generator is an
+        # error, never a silently non-reproducible draw.
+        uav = UAV(position=np.array([0.0, 0.0, 50.0]))
+        with pytest.raises(TypeError):
+            uav.fly(Trajectory(np.array([[10.0, 0.0]]), 50.0))
+        with pytest.raises(TypeError):
+            uav.goto(np.array([10.0, 0.0, 50.0]))
 
     def test_gps_noise_correlated(self, rng):
         uav = UAV(position=np.array([0.0, 0.0, 50.0]), gps_noise_std_m=2.0)

@@ -86,12 +86,6 @@ class TestCenters:
         np.testing.assert_allclose(flat[2], [2.5, 0.5])
         np.testing.assert_allclose(flat[3], [0.5, 1.5])
 
-    def test_iter_cells_covers_everything(self):
-        g = GridSpec(0.0, 0.0, 1.0, 4, 5)
-        cells = list(g.iter_cells())
-        assert len(cells) == 20
-        assert len(set(cells)) == 20
-
 
 class TestCoarsen:
     def test_coarsen_shrinks(self):

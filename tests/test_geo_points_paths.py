@@ -10,7 +10,6 @@ from repro.geo.paths import (
     truncate_polyline,
 )
 from repro.geo.points import (
-    Point2D,
     Point3D,
     as_xy_array,
     as_xyz_array,
@@ -20,23 +19,13 @@ from repro.geo.points import (
 
 
 class TestPoints:
-    def test_point2d_distance(self):
-        assert Point2D(0, 0).distance_to(Point2D(3, 4)) == pytest.approx(5.0)
-
-    def test_point3d_distance(self):
-        assert Point3D(0, 0, 0).distance_to(Point3D(2, 3, 6)) == pytest.approx(7.0)
-
-    def test_ground_projection(self):
-        p = Point3D(1.0, 2.0, 30.0)
-        assert p.ground() == Point2D(1.0, 2.0)
-
     def test_as_xy_array_mixed_inputs(self):
-        arr = as_xy_array([Point2D(1, 2), Point3D(3, 4, 5), (6, 7), [8, 9, 10]])
-        np.testing.assert_allclose(arr, [[1, 2], [3, 4], [6, 7], [8, 9]])
+        arr = as_xy_array([Point3D(3, 4, 5), (6, 7), [8, 9, 10]])
+        np.testing.assert_allclose(arr, [[3, 4], [6, 7], [8, 9]])
 
     def test_as_xyz_array_lifts_2d(self):
-        arr = as_xyz_array([(1, 2), Point2D(3, 4)])
-        np.testing.assert_allclose(arr, [[1, 2, 0], [3, 4, 0]])
+        arr = as_xyz_array([(1, 2), Point3D(3, 4, 5)])
+        np.testing.assert_allclose(arr, [[1, 2, 0], [3, 4, 5]])
 
     def test_empty_inputs(self):
         assert as_xy_array([]).shape == (0, 2)

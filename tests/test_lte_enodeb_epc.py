@@ -1,12 +1,11 @@
-"""Unit tests for the eNodeB, its round-robin PRB split and the minimal EPC."""
+"""Unit tests for the eNodeB and its round-robin PRB split."""
 
 import numpy as np
 import pytest
 
 from repro.lte.enodeb import ENodeB
-from repro.lte.epc import EPC, BearerState
 from repro.lte.throughput import throughput_mbps
-from repro.lte.ue import UE, UEState
+from repro.lte.ue import UE
 from repro.traffic import make_scheduler
 
 
@@ -24,69 +23,11 @@ def _rr_grants(enb, snr_db_per_ue, tti=0):
     return {i: int(g) for i, g in zip(ids, grants) if i in snr_db_per_ue}
 
 
-class TestEPC:
-    def test_attach_provisioned(self):
-        epc = EPC()
-        ue = _ue(1)
-        epc.provision(ue.imsi)
-        record = epc.attach(ue)
-        assert ue.state is UEState.CONNECTED
-        assert record.state is BearerState.ACTIVE
-        assert record.bearer_id == 5
-
-    def test_attach_unknown_imsi_rejected(self):
-        epc = EPC()
-        ue = _ue(2)
-        with pytest.raises(PermissionError):
-            epc.attach(ue)
-        assert ue.state is UEState.DETACHED
-
-    def test_detach_releases_bearer(self):
-        epc = EPC()
-        ue = _ue(3)
-        epc.provision(ue.imsi)
-        epc.attach(ue)
-        epc.detach(ue)
-        assert ue.state is UEState.DETACHED
-        assert epc.session_of(ue.imsi).state is BearerState.RELEASED
-        assert epc.active_sessions() == []
-
-    def test_traffic_accounting(self):
-        epc = EPC()
-        ue = _ue(4)
-        epc.provision(ue.imsi)
-        epc.attach(ue)
-        epc.account_traffic(ue.imsi, down_bytes=1000, up_bytes=200)
-        epc.account_traffic(ue.imsi, down_bytes=500)
-        record = epc.session_of(ue.imsi)
-        assert record.bytes_down == 1500
-        assert record.bytes_up == 200
-
-    def test_traffic_requires_active_session(self):
-        epc = EPC()
-        with pytest.raises(KeyError):
-            epc.account_traffic("000000", down_bytes=1)
-
-    def test_negative_traffic_rejected(self):
-        epc = EPC()
-        ue = _ue(5)
-        epc.provision(ue.imsi)
-        epc.attach(ue)
-        with pytest.raises(ValueError):
-            epc.account_traffic(ue.imsi, down_bytes=-1)
-
-    def test_empty_imsi_rejected(self):
-        with pytest.raises(ValueError):
-            EPC().provision("")
-
-
 class TestENodeB:
-    def test_register_attaches_via_epc(self):
+    def test_register_attaches(self):
         enb = ENodeB()
         ue = _ue(1)
         enb.register_ue(ue)
-        assert ue.state is UEState.CONNECTED
-        assert enb.epc.is_provisioned(ue.imsi)
         assert enb.connected_ues() == [ue]
 
     def test_duplicate_id_rejected(self):
@@ -100,8 +41,24 @@ class TestENodeB:
         ue = _ue(1)
         enb.register_ue(ue)
         enb.deregister_ue(1)
-        assert enb.ues == []
-        assert ue.state is UEState.DETACHED
+        assert enb.connected_ues() == []
+
+    def test_connected_ues_ordered_by_id_and_deregister_all(self):
+        forgotten = []
+
+        class SpyModel:
+            def forget(self, ue_id):
+                forgotten.append(ue_id)
+
+        enb = ENodeB(mobility=SpyModel())
+        for i in (3, 1, 2):
+            enb.register_ue(_ue(i))
+        assert [u.ue_id for u in enb.connected_ues()] == [1, 2, 3]
+        enb.deregister_all()
+        assert enb.connected_ues() == []
+        assert sorted(forgotten) == [1, 2, 3]
+        enb.register_ue(_ue(1))  # a detached id can attach again
+        assert [u.ue_id for u in enb.connected_ues()] == [1]
 
     def test_rr_scheduler_splits_prbs(self):
         enb = ENodeB()
@@ -137,11 +94,6 @@ class TestENodeB:
         known = enb.known_srs_symbol(ue)
         corr = np.abs(np.fft.ifft(rx * np.conj(known)))
         assert int(np.argmax(corr)) == 7
-
-    def test_ue_auto_imsi(self):
-        ue = UE(ue_id=42)
-        assert ue.imsi.startswith("00101")
-        assert ue.imsi.endswith("42")
 
     def test_ue_move(self):
         ue = _ue(1)

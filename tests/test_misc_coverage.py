@@ -39,8 +39,8 @@ class TestREMMethods:
 class TestTrajectoryAltitude:
     def test_sample_spacing_monotone_arclength(self):
         t = Trajectory(np.array([[0, 0], [30, 0], [30, 40]]), altitude=25.0)
-        pts = t.sample_xyz(5.0)
-        seg = np.diff(pts[:, :2], axis=0)
+        pts = t.sample(5.0)
+        seg = np.diff(pts, axis=0)
         steps = np.hypot(seg[:, 0], seg[:, 1])
         assert np.all(steps <= 5.0 + 1e-6)
 

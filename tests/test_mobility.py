@@ -8,9 +8,9 @@ from repro.lte.enodeb import ENodeB
 from repro.lte.ue import UE
 from repro.mobility.models import (
     ClusterMobility,
+    MobilityModel,
     RandomWaypoint,
     ScriptedRoute,
-    Static,
     relocate_fraction,
 )
 from repro.perf import perf
@@ -25,13 +25,6 @@ def _ue(i, x=50.0, y=50.0):
     ue = UE(ue_id=i)
     ue.move_to(x, y)
     return ue
-
-
-class TestStatic:
-    def test_never_moves(self, rng):
-        ue = _ue(1)
-        Static().step(ue, 3600.0, rng)
-        assert (ue.position.x, ue.position.y) == (50.0, 50.0)
 
 
 class TestRandomWaypoint:
@@ -176,8 +169,12 @@ class TestRelocate:
 
 
 class TestForget:
-    def test_static_forget_is_noop(self):
-        Static().forget(1)  # must not raise
+    def test_base_forget_is_noop(self):
+        class Still(MobilityModel):
+            def step(self, ue, dt_s, rng):
+                pass
+
+        Still().forget(1)  # must not raise
 
     def test_random_waypoint_forget_clears_state(self, grid, rng):
         model = RandomWaypoint(grid, speed_mps=1000.0, pause_s=10.0)
@@ -228,7 +225,7 @@ class TestForget:
         ue = _ue(1)
         enodeb.register_ue(ue)
         enodeb.deregister_ue(1)  # must not raise
-        assert enodeb.ues == []
+        assert enodeb.connected_ues() == []
 
 
 class TestValidation:

@@ -39,8 +39,7 @@ def world():
     scenario = Scenario.create("campus", n_ues=6, cell_size=4.0, seed=12)
     # Detach from the scenario's own eNodeB: the fleet re-homes UEs
     # onto per-cell eNodeBs.
-    for ue in list(scenario.enodeb.ues):
-        scenario.enodeb.deregister_ue(ue.ue_id)
+    scenario.enodeb.deregister_all()
     return scenario
 
 
@@ -97,6 +96,30 @@ class TestFleetEpoch:
         assert sorted(result.sinr_db) == sorted(result.serving)
         assert result.attaches == len(world.ues)
         assert result.handovers == 0  # nothing to hand over from on epoch 0
+
+    def test_cell_registrations_partition_the_ues(self, world):
+        # The cell eNodeBs' registered sets are the one record of
+        # attachment: after each epoch they partition the UEs exactly
+        # as the epoch's assignment does.
+        fleet = FleetController(
+            channel=world.channel,
+            ues=world.ues,
+            n_uavs=3,
+            config=SkyRANConfig(rem_cell_size_m=8.0),
+            seed=1,
+        )
+        for _ in range(2):
+            result = fleet.run_epoch(budget_per_uav_m=200.0)
+            cells = [
+                {u.ue_id for u in ctrl.enodeb.connected_ues()}
+                for ctrl in fleet.controllers
+            ]
+            for i in range(len(cells)):
+                for j in range(i + 1, len(cells)):
+                    assert not cells[i] & cells[j]
+            assert set().union(*cells) == {u.ue_id for u in world.ues}
+            for c, ids in enumerate(cells):
+                assert ids == set(result.assignment.ue_ids_by_uav[c])
 
     def test_shared_rem_store(self, world):
         fleet = FleetController(

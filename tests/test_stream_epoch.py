@@ -314,7 +314,7 @@ class TestREMStoreBucketedLookup:
 
     def test_recommit_keeps_scan_position(self):
         store, rng = self._filled_store(n=20, seed=3)
-        rems = store.all_rems()
+        rems = list(store._store.values())
         # Re-commit an early REM; like dict reassignment, its scan
         # order must not move, so every query still matches the scan.
         store.commit(rems[2])

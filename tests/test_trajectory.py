@@ -26,26 +26,9 @@ class TestTrajectory:
         t = Trajectory(np.array([[0, 0], [3, 0], [3, 4]]), altitude=50.0)
         assert t.length_m == pytest.approx(7.0)
 
-    def test_duration(self):
-        t = Trajectory(np.array([[0, 0], [100, 0]]), altitude=50.0)
-        assert t.duration_s(10.0) == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            t.duration_s(0.0)
-
-    def test_sample_xyz_carries_altitude(self):
-        t = Trajectory(np.array([[0, 0], [10, 0]]), altitude=42.0)
-        pts = t.sample_xyz(2.0)
-        assert np.all(pts[:, 2] == 42.0)
-
     def test_truncated(self):
         t = Trajectory(np.array([[0, 0], [100, 0]]), altitude=10.0)
         assert t.truncated(30.0).length_m == pytest.approx(30.0)
-
-    def test_with_prefix(self):
-        t = Trajectory(np.array([[10, 0], [20, 0]]), altitude=10.0)
-        t2 = t.with_prefix((0, 0))
-        assert t2.length_m == pytest.approx(20.0)
-        np.testing.assert_allclose(t2.start(), [0, 0])
 
     def test_requires_waypoints(self):
         with pytest.raises(ValueError):
@@ -118,6 +101,10 @@ class TestRandomFlight:
     def test_invalid_length(self, grid100, rng):
         with pytest.raises(ValueError):
             random_flight(grid100, (50.0, 50.0), 0.0, 60.0, rng)
+
+    def test_rng_is_required(self, grid100):
+        with pytest.raises(TypeError):
+            random_flight(grid100, (50.0, 50.0), 30.0, 60.0)
 
 
 class TestInformation:
