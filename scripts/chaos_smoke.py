@@ -16,6 +16,11 @@ outliers, wind, SNR drops/corruption) for each scheme that flies:
   (The other schemes have no such bound: a fleet's fault-free worst
   UE can sit at 0 Mb/s, where a ratio means nothing.)
 
+A fourth faulted run, ``skyran-localization``, flies ``skyran``
+through a harsher SRS and ToF storm (:data:`LOCALIZATION_STRESS`) and
+must also take a degraded-localization fallback: a re-flown leg, a
+reused estimate or a blind one (:data:`LOCALIZATION_FALLBACKS`).
+
 Counters for every fault fired and every fallback taken are printed,
 and the whole result lands in ``BENCH_chaos.json``.
 
@@ -25,7 +30,8 @@ Usage::
         [--epochs N] [--min-degradation F] [--seed N]
 
 Exit status is non-zero if a faulted run crashes, fires no faults,
-takes no fallback, or (skyran) degrades beyond the bound.
+takes no fallback, or (skyran) degrades beyond the bound, or if the
+localization run takes none of the localization fallbacks.
 """
 
 from __future__ import annotations
@@ -57,6 +63,18 @@ CHAOS_PLAN = dict(
     snr_corrupt_rate=0.1,
 )
 
+
+#: The ``skyran-localization`` run's storm: most SRS symbols lost and
+#: most surviving ToF readings biased, so localization legs fail their
+#: quality gates.
+LOCALIZATION_STRESS = dict(srs_drop_rate=0.95, tof_outlier_rate=0.6)
+
+#: The degraded-localization fallbacks that run must take (any one).
+LOCALIZATION_FALLBACKS = (
+    "fallback.localization_retry",
+    "fallback.reuse_last_estimate",
+    "fallback.blind_estimate",
+)
 
 #: Fleet size of the ``fleet`` run.
 FLEET_UAVS = 2
@@ -126,6 +144,18 @@ def main(argv=None) -> int:
             )
             return 1
         runs[scheme] = (result, time.perf_counter() - t0)
+    stress = FaultPlan(seed=args.seed, **LOCALIZATION_STRESS)
+    print(f"[chaos] skyran-localization: {stress.describe()}")
+    t0 = time.perf_counter()
+    try:
+        result = _run(stress, args.epochs, args.seed)
+    except Exception as exc:
+        print(
+            f"FAIL: localization-stress run raised {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return 1
+    runs["skyran-localization"] = (result, time.perf_counter() - t0)
 
     chaos, t_chaos = runs["skyran"]
     clean_min = clean.final.min_throughput_mbps
@@ -186,6 +216,14 @@ def main(argv=None) -> int:
         if not any(result.fallback_counters.values()):
             print(f"FAIL: {scheme} took no fallback under faults", file=sys.stderr)
             return 1
+    located = runs["skyran-localization"][0].fallback_counters
+    if not any(located.get(name, 0) for name in LOCALIZATION_FALLBACKS):
+        print(
+            "FAIL: the localization-stress run took none of "
+            + ", ".join(LOCALIZATION_FALLBACKS),
+            file=sys.stderr,
+        )
+        return 1
     if kept < args.min_degradation:
         print(
             f"FAIL: min throughput kept {kept:.0%} < required "

@@ -3,15 +3,18 @@
 
 Four checks, all hard failures:
 
-1. **Kernel == oracle** — two loaded Poisson TTI batches through each
+1. **Kernel == oracle** — three Poisson TTI batches through each
    scheduler must be *bit-identical* between the vectorized kernel
    and the pure-Python per-TTI replay of ``tests/traffic_oracles.py``
    (grants, served bytes and final backlogs).  The first batch starts
-   from empty queues; the second starts from the first one's backlog,
-   with a fresh scheduler and oracle, as a later epoch's batch does.
+   from empty queues; each later one starts from the one before's
+   backlog, with a fresh scheduler and oracle, as a later epoch's
+   batch does.  The first two are loaded; the third offers less than
+   the cell drains, so it serves more than it is offered.
 2. **Conservation** — every TTI with any schedulable UE grants exactly
    ``n_prb`` PRBs; zero-rate UEs never receive a grant; in each batch
-   served bytes never exceed offered + the backlog it started with.
+   served bytes never exceed offered + the backlog it started with,
+   a bound the third batch only meets through that backlog.
 3. **Determinism** — a short loaded epoch per scheduler through
    :func:`repro.sim.runner.run_simulation` twice produces identical
    offered/served/backlog records.
@@ -59,23 +62,28 @@ from tests.traffic_oracles import make_oracle, replay  # noqa: E402
 
 
 def check_kernel_vs_reference(n_ues: int, n_tti: int, seed: int) -> dict:
-    """Gates 1 + 2 on two loaded heterogeneous-SNR batches per scheduler.
+    """Gates 1 + 2 on three heterogeneous-SNR batches per scheduler.
 
-    The second batch runs on the same queue bank, so it starts from
-    the first batch's backlog (the outage UE's never drains).
+    Every batch runs on the same queue bank, so each later one starts
+    from the backlog before it (the outage UE's never drains).  Two
+    loaded batches build the backlog; a light third one drains it.
     """
     ue_ids = tuple(range(1, n_ues + 1))
     snr = np.linspace(2.0, 24.0, n_ues)
     snr[-1] = -10.0  # one UE in outage: must never be granted
     rates = rate_per_prb_bytes(snr)
-    model = make_traffic_model("poisson", rate_mbps=6.0)
+    loaded = make_traffic_model("poisson", rate_mbps=6.0)
+    light = make_traffic_model("poisson", rate_mbps=0.2)
     out = {}
     for name in available_schedulers():
-        sources = [model.source(u, seed=seed) for u in ue_ids]
+        heavy = [loaded.source(u, seed=seed) for u in ue_ids]
+        draining = [light.source(u, seed=seed + 1) for u in ue_ids]
         q_k = QueueBank(ue_ids)
         identical = conserved = outage_clean = served_bounded = True
+        carried = drained = False
         t_kernel = t_reference = 0.0
-        for tti0 in (0, n_tti):
+        for batch, sources in enumerate((heavy, heavy, draining)):
+            tti0 = batch * n_tti
             offered = np.stack([s.offered_bytes(n_tti) for s in sources])
             start_backlog = q_k.backlog_bytes.copy()
             t0 = time.perf_counter()
@@ -106,13 +114,17 @@ def check_kernel_vs_reference(n_ues: int, n_tti: int, seed: int) -> dict:
                     <= offered.sum(axis=1) + start_backlog + 1e-6
                 )
             )
-        carried = bool(np.any(start_backlog > 0))
+            if batch == 1:
+                carried = bool(np.any(start_backlog > 0))
+            if batch == 2:
+                drained = bool(res_k.served_bytes.sum() > offered.sum())
         out[name] = {
             "bit_identical": bool(identical),
             "prb_conserved": conserved,
             "no_grant_in_outage": bool(outage_clean),
             "served_bounded": served_bounded,
             "second_batch_carries_backlog": carried,
+            "third_batch_serves_backlog": drained,
             "kernel_s": t_kernel,
             "reference_s": t_reference,
             "speedup": t_reference / t_kernel if t_kernel > 0 else float("inf"),
@@ -245,6 +257,7 @@ def main(argv=None) -> int:
             "no_grant_in_outage",
             "served_bounded",
             "second_batch_carries_backlog",
+            "third_batch_serves_backlog",
         ):
             if not row[gate]:
                 failures.append(f"kernel[{name}].{gate}")

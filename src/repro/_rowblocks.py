@@ -6,7 +6,7 @@ be cut into blocks of :data:`ROW_BLOCK` rows (keeping the temporaries
 cache-sized) and the blocks can run on different threads without moving
 a single bit of the result.  The ray tracer
 (:func:`repro.channel.raytrace.obstructed_lengths`) splits its own
-(bucket, chunk) work items the same way through :func:`on_two_threads`.
+work items the same way through :func:`on_two_threads`.
 Threads are started per call and joined before it returns, and an
 exception raised on a helper is re-raised on the caller: no thread
 outlives a call, so processes forked afterwards inherit no pool

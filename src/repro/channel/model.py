@@ -193,7 +193,8 @@ class ChannelModel:
         composed: FSPL + obstruction excess + the UE's own shadowing
         field + the common field, summed in that order.
         """
-        dist = np.linalg.norm(uav - ues, axis=1)
+        d = uav - ues  # norm(d, axis=1), summed in its order
+        dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
         loss = fspl_db(dist, self.freq_hz)
         loss = loss + self._excess_db(obstructed)
         xy = uav[:, :2]

@@ -104,11 +104,6 @@ class UEPopulation:
     def n_ues(self) -> int:
         return len(self.ue_ids)
 
-    @property
-    def spawn_keys(self) -> np.ndarray:
-        """Traffic-RNG spawn keys (the UE ids, by the RNG contract)."""
-        return self.ue_ids
-
     @classmethod
     def sample(
         cls,

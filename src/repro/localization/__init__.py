@@ -13,7 +13,6 @@ from repro.localization.ranging import (
     GpsRange,
     aggregate_tof_to_gps,
     mad_filter,
-    ranges_from_delays,
 )
 from repro.localization.calibration import OffsetCalibrator
 from repro.localization.joint import (
@@ -26,7 +25,6 @@ __all__ = [
     "GpsRange",
     "aggregate_tof_to_gps",
     "mad_filter",
-    "ranges_from_delays",
     "MultilaterationResult",
     "JointLocalizationResult",
     "solve_joint_multilateration",

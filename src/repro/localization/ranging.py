@@ -15,8 +15,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.lte.srs import SRSConfig
-
 
 @dataclass(frozen=True)
 class GpsRange:
@@ -37,11 +35,6 @@ class GpsRange:
     gps_xyz: np.ndarray
     range_m: float
     t_s: float
-
-
-def ranges_from_delays(delays_samples: np.ndarray, config: SRSConfig) -> np.ndarray:
-    """Convert ToF delays in samples to one-way ranges in meters."""
-    return np.asarray(delays_samples, dtype=float) * config.meters_per_sample
 
 
 def aggregate_tof_to_gps(

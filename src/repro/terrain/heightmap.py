@@ -4,17 +4,29 @@ A :class:`Terrain` is a :class:`~repro.geo.grid.GridSpec` plus a 2D
 array of surface heights (ground + buildings + canopy) in meters above
 the local datum.  It answers the two questions the channel model asks:
 "how high is the surface at (x, y)?" and, vectorized, "how high is the
-surface under each of these sample points?".
+surface under each of these sample points?".  For the ray tracer's
+bundle bound it also keeps max-filtered ("dilated") copies of the
+surface (:meth:`Terrain.dilated`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.geo.grid import GridSpec
+
+
+def _widened(h: np.ndarray, g: int, axis: int) -> np.ndarray:
+    """``max(h[i - g], h[i], h[i + g])`` along ``axis``, skipping indices off the grid."""
+    out = h.copy()
+    a = np.moveaxis(h, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    np.maximum(o[g:], a[:-g], out=o[g:])
+    np.maximum(o[:-g], a[g:], out=o[:-g])
+    return out
 
 
 @dataclass(frozen=True)
@@ -48,6 +60,12 @@ class Terrain:
         object.__setattr__(self, "_heights_flat", h.ravel())
         object.__setattr__(self, "_max_height", float(np.max(h)))
 
+    def __getstate__(self) -> dict:
+        # The dilations are rebuilt on demand, not shipped with a pickle.
+        state = dict(vars(self))
+        state.pop("_dilated", None)
+        return state
+
     # -- queries ---------------------------------------------------------------
 
     def height_at(self, x: float, y: float) -> float:
@@ -71,6 +89,14 @@ class Terrain:
         exact here because every negative index truncates into the
         ``[-1, 0]`` gap or beyond and is clipped to cell 0 either way.
         """
+        return self._heights_flat.take(self.flat_cells(xs, ys))
+
+    def flat_cells(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Row-major flat index of the cell under each point, clipped to the grid.
+
+        The index :meth:`heights_at_xy` reads; any ``(ny, nx)`` raster
+        over the same grid (e.g. :meth:`dilated`) can be gathered with it.
+        """
         grid = self.grid
         inv = 1.0 / grid.cell_size
         ix = ((np.asarray(xs, dtype=float) - grid.origin_x) * inv).astype(np.int32)
@@ -79,7 +105,33 @@ class Terrain:
         np.clip(iy, 0, grid.ny - 1, out=iy)
         iy *= grid.nx
         iy += ix
-        return self._heights_flat.take(iy)
+        return iy
+
+    def dilated(self, radii: Tuple[int, ...]) -> np.ndarray:
+        """Max-filtered copies of the surface, one flat row per radius.
+
+        Row ``i`` holds, for each cell (in :meth:`flat_cells` order), the
+        highest surface within ``radii[i]`` cells of it along both axes:
+        the max over the ``(2r+1)``-cell square, truncated at the grid
+        edge.  Built once per ``radii`` and cached.
+        """
+        cached: Dict[Tuple[int, ...], np.ndarray] = vars(self).setdefault("_dilated", {})
+        out = cached.get(radii)
+        if out is None:
+            out = np.empty((len(radii), self.heights.size))
+            h, done = self.heights, 0
+            for row, r in zip(out, radii):
+                if r < done:
+                    h, done = self.heights, 0
+                while done < r:
+                    # Radius ``done`` plus offsets {-g, 0, g} per axis is
+                    # radius ``done + g`` while g <= done + 1, edges too.
+                    g = min(r - done, done + 1)
+                    h = _widened(_widened(h, g, 0), g, 1)
+                    done += g
+                row[:] = h.ravel()
+            cached[radii] = out
+        return out
 
     # -- statistics --------------------------------------------------------------
 

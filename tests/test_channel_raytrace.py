@@ -88,7 +88,7 @@ class TestLosAndProfile:
 
 
 #: Chunk budget of the threaded-tracer tests: small enough that a
-#: 1,200-ray batch makes dozens of (bucket, chunk) work items.
+#: 1,200-ray batch makes dozens of work items.
 SMALL_CHUNK = 4096
 
 
@@ -152,10 +152,11 @@ class TestLiveColumns:
         dist = np.linalg.norm(rx - tx, axis=1)
         n_steps = _bucket_steps(np.ceil(dist))
         dz = rx[:, 2] - tx[:, 2]
+        lo_all, hi_all = _live_columns(tx[:, 2], dz, hmax, n_steps)
         for b in np.unique(n_steps):
             idx = np.flatnonzero(n_steps == b)
             t = np.linspace(_ENDPOINT_MARGIN, 1.0 - _ENDPOINT_MARGIN, int(b))
-            lo, hi = _live_columns(tx[idx, 2], dz[idx], hmax, t)
+            lo, hi = lo_all[idx], hi_all[idx]
             assert ((0 <= lo) & (lo <= hi) & (hi <= b)).all()
             zs = tx[idx, 2][:, None] + t[None, :] * dz[idx][:, None]
             cols = np.arange(int(b))[None, :]
@@ -171,8 +172,7 @@ class TestLiveColumns:
             assert (hi[above] == lo[above]).all()
 
     def test_nan_ceiling_has_no_live_columns(self):
-        t = np.linspace(_ENDPOINT_MARGIN, 1.0 - _ENDPOINT_MARGIN, 64)
-        lo, hi = _live_columns(np.array([1.0, 50.0]), np.array([3.0, -40.0]), float("nan"), t)
+        lo, hi = _live_columns(np.array([1.0, 50.0]), np.array([3.0, -40.0]), float("nan"), 64)
         assert (lo == hi).all()
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "helper"])
@@ -340,3 +340,144 @@ class TestThreadedTracer:
         finally:
             proc.join(30)
         assert proc.exitcode == 0
+
+
+def _bundle_terrain():
+    """200 m x 200 m at 2 m pitch: 0-3 m clutter, a 35 m box halfway
+    along the flight path and 30/28 m spikes on and beside the UE."""
+    rng = np.random.default_rng(11)
+    heights = rng.uniform(0.0, 3.0, (100, 100))
+    heights[50:57, 48:55] = 35.0
+    heights[75, 75] = 30.0  # the UE's own cell
+    heights[74, 75] = 28.0  # its neighbour to the south
+    return Terrain(GridSpec(0.0, 0.0, 2.0, 100, 100), heights, name="bundles")
+
+
+#: The UE of the flight-like cases, in cell (75, 75) under its spike.
+UE = np.array([151.1, 150.7, 1.5])
+
+
+def _path(a, b, z, spacing=0.1):
+    """UAV positions ``spacing`` meters apart from ``a`` to ``b`` at height ``z``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = int(np.linalg.norm(b - a) / spacing) + 1
+    xy = a + np.linspace(0.0, 1.0, n)[:, None] * (b - a)
+    return np.column_stack([xy, np.broadcast_to(z, n)])
+
+
+def _runs(*runs):
+    """One batch of ``(tx, rx)`` runs: every ray of a run shares its receiver."""
+    tx = np.concatenate([np.asarray(t, dtype=float) for t, _ in runs])
+    rx = np.concatenate([np.repeat(np.asarray(r, dtype=float)[None, :], len(t), axis=0) for t, r in runs])
+    return tx, rx
+
+
+def _bundle_cases():
+    hmax = _bundle_terrain().max_height
+    rng = np.random.default_rng(5)
+    jitter = _path((30.0, 40.0), (60.0, 80.0), 45.0, spacing=0.25)
+    jitter[:, :2] += rng.uniform(-3.0, 3.0, (len(jitter), 2))
+    jitter[:, 2] += rng.uniform(-5.0, 5.0, len(jitter))
+    with_ue = _path((140.0, 140.0), (160.0, 160.0), 12.0, spacing=0.2)
+    with_ue[len(with_ue) // 2] = UE
+    return {
+        # Over the box toward the UE, as a measurement flight does.
+        "flight": _runs((np.concatenate([_path((20.0, 30.0), (90.0, 110.0), 60.0), _path((90.0, 110.0), (150.0, 60.0), 60.0)]), UE)),
+        "flight_jittered": _runs((jitter, UE)),
+        "uav_below_max_height": _runs((_path((60.0, 20.0), (120.0, 60.0), hmax - 12.0), UE)),
+        "level": _runs((_path((100.0, 140.0), (140.0, 100.0), 2.5), (150.0, 40.0, 2.5))),
+        "ascending": _runs((_path((30.0, 120.0), (70.0, 180.0), 2.0), (96.0, 96.0, 40.0))),
+        "off_grid": _runs((_path((-40.0, -30.0), (10.0, -60.0), 30.0), UE), (_path((150.0, 190.0), (250.0, 230.0), 20.0), (120.0, 180.0, 1.5))),
+        "edge_cells": _runs(
+            (_path((50.0, 60.0), (80.0, 90.0), 40.0), (199.99, 0.0, 1.5)),
+            (_path((100.0, 100.0), (130.0, 60.0), 40.0), (0.0, 199.99, 1.5)),
+        ),
+        "zero_length": _runs((with_ue, UE)),
+        "short_runs": _runs(
+            (_path((20.0, 30.0), (20.4, 30.0), 60.0), UE),
+            (_path((90.0, 20.0), (90.0, 20.0), 35.0), (92.0, 95.0, 1.5)),
+            (_path((10.0, 190.0), (11.0, 190.0), 50.0, spacing=0.5), (180.0, 20.0, 1.5)),
+        ),
+        # One ray per 8 m map cell along a row: 4 cells apart, a bundle
+        # spans 256 cells, so it keeps the global ceiling.
+        "map_like": _runs(*[(_path((0.0, y), (196.0, y), 25.0, spacing=8.0), UE) for y in (20.0, 92.0)]),
+    }
+
+
+class TestBundleBound:
+    """The bundle bound narrows each ray's interval and moves no bit."""
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "helper"])
+    @pytest.mark.parametrize("case", sorted(_bundle_cases()))
+    def test_matches_full_trace(self, monkeypatch, case, cpus):
+        monkeypatch.setattr(raytrace_mod, "_CHUNK_SAMPLES", SMALL_CHUNK)
+        monkeypatch.setattr(_rowblocks, "_cpu_count", lambda: cpus)
+        terrain = _bundle_terrain()
+        tx, rx = _bundle_cases()[case]
+        want, samples = obstructed_lengths_full(terrain, tx, rx)
+        before = perf.counters()
+        got = obstructed_lengths(terrain, tx, rx)
+        counted = perf.counters_since(before)
+        np.testing.assert_array_equal(got, want)
+        assert counted["raytrace.samples"] == samples
+        bound = counted.get("raytrace.bound_samples", 0)
+        assert counted.get("raytrace.samples_traced", 0) >= bound
+        if case == "map_like":
+            assert bound == 0
+        elif case != "zero_length":
+            assert bound > 0
+
+    def test_cases_block_and_clear(self):
+        terrain = _bundle_terrain()
+        for case in ("flight", "uav_below_max_height", "short_runs"):
+            want, _ = obstructed_lengths_full(terrain, *_bundle_cases()[case])
+            assert (want > 0).any() and (want == 0).any(), case
+
+    def test_all_cases_in_one_batch(self, monkeypatch):
+        monkeypatch.setattr(raytrace_mod, "_CHUNK_SAMPLES", SMALL_CHUNK)
+        terrain = _bundle_terrain()
+        cases = _bundle_cases()
+        tx = np.concatenate([cases[c][0] for c in sorted(cases)])
+        rx = np.concatenate([cases[c][1] for c in sorted(cases)])
+        want, _ = obstructed_lengths_full(terrain, tx, rx)
+        np.testing.assert_array_equal(obstructed_lengths(terrain, tx, rx), want)
+
+    def test_random_bundles(self):
+        # Receivers shared by runs of 1-150 rays whose transmitters wander
+        # up to 10 m around a walk: any spread, any order.
+        terrain = _rough_terrain(seed=7)
+        rng = np.random.default_rng(21)
+        runs = []
+        for _ in range(40):
+            k = int(rng.integers(1, 150))
+            walk = rng.uniform(-20.0, 120.0, 2) + np.cumsum(rng.normal(0.0, 0.3, (k, 2)), axis=0)
+            xy = walk + rng.uniform(-10.0, 10.0, (k, 2)) * rng.uniform(0.0, 1.0)
+            z = rng.uniform(0.0, 60.0) + rng.uniform(-3.0, 3.0, k)
+            ue = np.append(rng.uniform(-10.0, 110.0, 2), rng.uniform(0.5, 40.0))
+            runs.append((np.column_stack([xy, z]), ue))
+        tx, rx = _runs(*runs)
+        want, _ = obstructed_lengths_full(terrain, tx, rx)
+        before = perf.counters()
+        np.testing.assert_array_equal(obstructed_lengths(terrain, tx, rx), want)
+        assert perf.counters_since(before)["raytrace.bound_samples"] > 0
+        assert (want > 0).sum() > 100
+
+    def test_bound_reads_fewer_samples_than_the_ceiling(self, monkeypatch):
+        # A flight leg clear of the box: only the samples by the UE can
+        # be blocked, while the 35 m box keeps half of every ray under
+        # the global ceiling.
+        terrain = _bundle_terrain()
+        tx, rx = _runs((_path((160.0, 20.0), (190.0, 70.0), 60.0), UE))
+
+        def traced():
+            before = perf.counters()
+            got = obstructed_lengths(terrain, tx, rx)
+            return got, perf.counters_since(before)
+
+        bounded, with_bound = traced()
+        monkeypatch.setattr(raytrace_mod, "_MIN_BUNDLE", len(tx) + 1)
+        ceiling, ceiling_only = traced()
+        np.testing.assert_array_equal(bounded, ceiling)
+        assert "raytrace.bound_samples" not in ceiling_only
+        assert 0 < with_bound["raytrace.bound_samples"] < with_bound["raytrace.samples_traced"]
+        assert with_bound["raytrace.samples_traced"] < ceiling_only["raytrace.samples_traced"] / 2

@@ -79,7 +79,6 @@ def test_sample_state_invariants(terrain, population):
     pop = population
     assert pop.n_ues == N_UES
     assert np.array_equal(pop.ue_ids, np.arange(N_UES))
-    assert np.array_equal(pop.spawn_keys, pop.ue_ids)
     # Full-buffer rows: infinite backlog, no CBR offer; CBR rows the dual.
     assert np.all(np.isinf(pop.backlog_bytes[pop.full_buffer]))
     assert np.all(pop.cbr_rate_mbps[pop.full_buffer] == 0.0)

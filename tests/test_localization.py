@@ -8,9 +8,7 @@ from repro.localization.ranging import (
     GpsRange,
     aggregate_tof_to_gps,
     mad_filter,
-    ranges_from_delays,
 )
-from repro.lte.srs import SRSConfig
 
 
 def _circle_obs(ue, radius, n, alt, offset, noise, rng):
@@ -28,11 +26,6 @@ def _circle_obs(ue, radius, n, alt, offset, noise, rng):
 
 
 class TestRanging:
-    def test_ranges_from_delays(self):
-        cfg = SRSConfig()
-        out = ranges_from_delays(np.array([1.0, 2.0]), cfg)
-        np.testing.assert_allclose(out, [cfg.meters_per_sample, 2 * cfg.meters_per_sample])
-
     def test_aggregate_assigns_means(self):
         gps_t = [0.0, 1.0, 2.0]
         gps_xyz = np.zeros((3, 3))

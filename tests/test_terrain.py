@@ -1,5 +1,7 @@
 """Unit tests for terrain heightmaps and generators."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,49 @@ class TestTerrain:
         h = box_terrain.heights_at_xy(xs, ys)
         assert h.shape == (2, 2)
         assert h[0, 0] == 20.0 and h[0, 1] == 0.0
+
+    def test_flat_cells_index_heights_at_xy(self, box_terrain):
+        rng = np.random.default_rng(2)
+        xs, ys = rng.uniform(-30.0, 130.0, (2, 7, 9))
+        cells = box_terrain.flat_cells(xs, ys)
+        assert cells.shape == (7, 9)
+        np.testing.assert_array_equal(
+            box_terrain.heights.ravel()[cells], box_terrain.heights_at_xy(xs, ys)
+        )
+
+    def test_dilated_is_the_square_max_truncated_at_the_edge(self):
+        rng = np.random.default_rng(4)
+        g = GridSpec(0.0, 0.0, 1.0, 13, 9)
+        heights = rng.uniform(0.0, 30.0, g.shape)
+        heights[0, 5] = 99.0  # an edge cell
+        t = Terrain(g, heights)
+        ny, nx = g.shape
+
+        def square_max(r):
+            return np.array(
+                [
+                    heights[max(iy - r, 0) : iy + r + 1, max(ix - r, 0) : ix + r + 1].max()
+                    for iy in range(ny)
+                    for ix in range(nx)
+                ]
+            )
+
+        radii = (1, 2, 4, 8)
+        stack = t.dilated(radii)
+        assert stack.shape == (4, heights.size)
+        for row, r in zip(stack, radii):
+            np.testing.assert_array_equal(row, square_max(r))
+        assert t.dilated(radii) is stack
+        # Radii in any order, each its own filter.
+        for row, r in zip(t.dilated((8, 3, 1, 5)), (8, 3, 1, 5)):
+            np.testing.assert_array_equal(row, square_max(r))
+
+    def test_dilations_are_not_pickled(self):
+        t = make_flat(size=20.0, cell_size=2.0).with_box(4.0, 4.0, 8.0, 8.0, 5.0)
+        stack = t.dilated((1, 2))
+        clone = pickle.loads(pickle.dumps(t))
+        assert "_dilated" not in vars(clone)
+        np.testing.assert_array_equal(clone.dilated((1, 2)), stack)
 
     def test_with_box_never_digs(self, flat_terrain):
         t = flat_terrain.with_box(0, 0, 50, 50, 10.0)
