@@ -10,7 +10,7 @@ epoch over one representative UE per occupied REM key cell
 the small-scale reference kernel it decomposes.
 """
 
-from repro.city.mac import CityMACResult, ShardRoundRobin, run_city_mac
+from repro.city.mac import CityMACResult, run_city_mac
 from repro.city.population import DEFAULT_SHARD_UES, UEPopulation, shard_size
 from repro.city.scenario import CityScenario
 
@@ -18,7 +18,6 @@ __all__ = [
     "CityMACResult",
     "CityScenario",
     "DEFAULT_SHARD_UES",
-    "ShardRoundRobin",
     "UEPopulation",
     "run_city_mac",
     "shard_size",

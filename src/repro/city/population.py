@@ -31,8 +31,8 @@ from repro.terrain.heightmap import Terrain
 CITY_SPAWN_KEY = 0x51EE
 
 #: Default UEs per shard: big enough to amortize per-shard Python
-#: overhead, small enough that a shard's (UEs x TTIs) MAC slabs stay
-#: tens of megabytes.
+#: overhead, small enough that a shard's (UEs x TTIs) MAC matrices
+#: (grants, capacities, served bytes) stay tens of megabytes.
 DEFAULT_SHARD_UES = 2048
 
 

@@ -88,12 +88,6 @@ class GridSpec:
     def max_y(self) -> float:
         return self.origin_y + self.height
 
-    def contains(self, x: float, y: float) -> bool:
-        """Whether world point ``(x, y)`` falls inside the grid extent."""
-        return (
-            self.origin_x <= x < self.max_x and self.origin_y <= y < self.max_y
-        )
-
     # -- world <-> index mapping ----------------------------------------------
 
     def cell_of(self, x: float, y: float) -> Tuple[int, int]:

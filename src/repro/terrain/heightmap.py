@@ -73,11 +73,6 @@ class Terrain:
         ix, iy = self.grid.cell_of(x, y)
         return float(self.heights[iy, ix])
 
-    def heights_at(self, xy: np.ndarray) -> np.ndarray:
-        """Vectorized surface heights under an ``(n, 2)`` array of points."""
-        ix, iy = self.grid.cells_of(np.asarray(xy, dtype=float).reshape(-1, 2))
-        return self.heights[iy, ix]
-
     def heights_at_xy(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Surface heights for broadcastable coordinate arrays.
 

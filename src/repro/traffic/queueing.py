@@ -31,18 +31,12 @@ class QueueBank:
         UE identities, ascending; index ``i`` everywhere in the
         traffic subsystem means ``ue_ids[i]``.
     full_buffer:
-        Seed queues with an infinite backlog (the legacy assumption)
-        instead of empty.  Either one bool for the whole bank or a
-        per-UE bool array, so one bank can mix full-buffer UEs with
-        finite-traffic UEs.  After construction the attribute is the
-        scalar ``bool`` "every UE is full-buffer" (preserving the
-        truthiness the all-or-nothing callers test) and the per-UE
-        view lives in ``full_buffer_mask``.
+        Seed every queue with an infinite backlog (the legacy
+        assumption) instead of empty.
     """
 
     ue_ids: Tuple[int, ...]
     full_buffer: bool = False
-    full_buffer_mask: np.ndarray = field(init=False)
     backlog_bytes: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -52,12 +46,7 @@ class QueueBank:
         if list(ids) != sorted(set(ids)):
             raise ValueError(f"ue_ids must be strictly ascending, got {ids}")
         self.ue_ids = ids
-        mask = np.broadcast_to(
-            np.asarray(self.full_buffer, dtype=bool), (len(ids),)
-        ).copy()
-        self.full_buffer_mask = mask
-        self.full_buffer = bool(mask.all())
-        self.backlog_bytes = np.where(mask, np.inf, 0.0)
+        self.backlog_bytes = np.full(len(ids), np.inf if self.full_buffer else 0.0)
 
     @property
     def n_ues(self) -> int:

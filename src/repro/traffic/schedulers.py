@@ -19,11 +19,10 @@ usable link?  Three classic disciplines are provided:
     Per-PRB greedy argmin of bytes granted so far this TTI: equalizes
     granted capacity in bytes, so low-rate UEs get more PRBs.
 
-A scheduler is four methods: ``reset(n_ues)``, ``grants`` (one TTI),
-``grants_slab`` (a whole batch, or ``None``) and ``update(served)``.
-Round-robin's ``grants`` is numpy over UEs.  The two greedy
-disciplines run on a ``heapq``: granting a PRB changes only the
-winner's key, so each PRB is one ``heapreplace`` and a TTI costs
+A scheduler is three methods: ``reset(n_ues)``, ``grants`` (one TTI)
+and ``update(served)``.  Round-robin's ``grants`` is numpy over UEs.
+The two greedy disciplines run on a ``heapq``: granting a PRB changes
+only the winner's key, so each PRB is one ``heapreplace`` and a TTI costs
 O(n + n_prb log n) Python operations instead of ``n_prb`` numpy
 passes over every UE.  The tests hold every discipline bit for bit to
 a linear-scan pure-Python oracle (``tests/traffic_oracles.py``), the
@@ -34,10 +33,10 @@ disciplines on the same grant under full symmetry; the heaps keep it
 by keying on ``(key, rotated position)``, whose tuple order is
 exactly that first-in-order rule.
 
-Stateless disciplines answer ``grants_slab`` with a whole (UEs x TTIs)
-grant matrix in one shot, which the kernel uses when the schedulable
-set cannot change within a batch (full-buffer runs); PF, whose EWMA
-couples TTIs, answers ``None``.
+:func:`round_robin_slab` states the round-robin rule for a whole batch
+at once, by each UE's rank in a schedulable set that never changes
+within it; the city MAC (:mod:`repro.city.mac`) grants from it, one
+shard of the population's rows at a time.
 """
 
 from __future__ import annotations
@@ -139,20 +138,6 @@ class RoundRobinScheduler:
             out[idx[((pos - rho) % n_a) < rem]] += 1
         return out
 
-    def grants_slab(
-        self,
-        schedulable: np.ndarray,
-        bytes_per_prb: np.ndarray,
-        n_prb: int,
-        tti0: int,
-        n_tti: int,
-    ) -> Optional[np.ndarray]:
-        """All TTIs of a constant-schedulable-set batch at once."""
-        idx = np.flatnonzero(np.asarray(schedulable, dtype=bool))
-        return round_robin_slab(
-            len(schedulable), idx, np.arange(len(idx)), len(idx), n_prb, tti0, n_tti
-        )
-
     def update(self, served_bytes: np.ndarray) -> None:
         pass
 
@@ -217,9 +202,6 @@ class ProportionalFairScheduler:
         out[order] = counts
         return out
 
-    def grants_slab(self, schedulable, bytes_per_prb, n_prb, tti0, n_tti):
-        return None  # EWMA state couples TTIs
-
     def update(self, served_bytes: np.ndarray) -> None:
         served = np.asarray(served_bytes, dtype=float)
         if self._avg_bytes is None:
@@ -264,27 +246,6 @@ class MaxMinScheduler:
             heapq.heapreplace(heap, (p + r[k], k))
         out[order] = counts
         return out
-
-    def grants_slab(
-        self,
-        schedulable: np.ndarray,
-        bytes_per_prb: np.ndarray,
-        n_prb: int,
-        tti0: int,
-        n_tti: int,
-    ) -> Optional[np.ndarray]:
-        """Stateless across TTIs: only ``tti mod n_active`` matters, so
-        a batch is ``n_active`` distinct per-TTI allocations, tiled."""
-        idx = np.flatnonzero(np.asarray(schedulable, dtype=bool))
-        n_a = len(idx)
-        n = len(schedulable)
-        if n_a == 0:
-            return np.zeros((n, n_tti), dtype=np.int64)
-        patterns = np.stack(
-            [self.grants(schedulable, bytes_per_prb, n_prb, rho) for rho in range(n_a)],
-            axis=1,
-        )
-        return patterns[:, (int(tti0) + np.arange(n_tti)) % n_a]
 
     def update(self, served_bytes: np.ndarray) -> None:
         pass

@@ -3,12 +3,10 @@
 :func:`run_tti_batch` evolves every UE's RLC queue through a batch of
 TTIs under a pluggable scheduler, producing full (n_ues, n_tti)
 matrices of offered / granted / served bytes.  Each TTI's
-admit/grant/drain is elementwise numpy over UEs, and — when the
-schedulable set cannot change within the batch (full-buffer traffic)
-— the scheduler hands over a whole-batch grant *slab* so thousands of
-TTIs collapse into a handful of array ops.
+admit/grant/drain is elementwise numpy over UEs, one scheduler call
+per TTI.
 
-Every path performs the same IEEE-754 operations in the same order
+The kernel performs the replay's IEEE-754 operations in the same order
 (``avail = backlog + offered``, ``served = min(avail, cap)``,
 ``backlog = avail - served``; no cumsum/prefix tricks anywhere), so
 the outputs are **bit-identical** to a pure-Python per-UE, per-TTI
@@ -23,7 +21,7 @@ stateful per-epoch object the controller and the experiments drive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -113,7 +111,7 @@ def run_tti_batch(
 ) -> MACBatchResult:
     """Run one TTI batch and fold the result into ``queues``.
 
-    The per-TTI recurrence, identical in every path:
+    The per-TTI recurrence:
 
     1. admit: ``avail = backlog + offered`` (queues are unbounded);
     2. schedulable = (avail > 0) and (rate > 0);
@@ -151,29 +149,6 @@ def run_tti_batch(
     )
 
 
-def _constant_schedulable(
-    rate_ok: np.ndarray, offered: np.ndarray, queues: QueueBank
-) -> Optional[np.ndarray]:
-    """The schedulable set, iff it provably cannot change in-batch.
-
-    A UE is schedulable at TTI ``t`` when ``avail > 0`` and its rate is
-    positive.  That predicate is time-invariant when every UE falls in
-    one of three classes: full buffer (``avail`` stays infinite),
-    offering bytes *every* TTI (``avail >= backlog >= 0`` plus a
-    positive arrival), or never schedulable (zero rate, or nothing offered over an empty
-    queue).  Any UE outside these classes — e.g. a finite backlog
-    draining with no arrivals — couples the set to the queue dynamics,
-    and the caller must fall back to the per-TTI scheduler loop.
-    """
-    fb = queues.full_buffer_mask
-    positive = offered > 0.0
-    always = positive.all(axis=1)
-    never = ~positive.any(axis=1) & (queues.backlog_bytes == 0.0) & ~fb
-    if not bool(np.all(fb | always | never | ~rate_ok)):
-        return None
-    return rate_ok & (fb | always)
-
-
 def _run_kernel(
     rates: np.ndarray,
     offered: np.ndarray,
@@ -184,53 +159,15 @@ def _run_kernel(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, n_tti = offered.shape
     if n_tti == 0:
-        # No TTI to schedule: over zero TTIs every UE vacuously
-        # "offers every TTI", a set no scheduler should be asked about.
+        # No TTI to schedule: the empty batch, no scheduler call.
         return (
             np.zeros((n, 0), dtype=np.int64),
             np.zeros((n, 0), dtype=float),
             queues.backlog_bytes.copy(),
         )
     rate_ok = rates > 0.0
-
-    schedulable = _constant_schedulable(rate_ok, offered, queues)
-    if schedulable is not None:
-        # The schedulable set is frozen, so a stateless scheduler can
-        # emit the whole batch in one grant slab.
-        slab = scheduler.grants_slab(schedulable, rates, n_prb, tti0, n_tti)
-    else:
-        slab = None
-
-    if slab is not None and queues.full_buffer:
-        grants = slab
-        # An infinite backlog never changes, so every TTI drains
-        # independently: served = min(backlog + offered, grants * rate).
-        cap = grants * rates[:, None]
-        avail = queues.backlog_bytes[:, None] + offered
-        served = np.minimum(avail, cap)
-        backlog = (avail - served)[:, -1]
-        perf.count("sched.slab_tti", int(n_tti))
-        return grants, served, backlog
-
-    if slab is not None:
-        # Mixed full-buffer/always-offering population: grants are
-        # hoisted out of the loop, but finite backlogs couple one TTI
-        # to the next (a Lindley recurrence), so the admit/drain walk
-        # stays per-TTI — elementwise numpy, no scheduler calls.
-        grants = slab
-        caps = grants * rates[:, None]
-        served = np.zeros((n, n_tti), dtype=float)
-        backlog = queues.backlog_bytes.copy()
-        for t in range(n_tti):
-            avail = backlog + offered[:, t]
-            served_t = np.minimum(avail, caps[:, t])
-            backlog = avail - served_t
-            served[:, t] = served_t
-        perf.count("sched.slab_tti", int(n_tti))
-        return grants, served, backlog
-
-    # The scheduler loop keeps TTI-major (n_tti, n) buffers, so each
-    # TTI reads and writes one contiguous row.
+    # TTI-major (n_tti, n) buffers, so each TTI reads and writes one
+    # contiguous row.
     offered_rows = np.ascontiguousarray(offered.T)
     grants = np.zeros((n_tti, n), dtype=np.int64)
     served = np.zeros((n_tti, n), dtype=float)

@@ -16,7 +16,6 @@ import pytest
 from repro.city import (
     DEFAULT_SHARD_UES,
     CityScenario,
-    ShardRoundRobin,
     UEPopulation,
     run_city_mac,
     shard_size,
@@ -24,7 +23,7 @@ from repro.city import (
 from repro.city.mac import city_schedulable
 from repro.lte.linkadapt import OLLABank
 from repro.terrain.generators import make_campus, make_flat
-from repro.traffic import QueueBank, make_scheduler, run_tti_batch
+from repro.traffic.generators import BYTES_PER_TTI_PER_MBPS
 from tests import traffic_oracles as oracle
 from tests.link_oracles import OuterLoopLinkAdaptation
 
@@ -113,27 +112,22 @@ def test_unique_rem_cells_dedup(population):
     assert len(keys) <= population.n_ues
 
 
-# -- sharded MAC vs the global kernel -------------------------------------------
+# -- sharded MAC vs the global oracle --------------------------------------------
 
 
 def _unsharded_reference(pop, rates, n_tti, n_prb=50):
-    queues = QueueBank(
-        tuple(int(u) for u in pop.ue_ids), full_buffer=pop.full_buffer
-    )
-    carry = ~pop.full_buffer
-    queues.backlog_bytes[carry] = pop.backlog_bytes[carry]
-    from repro.traffic.generators import BYTES_PER_TTI_PER_MBPS
+    """The oracle's per-TTI round-robin replay over the whole population.
 
+    Full-buffer rows start at ``inf``, CBR rows at their carried
+    backlog.  ``offered_bytes`` is the same broadcast view the city MAC
+    sums, so the offered totals are summed in the same order.
+    """
     offered = np.broadcast_to(
         (pop.cbr_rate_mbps * BYTES_PER_TTI_PER_MBPS)[:, None], (pop.n_ues, n_tti)
     )
-    return run_tti_batch(
-        bytes_per_prb=rates,
-        offered_bytes=offered,
-        scheduler=make_scheduler("round_robin"),
-        queues=queues,
-        n_prb=n_prb,
-    )
+    backlog = np.where(pop.full_buffer, np.inf, pop.backlog_bytes)
+    ref = oracle.replay(oracle.RoundRobin(), rates, offered, backlog, n_prb=n_prb)
+    return ref, offered
 
 
 @pytest.mark.parametrize("shard_ues", [1, 7, 97, N_UES])
@@ -142,22 +136,25 @@ def test_sharded_mac_bit_identical_to_global(terrain, rates, shard_ues):
     pop_ref = UEPopulation.sample(terrain, N_UES, seed=5)
     pop_shard = UEPopulation.sample(terrain, N_UES, seed=5)
 
-    ref = _unsharded_reference(pop_ref, rates, n_tti)
+    ref, offered = _unsharded_reference(pop_ref, rates, n_tti)
     city = run_city_mac(pop_shard, rates, n_tti, shard_ues=shard_ues)
 
     assert np.array_equal(city.served_bytes, ref.served_bytes.sum(axis=1))
-    assert np.array_equal(city.offered_bytes, ref.offered_bytes.sum(axis=1))
+    assert np.array_equal(city.offered_bytes, offered.sum(axis=1))
     assert np.array_equal(city.grants, ref.grants.sum(axis=1))
     assert np.array_equal(city.backlog_end_bytes, ref.backlog_end_bytes)
     # The population carries the post-epoch backlogs.
     assert np.array_equal(pop_shard.backlog_bytes, ref.backlog_end_bytes)
+    # Zero-rate UEs are never granted, whatever their traffic.
+    dead = rates == 0.0
+    assert dead.any() and not city.grants[dead].any()
 
 
 def test_sharded_mac_consecutive_epochs(terrain, rates):
     """Backlog carry-over across epochs matches one long unsharded run."""
     pop_ref = UEPopulation.sample(terrain, N_UES, seed=5)
     pop_shard = UEPopulation.sample(terrain, N_UES, seed=5)
-    ref = _unsharded_reference(pop_ref, rates, 60)
+    ref, _ = _unsharded_reference(pop_ref, rates, 60)
 
     a = run_city_mac(pop_shard, rates, 30, shard_ues=13, tti0=0)
     b = run_city_mac(pop_shard, rates, 30, shard_ues=13, tti0=30)
@@ -175,7 +172,7 @@ def test_sharded_mac_zero_ttis_with_idle_ues():
     assert (~pop.full_buffer).any()  # idle: no traffic, empty queue
     rates = np.full(20, 100.0)
     before = pop.backlog_bytes.copy()
-    ref = _unsharded_reference(pop, rates, 0)
+    ref, _ = _unsharded_reference(pop, rates, 0)
     city = run_city_mac(pop, rates, 0, shard_ues=7)
 
     for totals in (city.served_bytes, city.offered_bytes, city.grants):
@@ -185,57 +182,6 @@ def test_sharded_mac_zero_ttis_with_idle_ues():
     assert np.array_equal(city.backlog_end_bytes, ref.backlog_end_bytes)
     assert np.array_equal(city.grants, ref.grants.sum(axis=1))
     assert np.array_equal(city.served_bytes, ref.served_bytes.sum(axis=1))
-
-
-def test_shard_round_robin_matches_global_scheduler(rates):
-    """ShardRoundRobin rows == global RoundRobinScheduler rows, per TTI."""
-    rng = np.random.default_rng(2)
-    schedulable = rng.random(N_UES) < 0.8
-    ranks = np.where(schedulable, np.cumsum(schedulable) - 1, -1).astype(np.int64)
-    n_active = int(schedulable.sum())
-    global_sched = make_scheduler("round_robin")
-    global_sched.reset(N_UES)
-    for tti in (0, 1, 5, 17):
-        want = global_sched.grants(schedulable, rates, 50, tti)
-        sl = slice(40, 103)
-        shard = ShardRoundRobin(ranks=ranks[sl], n_active_global=n_active)
-        got = shard.grants(schedulable[sl], rates[sl], 50, tti)
-        assert np.array_equal(got, np.asarray(want)[sl])
-        slab = shard.grants_slab(schedulable[sl], rates[sl], 50, tti, 1)
-        assert np.array_equal(slab[:, 0], got)
-
-
-def test_shard_round_robin_reference_loop_matches_kernel(rates):
-    """One shard's MAC batch: the oracle's per-TTI replay == kernel, bit for bit."""
-    schedulable = rates > 0.0  # full buffer: every live link is schedulable
-    ranks = np.where(schedulable, np.cumsum(schedulable) - 1, -1).astype(np.int64)
-    n_active = int(schedulable.sum())
-    sl = slice(40, 103)
-    ids = tuple(range(sl.start, sl.stop))
-    kernel = run_tti_batch(
-        bytes_per_prb=rates[sl],
-        offered_bytes=np.zeros((len(ids), 12)),
-        scheduler=ShardRoundRobin(ranks=ranks[sl], n_active_global=n_active),
-        queues=QueueBank(ids, full_buffer=np.ones(len(ids), bool)),
-        n_prb=50,
-        tti0=3,
-    )
-    ref = oracle.replay(
-        oracle.ShardRoundRobin(ranks[sl], n_active),
-        rates[sl],
-        np.zeros((len(ids), 12)),
-        np.full(len(ids), np.inf),
-        n_prb=50,
-        tti0=3,
-    )
-    assert np.array_equal(kernel.grants, ref.grants)
-    assert np.array_equal(kernel.served_bytes, ref.served_bytes)
-
-
-def test_shard_round_robin_rejects_diverged_set():
-    shard = ShardRoundRobin(ranks=np.array([0, -1, 1]), n_active_global=2)
-    with pytest.raises(ValueError, match="diverged"):
-        shard.grants(np.array([True, True, True]), np.ones(3), 50, 0)
 
 
 def test_city_schedulable_rejects_draining_backlog(population, rates):

@@ -52,7 +52,8 @@ class TestSkyRANEpoch:
     def test_placement_inside_area(self, epoch):
         scenario, _, result = epoch
         pos = result.placement.position
-        assert scenario.grid.contains(pos.x, pos.y)
+        g = scenario.grid
+        assert g.origin_x <= pos.x < g.max_x and g.origin_y <= pos.y < g.max_y
 
     def test_rem_maps_finite(self, epoch):
         _, ctrl, result = epoch
@@ -98,7 +99,8 @@ class TestBaselines:
             scenario.channel, scenario.enodeb, config, altitude=60.0, seed=2
         )
         result = ctrl.run_epoch(budget_m=400.0)
-        assert scenario.grid.contains(result.placement.position.x, result.placement.position.y)
+        pos, g = result.placement.position, scenario.grid
+        assert g.origin_x <= pos.x < g.max_x and g.origin_y <= pos.y < g.max_y
         assert len(result.rem_maps) == len(scenario.ues)
         assert result.flight_distance_m >= 400.0 * 0.9
 

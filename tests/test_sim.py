@@ -65,7 +65,8 @@ class TestScenario:
     def test_optimal_position_objectives(self, small_scenario):
         pos_avg, val_avg = small_scenario.optimal_position(60.0, "avg")
         pos_mm, val_mm = small_scenario.optimal_position(60.0, "maxmin")
-        assert small_scenario.grid.contains(pos_avg.x, pos_avg.y)
+        g = small_scenario.grid
+        assert g.origin_x <= pos_avg.x < g.max_x and g.origin_y <= pos_avg.y < g.max_y
         # The avg objective's value is the best achievable average.
         assert small_scenario.evaluate(pos_mm).avg_throughput_mbps <= val_avg + 1e-6
         with pytest.raises(ValueError):

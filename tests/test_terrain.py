@@ -28,11 +28,6 @@ class TestTerrain:
         assert box_terrain.height_at(50.0, 50.0) == pytest.approx(20.0)
         assert box_terrain.height_at(10.0, 10.0) == pytest.approx(0.0)
 
-    def test_heights_at_vectorized(self, box_terrain):
-        pts = np.array([[50.0, 50.0], [10.0, 10.0]])
-        h = box_terrain.heights_at(pts)
-        np.testing.assert_allclose(h, [20.0, 0.0])
-
     def test_heights_at_xy_broadcast(self, box_terrain):
         xs = np.array([[50.0, 10.0], [50.0, 10.0]])
         ys = np.array([[50.0, 10.0], [10.0, 50.0]])

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.city.mac import ShardRoundRobin
 from repro.core.config import SkyRANConfig
 from repro.core.epoch import EpochTrigger
 from repro.faults import FaultInjector, FaultPlan
 from repro.lte.enodeb import ENodeB
 from repro.lte.throughput import _THRESHOLDS, throughput_mbps
 from repro.lte.ue import UE
-from repro.perf import perf
 from repro.sim.metrics import jain_fairness
 from repro.traffic import (
     MACSimulation,
@@ -27,6 +25,7 @@ from repro.traffic import (
     run_tti_batch,
 )
 from repro.traffic.generators import BYTES_PER_TTI_PER_MBPS
+from repro.traffic.schedulers import round_robin_slab
 from repro.traffic.simulate import rate_per_prb_bytes
 from tests.traffic_oracles import ProportionalFair, RoundRobin, make_oracle, replay
 
@@ -137,19 +136,22 @@ def _batch(
 ):
     """One kernel batch, its queues, and the oracle's replay of it.
 
+    ``full_buffer`` (one bool or one per UE) marks the UEs whose queue
+    starts at ``inf``; ``backlog0`` is every other queue's start.
     Without ``offered``, full-buffer UEs offer nothing and the rest
-    Poisson arrivals; ``backlog0`` is every finite queue's start.
+    Poisson arrivals.
     """
     ue_ids = tuple(range(1, len(snr) + 1))
     rates = rate_per_prb_bytes(np.array(snr))
     model = make_traffic_model("poisson", rate_mbps=5.0)
-    queues = QueueBank(ue_ids, full_buffer=full_buffer)
+    fb = np.broadcast_to(np.asarray(full_buffer, dtype=bool), (len(ue_ids),))
+    queues = QueueBank(ue_ids)
     if offered is None:
         offered = np.stack(
             [model.source(u, seed=9).offered_bytes(n_tti) for u in ue_ids]
         )
-        offered[queues.full_buffer_mask] = 0.0
-    queues.backlog_bytes[~queues.full_buffer_mask] = backlog0
+        offered[fb] = 0.0
+    queues.backlog_bytes[:] = np.where(fb, np.inf, backlog0)
     reference = replay(
         make_oracle(scheduler_name),
         rates,
@@ -178,13 +180,13 @@ class TestKernelEquivalence:
             assert np.array_equal(getattr(kernel, f), getattr(reference, f)), f
         assert np.array_equal(qk.backlog_bytes, reference.backlog_end_bytes)
 
-    # PF answers no slab, so under full buffer it runs the loop.
+    # Every queue infinite: the population a full-buffer MAC serves.
     @pytest.mark.parametrize("name", ["round_robin", "proportional_fair", "max_min"])
     def test_full_buffer_slab_bit_identical(self, name):
         cases = (
             {},
             # Fewer TTIs than active UEs, starting mid-rotation: the
-            # slab must pick the rotation of each TTI.  Tied rates
+            # loop must pick the rotation of each TTI.  Tied rates
             # make each rotation's grants differ.
             {"snr": (8.0, 8.0, 8.0, 14.0, 14.0, 14.0), "n_tti": 4, "tti0": 4},
             {"n_tti": 0},
@@ -197,20 +199,16 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("name", ["round_robin", "proportional_fair", "max_min"])
     def test_mixed_slab_bit_identical(self, name):
         # Full-buffer UEs beside UEs that offer every TTI, a zero-rate
-        # UE and an idle one: the schedulable set is frozen, so the
-        # stateless disciplines take the mixed slab while finite
-        # backlogs still evolve per TTI.
+        # UE and an idle one (the city's mix): the schedulable set is
+        # frozen while finite backlogs still evolve per TTI.
         snr = (3.0, 8.0, 14.0, 20.0, -10.0, 12.0)
         full_buffer = np.array([True, False, False, True, False, False])
         n_tti = 200
         per_tti = np.array([0.0, 600.0, 2500.0, 0.0, 300.0, 0.0])
         offered = np.repeat(per_tti[:, None], n_tti, axis=1)
-        before = perf.counter("sched.slab_tti")
         kernel, qk, reference = _batch(
             name, full_buffer=full_buffer, offered=offered, tti0=3, snr=snr
         )
-        slab_ttis = perf.counter("sched.slab_tti") - before
-        assert slab_ttis == (0 if name == "proportional_fair" else n_tti)
         for f in RESULT_FIELDS:
             assert np.array_equal(getattr(kernel, f), getattr(reference, f)), f
         assert np.array_equal(qk.backlog_bytes, reference.backlog_end_bytes)
@@ -258,7 +256,12 @@ snr_arrays = st.lists(
 
 
 class TestRoundRobinSlab:
-    """A round-robin slab is its per-TTI grants stacked, dtype included."""
+    """``round_robin_slab`` is the per-TTI round-robin grants stacked.
+
+    One rank rule, two expressions: the slab over any window of rows
+    (by their global ranks) must equal those rows of the stacked
+    ``RoundRobinScheduler.grants`` and of the oracle, dtype included.
+    """
 
     N_PRB = 50
 
@@ -282,7 +285,6 @@ class TestRoundRobinSlab:
         n_tti = 2 * n_active + 3
 
         rr = make_scheduler("round_robin")
-        slab = rr.grants_slab(schedulable, rates, self.N_PRB, tti0, n_tti)
         want = self._stacked(
             lambda t: rr.grants(schedulable, rates, self.N_PRB, t), n_tti, tti0
         )
@@ -291,28 +293,22 @@ class TestRoundRobinSlab:
             n_tti,
             tti0,
         )
-        assert slab.dtype == want.dtype == np.int64
-        assert np.array_equal(slab, want) and np.array_equal(slab, ref)
-        assert (slab.sum(axis=0) == (self.N_PRB if n_active else 0)).all()
+        assert want.dtype == np.int64 and np.array_equal(want, ref)
+        assert (want.sum(axis=0) == (self.N_PRB if n_active else 0)).all()
 
-        ranks = np.where(schedulable, np.cumsum(schedulable) - 1, -1)
+        ranks = np.cumsum(schedulable) - 1
         for sl in (slice(0, n), slice(40, 103), slice(150, 160)):
-            shard = ShardRoundRobin(ranks=ranks[sl], n_active_global=n_active)
-            got = shard.grants_slab(schedulable[sl], rates[sl], self.N_PRB, tti0, n_tti)
-            per_tti = self._stacked(
-                lambda t: shard.grants(schedulable[sl], rates[sl], self.N_PRB, t),
-                n_tti,
-                tti0,
+            m, idx = sl.stop - sl.start, np.flatnonzero(schedulable[sl])
+            got = round_robin_slab(
+                m, idx, ranks[sl][idx], n_active, self.N_PRB, tti0, n_tti
             )
             assert got.dtype == np.int64
-            assert np.array_equal(got, per_tti) and np.array_equal(got, slab[sl])
+            assert np.array_equal(got, want[sl])
 
     def test_zero_ttis(self):
-        schedulable = np.array([True, False, True])
-        rr = make_scheduler("round_robin")
-        assert rr.grants_slab(schedulable, np.ones(3), 50, 4, 0).shape == (3, 0)
-        shard = ShardRoundRobin(ranks=np.array([0, -1, 1]), n_active_global=2)
-        assert shard.grants_slab(schedulable, np.ones(3), 50, 4, 0).shape == (3, 0)
+        idx = np.array([0, 2])
+        assert round_robin_slab(3, idx, np.array([0, 1]), 2, 50, 4, 0).shape == (3, 0)
+        assert round_robin_slab(3, idx[:0], idx[:0], 0, 50, 4, 0).shape == (3, 0)
 
 
 class TestProportionalFairShortcuts:

@@ -1,18 +1,18 @@
 """Pure-Python oracles for the TTI-batch MAC kernel.
 
 :func:`repro.traffic.simulate.run_tti_batch` runs admit → grant →
-drain as numpy over UEs, hoists grants into whole-batch slabs when the
-schedulable set is frozen, and grants from heaps.  :func:`replay`
-restates the same recurrence one UE and one TTI at a time in Python
-floats, with its own grant rule per discipline:
+drain as numpy over UEs and grants from heaps, and the city MAC
+(:func:`repro.city.mac.run_city_mac`) takes round-robin grants for a
+whole batch at once.  :func:`replay` restates the same recurrence one
+UE and one TTI at a time in Python floats, with its own grant rule per
+discipline:
 
 * :class:`RoundRobin` — equal split, remainder PRBs to the first UEs
   in rotated order;
 * :class:`ProportionalFair` — per-PRB linear-scan argmax of
   ``rate / (avg + pending)``, 100-TTI EWMA ``avg`` kept here,
   initialized lazily to the rates on the first grant;
-* :class:`MaxMin` — per-PRB linear-scan argmin of bytes granted so far;
-* :class:`ShardRoundRobin` — round-robin by precomputed global ranks.
+* :class:`MaxMin` — per-PRB linear-scan argmin of bytes granted so far.
 
 Ties go to the first UE in rotated schedulable order (rotation =
 ``tti mod n_active``).  Every float operation happens in the kernel's
@@ -55,31 +55,6 @@ class RoundRobin:
 
     def update(self, served) -> None:
         pass
-
-
-class ShardRoundRobin(RoundRobin):
-    """Round-robin over a global schedulable set, by each UE's rank.
-
-    ``ranks[i]`` is UE ``i``'s rank among the ``n_active`` globally
-    schedulable UEs (``-1`` when it never is); UE ``i`` gets the
-    remainder PRB of TTI ``tti`` when ``(rank - tti) mod n_active`` is
-    below the remainder.
-    """
-
-    def __init__(self, ranks: Sequence[int], n_active: int) -> None:
-        self.ranks = [int(r) for r in ranks]
-        self.n_active = int(n_active)
-
-    def grants(self, schedulable, rates, n_prb: int, tti: int) -> List[int]:
-        if [bool(s) for s in schedulable] != [r >= 0 for r in self.ranks]:
-            raise AssertionError("schedulable set differs from the global ranks")
-        out = [0] * len(self.ranks)
-        if self.n_active:
-            base, rem = divmod(int(n_prb), self.n_active)
-            for i, r in enumerate(self.ranks):
-                if r >= 0:
-                    out[i] = base + (1 if (r - int(tti)) % self.n_active < rem else 0)
-        return out
 
 
 class ProportionalFair:
